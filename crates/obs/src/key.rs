@@ -73,19 +73,6 @@ impl Deref for MetricKey {
     }
 }
 
-impl bz_state::Persist for MetricKey {
-    fn save(&self, w: &mut bz_state::Writer) {
-        w.put_str(self.as_str());
-    }
-
-    fn load(r: &mut bz_state::Reader<'_>) -> Result<Self, bz_state::StateError> {
-        // Restored keys are always owned: the original may have borrowed a
-        // `&'static str`, but equality, ordering, and hashing are on the
-        // text, so exports are unaffected.
-        Ok(Self(Cow::Owned(r.take_string()?)))
-    }
-}
-
 impl fmt::Display for MetricKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // `pad` honors width/alignment specifiers in table formatting.

@@ -1,10 +1,20 @@
 //! The metrics registry: named counters, gauges, histograms, span
 //! aggregates, and the timestamped event stream behind the exporters.
+//!
+//! Storage is interned. A registry keeps one [`KeyTable`] entry per
+//! distinct key: the key text, its JSON-escaped form, and every aggregate
+//! recorded under it. The event stream is a vector of fixed 24-byte
+//! [`Record`]s that name their key by table id, so a buffered event costs
+//! the same whether its key was a literal, a `format!`-built string, or a
+//! key restored from a checkpoint. [`Event`]s are materialized only for
+//! [`Registry::snapshot`]; every exporter writes straight from the
+//! records.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::io::{self, Write};
 
-use bz_state::Persist as _;
+use bz_state::{Persist, Reader, StateError, Writer};
 
 use crate::hist::FixedHistogram;
 use crate::key::MetricKey;
@@ -82,12 +92,200 @@ pub struct Snapshot {
     pub dropped_events: u64,
 }
 
+/// What a [`Record`] is. The discriminants are the checkpoint tags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Counter = 0,
+    Gauge = 1,
+    Span = 2,
+}
+
+/// Key ids take the low 30 bits of [`Record::key_kind`], the [`Kind`] the
+/// top two. An interned key costs more than 64 bytes, so a registry would
+/// hold over 64 GiB of keys before reaching the limit.
+const KIND_SHIFT: u32 = 30;
+
+/// Most distinct keys one registry can intern.
+const MAX_KEYS: usize = 1 << KIND_SHIFT;
+
+/// One buffered event, naming its key by [`KeyTable`] id.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    /// Simulation time of the event, ms.
+    t_ms: u64,
+    /// Counter value, gauge bit pattern, or span `sim_ms`.
+    value: u64,
+    /// Key id and [`Kind`], packed (see [`KIND_SHIFT`]).
+    key_kind: u32,
+    /// Span nesting depth at entry; 0 for counters and gauges.
+    depth: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() <= 24);
+
+impl Record {
+    fn new(kind: Kind, id: usize, t_ms: u64, value: u64, depth: u32) -> Self {
+        Self {
+            t_ms,
+            value,
+            key_kind: id as u32 | (kind as u32) << KIND_SHIFT,
+            depth,
+        }
+    }
+
+    fn id(self) -> usize {
+        (self.key_kind & (MAX_KEYS as u32 - 1)) as usize
+    }
+
+    fn kind(self) -> Kind {
+        match self.key_kind >> KIND_SHIFT {
+            0 => Kind::Counter,
+            1 => Kind::Gauge,
+            _ => Kind::Span,
+        }
+    }
+}
+
+/// The smallest checkpoint encoding of one event: tag, empty key, `t_ms`,
+/// value. Bounds the record capacity reserved for a decoded length.
+const MIN_EVENT_BYTES: usize = 1 + 8 + 8 + 8;
+
+/// One interned key with every aggregate recorded under it.
+#[derive(Debug)]
+struct Slot {
+    key: MetricKey,
+    /// The key escaped for a JSON string literal, kept only when that
+    /// differs from the key text.
+    escaped: Option<Box<str>>,
+    counter: Option<u64>,
+    gauge: Option<f64>,
+    histogram: Option<Box<FixedHistogram>>,
+    span: Option<Box<SpanStats>>,
+}
+
+impl Slot {
+    /// The key as it appears inside a JSON string literal.
+    fn json(&self) -> &str {
+        self.escaped.as_deref().unwrap_or(self.key.as_str())
+    }
+}
+
+/// The registry's distinct keys: each is stored once, with its id in
+/// insertion order and an index in key-text order.
+#[derive(Debug, Default)]
+struct KeyTable {
+    /// Key text → id, in key-text order: the order of every totals
+    /// section and of every checkpointed map.
+    index: BTreeMap<MetricKey, u32>,
+    /// Keys and aggregates by id.
+    slots: Vec<Slot>,
+}
+
+impl KeyTable {
+    /// The id of `key`, interning a clone of it on first use.
+    fn id(&mut self, key: &MetricKey) -> usize {
+        match self.index.get(key) {
+            Some(&id) => id as usize,
+            None => self.insert(key.clone()),
+        }
+    }
+
+    /// The id of the key spelled `text`, interning a copy on first use.
+    fn id_of_text(&mut self, text: &str) -> usize {
+        match self.index.get(text) {
+            Some(&id) => id as usize,
+            None => self.insert(MetricKey::from(text.to_owned())),
+        }
+    }
+
+    fn insert(&mut self, key: MetricKey) -> usize {
+        let id = self.slots.len();
+        assert!(id < MAX_KEYS, "a registry interns at most {MAX_KEYS} keys");
+        let escaped = escape(key.as_str());
+        self.slots.push(Slot {
+            escaped: (escaped != key.as_str()).then(|| escaped.into_boxed_str()),
+            key: key.clone(),
+            counter: None,
+            gauge: None,
+            histogram: None,
+            span: None,
+        });
+        self.index.insert(key, id as u32);
+        id
+    }
+
+    /// Every slot, in key-text order.
+    fn sorted(&self) -> impl Iterator<Item = &Slot> {
+        self.index.values().map(|&id| &self.slots[id as usize])
+    }
+
+    /// The owned [`Event`] a record stands for.
+    fn event(&self, record: Record) -> Event {
+        let name = self.slots[record.id()].key.clone();
+        let t_ms = record.t_ms;
+        match record.kind() {
+            Kind::Counter => Event::Counter {
+                name,
+                t_ms,
+                value: record.value,
+            },
+            Kind::Gauge => Event::Gauge {
+                name,
+                t_ms,
+                value: f64::from_bits(record.value),
+            },
+            Kind::Span => Event::Span {
+                name,
+                t_ms,
+                sim_ms: record.value,
+                depth: record.depth,
+            },
+        }
+    }
+
+    /// Writes one checkpointed totals map — the encoding of a
+    /// `BTreeMap<MetricKey, T>` over the keys that hold `get`'s aggregate.
+    fn save_section<T: Persist>(&self, w: &mut Writer, get: impl Fn(&Slot) -> Option<&T>) {
+        w.put_len(self.slots.iter().filter(|slot| get(slot).is_some()).count());
+        for slot in self.sorted() {
+            if let Some(value) = get(slot) {
+                w.put_str(slot.key.as_str());
+                value.save(w);
+            }
+        }
+    }
+
+    /// Reads one map written by [`KeyTable::save_section`]; a repeated key
+    /// keeps its last value, as decoding into a map would.
+    fn load_section<T: Persist>(
+        &mut self,
+        r: &mut Reader<'_>,
+        set: impl Fn(&mut Slot, T),
+    ) -> Result<(), StateError> {
+        for _ in 0..r.take_len()? {
+            let id = self.id_of_text(r.take_str()?);
+            set(&mut self.slots[id], T::load(r)?);
+        }
+        Ok(())
+    }
+}
+
 /// An open streaming JSONL destination (see [`Registry::stream_to`]).
 struct StreamSink {
     sink: Box<dyn Write + Send>,
     /// First write error, reported back at [`Registry::finish_stream`];
     /// once set, further event writes are skipped.
     error: Option<io::Error>,
+}
+
+impl StreamSink {
+    fn write(&mut self, keys: &KeyTable, record: Record) {
+        if self.error.is_none() {
+            if let Err(e) = write_event_line(&mut self.sink, keys, record) {
+                self.error = Some(e);
+            }
+        }
+    }
 }
 
 impl std::fmt::Debug for StreamSink {
@@ -98,18 +296,34 @@ impl std::fmt::Debug for StreamSink {
     }
 }
 
+/// The event stream: buffered records, or the sink they stream to.
+#[derive(Debug, Default)]
+struct EventLog {
+    records: Vec<Record>,
+    /// Events discarded after [`MAX_EVENTS`] was reached.
+    dropped: u64,
+    stream: Option<StreamSink>,
+}
+
+impl EventLog {
+    fn push(&mut self, keys: &KeyTable, record: Record) {
+        if let Some(stream) = &mut self.stream {
+            stream.write(keys, record);
+        } else if self.records.len() < MAX_EVENTS {
+            self.records.push(record);
+        } else {
+            self.dropped = self.dropped.saturating_add(1);
+        }
+    }
+}
+
 /// The mutable store behind the crate's global facade. It is a plain
 /// struct so unit tests (and alternative embeddings) can drive one
 /// directly without touching process-global state.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: BTreeMap<MetricKey, u64>,
-    gauges: BTreeMap<MetricKey, f64>,
-    histograms: BTreeMap<MetricKey, FixedHistogram>,
-    spans: BTreeMap<MetricKey, SpanStats>,
-    events: Vec<Event>,
-    dropped_events: u64,
-    stream: Option<StreamSink>,
+    keys: KeyTable,
+    log: EventLog,
 }
 
 impl Registry {
@@ -117,22 +331,6 @@ impl Registry {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn push_event(&mut self, event: Event) {
-        if let Some(stream) = &mut self.stream {
-            if stream.error.is_none() {
-                if let Err(e) = write_event_line(&mut stream.sink, &event) {
-                    stream.error = Some(e);
-                }
-            }
-            return;
-        }
-        if self.events.len() < MAX_EVENTS {
-            self.events.push(event);
-        } else {
-            self.dropped_events = self.dropped_events.saturating_add(1);
-        }
     }
 
     /// Switches the registry to streaming export: every event recorded
@@ -145,20 +343,16 @@ impl Registry {
     /// deterministic run is byte-identical to the buffered one.
     pub fn stream_to(&mut self, sink: Box<dyn Write + Send>) {
         let mut stream = StreamSink { sink, error: None };
-        for event in self.events.drain(..) {
-            if stream.error.is_none() {
-                if let Err(e) = write_event_line(&mut stream.sink, &event) {
-                    stream.error = Some(e);
-                }
-            }
+        for record in std::mem::take(&mut self.log.records) {
+            stream.write(&self.keys, record);
         }
-        self.stream = Some(stream);
+        self.log.stream = Some(stream);
     }
 
     /// Whether the registry is currently streaming events to a sink.
     #[must_use]
     pub fn is_streaming(&self) -> bool {
-        self.stream.is_some()
+        self.log.stream.is_some()
     }
 
     /// Ends streaming: writes the totals tail (counter/gauge/histogram/
@@ -170,7 +364,7 @@ impl Registry {
     /// Returns the first error hit while streaming events, or any error
     /// from writing the tail. A no-op `Ok(())` if no stream was open.
     pub fn finish_stream(&mut self) -> io::Result<()> {
-        let Some(mut stream) = self.stream.take() else {
+        let Some(mut stream) = self.log.stream.take() else {
             return Ok(());
         };
         if let Some(error) = stream.error.take() {
@@ -182,34 +376,33 @@ impl Registry {
 
     /// Adds `delta` to the counter `name`, saturating at `u64::MAX`.
     pub fn counter_add(&mut self, name: impl Into<MetricKey>, delta: u64) {
-        let slot = self.counters.entry(name.into()).or_insert(0);
-        *slot = slot.saturating_add(delta);
+        self.counter_add_ref(&name.into(), delta);
     }
 
     /// [`counter_add`](Self::counter_add) by reference: the key is cloned
-    /// only if the counter does not exist yet, so repeated updates against
+    /// only if the registry has never seen it, so repeated updates against
     /// a caller-held per-entity key never allocate.
     pub fn counter_add_ref(&mut self, name: &MetricKey, delta: u64) {
-        if let Some(slot) = self.counters.get_mut(name.as_str()) {
-            *slot = slot.saturating_add(delta);
-        } else {
-            self.counter_add(name.clone(), delta);
-        }
+        let id = self.keys.id(name);
+        let slot = self.keys.slots[id].counter.get_or_insert(0);
+        *slot = slot.saturating_add(delta);
     }
 
     /// Sets gauge `name` to `value` and records a timestamped event.
     pub fn gauge_set(&mut self, name: impl Into<MetricKey>, t_ms: u64, value: f64) {
-        let name = name.into();
-        self.gauges.insert(name.clone(), value);
-        self.push_event(Event::Gauge { name, t_ms, value });
+        let id = self.keys.id(&name.into());
+        self.keys.slots[id].gauge = Some(value);
+        let record = Record::new(Kind::Gauge, id, t_ms, value.to_bits(), 0);
+        self.log.push(&self.keys, record);
     }
 
     /// Observes `value` into histogram `name`, creating it over `buckets`
     /// on first use. Later calls keep the original buckets.
     pub fn observe(&mut self, name: impl Into<MetricKey>, buckets: &'static [f64], value: f64) {
-        self.histograms
-            .entry(name.into())
-            .or_insert_with(|| FixedHistogram::new(buckets))
+        let id = self.keys.id(&name.into());
+        self.keys.slots[id]
+            .histogram
+            .get_or_insert_with(|| Box::new(FixedHistogram::new(buckets)))
             .observe(value);
     }
 
@@ -222,27 +415,25 @@ impl Registry {
         depth: u32,
         wall_ns: u128,
     ) {
-        let name = name.into();
-        let stats = self.spans.entry(name.clone()).or_default();
+        let id = self.keys.id(&name.into());
+        let stats = self.keys.slots[id].span.get_or_insert_with(Box::default);
         stats.count = stats.count.saturating_add(1);
         stats.sim_ms_total = stats.sim_ms_total.saturating_add(sim_ms);
         stats.wall_ns_total = stats.wall_ns_total.saturating_add(wall_ns);
         stats.wall_ns_max = stats.wall_ns_max.max(wall_ns);
-        self.push_event(Event::Span {
-            name,
-            t_ms,
-            sim_ms,
-            depth,
-        });
+        let record = Record::new(Kind::Span, id, t_ms, sim_ms, depth);
+        self.log.push(&self.keys, record);
     }
 
     /// Samples every counter as a timestamped event (call this at a fixed
     /// simulated cadence to put counter trajectories in the export).
     pub fn record_counters(&mut self, t_ms: u64) {
-        let samples: Vec<(MetricKey, u64)> =
-            self.counters.iter().map(|(k, &v)| (k.clone(), v)).collect();
-        for (name, value) in samples {
-            self.push_event(Event::Counter { name, t_ms, value });
+        for &id in self.keys.index.values() {
+            let id = id as usize;
+            if let Some(value) = self.keys.slots[id].counter {
+                let record = Record::new(Kind::Counter, id, t_ms, value, 0);
+                self.log.push(&self.keys, record);
+            }
         }
     }
 
@@ -252,7 +443,7 @@ impl Registry {
     /// caught up.
     #[must_use]
     pub fn events_len(&self) -> usize {
-        self.events.len()
+        self.log.records.len()
     }
 
     /// Writes the buffered events starting at index `from` as JSONL lines
@@ -267,23 +458,49 @@ impl Registry {
     ///
     /// Returns any I/O error from `out`.
     pub fn write_events_from<W: Write>(&self, from: usize, mut out: W) -> io::Result<usize> {
-        for event in self.events.iter().skip(from) {
-            write_event_line(&mut out, event)?;
+        let records = &self.log.records;
+        for &record in records.get(from..).unwrap_or_default() {
+            write_event_line(&mut out, &self.keys, record)?;
         }
-        Ok(self.events.len())
+        Ok(records.len())
     }
 
     /// An owned copy of everything the registry holds.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
-            spans: self.spans.clone(),
-            events: self.events.clone(),
-            dropped_events: self.dropped_events,
+            events: self
+                .log
+                .records
+                .iter()
+                .map(|&r| self.keys.event(r))
+                .collect(),
+            ..self.totals()
         }
+    }
+
+    /// The aggregates as key-sorted maps: a [`Snapshot`] without events.
+    fn totals(&self) -> Snapshot {
+        let mut totals = Snapshot {
+            dropped_events: self.log.dropped,
+            ..Snapshot::default()
+        };
+        for slot in self.keys.sorted() {
+            let key = || slot.key.clone();
+            if let Some(value) = slot.counter {
+                totals.counters.insert(key(), value);
+            }
+            if let Some(value) = slot.gauge {
+                totals.gauges.insert(key(), value);
+            }
+            if let Some(hist) = &slot.histogram {
+                totals.histograms.insert(key(), (**hist).clone());
+            }
+            if let Some(stats) = slot.span.as_deref() {
+                totals.spans.insert(key(), *stats);
+            }
+        }
+        totals
     }
 
     /// Clears all metrics, events, and drop counts.
@@ -302,56 +519,65 @@ impl Registry {
     ///
     /// Returns any I/O error from `out`.
     pub fn write_jsonl<W: Write>(&self, mut out: W) -> io::Result<()> {
-        for event in &self.events {
-            write_event_line(&mut out, event)?;
-        }
+        self.write_events_from(0, &mut out)?;
         self.write_totals(&mut out)
     }
 
     /// The per-key totals tail shared by [`Registry::write_jsonl`] and
     /// [`Registry::finish_stream`], in sorted key order.
     fn write_totals<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        for (name, value) in &self.counters {
-            writeln!(
-                out,
-                "{{\"kind\":\"counter_total\",\"name\":\"{}\",\"value\":{value}}}",
-                escape(name)
-            )?;
+        for slot in self.keys.sorted() {
+            if let Some(value) = slot.counter {
+                writeln!(
+                    out,
+                    "{{\"kind\":\"counter_total\",\"name\":\"{}\",\"value\":{value}}}",
+                    slot.json()
+                )?;
+            }
         }
-        for (name, value) in &self.gauges {
-            writeln!(
-                out,
-                "{{\"kind\":\"gauge_last\",\"name\":\"{}\",\"value\":{}}}",
-                escape(name),
-                json_f64(*value)
-            )?;
+        for slot in self.keys.sorted() {
+            if let Some(value) = slot.gauge {
+                writeln!(
+                    out,
+                    "{{\"kind\":\"gauge_last\",\"name\":\"{}\",\"value\":{}}}",
+                    slot.json(),
+                    JsonF64(value)
+                )?;
+            }
         }
-        for (name, hist) in &self.histograms {
-            let edges: Vec<String> = hist.edges().iter().map(|&e| json_f64(e)).collect();
-            let counts: Vec<String> = hist.counts().iter().map(u64::to_string).collect();
-            writeln!(
-                out,
-                "{{\"kind\":\"histogram\",\"name\":\"{}\",\"edges\":[{}],\"counts\":[{}],\"count\":{},\"sum\":{}}}",
-                escape(name),
-                edges.join(","),
-                counts.join(","),
-                hist.count(),
-                json_f64(hist.sum()),
-            )?;
+        for slot in self.keys.sorted() {
+            if let Some(hist) = &slot.histogram {
+                write!(
+                    out,
+                    "{{\"kind\":\"histogram\",\"name\":\"{}\",\"edges\":[",
+                    slot.json()
+                )?;
+                write_joined(out, hist.edges().iter().map(|&edge| JsonF64(edge)))?;
+                out.write_all(b"],\"counts\":[")?;
+                write_joined(out, hist.counts())?;
+                writeln!(
+                    out,
+                    "],\"count\":{},\"sum\":{}}}",
+                    hist.count(),
+                    JsonF64(hist.sum())
+                )?;
+            }
         }
-        for (name, stats) in &self.spans {
-            writeln!(
-                out,
-                "{{\"kind\":\"span_total\",\"name\":\"{}\",\"count\":{},\"sim_ms_total\":{}}}",
-                escape(name),
-                stats.count,
-                stats.sim_ms_total
-            )?;
+        for slot in self.keys.sorted() {
+            if let Some(stats) = &slot.span {
+                writeln!(
+                    out,
+                    "{{\"kind\":\"span_total\",\"name\":\"{}\",\"count\":{},\"sim_ms_total\":{}}}",
+                    slot.json(),
+                    stats.count,
+                    stats.sim_ms_total
+                )?;
+            }
         }
         writeln!(
             out,
             "{{\"kind\":\"meta\",\"dropped_events\":{}}}",
-            self.dropped_events
+            self.log.dropped
         )
     }
 
@@ -363,20 +589,17 @@ impl Registry {
     /// Returns any I/O error from `out`.
     pub fn write_csv<W: Write>(&self, mut out: W) -> io::Result<()> {
         writeln!(out, "t_ms,kind,name,value,sim_ms,depth")?;
-        for event in &self.events {
-            match event {
-                Event::Counter { name, t_ms, value } => {
-                    writeln!(out, "{t_ms},counter,{name},{value},,")?;
-                }
-                Event::Gauge { name, t_ms, value } => {
-                    writeln!(out, "{t_ms},gauge,{name},{},,", json_f64(*value))?;
-                }
-                Event::Span {
-                    name,
-                    t_ms,
-                    sim_ms,
-                    depth,
-                } => writeln!(out, "{t_ms},span,{name},,{sim_ms},{depth}")?,
+        for &record in &self.log.records {
+            let name = self.keys.slots[record.id()].key.as_str();
+            let (t_ms, value) = (record.t_ms, record.value);
+            match record.kind() {
+                Kind::Counter => writeln!(out, "{t_ms},counter,{name},{value},,")?,
+                Kind::Gauge => writeln!(
+                    out,
+                    "{t_ms},gauge,{name},{},,",
+                    JsonF64(f64::from_bits(value))
+                )?,
+                Kind::Span => writeln!(out, "{t_ms},span,{name},,{value},{}", record.depth)?,
             }
         }
         Ok(())
@@ -387,14 +610,15 @@ impl Registry {
     /// stdout, not for files that get diffed across runs.
     #[must_use]
     pub fn summary_table(&self) -> String {
+        let totals = self.totals();
         let mut out = String::new();
-        if !self.spans.is_empty() {
+        if !totals.spans.is_empty() {
             out += "spans (per-stage timing):\n";
             out += &format!(
                 "  {:<34} {:>9} {:>12} {:>12} {:>12}\n",
                 "name", "count", "sim total s", "wall mean µs", "wall max µs"
             );
-            for (name, s) in &self.spans {
+            for (name, s) in &totals.spans {
                 let mean_us = if s.count == 0 {
                     0.0
                 } else {
@@ -410,21 +634,21 @@ impl Registry {
                 );
             }
         }
-        if !self.counters.is_empty() {
+        if !totals.counters.is_empty() {
             out += "counters:\n";
-            for (name, value) in &self.counters {
+            for (name, value) in &totals.counters {
                 out += &format!("  {name:<34} {value:>12}\n");
             }
         }
-        if !self.gauges.is_empty() {
+        if !totals.gauges.is_empty() {
             out += "gauges (last value):\n";
-            for (name, value) in &self.gauges {
+            for (name, value) in &totals.gauges {
                 out += &format!("  {name:<34} {value:>12.3}\n");
             }
         }
-        if !self.histograms.is_empty() {
+        if !totals.histograms.is_empty() {
             out += "histograms:\n";
-            for (name, hist) in &self.histograms {
+            for (name, hist) in &totals.histograms {
                 out += &format!(
                     "  {:<34} count {} mean {:.3} min {:.3} max {:.3}\n",
                     name,
@@ -435,66 +659,10 @@ impl Registry {
                 );
             }
         }
-        if self.dropped_events > 0 {
-            out += &format!("dropped events: {}\n", self.dropped_events);
+        if totals.dropped_events > 0 {
+            out += &format!("dropped events: {}\n", totals.dropped_events);
         }
         out
-    }
-}
-
-impl bz_state::Persist for Event {
-    fn save(&self, w: &mut bz_state::Writer) {
-        match self {
-            Event::Counter { name, t_ms, value } => {
-                w.put_u8(0);
-                name.save(w);
-                w.put_u64(*t_ms);
-                w.put_u64(*value);
-            }
-            Event::Gauge { name, t_ms, value } => {
-                w.put_u8(1);
-                name.save(w);
-                w.put_u64(*t_ms);
-                w.put_f64(*value);
-            }
-            Event::Span {
-                name,
-                t_ms,
-                sim_ms,
-                depth,
-            } => {
-                w.put_u8(2);
-                name.save(w);
-                w.put_u64(*t_ms);
-                w.put_u64(*sim_ms);
-                w.put_u32(*depth);
-            }
-        }
-    }
-
-    fn load(r: &mut bz_state::Reader<'_>) -> Result<Self, bz_state::StateError> {
-        match r.take_u8()? {
-            0 => Ok(Event::Counter {
-                name: MetricKey::load(r)?,
-                t_ms: r.take_u64()?,
-                value: r.take_u64()?,
-            }),
-            1 => Ok(Event::Gauge {
-                name: MetricKey::load(r)?,
-                t_ms: r.take_u64()?,
-                value: r.take_f64()?,
-            }),
-            2 => Ok(Event::Span {
-                name: MetricKey::load(r)?,
-                t_ms: r.take_u64()?,
-                sim_ms: r.take_u64()?,
-                depth: r.take_u32()?,
-            }),
-            tag => Err(bz_state::StateError::BadTag {
-                what: "obs::Event",
-                tag: u64::from(tag),
-            }),
-        }
     }
 }
 
@@ -502,13 +670,13 @@ impl bz_state::Persist for Event {
 /// timing is process-local diagnostics (it never reaches JSONL/CSV
 /// exports) and including it would make same-seed checkpoints
 /// byte-unequal; a restored process starts its wall totals at zero.
-impl bz_state::Persist for SpanStats {
-    fn save(&self, w: &mut bz_state::Writer) {
+impl Persist for SpanStats {
+    fn save(&self, w: &mut Writer) {
         w.put_u64(self.count);
         w.put_u64(self.sim_ms_total);
     }
 
-    fn load(r: &mut bz_state::Reader<'_>) -> Result<Self, bz_state::StateError> {
+    fn load(r: &mut Reader<'_>) -> Result<Self, StateError> {
         Ok(Self {
             count: r.take_u64()?,
             sim_ms_total: r.take_u64()?,
@@ -525,88 +693,126 @@ impl Registry {
     /// already on disk and replaying them after a resume would duplicate
     /// lines.
     ///
+    /// The encoding is that of four key-sorted maps (counters, gauges,
+    /// histograms, spans), the event list with each event's key spelled
+    /// out, and the drop count.
+    ///
     /// # Panics
     ///
     /// Panics if the registry is currently streaming (see
     /// [`Registry::is_streaming`]); callers gate that combination up
     /// front.
-    pub fn save_state(&self, w: &mut bz_state::Writer) {
+    pub fn save_state(&self, w: &mut Writer) {
         assert!(
-            self.stream.is_none(),
+            self.log.stream.is_none(),
             "cannot checkpoint a streaming registry"
         );
-        self.counters.save(w);
-        self.gauges.save(w);
-        self.histograms.save(w);
-        self.spans.save(w);
-        self.events.save(w);
-        w.put_u64(self.dropped_events);
+        self.keys.save_section(w, |slot| slot.counter.as_ref());
+        self.keys.save_section(w, |slot| slot.gauge.as_ref());
+        self.keys.save_section(w, |slot| slot.histogram.as_deref());
+        self.keys.save_section(w, |slot| slot.span.as_deref());
+        w.put_len(self.log.records.len());
+        for &record in &self.log.records {
+            let kind = record.kind();
+            w.put_u8(kind as u8);
+            w.put_str(self.keys.slots[record.id()].key.as_str());
+            w.put_u64(record.t_ms);
+            w.put_u64(record.value);
+            if kind == Kind::Span {
+                w.put_u32(record.depth);
+            }
+        }
+        w.put_u64(self.log.dropped);
     }
 
     /// Replaces this registry's contents with previously saved state. Any
-    /// open stream is dropped unfinished.
+    /// open stream is dropped unfinished. Each distinct key is interned
+    /// once, however many events name it.
     ///
     /// # Errors
     ///
     /// Returns a decode error (and leaves the registry unchanged) if the
     /// bytes do not parse.
-    pub fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
-        let counters = BTreeMap::load(r)?;
-        let gauges = BTreeMap::load(r)?;
-        let histograms = BTreeMap::load(r)?;
-        let spans = BTreeMap::load(r)?;
-        let events = Vec::load(r)?;
-        let dropped_events = r.take_u64()?;
+    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), StateError> {
+        let mut keys = KeyTable::default();
+        keys.load_section(r, |slot, value| slot.counter = Some(value))?;
+        keys.load_section(r, |slot, value| slot.gauge = Some(value))?;
+        keys.load_section(r, |slot, value| slot.histogram = Some(Box::new(value)))?;
+        keys.load_section(r, |slot, value| slot.span = Some(Box::new(value)))?;
+        let len = r.take_len()?;
+        let mut records = Vec::with_capacity(len.min(r.remaining() / MIN_EVENT_BYTES));
+        for _ in 0..len {
+            let kind = match r.take_u8()? {
+                0 => Kind::Counter,
+                1 => Kind::Gauge,
+                2 => Kind::Span,
+                tag => {
+                    return Err(StateError::BadTag {
+                        what: "obs::Event",
+                        tag: u64::from(tag),
+                    })
+                }
+            };
+            let id = keys.id_of_text(r.take_str()?);
+            let t_ms = r.take_u64()?;
+            let value = r.take_u64()?;
+            let depth = if kind == Kind::Span { r.take_u32()? } else { 0 };
+            records.push(Record::new(kind, id, t_ms, value, depth));
+        }
+        let dropped = r.take_u64()?;
         *self = Self {
-            counters,
-            gauges,
-            histograms,
-            spans,
-            events,
-            dropped_events,
-            stream: None,
+            keys,
+            log: EventLog {
+                records,
+                dropped,
+                stream: None,
+            },
         };
         Ok(())
     }
 }
 
-/// Serializes one event as its JSONL line (shared by the buffered
-/// exporter and the streaming path, so both emit identical bytes).
-fn write_event_line<W: Write>(out: &mut W, event: &Event) -> io::Result<()> {
-    match event {
-        Event::Counter { name, t_ms, value } => writeln!(
+/// Serializes one record as its JSONL line (shared by the buffered
+/// exporter, the tap and the streaming path, so all emit identical
+/// bytes).
+fn write_event_line<W: Write>(out: &mut W, keys: &KeyTable, record: Record) -> io::Result<()> {
+    let name = keys.slots[record.id()].json();
+    let (t_ms, value) = (record.t_ms, record.value);
+    match record.kind() {
+        Kind::Counter => writeln!(
             out,
-            "{{\"kind\":\"counter\",\"name\":\"{}\",\"t_ms\":{t_ms},\"value\":{value}}}",
-            escape(name)
+            "{{\"kind\":\"counter\",\"name\":\"{name}\",\"t_ms\":{t_ms},\"value\":{value}}}"
         ),
-        Event::Gauge { name, t_ms, value } => writeln!(
+        Kind::Gauge => writeln!(
             out,
-            "{{\"kind\":\"gauge\",\"name\":\"{}\",\"t_ms\":{t_ms},\"value\":{}}}",
-            escape(name),
-            json_f64(*value)
+            "{{\"kind\":\"gauge\",\"name\":\"{name}\",\"t_ms\":{t_ms},\"value\":{}}}",
+            JsonF64(f64::from_bits(value))
         ),
-        Event::Span {
-            name,
-            t_ms,
-            sim_ms,
-            depth,
-        } => writeln!(
+        Kind::Span => writeln!(
             out,
-            "{{\"kind\":\"span\",\"name\":\"{}\",\"t_ms\":{t_ms},\"sim_ms\":{sim_ms},\"depth\":{depth}}}",
-            escape(name)
+            "{{\"kind\":\"span\",\"name\":\"{name}\",\"t_ms\":{t_ms},\"sim_ms\":{value},\"depth\":{}}}",
+            record.depth
         ),
     }
 }
 
+/// Writes `items` separated by commas.
+fn write_joined<W: Write, T: fmt::Display>(
+    out: &mut W,
+    items: impl IntoIterator<Item = T>,
+) -> io::Result<()> {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.write_all(b",")?;
+        }
+        write!(out, "{item}")?;
+    }
+    Ok(())
+}
+
 /// Escapes a metric key for embedding in a JSON string literal.
 fn escape(name: &str) -> String {
-    if name
-        .chars()
-        .all(|c| c.is_ascii_graphic() && c != '"' && c != '\\')
-    {
-        return name.to_owned();
-    }
-    let mut escaped = String::with_capacity(name.len() + 4);
+    let mut escaped = String::with_capacity(name.len());
     for c in name.chars() {
         match c {
             '"' => escaped.push_str("\\\""),
@@ -622,17 +828,19 @@ fn escape(name: &str) -> String {
 }
 
 /// Formats an `f64` as a JSON number (`null` for non-finite values).
-fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        let text = format!("{value}");
-        // `{}` on f64 never emits exponents, so the result is always a
-        // valid JSON number.
-        text
-    } else {
-        "null".to_owned()
+/// `{}` on f64 never emits exponents, so a finite value is always a
+/// valid JSON number.
+struct JsonF64(f64);
+
+impl fmt::Display for JsonF64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("null")
+        }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -816,7 +1024,7 @@ mod tests {
         let mut original = Registry::new();
         record_sample(&mut original);
         original.observe("custom.buckets", &[1.0, 2.0], 1.5);
-        original.dropped_events = 3;
+        original.log.dropped = 3;
 
         let mut w = bz_state::Writer::new();
         original.save_state(&mut w);
@@ -839,11 +1047,52 @@ mod tests {
         let mut csv_restored = Vec::new();
         restored.write_csv(&mut csv_restored).unwrap();
         assert_eq!(csv_restored, csv_original);
+        let histograms = restored.snapshot().histograms;
         assert_eq!(
-            restored.histograms["wsn.btadpt.send_period_s"].edges(),
+            histograms["wsn.btadpt.send_period_s"].edges(),
             DEFAULT_BUCKETS
         );
-        assert_eq!(restored.histograms["custom.buckets"].edges(), &[1.0, 2.0]);
+        assert_eq!(histograms["custom.buckets"].edges(), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn events_share_one_interned_key_per_name() {
+        let mut original = Registry::new();
+        for minute in 0..50u64 {
+            original.gauge_set(format!("ingest.{}", "room"), minute, 1.0);
+            original.span_complete("core.step_second", minute, 1, 0, 0);
+            original.counter_add(format!("wsn.node.{}.sent", minute % 3), 1);
+            original.record_counters(minute);
+        }
+        assert_eq!(original.keys.slots.len(), 5);
+        let mut w = bz_state::Writer::new();
+        original.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = Registry::new();
+        restored
+            .load_state(&mut bz_state::Reader::new(&bytes))
+            .unwrap();
+        assert_eq!(restored.events_len(), original.events_len());
+        assert_eq!(restored.keys.slots.len(), 5);
+    }
+
+    #[test]
+    fn load_rejects_an_unknown_event_tag() {
+        let mut registry = Registry::new();
+        registry.gauge_set("g", 1, 2.0);
+        let mut w = bz_state::Writer::new();
+        registry.save_state(&mut w);
+        let mut bytes = w.into_bytes();
+        // The one event ends just before the 8-byte drop count: its tag,
+        // the key "g" (8-byte length, 1 byte), t_ms and the value.
+        let tag_at = bytes.len() - 8 - (1 + 8 + 1 + 8 + 8);
+        assert_eq!(bytes[tag_at], 1);
+        bytes[tag_at] = 9;
+        let err = registry
+            .load_state(&mut bz_state::Reader::new(&bytes))
+            .unwrap_err();
+        assert!(matches!(err, bz_state::StateError::BadTag { tag: 9, .. }));
+        assert_eq!(registry.events_len(), 1, "a failed load changes nothing");
     }
 
     #[test]

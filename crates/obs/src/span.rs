@@ -70,14 +70,9 @@ impl SpanGuard {
         let wall_ns = self
             .wall_start
             .map_or(0, |started| started.elapsed().as_nanos());
+        let name = std::mem::take(&mut self.name);
         sink.with_registry(|registry| {
-            registry.span_complete(
-                self.name.clone(),
-                self.sim_start_ms,
-                sim_ms,
-                self.depth,
-                wall_ns,
-            );
+            registry.span_complete(name, self.sim_start_ms, sim_ms, self.depth, wall_ns);
         });
     }
 }

@@ -9,6 +9,8 @@ use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use crate::http;
+
 /// One response as it came off the wire.
 #[derive(Debug, Clone)]
 pub struct WireResponse {
@@ -66,13 +68,7 @@ impl Client {
     ///
     /// Returns transport errors and malformed-response errors.
     pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<WireResponse> {
-        write!(
-            self.writer,
-            "{method} {path} HTTP/1.1\r\nhost: bz-serve\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        )?;
-        self.writer.write_all(body)?;
-        self.writer.flush()?;
+        write_request(&mut self.writer, method, path, body)?;
         self.read_response()
     }
 
@@ -146,6 +142,22 @@ impl Client {
     }
 }
 
+/// Frames one request onto `writer` (see [`http::send_message`]).
+fn write_request<W: Write>(
+    writer: &mut W,
+    method: &str,
+    path: &str,
+    body: &[u8],
+) -> io::Result<()> {
+    http::send_message(writer, body, |head| {
+        write!(
+            head,
+            "{method} {path} HTTP/1.1\r\nhost: bz-serve\r\ncontent-length: {}\r\n\r\n",
+            body.len()
+        )
+    })
+}
+
 fn expect_ok(response: WireResponse) -> io::Result<WireResponse> {
     if (200..300).contains(&response.status) {
         Ok(response)
@@ -160,4 +172,34 @@ fn expect_ok(response: WireResponse) -> io::Result<WireResponse> {
 
 fn bad(message: String) -> io::Error {
     io::Error::new(ErrorKind::InvalidData, message)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::tests::CountingWriter;
+    use crate::http::INLINE_BODY_BYTES;
+
+    #[test]
+    fn requests_leave_in_one_write_unless_the_body_is_large() {
+        let mut step = CountingWriter::default();
+        write_request(
+            &mut step,
+            "POST",
+            "/tenants/t-0001/step",
+            b"{\"minutes\":1}",
+        )
+        .unwrap();
+        assert_eq!(step.writes, 1);
+        assert_eq!(
+            step.bytes,
+            b"POST /tenants/t-0001/step HTTP/1.1\r\nhost: bz-serve\r\ncontent-length: 13\r\n\r\n{\"minutes\":1}"
+        );
+
+        let restore = vec![3; INLINE_BODY_BYTES + 1];
+        let mut upload = CountingWriter::default();
+        write_request(&mut upload, "POST", "/tenants/t/restore", &restore).unwrap();
+        assert_eq!(upload.writes, 2);
+        assert!(upload.bytes.ends_with(&restore));
+    }
 }

@@ -18,6 +18,11 @@ pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// connection exhaust memory.
 pub const MAX_BODY_BYTES: usize = 256 * 1024 * 1024;
 
+/// Bodies up to this size are copied behind the head and leave in the
+/// same write; larger ones (snapshots, restores) follow the head in a
+/// second write, uncopied.
+pub(crate) const INLINE_BODY_BYTES: usize = 64 * 1024;
+
 /// One parsed HTTP request.
 #[derive(Debug, Clone)]
 pub struct Request {
@@ -249,22 +254,48 @@ impl Response {
     ///
     /// Returns any transport error.
     pub fn write_to<W: Write>(&self, writer: &mut W, keep_alive: bool) -> io::Result<()> {
-        write!(
-            writer,
-            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
-            self.status,
-            status_text(self.status),
-            self.content_type,
-            self.body.len(),
-            if keep_alive { "keep-alive" } else { "close" },
-        )?;
-        for (name, value) in &self.headers {
-            write!(writer, "{name}: {value}\r\n")?;
-        }
-        writer.write_all(b"\r\n")?;
-        writer.write_all(&self.body)?;
-        writer.flush()
+        send_message(writer, &self.body, |head| {
+            write!(
+                head,
+                "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
+                self.status,
+                status_text(self.status),
+                self.content_type,
+                self.body.len(),
+                if keep_alive { "keep-alive" } else { "close" },
+            )?;
+            for (name, value) in &self.headers {
+                write!(head, "{name}: {value}\r\n")?;
+            }
+            head.write_all(b"\r\n")
+        })
     }
+}
+
+/// Frames one HTTP message and flushes it. `head` writes the start line
+/// and headers into a buffer; a body up to [`INLINE_BODY_BYTES`] is copied
+/// behind them and leaves in the same write, a larger one follows in a
+/// second write, uncopied. On a `TCP_NODELAY` socket every write leaves
+/// as its own segment, so formatting straight onto the socket would send
+/// one segment per format fragment.
+pub(crate) fn send_message<W: Write>(
+    writer: &mut W,
+    body: &[u8],
+    head: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+) -> io::Result<()> {
+    let (inline, rest) = if body.len() <= INLINE_BODY_BYTES {
+        (body, &[][..])
+    } else {
+        (&[][..], body)
+    };
+    let mut message = Vec::with_capacity(256 + inline.len());
+    head(&mut message)?;
+    message.extend_from_slice(inline);
+    writer.write_all(&message)?;
+    if !rest.is_empty() {
+        writer.write_all(rest)?;
+    }
+    writer.flush()
 }
 
 /// The reason phrase for the status codes this server emits.
@@ -314,7 +345,7 @@ pub fn json_f64(value: f64) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::BufReader;
 
@@ -374,6 +405,51 @@ mod tests {
         assert!(text.contains("connection: keep-alive\r\n"), "{text}");
         assert!(text.contains("x-bz-cursor: 17\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"), "{text}");
+    }
+
+    /// Counts `write` calls, the unit a `TCP_NODELAY` socket turns into
+    /// segments.
+    #[derive(Default)]
+    pub(crate) struct CountingWriter {
+        pub(crate) writes: usize,
+        pub(crate) bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn small_responses_leave_in_one_write_large_ones_in_two() {
+        let tap = Response::jsonl(200, vec![b'x'; 4_000])
+            .with_header("x-bz-next-cursor", "120".to_owned())
+            .with_header("x-bz-events", "120".to_owned());
+        let snapshot = Response::octets(200, vec![7; INLINE_BODY_BYTES + 1]);
+        for (response, writes) in [
+            (Response::json(200, "{\"now_ms\":60000}".to_owned()), 1),
+            (Response::json(200, String::new()), 1),
+            (tap, 1),
+            (Response::octets(200, vec![7; INLINE_BODY_BYTES]), 1),
+            (snapshot, 2),
+        ] {
+            let mut counted = CountingWriter::default();
+            response.write_to(&mut counted, true).unwrap();
+            assert_eq!(counted.writes, writes, "{} body bytes", response.body.len());
+            assert!(counted.bytes.ends_with(&response.body));
+            let head_len = counted.bytes.len() - response.body.len();
+            let head = std::str::from_utf8(&counted.bytes[..head_len]).unwrap();
+            assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+            assert!(head.ends_with("\r\n\r\n"), "{head}");
+            assert!(head.contains(&format!("content-length: {}\r\n", response.body.len())));
+        }
     }
 
     #[test]

@@ -267,14 +267,19 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn take_string(&mut self) -> Result<String, StateError> {
+    /// Reads a length-prefixed UTF-8 string, borrowed from the buffer.
+    pub fn take_str(&mut self) -> Result<&'a str, StateError> {
         let len = self.take_len()?;
         let bytes = self.take_raw("string", len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| StateError::Invalid {
+        std::str::from_utf8(bytes).map_err(|e| StateError::Invalid {
             what: "string",
             reason: e.to_string(),
         })
+    }
+
+    /// Reads a length-prefixed UTF-8 string.
+    pub fn take_string(&mut self) -> Result<String, StateError> {
+        self.take_str().map(str::to_owned)
     }
 
     /// Reads a length-prefixed byte vector.

@@ -188,26 +188,64 @@ impl VarianceHistogram {
     ///
     /// Returns `None` until at least two distinct variance values have
     /// been observed (the range is degenerate before that).
+    ///
+    /// The result is bit-identical to evaluating the definition split by
+    /// split. Each slot center is computed once. Every sum still adds its
+    /// terms left to right, so each one rounds exactly as a fresh sum
+    /// would: `cc1` is a running prefix sum, and the `cc2` and distance
+    /// sums run slot-major, so the `N − 1` independent sums advance
+    /// together instead of one after another. Empty slots are skipped in
+    /// the distance sums: their terms are `+0.0`, which can change only
+    /// the sign of a zero sum, and the sums are only compared.
     #[must_use]
     pub fn threshold(&self) -> Option<f64> {
         if self.slot_width() == 0.0 {
             return None;
         }
         let n = self.n_slots;
+        let centers: Vec<f64> = (1..=n).map(|k| self.slot_center(k)).collect();
+        // Split j (1..n) puts 0-based slots 0..j in cluster 1 and j..n in
+        // cluster 2; index j of each vector below belongs to split j.
+        let mut cc1 = vec![0.0; n];
+        let mut prefix = 0.0;
+        for j in 1..n {
+            prefix += centers[j - 1];
+            cc1[j] = prefix / j as f64;
+        }
+        // Slot k joins cluster 2 of every split j <= k.
+        let mut cc2 = vec![0.0; n];
+        for (k, &center) in centers.iter().enumerate().skip(1) {
+            for sum in &mut cc2[1..=k] {
+                *sum += center;
+            }
+        }
+        for (j, mean) in cc2.iter_mut().enumerate().skip(1) {
+            *mean /= (n - j) as f64;
+        }
+        let mut sum1 = vec![0.0; n];
+        let mut sum2 = vec![0.0; n];
+        for (k, (&count, &center)) in self.counts.iter().zip(&centers).enumerate() {
+            if count == 0 {
+                continue;
+            }
+            let weight = count as f64;
+            for (sum, &mean) in sum2[1..=k].iter_mut().zip(&cc2[1..=k]) {
+                *sum += weight * (center - mean).abs();
+            }
+            for (sum, &mean) in sum1[k + 1..].iter_mut().zip(&cc1[k + 1..]) {
+                *sum += weight * (center - mean).abs();
+            }
+        }
         let mut best_j = 1;
         let mut best_sum = f64::INFINITY;
         for j in 1..n {
-            // cc1 = mean of slot centers 1..=j; cc2 = mean of centers j+1..=N.
-            let cc1: f64 = (1..=j).map(|k| self.slot_center(k)).sum::<f64>() / j as f64;
-            let cc2: f64 = ((j + 1)..=n).map(|k| self.slot_center(k)).sum::<f64>() / (n - j) as f64;
-            let sum1: f64 = (1..=j)
-                .map(|k| self.counts[k - 1] as f64 * (self.slot_center(k) - cc1).abs())
-                .sum();
-            let sum2: f64 = ((j + 1)..=n)
-                .map(|k| self.counts[k - 1] as f64 * (self.slot_center(k) - cc2).abs())
-                .sum();
-            if sum1 + sum2 < best_sum {
-                best_sum = sum1 + sum2;
+            if !(cc1[j].is_finite() && cc2[j].is_finite()) {
+                // Overflowed centers: an empty slot's term would be NaN and
+                // a full one's ∞, so this split can never be the best.
+                continue;
+            }
+            if sum1[j] + sum2[j] < best_sum {
+                best_sum = sum1[j] + sum2[j];
                 best_j = j;
             }
         }
@@ -364,6 +402,113 @@ mod tests {
             v.push(0.8 + 0.05 * f64::from(i % 5)); // transitions: ~0.8–1.0
         }
         v
+    }
+
+    /// Algorithm 1 evaluated directly, as `threshold` did before it
+    /// cached the slot centers: the bit-exact reference for the kernel.
+    fn reference_threshold(h: &VarianceHistogram) -> Option<f64> {
+        if h.slot_width() == 0.0 {
+            return None;
+        }
+        let n = h.slots();
+        let mut best_j = 1;
+        let mut best_sum = f64::INFINITY;
+        for j in 1..n {
+            let cc1: f64 = (1..=j).map(|k| h.slot_center(k)).sum::<f64>() / j as f64;
+            let cc2: f64 = ((j + 1)..=n).map(|k| h.slot_center(k)).sum::<f64>() / (n - j) as f64;
+            let sum1: f64 = (1..=j)
+                .map(|k| h.counts()[k - 1] as f64 * (h.slot_center(k) - cc1).abs())
+                .sum();
+            let sum2: f64 = ((j + 1)..=n)
+                .map(|k| h.counts()[k - 1] as f64 * (h.slot_center(k) - cc2).abs())
+                .sum();
+            if sum1 + sum2 < best_sum {
+                best_sum = sum1 + sum2;
+                best_j = j;
+            }
+        }
+        Some(h.var_min() + best_j as f64 * h.slot_width())
+    }
+
+    /// SplitMix64: a seeded stream for the differential test.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn threshold_is_bit_identical_to_the_direct_evaluation() {
+        let mut checked = 0u32;
+        for (n, seeds, stride) in [
+            (2, 40, 1),
+            (3, 40, 1),
+            (10, 40, 1),
+            (40, 12, 2),
+            (100, 4, 8),
+        ] {
+            for seed in 0..seeds {
+                let mut state = seed ^ (n as u64) << 32;
+                let mut h = VarianceHistogram::new(n);
+                // Scales span stable noise to door-event bursts; a growing
+                // scale keeps re-binning the histogram.
+                let mut scale = 1e-4;
+                for step in 0..400u32 {
+                    let u = (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+                    let variance = match splitmix(&mut state) % 10 {
+                        0 => scale * 1e3 * u,
+                        1 => 0.0,
+                        2 => scale, // repeats pile counts into one slot
+                        _ => scale * u,
+                    };
+                    let range = (h.var_min(), h.var_max());
+                    h.observe(variance);
+                    let mut fresh = range != (h.var_min(), h.var_max());
+                    if step % 97 == 96 {
+                        scale *= 10.0;
+                    }
+                    if splitmix(&mut state).is_multiple_of(150) {
+                        h.reset_counters();
+                        fresh = true;
+                    }
+                    if !fresh && step % stride != 0 {
+                        continue;
+                    }
+                    let (fast, direct) = (h.threshold(), reference_threshold(&h));
+                    assert_eq!(
+                        fast.map(f64::to_bits),
+                        direct.map(f64::to_bits),
+                        "N={n} seed={seed} step={step}: {fast:?} vs {direct:?}"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 40_000, "{checked} thresholds compared");
+    }
+
+    #[test]
+    fn threshold_matches_the_direct_evaluation_at_extreme_ranges() {
+        for n in [2, 3, 10, 40] {
+            for (low, high) in [
+                (0.0, 5e-324),
+                (0.0, f64::MAX),
+                (1e300, f64::MAX),
+                (-0.0, 1.0),
+            ] {
+                let mut h = VarianceHistogram::new(n);
+                h.observe(low);
+                h.observe(high);
+                h.observe(high);
+                let direct = reference_threshold(&h);
+                assert_eq!(h.threshold().map(f64::to_bits), direct.map(f64::to_bits));
+                h.reset_counters();
+                let direct = reference_threshold(&h);
+                assert_eq!(h.threshold().map(f64::to_bits), direct.map(f64::to_bits));
+            }
+        }
     }
 
     #[test]
