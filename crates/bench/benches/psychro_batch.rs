@@ -1,11 +1,8 @@
-//! Scalar vs batch vs cached-lookup psychrometric kernels.
+//! Scalar vs batch psychrometric kernels.
 //!
 //! The batch kernels (`bz_psychro::batch`) step all four subspaces per
-//! call on the simulation hot path; the interpolating saturation cache
-//! (`bz_psychro::SaturationCache`) trades a bounded relative error for
-//! skipping the Magnus `exp`, for analysis workloads off the bit-exact
-//! simulation path. These benchmarks put all three side by side on the
-//! same zone-sized inputs.
+//! call on the simulation hot path. These benchmarks put them side by
+//! side with four scalar calls on the same zone-sized inputs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -15,7 +12,6 @@ use bz_psychro::batch::{
 };
 use bz_psychro::{
     dry_air_density, moist_air_enthalpy, saturation_vapor_pressure, Celsius, KgPerKg,
-    SaturationCache,
 };
 
 /// Four-subspace temperature slice, matching the plant's batch width.
@@ -37,16 +33,6 @@ fn bench_saturation_pressure(c: &mut Criterion) {
         b.iter(|| {
             let mut out = [0.0f64; 4];
             saturation_vapor_pressure_batch(black_box(&TEMPS), &mut out);
-            out
-        })
-    });
-    let cache = SaturationCache::new();
-    group.bench_function("cached_lookup_x4", |b| {
-        b.iter(|| {
-            let mut out = [0.0f64; 4];
-            for (t, o) in black_box(&TEMPS).iter().zip(out.iter_mut()) {
-                *o = cache.lookup(Celsius::new(*t)).get();
-            }
             out
         })
     });

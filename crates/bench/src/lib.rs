@@ -45,45 +45,33 @@ pub fn compare(label: &str, paper: impl std::fmt::Display, measured: impl std::f
     println!("  {label:<38} paper: {paper:<12} measured: {measured}");
 }
 
-/// Profiling hook: when `$BZ_METRICS_OUT` is set, enables the bz-obs
-/// telemetry layer for this harness run and returns the export path.
-/// Call once at the top of a fig harness `main`, and pass the result to
-/// [`profiling_finish`] at the end.
-#[must_use]
-pub fn profiling_begin() -> Option<PathBuf> {
-    let path = std::env::var_os("BZ_METRICS_OUT").map(PathBuf::from)?;
-    bz_obs::enable();
-    bz_obs::reset();
-    Some(path)
-}
-
 /// Runs a fig/ablation harness body under the standard profiling hooks:
-/// [`profiling_begin`] before, [`profiling_finish`] after. Every
-/// `bz-bench` binary `main` is one call to this.
-pub fn harness(body: impl FnOnce()) {
-    let metrics = profiling_begin();
-    body();
-    profiling_finish(metrics);
-}
-
-/// Counterpart of [`profiling_begin`]: writes the collected metrics
-/// (JSONL, or CSV when the path ends in `.csv`) and prints the summary
-/// table.
+/// when `$BZ_METRICS_OUT` is set, the global bz-obs handle records the
+/// run, and the collected metrics (JSONL, or CSV when the path ends in
+/// `.csv`) are written there with the summary table printed after it.
+/// Every `bz-bench` binary `main` is one call to this.
 ///
 /// # Panics
 ///
 /// Panics if the export file cannot be written.
-pub fn profiling_finish(sink: Option<PathBuf>) {
-    let Some(path) = sink else { return };
-    bz_obs::disable();
+pub fn harness(body: impl FnOnce()) {
+    let Some(path) = std::env::var_os("BZ_METRICS_OUT").map(PathBuf::from) else {
+        body();
+        return;
+    };
+    let obs = bz_obs::Handle::global();
+    obs.enable();
+    obs.reset();
+    body();
+    obs.disable();
     let file = fs::File::create(&path).expect("create metrics output file");
     if path.extension().is_some_and(|e| e == "csv") {
-        bz_obs::write_csv(file).expect("write metrics CSV");
+        obs.write_csv(file).expect("write metrics CSV");
     } else {
-        bz_obs::write_jsonl(file).expect("write metrics JSONL");
+        obs.write_jsonl(file).expect("write metrics JSONL");
     }
     header("profiling metrics");
-    println!("{}", bz_obs::summary_table());
+    println!("{}", obs.summary_table());
     println!("  metrics written to {}", path.display());
 }
 

@@ -414,7 +414,7 @@ pub fn build_system(spec: &RunSpec, obs: bz_obs::Handle) -> Result<BubbleZeroSys
 ///
 /// Returns a message for invalid grid parameters.
 pub fn run_one(spec: &RunSpec) -> Result<RunResult, String> {
-    run_one_resumable(spec, None, 0, &[])
+    run_one_tracked(spec, None, 0, &[]).map(|(result, _)| result)
 }
 
 /// Per-run crash-safety configuration for a sweep (see [`ExecutePlan`]).
@@ -564,20 +564,6 @@ pub struct RunProvenance {
 /// checkpoints, resume from the newest good one, a completion record
 /// that lets a restarted sweep skip the run entirely, and the
 /// deterministic kill harness.
-///
-/// # Errors
-///
-/// Returns a message for invalid grid parameters, checkpoint I/O
-/// failures, or an injected kill.
-pub fn run_one_resumable(
-    spec: &RunSpec,
-    ckpt: Option<&SweepCheckpoints>,
-    attempt: u32,
-    kills: &[KillRule],
-) -> Result<RunResult, String> {
-    run_one_tracked(spec, ckpt, attempt, kills).map(|(result, _)| result)
-}
-
 fn run_one_tracked(
     spec: &RunSpec,
     ckpt: Option<&SweepCheckpoints>,

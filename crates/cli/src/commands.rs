@@ -6,6 +6,7 @@ use bz_core::baseline::{AirConConfig, AirConSystem};
 use bz_core::chaos::ChaosScenario;
 use bz_core::metrics::CopSummary;
 use bz_core::scenario::{NetworkTrial, TRIAL_START_HOUR};
+use bz_core::session::Session;
 use bz_core::system::{BtMode, BubbleZeroSystem, SystemConfig};
 use bz_psychro::{Celsius, Ppm};
 use bz_simcore::{NoiseKernel, SimDuration, TraceRecorder};
@@ -178,8 +179,9 @@ fn metrics_begin(args: &Args) -> Result<Telemetry, ArgError> {
         flame: path_of("flamegraph-out")?,
     };
     if telemetry.metrics.is_some() || telemetry.flame.is_some() {
-        bz_obs::enable();
-        bz_obs::reset();
+        let obs = bz_obs::Handle::global();
+        obs.enable();
+        obs.reset();
     }
     Ok(telemetry)
 }
@@ -193,29 +195,54 @@ fn metrics_finish(telemetry: &Telemetry, streamed: bool, out: &mut String) -> Re
     if telemetry.metrics.is_none() && telemetry.flame.is_none() {
         return Ok(());
     }
-    bz_obs::disable();
+    let obs = bz_obs::Handle::global();
+    obs.disable();
     if let Some(path) = &telemetry.metrics {
         if streamed {
-            bz_obs::finish_stream()
+            obs.finish_stream()
                 .map_err(|e| ArgError::new(format!("cannot finish stream to {path}: {e}")))?;
-            *out += &format!("\nmetrics streamed to {path}\n{}", bz_obs::summary_table());
+            *out += &format!("\nmetrics streamed to {path}\n{}", obs.summary_table());
         } else {
             let file = File::create(path)
                 .map_err(|e| ArgError::new(format!("cannot create {path}: {e}")))?;
             let written = if path.ends_with(".csv") {
-                bz_obs::write_csv(file)
+                obs.write_csv(file)
             } else {
-                bz_obs::write_jsonl(file)
+                obs.write_jsonl(file)
             };
             written.map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
-            *out += &format!("\nmetrics written to {path}\n{}", bz_obs::summary_table());
+            *out += &format!("\nmetrics written to {path}\n{}", obs.summary_table());
         }
     }
     if let Some(path) = &telemetry.flame {
-        let stacks = bz_obs::collapsed_stacks(&bz_obs::snapshot());
+        let stacks = bz_obs::collapsed_stacks(&obs.snapshot());
         std::fs::write(path, stacks)
             .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
         *out += &format!("flamegraph stacks written to {path}\n");
+    }
+    Ok(())
+}
+
+/// Runs `run` to its end: first resumes it from the newest good
+/// checkpoint when `--resume` asked for one, then steps it a minute at a
+/// time, writing each due snapshot and firing `--crash-at` after every
+/// minute. Resume notes are appended to `out`.
+fn drive(
+    run: &mut dyn Session,
+    mut checkpoints: Option<&mut crate::checkpoint::Session>,
+    out: &mut String,
+) -> Result<(), ArgError> {
+    if let Some(checkpoints) = checkpoints.as_mut() {
+        let resumed = checkpoints.resume(|r| run.load_state(r))?;
+        for note in &resumed.notes {
+            *out += &format!("{note}\n");
+        }
+    }
+    while !run.is_done() {
+        run.step_minute();
+        if let Some(checkpoints) = checkpoints.as_mut() {
+            checkpoints.after_step(run.now_ms(), |w| run.save_state(w))?;
+        }
     }
     Ok(())
 }
@@ -281,7 +308,7 @@ fn trial(args: &Args) -> Result<String, ArgError> {
         system.run_seconds(60);
         // Per-minute counter samples give the export trajectories, not
         // just end-of-run totals.
-        bz_obs::record_counters(system.now().as_millis());
+        system.obs().record_counters(system.now().as_millis());
         let plant = system.plant();
         for id in SubspaceId::ALL {
             trace.record(
@@ -353,9 +380,9 @@ fn cop(args: &Args) -> Result<String, ArgError> {
     ));
     system.run_seconds(settle * 60);
     system.plant_mut_reset_meters();
-    bz_obs::record_counters(system.now().as_millis());
+    system.obs().record_counters(system.now().as_millis());
     system.run_seconds(meter * 60);
-    bz_obs::record_counters(system.now().as_millis());
+    system.obs().record_counters(system.now().as_millis());
     let summary = CopSummary::from_meters(system.plant().meters());
 
     let mut aircon = AirConSystem::new(AirConConfig::for_bubble_zero_lab());
@@ -393,7 +420,7 @@ fn network(args: &Args) -> Result<String, ArgError> {
     let outcome = NetworkTrial::with_mode(mode)
         .with_duration(SimDuration::from_mins(minutes))
         .run();
-    bz_obs::record_counters(SimDuration::from_mins(minutes).as_millis());
+    bz_obs::Handle::global().record_counters(SimDuration::from_mins(minutes).as_millis());
     let tx: u64 = outcome.reports.iter().map(|r| r.transmissions).sum();
     let samples: u64 = outcome.reports.iter().map(|r| r.samples).sum();
     let lifetimes: Vec<f64> = outcome
@@ -514,7 +541,7 @@ fn sniff(args: &Args) -> Result<String, ArgError> {
     let mut system = BubbleZeroSystem::new(config);
     for _ in 0..minutes {
         system.run_seconds(60);
-        bz_obs::record_counters(system.now().as_millis());
+        system.obs().record_counters(system.now().as_millis());
     }
     let sniffer = system.sniffer().expect("sniffer enabled");
 
@@ -594,7 +621,7 @@ fn endurance(args: &Args) -> Result<String, ArgError> {
         }
         let file =
             File::create(path).map_err(|e| ArgError::new(format!("cannot create {path}: {e}")))?;
-        bz_obs::stream_to(Box::new(file));
+        bz_obs::Handle::global().stream_to(Box::new(file));
     }
     let duration = SimDuration::from_hours(days * 24);
     let mut rng = bz_simcore::Rng::seed_from(0x7DA7);
@@ -614,7 +641,7 @@ fn endurance(args: &Args) -> Result<String, ArgError> {
     }
     for day in start_day + 1..=days {
         system.run_seconds(24 * 3_600);
-        bz_obs::record_counters(system.now().as_millis());
+        system.obs().record_counters(system.now().as_millis());
         out += &format!(
             "day {day}: T1 {:.2} °C, dew1 {:.2} °C, condensate {:.4} kg
 ",
@@ -1130,18 +1157,7 @@ fn chaos(args: &Args) -> Result<String, ArgError> {
 
     let mut chaos_run = scenario.begin_with_obs(bz_obs::Handle::global());
     let mut out = String::new();
-    if let Some(session) = &mut session {
-        let resumed = session.resume(|r| chaos_run.load_state(r))?;
-        for note in &resumed.notes {
-            out += &format!("{note}\n");
-        }
-    }
-    while !chaos_run.is_done() {
-        chaos_run.step_minute();
-        if let Some(session) = &mut session {
-            session.after_step(chaos_run.now_ms(), |w| chaos_run.save_state(w))?;
-        }
-    }
+    drive(&mut chaos_run, session.as_mut(), &mut out)?;
     let report = chaos_run.finish();
     out += &report.render();
     out += "\n";
@@ -1242,18 +1258,7 @@ fn mpc(args: &Args) -> Result<String, ArgError> {
         report.mpc
     } else {
         let mut strategy_run = bz_predict::compare::begin_strategy(&scenario, Some(config));
-        if let Some(session) = &mut session {
-            let resumed = session.resume(|r| strategy_run.load_state(r))?;
-            for note in &resumed.notes {
-                out += &format!("{note}\n");
-            }
-        }
-        while !strategy_run.is_done() {
-            strategy_run.step_minute();
-            if let Some(session) = &mut session {
-                session.after_step(strategy_run.now_ms(), |w| strategy_run.save_state(w))?;
-            }
-        }
+        drive(&mut strategy_run, session.as_mut(), &mut out)?;
         let run = strategy_run.finish();
         out += &format!(
             "mpc run: scenario {} ({minutes} min, seed {})\n\

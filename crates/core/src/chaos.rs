@@ -35,6 +35,7 @@ use bz_wsn::faults::{WsnFault, WsnFaultEvent, WsnFaultSchedule};
 use bz_wsn::message::NodeId;
 
 use crate::json::Json;
+use crate::session::Session;
 use crate::system::{BubbleZeroSystem, SystemConfig};
 use crate::targets::ComfortTargets;
 
@@ -248,15 +249,13 @@ impl ChaosScenario {
     #[must_use]
     pub fn run_with_obs(&self, obs: bz_obs::Handle) -> ResilienceReport {
         let mut run = self.begin_with_obs(obs);
-        while !run.is_done() {
-            run.step_minute();
-        }
+        run.step_minutes(u64::MAX);
         run.finish()
     }
 
-    /// Starts the scenario as a resumable session: step it a minute at a
-    /// time, checkpoint it with [`ChaosRun::save_state`], and restore it
-    /// in a fresh process with [`ChaosRun::load_state`]. The whole-run
+    /// Starts the scenario as a resumable [`Session`]: step it a minute at
+    /// a time, checkpoint it with [`Session::save_state`], and restore it
+    /// in a fresh process with [`Session::load_state`]. The whole-run
     /// [`ChaosScenario::run_with_obs`] is a thin loop over this.
     #[must_use]
     pub fn begin_with_obs(&self, obs: bz_obs::Handle) -> ChaosRun {
@@ -286,7 +285,7 @@ impl ChaosScenario {
 
 /// An in-flight chaos run: the system under fault injection plus the
 /// resilience accumulators (violation seconds, the recovery hold timer).
-/// Both are covered by [`ChaosRun::save_state`], so a restored run's
+/// Both are covered by [`Session::save_state`], so a restored run's
 /// final [`ResilienceReport`] and metric export are byte-identical to an
 /// uninterrupted run's.
 pub struct ChaosRun {
@@ -304,21 +303,16 @@ pub struct ChaosRun {
     second: u64,
 }
 
-impl ChaosRun {
-    /// Simulated milliseconds completed so far.
-    #[must_use]
-    pub fn now_ms(&self) -> u64 {
+impl Session for ChaosRun {
+    fn now_ms(&self) -> u64 {
         self.second * 1_000
     }
 
-    /// True once the scheduled duration has fully run.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.second >= self.total_s
     }
 
-    /// Advances up to one minute (less at the end of the run).
-    pub fn step_minute(&mut self) {
+    fn step_minute(&mut self) {
         let batch_end = (self.second + 60).min(self.total_s);
         while self.second < batch_end {
             self.second += 1;
@@ -364,9 +358,8 @@ impl ChaosRun {
         }
     }
 
-    /// Serializes the dynamic run state: the full system plus the
-    /// resilience accumulators.
-    pub fn save_state(&self, w: &mut bz_state::Writer) {
+    /// The full system plus the resilience accumulators.
+    fn save_state(&self, w: &mut bz_state::Writer) {
         use bz_state::Persist;
         self.system.save_state(w);
         self.violation_secs.save(w);
@@ -374,14 +367,7 @@ impl ChaosRun {
         w.put_u64(self.second);
     }
 
-    /// Restores state written by [`ChaosRun::save_state`] into a run
-    /// freshly built from the *same* scenario.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`bz_state::StateError`] for truncated or corrupt
-    /// payloads, or a checkpoint taken past this run's duration.
-    pub fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
+    fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
         use bz_state::Persist;
         self.system.load_state(r)?;
         self.violation_secs = Persist::load(r)?;
@@ -399,7 +385,9 @@ impl ChaosRun {
         self.second = second;
         Ok(())
     }
+}
 
+impl ChaosRun {
     /// Computes the resilience report and exports the `chaos.*` gauges.
     #[must_use]
     pub fn finish(&self) -> ResilienceReport {

@@ -1,18 +1,22 @@
-//! Externally-paced driving of a [`BubbleZeroSystem`].
+//! Externally-paced driving of a simulation run.
 //!
 //! The batch runners (`bzctl trial`, the sweep executor) own their step
 //! loop: they advance the system minute by minute until the scenario
 //! duration is spent. A control-plane service cannot — each tenant is
-//! stepped on demand by whatever requests arrive over the wire. A
-//! [`TenantSession`] packages the exact per-minute cadence those runners
-//! use (60 simulated seconds, then a counter sample into the session's
-//! isolated `bz_obs` registry) behind an externally-paced API, so a
-//! tenant driven one request at a time exports **byte-identical** JSONL
-//! to the same scenario run offline.
+//! stepped on demand by whatever requests arrive over the wire. The
+//! [`Session`] trait is that externally-paced contract, shared by every
+//! resumable run: the plain closed loop ([`TenantSession`]), the chaos
+//! run ([`crate::chaos::ChaosRun`]) and the bz-predict strategy run.
+//! `bz-serve` hosts any of them behind one `dyn Session`, and `bzctl
+//! chaos` / `bzctl mpc` drive them through one checkpointing loop.
 //!
-//! The session is checkpointable through the same `bz-state` seam as the
-//! system itself: [`TenantSession::save_state`] round-trips through
-//! [`TenantSession::load_state`] into a byte-identical continuation.
+//! A [`TenantSession`] packages the exact per-minute cadence the batch
+//! runners use (60 simulated seconds, then a counter sample into the
+//! session's isolated `bz_obs` registry), so a tenant driven one request
+//! at a time exports **byte-identical** JSONL to the same scenario run
+//! offline. Every session is checkpointable through the same `bz-state`
+//! seam as the system itself: [`Session::save_state`] round-trips
+//! through [`Session::load_state`] into a byte-identical continuation.
 
 use bz_thermal::airbox::FanLevel;
 use bz_thermal::zone::SubspaceId;
@@ -50,6 +54,50 @@ pub struct SetpointReadback {
     pub strategy: &'static str,
 }
 
+/// One resumable simulation run, stepped from the outside a minute at a
+/// time: measurements in, setpoints out, checkpoint on demand.
+pub trait Session {
+    /// Simulated milliseconds completed so far.
+    fn now_ms(&self) -> u64;
+
+    /// True once the scenario duration has fully run.
+    fn is_done(&self) -> bool;
+
+    /// Advances one simulated minute (less at the end of a run whose
+    /// duration is not a whole number of minutes). A no-op once the
+    /// session [`is_done`](Self::is_done).
+    fn step_minute(&mut self);
+
+    /// Serializes the dynamic run state for checkpointing.
+    fn save_state(&self, w: &mut bz_state::Writer);
+
+    /// Restores state written by [`save_state`](Self::save_state) into a
+    /// session freshly built from the *same* configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`bz_state::StateError`] for truncated or corrupt
+    /// payloads, or a snapshot taken past this session's duration.
+    fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError>;
+
+    /// The current setpoint/actuation readback, for sessions that expose
+    /// one (`None` reports status only).
+    fn readback(&self) -> Option<SetpointReadback> {
+        None
+    }
+
+    /// Advances up to `minutes` simulated minutes, stopping early at the
+    /// end of the run, and returns how many were actually stepped.
+    fn step_minutes(&mut self, minutes: u64) -> u64 {
+        let mut stepped = 0;
+        while stepped < minutes && !self.is_done() {
+            self.step_minute();
+            stepped += 1;
+        }
+        stepped
+    }
+}
+
 /// A closed-loop system plus its scenario duration, stepped from the
 /// outside one minute (or one batch of minutes) at a time.
 #[derive(Debug)]
@@ -73,36 +121,6 @@ impl TenantSession {
         }
     }
 
-    /// Simulated milliseconds completed so far.
-    #[must_use]
-    pub fn now_ms(&self) -> u64 {
-        self.system.now().as_millis()
-    }
-
-    /// Whole simulated minutes completed so far.
-    #[must_use]
-    pub fn minute(&self) -> u64 {
-        self.now_ms() / 60_000
-    }
-
-    /// The scenario duration, minutes.
-    #[must_use]
-    pub fn total_minutes(&self) -> u64 {
-        self.total_minutes
-    }
-
-    /// True once the scenario duration has fully run.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.minute() >= self.total_minutes
-    }
-
-    /// The wrapped system (read-only).
-    #[must_use]
-    pub fn system(&self) -> &BubbleZeroSystem {
-        &self.system
-    }
-
     /// The session's metrics handle.
     #[must_use]
     pub fn obs(&self) -> &bz_obs::Handle {
@@ -112,7 +130,8 @@ impl TenantSession {
     /// Advances one simulated minute — 60 one-second steps, then the
     /// per-minute counter sample that puts trajectories (not just totals)
     /// in the export, exactly as `bzctl trial` and the sweep runner do.
-    /// A no-op once the session [`is_done`](Self::is_done).
+    /// A no-op once the session [`is_done`](Session::is_done). Inherent,
+    /// so callers can step a `TenantSession` without importing [`Session`].
     pub fn step_minute(&mut self) {
         if self.is_done() {
             return;
@@ -120,33 +139,54 @@ impl TenantSession {
         self.system.run_seconds(60);
         self.obs.record_counters(self.system.now().as_millis());
     }
+}
 
-    /// Steps until minute `target` (clamped to the scenario duration) and
-    /// returns how many minutes were actually advanced.
-    pub fn advance_to_minute(&mut self, target: u64) -> u64 {
-        let target = target.min(self.total_minutes);
-        let before = self.minute();
-        while self.minute() < target {
-            self.step_minute();
+impl Session for TenantSession {
+    fn now_ms(&self) -> u64 {
+        self.system.now().as_millis()
+    }
+
+    fn is_done(&self) -> bool {
+        self.now_ms() / 60_000 >= self.total_minutes
+    }
+
+    fn step_minute(&mut self) {
+        TenantSession::step_minute(self);
+    }
+
+    /// The system snapshot already carries the obs registry, so the
+    /// metrics trajectory survives a restore.
+    fn save_state(&self, w: &mut bz_state::Writer) {
+        self.system.save_state(w);
+        w.put_u64(self.total_minutes);
+    }
+
+    fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
+        self.system.load_state(r)?;
+        let total_minutes = r.take_u64()?;
+        if total_minutes != self.total_minutes {
+            return Err(bz_state::StateError::Invalid {
+                what: "TenantSession",
+                reason: format!(
+                    "snapshot is of a {total_minutes}-minute run, this session runs {} minutes",
+                    self.total_minutes
+                ),
+            });
         }
-        self.minute() - before
+        let minute = self.now_ms() / 60_000;
+        if minute > self.total_minutes {
+            return Err(bz_state::StateError::Invalid {
+                what: "TenantSession",
+                reason: format!(
+                    "snapshot is {minute} minute(s) into a run of only {} minute(s)",
+                    self.total_minutes
+                ),
+            });
+        }
+        Ok(())
     }
 
-    /// Records an externally observed sensor reading into the session's
-    /// metrics registry as a gauge `ingest.<name>` stamped at the current
-    /// simulation time. Ingest is telemetry-only: it never perturbs the
-    /// control loop, so a tenant that receives no observations stays
-    /// byte-identical to the offline run, and one that does is
-    /// deterministic given the same observation sequence at the same
-    /// simulated instants.
-    pub fn ingest_observation(&mut self, name: &str, value: f64) {
-        self.obs
-            .gauge_set(format!("ingest.{name}"), self.now_ms(), value);
-    }
-
-    /// The current setpoint/actuation readback.
-    #[must_use]
-    pub fn readback(&self) -> SetpointReadback {
+    fn readback(&self) -> Option<SetpointReadback> {
         let plant = self.system.plant();
         let commands = self.system.commands();
         let mut zone_temp_c = [0.0; 4];
@@ -170,54 +210,14 @@ impl TenantSession {
             fan: fan_label(airbox.fan),
             flap_open: airbox.flap_open,
         });
-        SetpointReadback {
+        Some(SetpointReadback {
             now_ms: self.now_ms(),
             zone_temp_c,
             zone_dew_c,
             radiant_v,
             airboxes,
             strategy: self.system.strategy_name(),
-        }
-    }
-
-    /// Serializes the session for checkpointing. The system snapshot
-    /// already carries the obs registry, so the metrics trajectory
-    /// survives a restore.
-    pub fn save_state(&self, w: &mut bz_state::Writer) {
-        self.system.save_state(w);
-        w.put_u64(self.total_minutes);
-    }
-
-    /// Restores state written by [`TenantSession::save_state`] into a
-    /// session freshly built from the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`bz_state::StateError`] for truncated or corrupt
-    /// payloads, or a snapshot taken past this session's duration.
-    pub fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
-        self.system.load_state(r)?;
-        let total_minutes = r.take_u64()?;
-        if total_minutes != self.total_minutes {
-            return Err(bz_state::StateError::Invalid {
-                what: "TenantSession",
-                reason: format!(
-                    "snapshot is of a {total_minutes}-minute run, this session runs {} minutes",
-                    self.total_minutes
-                ),
-            });
-        }
-        if self.minute() > self.total_minutes {
-            return Err(bz_state::StateError::Invalid {
-                what: "TenantSession",
-                reason: format!(
-                    "snapshot is {} minute(s) into a run of only {} minute(s)",
-                    self.minute(),
-                    self.total_minutes
-                ),
-            });
-        }
-        Ok(())
+        })
     }
 }
 
@@ -270,24 +270,24 @@ mod tests {
         // The same scenario driven through the session API, mixed paces.
         let mut paced = session(7, 3);
         paced.step_minute();
-        assert_eq!(paced.minute(), 1);
-        assert_eq!(paced.advance_to_minute(3), 2);
+        assert_eq!(paced.now_ms(), 60_000);
+        assert_eq!(paced.step_minutes(99), 2, "clamped at the scenario end");
         assert!(paced.is_done());
         // Further steps past the end are no-ops.
         paced.step_minute();
-        assert_eq!(paced.advance_to_minute(99), 0);
-        assert_eq!(paced.minute(), 3);
+        assert_eq!(paced.step_minutes(99), 0);
+        assert_eq!(paced.now_ms(), 180_000);
         assert_eq!(export(&paced), expected);
     }
 
     #[test]
     fn save_restore_continues_byte_identically() {
         let mut uninterrupted = session(11, 4);
-        uninterrupted.advance_to_minute(4);
+        uninterrupted.step_minutes(4);
         let expected = export(&uninterrupted);
 
         let mut first = session(11, 4);
-        first.advance_to_minute(2);
+        first.step_minutes(2);
         let mut w = bz_state::Writer::new();
         first.save_state(&mut w);
         let bytes = w.into_bytes();
@@ -296,8 +296,8 @@ mod tests {
         restored
             .load_state(&mut bz_state::Reader::new(&bytes))
             .unwrap();
-        assert_eq!(restored.minute(), 2);
-        restored.advance_to_minute(4);
+        assert_eq!(restored.now_ms(), 120_000);
+        restored.step_minutes(2);
         assert_eq!(export(&restored), expected);
     }
 
@@ -320,19 +320,10 @@ mod tests {
     fn readback_reports_all_zones_and_actuators() {
         let mut s = session(3, 2);
         s.step_minute();
-        let readback = s.readback();
+        let readback = s.readback().expect("the closed loop reports setpoints");
         assert_eq!(readback.now_ms, 60_000);
         assert_eq!(readback.strategy, "reactive");
         assert!(readback.zone_temp_c.iter().all(|t| (0.0..60.0).contains(t)));
         assert!(readback.airboxes.iter().all(|a| a.coil_pump_v >= 0.0));
-    }
-
-    #[test]
-    fn ingest_lands_in_the_export_as_a_gauge() {
-        let mut s = session(3, 2);
-        s.step_minute();
-        s.ingest_observation("room.temp_c", 24.5);
-        let snapshot = s.obs().snapshot();
-        assert_eq!(snapshot.gauges["ingest.room.temp_c"], 24.5);
     }
 }

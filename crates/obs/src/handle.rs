@@ -1,9 +1,9 @@
 //! The instance-first entry point: a cheaply clonable [`Handle`] owning
 //! one [`Registry`] plus its enabled flag.
 //!
-//! Every recording operation in this crate goes through a `Handle`. The
-//! process-global facade (`bz_obs::counter_inc` and friends) is a thin
-//! wrapper over [`Handle::global`]; embedders that need isolation —
+//! Every recording operation in this crate goes through a `Handle`.
+//! Components built without an explicit handle record into the
+//! process-global [`Handle::global`]; embedders that need isolation —
 //! parallel sweep runs, unit tests — create their own handle with
 //! [`Handle::isolated`] and thread it through the components they build,
 //! so concurrent runs never share mutable metric state.
@@ -17,7 +17,7 @@ use crate::key::MetricKey;
 use crate::registry::{Registry, Snapshot};
 use crate::span::SpanGuard;
 
-/// The process-wide handle behind the crate-level facade.
+/// The process-wide handle returned by [`Handle::global`].
 static GLOBAL: OnceLock<Handle> = OnceLock::new();
 
 /// A shared reference to one metrics registry and its enabled flag.
@@ -73,9 +73,8 @@ impl Handle {
         Self::with_enabled(true)
     }
 
-    /// The process-global handle (created disabled on first use). All the
-    /// crate-level facade functions operate on this handle, so components
-    /// built without an explicit handle keep feeding the global registry.
+    /// The process-global handle (created disabled on first use).
+    /// Components built without an explicit handle feed its registry.
     #[must_use]
     pub fn global() -> Self {
         GLOBAL.get_or_init(Self::new).clone()
@@ -355,6 +354,8 @@ mod tests {
         handle.span("s", 0).exit(10);
         let snapshot = handle.snapshot();
         assert!(snapshot.counters.is_empty());
+        assert!(snapshot.gauges.is_empty());
+        assert!(snapshot.histograms.is_empty());
         assert!(snapshot.events.is_empty());
         assert!(snapshot.spans.is_empty());
     }

@@ -75,7 +75,7 @@ pub struct SpanStats {
 }
 
 /// An owned, inspectable copy of the registry state (see
-/// [`crate::snapshot`]).
+/// [`Handle::snapshot`](crate::Handle::snapshot)).
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Counter totals by key.
@@ -317,8 +317,8 @@ impl EventLog {
     }
 }
 
-/// The mutable store behind the crate's global facade. It is a plain
-/// struct so unit tests (and alternative embeddings) can drive one
+/// The mutable store behind every [`Handle`](crate::Handle). It is a
+/// plain struct so unit tests (and alternative embeddings) can drive one
 /// directly without touching process-global state.
 #[derive(Debug, Default)]
 pub struct Registry {

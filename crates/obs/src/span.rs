@@ -14,8 +14,7 @@ thread_local! {
     static DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
-/// RAII guard for one span occurrence, created by [`crate::span`] or
-/// [`Handle::span`].
+/// RAII guard for one span occurrence, created by [`Handle::span`].
 ///
 /// Call [`SpanGuard::exit`] with the current simulation time to record both
 /// the wall-clock and simulated durations. If the guard is instead dropped

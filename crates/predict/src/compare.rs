@@ -12,6 +12,7 @@ use std::fmt;
 
 use bz_core::chaos::COMFORT_TOLERANCE_K;
 use bz_core::json::Json;
+use bz_core::session::Session;
 use bz_core::system::{BubbleZeroSystem, SystemConfig};
 use bz_simcore::SimDuration;
 use bz_thermal::occupancy::{OccupancyChange, OccupancySchedule};
@@ -240,15 +241,13 @@ pub struct StrategyRun {
 #[must_use]
 pub fn run_strategy(scenario: &MpcScenario, mpc: Option<MpcConfig>) -> StrategyRun {
     let mut session = begin_strategy(scenario, mpc);
-    while !session.is_done() {
-        session.step_minute();
-    }
+    session.step_minutes(u64::MAX);
     session.finish()
 }
 
-/// Starts `scenario` under one strategy as a resumable session: step it
-/// a minute at a time, checkpoint it with [`StrategySession::save_state`],
-/// restore it in a fresh process with [`StrategySession::load_state`].
+/// Starts `scenario` under one strategy as a resumable [`Session`]: step
+/// it a minute at a time, checkpoint it with [`Session::save_state`],
+/// restore it in a fresh process with [`Session::load_state`].
 /// [`run_strategy`] is a thin loop over this.
 #[must_use]
 pub fn begin_strategy(scenario: &MpcScenario, mpc: Option<MpcConfig>) -> StrategySession {
@@ -280,7 +279,7 @@ pub fn begin_strategy(scenario: &MpcScenario, mpc: Option<MpcConfig>) -> Strateg
 
 /// An in-flight single-strategy run: the closed-loop system plus the
 /// occupied comfort-violation accumulator. Both are covered by
-/// [`StrategySession::save_state`], so a restored session's final
+/// [`Session::save_state`], so a restored session's final
 /// [`StrategyRun`] (including the JSONL export bytes) is identical to
 /// an uninterrupted run's.
 pub struct StrategySession {
@@ -293,29 +292,16 @@ pub struct StrategySession {
     violation_secs: u64,
 }
 
-impl StrategySession {
-    /// Simulated milliseconds completed so far.
-    #[must_use]
-    pub fn now_ms(&self) -> u64 {
+impl Session for StrategySession {
+    fn now_ms(&self) -> u64 {
         self.second * 1_000
     }
 
-    /// The session's isolated metrics handle — the registry the export in
-    /// [`StrategySession::finish`] is rendered from. The serving layer
-    /// taps this for incremental per-tenant telemetry.
-    #[must_use]
-    pub fn obs(&self) -> &bz_obs::Handle {
-        &self.obs
-    }
-
-    /// True once the scenario duration has fully run.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.second >= self.total_s
     }
 
-    /// Advances up to one minute (less at the end of the run).
-    pub fn step_minute(&mut self) {
+    fn step_minute(&mut self) {
         let batch_end = (self.second + 60).min(self.total_s);
         while self.second < batch_end {
             self.second += 1;
@@ -340,23 +326,15 @@ impl StrategySession {
         }
     }
 
-    /// Serializes the dynamic session state: the full system (which
-    /// carries the MPC layer through the strategy seam) plus the
-    /// violation accumulator.
-    pub fn save_state(&self, w: &mut bz_state::Writer) {
+    /// The full system (which carries the MPC layer through the strategy
+    /// seam) plus the violation accumulator.
+    fn save_state(&self, w: &mut bz_state::Writer) {
         self.system.save_state(w);
         w.put_u64(self.violation_secs);
         w.put_u64(self.second);
     }
 
-    /// Restores state written by [`StrategySession::save_state`] into a
-    /// session freshly built from the *same* scenario and strategy.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`bz_state::StateError`] for truncated or corrupt
-    /// payloads, or a checkpoint taken past this session's duration.
-    pub fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
+    fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
         self.system.load_state(r)?;
         self.violation_secs = r.take_u64()?;
         let second = r.take_u64()?;
@@ -371,6 +349,16 @@ impl StrategySession {
         }
         self.second = second;
         Ok(())
+    }
+}
+
+impl StrategySession {
+    /// The session's isolated metrics handle — the registry the export in
+    /// [`StrategySession::finish`] is rendered from. The serving layer
+    /// taps this for incremental per-tenant telemetry.
+    #[must_use]
+    pub fn obs(&self) -> &bz_obs::Handle {
+        &self.obs
     }
 
     /// Computes the run outcome and the deterministic metric export.

@@ -14,8 +14,6 @@
 //! floating-point semantics are strict (no fast-math reassociation), so
 //! batch results are bit-identical to scalar results — the property the
 //! scalar-parity suite in `crates/thermal` and `crates/core` locks down.
-//! Anything interpolated or approximated lives in [`crate::cache`]
-//! instead, off the simulation path.
 
 use crate::magnus::saturation_vapor_pressure;
 use crate::moist_air::{

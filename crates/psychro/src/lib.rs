@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod cache;
 mod error;
 mod exergy;
 mod magnus;
@@ -35,7 +34,6 @@ mod moist_air;
 mod units;
 mod water;
 
-pub use cache::SaturationCache;
 pub use error::PsychroError;
 pub use exergy::{carnot_cop_cooling, carnot_cop_heating, exergy_of_heat, CarnotChiller};
 pub use magnus::{

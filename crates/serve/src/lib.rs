@@ -4,7 +4,7 @@
 //! The workspace is offline (no tokio, no hyper), so the service is
 //! built from the standard library alone: a hand-rolled HTTP/1.1 codec
 //! ([`http`]), a sharded-lock tenant registry over the deterministic
-//! simulation drivers ([`tenants`]), and a thread-pool TCP server with
+//! simulation sessions ([`tenants`]), and a thread-pool TCP server with
 //! graceful drain and final checkpoints ([`server`]). A small blocking
 //! client ([`client`]) backs the load generator and the integration
 //! tests.

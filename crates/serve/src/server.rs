@@ -92,12 +92,6 @@ impl ShutdownHandle {
     pub fn request_shutdown(&self) {
         self.0.shutdown.store(true, Ordering::SeqCst);
     }
-
-    /// True once shutdown has been requested.
-    #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
-        self.0.shutdown.load(Ordering::SeqCst)
-    }
 }
 
 /// The bound server, ready to [`run`](Server::run).
@@ -338,7 +332,7 @@ fn tenant_action(method: &str, action: &str, request: &Request, tenant: &Tenant)
                 Err(response) => return *response,
             };
             let stepped = tenant.step_minutes(minutes);
-            step_report(tenant, stepped)
+            step_report(stepped, tenant.progress())
         }
         ("POST", "advance") => {
             let target = match body_u64(request, "to_minute", tenant.total_minutes) {
@@ -346,7 +340,7 @@ fn tenant_action(method: &str, action: &str, request: &Request, tenant: &Tenant)
                 Err(response) => return *response,
             };
             let stepped = tenant.advance_to_minute(target);
-            step_report(tenant, stepped)
+            step_report(stepped, tenant.progress())
         }
         ("POST", "observe") => {
             let body = String::from_utf8_lossy(&request.body);
@@ -360,11 +354,8 @@ fn tenant_action(method: &str, action: &str, request: &Request, tenant: &Tenant)
             let Some(value) = doc.field("value").and_then(bz_core::json::Json::as_f64) else {
                 return Response::error(400, "missing number field 'value'");
             };
-            tenant.ingest(name, value);
-            Response::json(
-                200,
-                format!("{{\"ok\":true,\"now_ms\":{}}}", tenant.now_ms()),
-            )
+            let now_ms = tenant.ingest(name, value);
+            Response::json(200, format!("{{\"ok\":true,\"now_ms\":{now_ms}}}"))
         }
         ("GET", "setpoints") => match tenant.readback() {
             Some(readback) => Response::json(200, readback_json(&readback)),
@@ -393,12 +384,11 @@ fn tenant_action(method: &str, action: &str, request: &Request, tenant: &Tenant)
                 Err(e) => return Response::error(400, &e.to_string()),
             };
             match tenant.restore(&checkpoint) {
-                Ok(()) => Response::json(
+                Ok(now_ms) => Response::json(
                     200,
                     format!(
-                        "{{\"ok\":true,\"minute\":{},\"now_ms\":{}}}",
-                        tenant.minute(),
-                        tenant.now_ms()
+                        "{{\"ok\":true,\"minute\":{},\"now_ms\":{now_ms}}}",
+                        now_ms / 60_000
                     ),
                 ),
                 Err(message) => Response::error(409, &message),
@@ -439,28 +429,27 @@ fn list_tenants(shared: &Shared) -> Response {
 }
 
 fn tenant_status(tenant: &Tenant) -> String {
+    let (now_ms, done) = tenant.progress();
     format!(
-        "{{\"name\":\"{}\",\"scenario\":\"{}\",\"now_ms\":{},\"minute\":{},\
-         \"total_minutes\":{},\"done\":{},\"config_crc\":\"{:016x}\",\"shed\":{}}}",
+        "{{\"name\":\"{}\",\"scenario\":\"{}\",\"now_ms\":{now_ms},\"minute\":{},\
+         \"total_minutes\":{},\"done\":{done},\"config_crc\":\"{:016x}\",\"shed\":{}}}",
         json_escape(&tenant.name),
         json_escape(&tenant.scenario),
-        tenant.now_ms(),
-        tenant.minute(),
+        now_ms / 60_000,
         tenant.total_minutes,
-        tenant.is_done(),
         tenant.config_crc,
         tenant.shed.load(Ordering::Relaxed)
     )
 }
 
-fn step_report(tenant: &Tenant, stepped: u64) -> Response {
+/// The reply to a step or advance: minutes stepped plus the tenant's
+/// progress, whose fields come from one read under the tenant lock.
+fn step_report(stepped: u64, (now_ms, done): (u64, bool)) -> Response {
     Response::json(
         200,
         format!(
-            "{{\"stepped\":{stepped},\"minute\":{},\"now_ms\":{},\"done\":{}}}",
-            tenant.minute(),
-            tenant.now_ms(),
-            tenant.is_done()
+            "{{\"stepped\":{stepped},\"minute\":{},\"now_ms\":{now_ms},\"done\":{done}}}",
+            now_ms / 60_000
         ),
     )
 }

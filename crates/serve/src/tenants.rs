@@ -1,8 +1,8 @@
 //! Tenant lifecycle: parsing create requests, the per-tenant simulation
-//! driver, and the sharded registry the worker threads go through.
+//! session, and the sharded registry the worker threads go through.
 //!
 //! One tenant is one independent simulated building. Three scenario
-//! families are hosted, each behind the same driver API:
+//! families are hosted, each behind the same [`Session`] trait:
 //!
 //! * `trial` / `network` / `endurance` — the sweep scenarios, built with
 //!   the exact construction recipe of `bzctl trial` and `bzctl sweep`
@@ -22,10 +22,10 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use bz_bench::sweep::{self, RunSpec};
-use bz_core::chaos::{ChaosRun, ChaosScenario};
+use bz_core::chaos::ChaosScenario;
 use bz_core::json::Json;
-use bz_core::session::{SetpointReadback, TenantSession};
-use bz_predict::compare::{begin_strategy, StrategySession};
+use bz_core::session::{Session, SetpointReadback, TenantSession};
+use bz_predict::compare::begin_strategy;
 use bz_predict::MpcScenario;
 use bz_simcore::NoiseKernel;
 
@@ -36,73 +36,6 @@ pub const CHECKPOINT_KIND: &str = "serve";
 /// Shards of the tenant map. Requests for different tenants contend only
 /// on their shard's read lock, never on one global map lock.
 const SHARD_COUNT: usize = 64;
-
-/// The simulation driver behind one tenant.
-enum Driver {
-    /// A sweep-family scenario driven through the externally-paced core
-    /// session API.
-    Sim(TenantSession),
-    /// A fault-injection run.
-    Chaos(ChaosRun),
-    /// A strategy (reactive or MPC) run.
-    Mpc(StrategySession),
-}
-
-impl Driver {
-    fn now_ms(&self) -> u64 {
-        match self {
-            Self::Sim(s) => s.now_ms(),
-            Self::Chaos(s) => s.now_ms(),
-            Self::Mpc(s) => s.now_ms(),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        match self {
-            Self::Sim(s) => s.is_done(),
-            Self::Chaos(s) => s.is_done(),
-            Self::Mpc(s) => s.is_done(),
-        }
-    }
-
-    fn step_minute(&mut self) {
-        match self {
-            Self::Sim(s) => s.step_minute(),
-            Self::Chaos(s) => s.step_minute(),
-            Self::Mpc(s) => s.step_minute(),
-        }
-    }
-
-    fn save_state(&self, w: &mut bz_state::Writer) {
-        match self {
-            Self::Sim(s) => s.save_state(w),
-            Self::Chaos(s) => s.save_state(w),
-            Self::Mpc(s) => s.save_state(w),
-        }
-    }
-
-    fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
-        match self {
-            Self::Sim(s) => s.load_state(r),
-            Self::Chaos(s) => s.load_state(r),
-            Self::Mpc(s) => s.load_state(r),
-        }
-    }
-
-    fn readback(&self) -> Option<SetpointReadback> {
-        match self {
-            Self::Sim(s) => Some(s.readback()),
-            _ => None,
-        }
-    }
-
-    fn ingest(&mut self, name: &str, value: f64, obs: &bz_obs::Handle) {
-        match self {
-            Self::Sim(s) => s.ingest_observation(name, value),
-            driver => obs.gauge_set(format!("ingest.{name}"), driver.now_ms(), value),
-        }
-    }
-}
 
 /// A failed tenant-create request, with the HTTP status it maps to.
 #[derive(Debug)]
@@ -141,7 +74,7 @@ pub struct Tenant {
     pub total_minutes: u64,
     /// The tenant's isolated metrics handle.
     pub obs: bz_obs::Handle,
-    driver: Mutex<Driver>,
+    session: Mutex<Box<dyn Session + Send>>,
     inflight: AtomicU32,
     /// Requests shed on this tenant by the admission bound.
     pub shed: AtomicU64,
@@ -183,78 +116,60 @@ impl Tenant {
     }
 
     /// Runs `f` with exclusive access to the tenant's simulation.
-    fn with_driver<T>(&self, f: impl FnOnce(&mut Driver) -> T) -> T {
-        let mut guard = match self.driver.lock() {
+    fn with_session<T>(&self, f: impl FnOnce(&mut dyn Session) -> T) -> T {
+        let mut guard = match self.session.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        f(&mut guard)
+        f(guard.as_mut())
     }
 
-    /// Simulated milliseconds completed.
+    /// Simulated milliseconds completed and whether the scenario has
+    /// fully run, read together under one lock.
     #[must_use]
-    pub fn now_ms(&self) -> u64 {
-        self.with_driver(|d| d.now_ms())
-    }
-
-    /// Whole simulated minutes completed.
-    #[must_use]
-    pub fn minute(&self) -> u64 {
-        self.now_ms() / 60_000
-    }
-
-    /// True once the scenario duration has fully run.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.with_driver(|d| d.is_done())
+    pub fn progress(&self) -> (u64, bool) {
+        self.with_session(|s| (s.now_ms(), s.is_done()))
     }
 
     /// Advances up to `minutes` simulated minutes (stopping early at the
     /// scenario end) and returns how many were actually stepped.
     pub fn step_minutes(&self, minutes: u64) -> u64 {
-        self.with_driver(|d| {
-            let mut stepped = 0;
-            while stepped < minutes && !d.is_done() {
-                d.step_minute();
-                stepped += 1;
-            }
-            stepped
-        })
+        self.with_session(|s| s.step_minutes(minutes))
     }
 
     /// Advances until simulated minute `target` (clamped to the scenario
     /// end) and returns how many minutes were stepped.
     pub fn advance_to_minute(&self, target: u64) -> u64 {
-        self.with_driver(|d| {
-            let mut stepped = 0;
-            while d.now_ms() / 60_000 < target && !d.is_done() {
-                d.step_minute();
-                stepped += 1;
-            }
-            stepped
-        })
+        self.with_session(|s| s.step_minutes(target.saturating_sub(s.now_ms() / 60_000)))
     }
 
     /// Records one externally observed sensor reading into the tenant's
-    /// registry (gauge `ingest.<name>` at the current simulated time).
-    pub fn ingest(&self, name: &str, value: f64) {
-        self.with_driver(|d| d.ingest(name, value, &self.obs));
+    /// registry (gauge `ingest.<name>` at the current simulated time) and
+    /// returns that time. Ingest is telemetry-only: it never perturbs the
+    /// control loop, so the tenant stays byte-identical to the offline
+    /// run given the same observations at the same simulated instants.
+    pub fn ingest(&self, name: &str, value: f64) -> u64 {
+        self.with_session(|s| {
+            let now_ms = s.now_ms();
+            self.obs.gauge_set(format!("ingest.{name}"), now_ms, value);
+            now_ms
+        })
     }
 
     /// The setpoint/actuation readback, for scenario families that
     /// expose one (the sweep family; chaos and mpc report status only).
     #[must_use]
     pub fn readback(&self) -> Option<SetpointReadback> {
-        self.with_driver(|d| d.readback())
+        self.with_session(|s| s.readback())
     }
 
     /// The tenant's full metrics export (buffered events + totals tail),
     /// byte-identical to the offline run of the same scenario.
     #[must_use]
     pub fn metrics_jsonl(&self) -> Vec<u8> {
-        // Hold the driver lock so the export cannot interleave with a
+        // Hold the session lock so the export cannot interleave with a
         // concurrent step on the same tenant.
-        self.with_driver(|_| {
+        self.with_session(|_| {
             let mut bytes = Vec::new();
             self.obs
                 .write_jsonl(&mut bytes)
@@ -267,7 +182,7 @@ impl Tenant {
     /// `from`, plus the new cursor.
     #[must_use]
     pub fn telemetry_from(&self, from: usize) -> (Vec<u8>, usize) {
-        self.with_driver(|_| {
+        self.with_session(|_| {
             let mut bytes = Vec::new();
             let next = self
                 .obs
@@ -281,13 +196,13 @@ impl Tenant {
     /// with its config identity.
     #[must_use]
     pub fn snapshot(&self) -> bz_state::Checkpoint {
-        self.with_driver(|d| {
+        self.with_session(|s| {
             let mut w = bz_state::Writer::new();
-            d.save_state(&mut w);
+            s.save_state(&mut w);
             bz_state::Checkpoint {
                 meta: bz_state::CheckpointMeta {
                     kind: CHECKPOINT_KIND.to_owned(),
-                    tick_ms: d.now_ms(),
+                    tick_ms: s.now_ms(),
                     config_crc: self.config_crc,
                     label: self.identity.clone(),
                 },
@@ -296,16 +211,17 @@ impl Tenant {
         })
     }
 
-    /// Restores the tenant from a checkpoint envelope. The envelope's
-    /// config identity must match this tenant's — a snapshot of a
-    /// different scenario, seed, duration, or noise-kernel version is
-    /// refused, naming both identities.
+    /// Restores the tenant from a checkpoint envelope and returns the
+    /// restored simulated milliseconds, read under the same lock. The
+    /// envelope's config identity must match this tenant's — a snapshot
+    /// of a different scenario, seed, duration, or noise-kernel version
+    /// is refused, naming both identities.
     ///
     /// # Errors
     ///
     /// Returns a message (and implied 409) for identity mismatches and
     /// undecodable payloads.
-    pub fn restore(&self, checkpoint: &bz_state::Checkpoint) -> Result<(), String> {
+    pub fn restore(&self, checkpoint: &bz_state::Checkpoint) -> Result<u64, String> {
         if checkpoint.meta.kind != CHECKPOINT_KIND {
             return Err(format!(
                 "checkpoint was written by '{}', not the serve layer; refusing to restore",
@@ -319,10 +235,11 @@ impl Tenant {
                 checkpoint.meta.label, self.identity
             ));
         }
-        self.with_driver(|d| {
+        self.with_session(|s| {
             let mut r = bz_state::Reader::new(&checkpoint.payload);
-            d.load_state(&mut r)
-                .map_err(|e| format!("snapshot failed to restore: {e}"))
+            s.load_state(&mut r)
+                .map_err(|e| format!("snapshot failed to restore: {e}"))?;
+            Ok(s.now_ms())
         })
     }
 }
@@ -419,7 +336,7 @@ pub fn build_tenant(body: &str) -> Result<Tenant, CreateError> {
                 identity,
                 minutes,
                 obs.clone(),
-                Driver::Sim(TenantSession::new(system, obs, minutes)),
+                Box::new(TenantSession::new(system, obs, minutes)),
             ))
         }
         "chaos" => {
@@ -435,14 +352,7 @@ pub fn build_tenant(body: &str) -> Result<Tenant, CreateError> {
             );
             let obs = bz_obs::Handle::isolated();
             let run = scenario_cfg.begin_with_obs(obs.clone());
-            Ok(tenant(
-                name,
-                "chaos",
-                identity,
-                minutes,
-                obs,
-                Driver::Chaos(run),
-            ))
+            Ok(tenant(name, "chaos", identity, minutes, obs, Box::new(run)))
         }
         "mpc" => {
             let scenario_cfg = if is_bundled(&root) {
@@ -476,7 +386,7 @@ pub fn build_tenant(body: &str) -> Result<Tenant, CreateError> {
                 identity,
                 minutes,
                 obs,
-                Driver::Mpc(session),
+                Box::new(session),
             ))
         }
         other => Err(CreateError::bad(format!(
@@ -495,7 +405,7 @@ fn tenant(
     identity: String,
     total_minutes: u64,
     obs: bz_obs::Handle,
-    driver: Driver,
+    session: Box<dyn Session + Send>,
 ) -> Tenant {
     let config_crc = bz_state::crc64::checksum(identity.as_bytes());
     Tenant {
@@ -505,7 +415,7 @@ fn tenant(
         config_crc,
         total_minutes,
         obs,
-        driver: Mutex::new(driver),
+        session: Mutex::new(session),
         inflight: AtomicU32::new(0),
         shed: AtomicU64::new(0),
     }
@@ -669,7 +579,7 @@ mod tests {
     fn stepped_tenant_exports_the_offline_bytes() {
         let tenant = trial_tenant("t", 7, 3);
         assert_eq!(tenant.step_minutes(99), 3, "clamped at the scenario end");
-        assert!(tenant.is_done());
+        assert_eq!(tenant.progress(), (180_000, true));
         let offline = sweep::run_one(&RunSpec {
             index: 0,
             scenario: sweep::Scenario::Trial,
@@ -683,21 +593,25 @@ mod tests {
 
     #[test]
     fn snapshot_restore_round_trips_into_identical_continuation() {
-        let uninterrupted = trial_tenant("u", 9, 4);
-        uninterrupted.step_minutes(4);
-        let expected = uninterrupted.metrics_jsonl();
+        for body in [
+            "{\"name\":\"t\",\"scenario\":\"trial\",\"seed\":9,\"minutes\":5}",
+            "{\"name\":\"c\",\"scenario\":\"chaos\",\"bundled\":true}",
+            "{\"name\":\"m\",\"scenario\":\"mpc\",\"strategy\":\"mpc\",\"bundled\":true}",
+        ] {
+            let source = build_tenant(body).unwrap();
+            source.step_minutes(2);
+            let snapshot = source.snapshot();
+            assert_eq!(snapshot.meta.kind, CHECKPOINT_KIND);
+            assert_eq!(snapshot.meta.tick_ms, 120_000);
 
-        let source = trial_tenant("s", 9, 4);
-        source.step_minutes(2);
-        let snapshot = source.snapshot();
-        assert_eq!(snapshot.meta.kind, CHECKPOINT_KIND);
-        assert_eq!(snapshot.meta.tick_ms, 120_000);
-
-        let target = trial_tenant("t", 9, 4);
-        target.restore(&snapshot).unwrap();
-        assert_eq!(target.minute(), 2);
-        target.step_minutes(2);
-        assert_eq!(target.metrics_jsonl(), expected);
+            let target = build_tenant(body).unwrap();
+            assert_eq!(target.restore(&snapshot), Ok(120_000), "{body}");
+            source.step_minutes(3);
+            target.step_minutes(3);
+            assert_eq!(target.progress(), source.progress(), "{body}");
+            assert_eq!(target.progress().0, 300_000, "{body}");
+            assert_eq!(target.metrics_jsonl(), source.metrics_jsonl(), "{body}");
+        }
     }
 
     #[test]
@@ -755,7 +669,7 @@ mod tests {
         assert_eq!(chaos.scenario, "chaos");
         assert_eq!(chaos.total_minutes, 110);
         chaos.step_minutes(1);
-        assert_eq!(chaos.minute(), 1);
+        assert_eq!(chaos.progress(), (60_000, false));
         assert!(chaos.readback().is_none(), "chaos reports status only");
 
         let mpc = build_tenant(
@@ -773,7 +687,7 @@ mod tests {
     fn ingest_is_telemetry_only() {
         let tenant = trial_tenant("t", 7, 2);
         tenant.step_minutes(1);
-        tenant.ingest("room.temp_c", 24.0);
+        assert_eq!(tenant.ingest("room.temp_c", 24.0), 60_000);
         assert_eq!(tenant.obs.snapshot().gauges["ingest.room.temp_c"], 24.0);
     }
 }

@@ -4,6 +4,8 @@
 //! shutdown with final checkpoints.
 
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use bz_serve::server::ShutdownReport;
@@ -126,6 +128,60 @@ fn snapshot_restores_across_server_instances() {
         migrated, offline.metrics_jsonl,
         "a restore over the wire must continue byte-identically"
     );
+}
+
+#[test]
+fn restore_replies_report_the_snapshot_minute_while_other_clients_step() {
+    let server = start(ServeConfig::default());
+    let mut client = server.client();
+    client
+        .post_ok("/tenants", "{\"name\":\"race\",\"seed\":4,\"minutes\":600}")
+        .unwrap();
+    client
+        .post_ok("/tenants/race/step", "{\"minutes\":2}")
+        .unwrap();
+    let envelope = client.get_ok("/tenants/race/snapshot").unwrap().body;
+
+    // Three more clients step the same tenant for as long as the restores
+    // run (four requests fit the default admission bound), so steps keep
+    // landing right after a restore.
+    let stop = Arc::new(AtomicBool::new(false));
+    let steppers: Vec<_> = (0..3)
+        .map(|_| {
+            let (addr, stop) = (server.addr, Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                let mut steps = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let response = client
+                        .request("POST", "/tenants/race/step", b"{\"minutes\":1}")
+                        .unwrap();
+                    assert_eq!(response.status, 200, "{}", response.text());
+                    steps += 1;
+                }
+                steps
+            })
+        })
+        .collect();
+    for _ in 0..200 {
+        let restored = client
+            .request("POST", "/tenants/race/restore", &envelope)
+            .unwrap();
+        assert_eq!(restored.status, 200, "{}", restored.text());
+        assert!(
+            restored.text().contains("\"minute\":2,\"now_ms\":120000}"),
+            "a restore reply must report the snapshot's minute: {}",
+            restored.text()
+        );
+    }
+    stop.store(true, Ordering::Relaxed);
+    for stepper in steppers {
+        assert!(
+            stepper.join().unwrap() > 0,
+            "every stepper ran concurrently"
+        );
+    }
+    server.stop();
 }
 
 #[test]
