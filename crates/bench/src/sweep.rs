@@ -29,9 +29,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use bz_core::checkpoint::{Checkpointer, CheckpointerError, RunIdentity};
 use bz_core::system::{BtMode, BubbleZeroSystem, SystemConfig};
 use bz_predict::strategy::{MpcConfig, MpcStrategy};
-use bz_simcore::{Rng, SimDuration, SimTime};
+use bz_simcore::{NoiseKernel, Rng, SimDuration, SimTime};
 use bz_thermal::disturbance::DisturbanceSchedule;
 use bz_thermal::occupancy::{OccupancyChange, OccupancySchedule};
 use bz_thermal::plant::PlantConfig;
@@ -470,28 +471,12 @@ pub fn parse_kill(spec: &str) -> Result<KillRule, String> {
     })
 }
 
-/// Kind tag of mid-run sweep checkpoints.
-const RUN_CKPT_KIND: &str = "sweep-run";
-/// Kind tag of per-run completion records.
-const RUN_DONE_KIND: &str = "sweep-done";
-/// Mid-run checkpoints retained per run.
-const RUN_CKPT_KEEP: usize = 2;
-
-/// The identity CRC binding a run's checkpoints to its spec: restoring
-/// under a different scenario, seed, duration, or grid point must be
-/// rejected, not silently continued.
-fn run_crc(spec: &RunSpec) -> u64 {
-    let identity = format!("{} minutes={}", spec.label(), spec.minutes);
-    bz_state::crc64::checksum(identity.as_bytes())
-}
-
 fn run_dir(root: &Path, index: usize) -> PathBuf {
     root.join(format!("run-{index:03}"))
 }
 
 /// Serializes a completed [`RunResult`] for the `done.bzck` record.
-fn encode_result(result: &RunResult) -> Vec<u8> {
-    let mut w = bz_state::Writer::new();
+fn encode_result(result: &RunResult, w: &mut bz_state::Writer) {
     w.put_u64(result.index as u64);
     w.put_u64(result.seed);
     let s = &result.summary;
@@ -508,7 +493,6 @@ fn encode_result(result: &RunResult) -> Vec<u8> {
     }
     w.put_u64(s.packets_sent);
     w.put_bytes(&result.metrics_jsonl);
-    w.into_bytes()
 }
 
 /// Decodes a `done.bzck` payload back into the [`RunResult`] for `spec`.
@@ -563,38 +547,37 @@ pub struct RunProvenance {
 /// Executes one run with optional crash-safety: periodic mid-run
 /// checkpoints, resume from the newest good one, a completion record
 /// that lets a restarted sweep skip the run entirely, and the
-/// deterministic kill harness.
+/// deterministic kill harness. Snapshots and the record are sealed with
+/// identities of the run's spec and noise kernel; one of another
+/// identity is never reused, the run starts fresh instead.
 fn run_one_tracked(
     spec: &RunSpec,
     ckpt: Option<&SweepCheckpoints>,
     attempt: u32,
     kills: &[KillRule],
 ) -> Result<(RunResult, RunProvenance), String> {
-    let crc = run_crc(spec);
+    let label = format!("{} minutes={}", spec.label(), spec.minutes);
+    let noise = NoiseKernel::from_env();
+    let done_id = RunIdentity::new("sweep-done", &label, noise);
     let mut provenance = RunProvenance::default();
-    let dir = match ckpt {
+    // --resume trusts state left by a previous invocation; a retry
+    // (attempt > 0) additionally trusts what this very invocation wrote
+    // before the attempt died.
+    let reuse = ckpt.is_some_and(|cfg| cfg.resume || attempt > 0);
+    let mut checkpoints = match ckpt {
         Some(cfg) => {
-            let dir = bz_state::CheckpointDir::create(run_dir(&cfg.root, spec.index))
-                .map_err(|e| format!("cannot create checkpoint dir: {e}"))?;
-            let done = dir.root().join("done.bzck");
-            // --resume trusts state left by a previous invocation; a
-            // retry (attempt > 0) additionally trusts what this very
-            // invocation wrote before the attempt died.
-            if (cfg.resume || attempt > 0) && done.exists() {
-                match bz_state::Checkpoint::read(&done) {
-                    Ok(record)
-                        if record.meta.kind == RUN_DONE_KIND && record.meta.config_crc == crc =>
-                    {
-                        let result = decode_result(spec, &record.payload)?;
-                        provenance.cached = true;
-                        return Ok((result, provenance));
-                    }
-                    // A stale or foreign record (different spec, torn
-                    // write): ignore it and re-run from scratch.
-                    _ => {}
-                }
+            let root = run_dir(&cfg.root, spec.index);
+            let id = RunIdentity::new("sweep-run", &label, noise);
+            let checkpoints = Checkpointer::create(&root, id, Some(cfg.every_s.max(1)))
+                .map_err(|e| e.to_string())?;
+            let done = root.join("done.bzck");
+            let record = reuse.then(|| bz_state::Checkpoint::read(&done).ok());
+            // A torn or foreign record means the run starts fresh.
+            if let Some(record) = record.flatten().filter(|r| done_id.check(&r.meta).is_ok()) {
+                provenance.cached = true;
+                return Ok((decode_result(spec, &record.payload)?, provenance));
             }
-            Some((dir, cfg))
+            Some((checkpoints, done))
         }
         None => None,
     };
@@ -602,27 +585,16 @@ fn run_one_tracked(
     let obs = bz_obs::Handle::isolated();
     let mut system = build_system(spec, obs.clone())?;
     let mut start_minute = 0;
-    if let Some((dir, cfg)) = &dir {
-        if cfg.resume || attempt > 0 {
-            let scan = dir
-                .latest_good()
-                .map_err(|e| format!("cannot scan checkpoint dir: {e}"))?;
-            if let Some((_, checkpoint)) = scan.best {
-                if checkpoint.meta.kind == RUN_CKPT_KIND && checkpoint.meta.config_crc == crc {
-                    system
-                        .load_state(&mut bz_state::Reader::new(&checkpoint.payload))
-                        .map_err(|e| format!("checkpoint restore failed: {e}"))?;
-                    start_minute = checkpoint.meta.tick_ms / 60_000;
-                    provenance.resumed = true;
-                }
-            }
-        }
+    if let Some((checkpoints, _)) = checkpoints.as_mut().filter(|_| reuse) {
+        let tick_ms = match checkpoints.resume(|r| system.load_state(r)) {
+            Ok(resumed) => resumed.tick_ms,
+            Err(CheckpointerError::Foreign(..)) => None,
+            Err(e) => return Err(e.to_string()),
+        };
+        provenance.resumed = tick_ms.is_some();
+        start_minute = tick_ms.map_or(0, |tick_ms| tick_ms / 60_000);
     }
 
-    let mut next_due_s = dir
-        .as_ref()
-        .map(|(_, cfg)| start_minute * 60 + cfg.every_s.max(1));
-    let every_s = dir.as_ref().map_or(u64::MAX, |(_, cfg)| cfg.every_s.max(1));
     for minute in start_minute + 1..=spec.minutes {
         if kills
             .iter()
@@ -634,27 +606,10 @@ fn run_one_tracked(
         }
         system.run_seconds(60);
         obs.record_counters(system.now().as_millis());
-        if let (Some((dir, _)), Some(due)) = (&dir, &mut next_due_s) {
-            let now_s = minute * 60;
-            if now_s >= *due {
-                let mut w = bz_state::Writer::new();
-                system.save_state(&mut w);
-                let checkpoint = bz_state::Checkpoint {
-                    meta: bz_state::CheckpointMeta {
-                        kind: RUN_CKPT_KIND.to_owned(),
-                        tick_ms: system.now().as_millis(),
-                        config_crc: crc,
-                        label: spec.label(),
-                    },
-                    payload: w.into_bytes(),
-                };
-                checkpoint
-                    .write_atomic(&dir.file_for_tick(system.now().as_millis()))
-                    .map_err(|e| format!("checkpoint write failed: {e}"))?;
-                dir.prune(RUN_CKPT_KEEP)
-                    .map_err(|e| format!("checkpoint prune failed: {e}"))?;
-                *due = now_s + every_s;
-            }
+        if let Some((checkpoints, _)) = &mut checkpoints {
+            checkpoints
+                .after_step(system.now().as_millis(), |w| system.save_state(w))
+                .map_err(|e| e.to_string())?;
         }
     }
     obs.disable();
@@ -706,18 +661,10 @@ fn run_one_tracked(
         summary,
         metrics_jsonl,
     };
-    if let Some((dir, _)) = &dir {
-        let record = bz_state::Checkpoint {
-            meta: bz_state::CheckpointMeta {
-                kind: RUN_DONE_KIND.to_owned(),
-                tick_ms: system.now().as_millis(),
-                config_crc: crc,
-                label: spec.label(),
-            },
-            payload: encode_result(&result),
-        };
-        record
-            .write_atomic(&dir.root().join("done.bzck"))
+    if let Some((_, done)) = &checkpoints {
+        done_id
+            .seal(system.now().as_millis(), |w| encode_result(&result, w))
+            .write_atomic(done)
             .map_err(|e| format!("completion record write failed: {e}"))?;
     }
     Ok((result, provenance))

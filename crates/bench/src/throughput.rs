@@ -15,6 +15,7 @@
 use std::path::Path;
 use std::time::Instant;
 
+use bz_core::checkpoint::{Checkpointer, RunIdentity};
 use bz_core::system::{BubbleZeroSystem, SystemConfig};
 use bz_simcore::NoiseKernel;
 use bz_thermal::disturbance::DisturbanceSchedule;
@@ -282,42 +283,29 @@ pub fn measure_trial_with_checkpoints(
     every_s: u64,
     dir: &Path,
 ) -> Result<ThroughputReport, String> {
-    let dir = bz_state::CheckpointDir::create(dir)
-        .map_err(|e| format!("cannot create checkpoint dir: {e}"))?;
     let every_s = every_s.max(1);
+    let id = RunIdentity::new(
+        "bench",
+        &format!("bench seed={seed}"),
+        NoiseKernel::from_env(),
+    );
+    let mut checkpoints =
+        Checkpointer::create(dir, id, Some(every_s)).map_err(|e| e.to_string())?;
     let mut warmup = trial_system(seed);
     warmup.run_seconds((sim_minutes * 60).max(120));
     std::hint::black_box(warmup.now());
 
     let mut system = trial_system(seed);
     let sim_seconds = sim_minutes * 60;
-    let crc = bz_state::crc64::checksum(format!("bench seed={seed}").as_bytes());
-    let mut next_due = every_s;
     let start = Instant::now();
     let mut done = 0;
     while done < sim_seconds {
         let step = every_s.min(sim_seconds - done);
         system.run_seconds(step);
         done += step;
-        if done >= next_due {
-            let mut w = bz_state::Writer::new();
-            system.save_state(&mut w);
-            let checkpoint = bz_state::Checkpoint {
-                meta: bz_state::CheckpointMeta {
-                    kind: "bench".to_owned(),
-                    tick_ms: system.now().as_millis(),
-                    config_crc: crc,
-                    label: "bench-throughput".to_owned(),
-                },
-                payload: w.into_bytes(),
-            };
-            checkpoint
-                .write_atomic(&dir.file_for_tick(system.now().as_millis()))
-                .map_err(|e| format!("checkpoint write failed: {e}"))?;
-            dir.prune(3)
-                .map_err(|e| format!("checkpoint prune failed: {e}"))?;
-            next_due += every_s;
-        }
+        checkpoints
+            .after_step(system.now().as_millis(), |w| system.save_state(w))
+            .map_err(|e| e.to_string())?;
     }
     let wall = start.elapsed();
     let _anchor = std::hint::black_box(system.now());

@@ -86,25 +86,28 @@ impl Args {
         self.values.contains_key(name)
     }
 
-    /// String value of a flag, if present with a value.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.values.get(name).and_then(|v| v.as_deref())
+    /// String value of a flag; `None` when the flag is absent.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the flag is present without a value, so a
+    /// truncated invocation cannot silently skip what the flag asks for.
+    pub fn get(&self, name: &str) -> Result<Option<&str>, ArgError> {
+        match self.values.get(name) {
+            Some(None) => Err(ArgError(format!("flag --{name} needs a value"))),
+            value => Ok(value.and_then(Option::as_deref)),
+        }
     }
 
     /// Typed value with a default.
     ///
     /// # Errors
     ///
-    /// Returns an error if the flag is present but fails to parse.
+    /// Returns an error if the flag is present but lacks a value or fails
+    /// to parse.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
-        match self.get(name) {
-            None => {
-                if self.values.contains_key(name) {
-                    return Err(ArgError(format!("flag --{name} needs a value")));
-                }
-                Ok(default)
-            }
+        match self.get(name)? {
+            None => Ok(default),
             Some(text) => text
                 .parse()
                 .map_err(|_| ArgError(format!("could not parse --{name} value '{text}'"))),
@@ -165,5 +168,8 @@ mod tests {
     fn valueless_flag_with_typed_access_errors() {
         let args = parse(&["--minutes"]);
         assert!(args.get_or("minutes", 0u64).is_err());
+        let err = args.get("minutes").unwrap_err();
+        assert!(err.to_string().contains("needs a value"), "{err}");
+        assert_eq!(args.get("seed"), Ok(None));
     }
 }

@@ -9,24 +9,22 @@
 //! * `--resume` — restore from the newest *good* snapshot in the dir
 //! * `--crash-at SECS` — deterministic crash injection for recovery tests
 //!
-//! The module owns flag parsing, the resume scan (corrupt or torn
-//! snapshots are reported and skipped in favor of the newest good one),
-//! the identity check that stops a checkpoint from one configuration
-//! being restored into another, and the periodic atomic writes. See
-//! `docs/CHECKPOINTS.md` for the on-disk format and guarantees.
+//! The module owns flag parsing, `--resume`, `--crash-at` and `inspect`;
+//! everything else (run identities, the resume scan, the cadence, atomic
+//! writes and retention) is the shared [`bz_core::checkpoint`] policy.
+//! See `docs/CHECKPOINTS.md` for the on-disk format and guarantees.
 
 use std::fs;
 use std::path::PathBuf;
 
 use crate::args::{ArgError, Args};
-use bz_state::{Checkpoint, CheckpointDir, CheckpointMeta, Reader, StateError, Writer};
+use bz_core::checkpoint::{Checkpointer, RunIdentity};
+use bz_simcore::NoiseKernel;
+use bz_state::{Checkpoint, CheckpointDir, Reader, StateError, Writer};
 
 /// The flags this module parses; commands splice them into their
 /// `expect_only` lists.
 pub const FLAGS: &[&str] = &["checkpoint-dir", "checkpoint-every", "resume", "crash-at"];
-
-/// Checkpoints retained per run directory.
-const KEEP: usize = 3;
 
 /// Parsed checkpoint flags, before binding to a specific command run.
 #[derive(Debug, Clone, Default)]
@@ -50,10 +48,7 @@ impl CheckpointOpts {
     /// Rejects malformed values, a zero cadence, and any of the family
     /// used without `--checkpoint-dir`.
     pub fn from_args(args: &Args) -> Result<Self, ArgError> {
-        let dir = match (args.flag("checkpoint-dir"), args.get("checkpoint-dir")) {
-            (true, None) => return Err(ArgError::new("flag --checkpoint-dir needs a value")),
-            (_, value) => value.map(PathBuf::from),
-        };
+        let dir = args.get("checkpoint-dir")?.map(PathBuf::from);
         let every_s = match args.get_or("checkpoint-every", 0u64)? {
             0 if args.flag("checkpoint-every") => {
                 return Err(ArgError::new(
@@ -96,63 +91,42 @@ impl CheckpointOpts {
     }
 
     /// Binds the options to one command run. `kind` tags the command
-    /// ("trial", "chaos", ...); `identity` is the canonical description
-    /// of everything that shapes the simulation (seed, duration,
-    /// scenario) — its CRC is stored in every snapshot and checked on
-    /// resume, so a checkpoint can never be silently restored into a
-    /// different run.
+    /// ("trial", "chaos", ...); `label` describes everything that shapes
+    /// the simulation (seed, duration, scenario). The run's identity is
+    /// the label plus the effective noise kernel, and a checkpoint of any
+    /// other identity is never restored into this run. Without
+    /// `--checkpoint-dir` the result does nothing.
     ///
     /// # Errors
     ///
     /// Fails when the checkpoint directory cannot be created.
-    pub fn session(&self, kind: &str, identity: &str) -> Result<Option<Session>, ArgError> {
-        let Some(root) = &self.dir else {
-            return Ok(None);
-        };
-        let dir = CheckpointDir::create(root)
-            .map_err(|e| ArgError::new(format!("cannot create checkpoint dir: {e}")))?;
-        Ok(Some(Session {
-            dir,
-            kind: kind.to_owned(),
-            label: identity.to_owned(),
-            config_crc: bz_state::crc64::checksum(identity.as_bytes()),
-            every_ms: self.every_s.map(|s| s * 1_000),
-            next_due_ms: self.every_s.map_or(u64::MAX, |s| s * 1_000),
-            crash_at_ms: self.crash_at_s.map(|s| s * 1_000),
+    pub fn session(&self, kind: &str, label: &str) -> Result<RunCheckpoints, ArgError> {
+        let id = RunIdentity::new(kind, label, NoiseKernel::from_env());
+        let checkpointer = self.dir.as_ref().map(|root| {
+            Checkpointer::create(root, id, self.every_s).map_err(|e| ArgError::new(e.to_string()))
+        });
+        Ok(RunCheckpoints {
+            checkpointer: checkpointer.transpose()?,
+            crash_at_ms: self.crash_at_s.map(|s| s.saturating_mul(1_000)),
             resume: self.resume,
-        }))
+        })
     }
 }
 
-/// What a resume scan found and did.
-#[derive(Debug, Clone, Default)]
-pub struct Resumed {
-    /// Simulated time of the restored snapshot; `None` when no usable
-    /// snapshot existed and the run starts fresh.
-    pub tick_ms: Option<u64>,
-    /// Human-readable notes: one line per corrupt snapshot skipped, plus
-    /// the outcome. The command prints these so recovery is visible.
-    pub notes: Vec<String>,
-}
-
-/// One command run's checkpointing state.
+/// One command run's checkpoints: the shared [`Checkpointer`], when
+/// `--checkpoint-dir` asked for one, plus the CLI's `--resume` and
+/// `--crash-at` switches.
 #[derive(Debug)]
-pub struct Session {
-    dir: CheckpointDir,
-    kind: String,
-    label: String,
-    config_crc: u64,
-    every_ms: Option<u64>,
-    next_due_ms: u64,
+pub struct RunCheckpoints {
+    checkpointer: Option<Checkpointer>,
     crash_at_ms: Option<u64>,
     resume: bool,
 }
 
-impl Session {
-    /// Scans for the newest good snapshot and, under `--resume`,
-    /// restores it through `restore`. Corrupt or torn snapshots are
-    /// reported in the notes and skipped; an older good snapshot wins
-    /// over a newer bad one.
+impl RunCheckpoints {
+    /// Under `--resume`, restores the newest good snapshot through
+    /// `restore`, appends the scan's notes to `out`, and returns the
+    /// restored simulated time (`None` for a fresh start).
     ///
     /// # Errors
     ///
@@ -161,85 +135,23 @@ impl Session {
     /// its payload does not decode.
     pub fn resume(
         &mut self,
+        out: &mut String,
         restore: impl FnOnce(&mut Reader<'_>) -> Result<(), StateError>,
-    ) -> Result<Resumed, ArgError> {
-        let mut resumed = Resumed::default();
-        if !self.resume {
-            return Ok(resumed);
-        }
-        let scan = self
-            .dir
-            .latest_good()
-            .map_err(|e| ArgError::new(format!("cannot scan checkpoint dir: {e}")))?;
-        for skipped in &scan.skipped {
-            resumed.notes.push(format!(
-                "skipping corrupt checkpoint {}: {}",
-                skipped.path.display(),
-                skipped.error
-            ));
-        }
-        let Some((path, checkpoint)) = scan.best else {
-            resumed
-                .notes
-                .push("no usable checkpoint found; starting fresh".to_owned());
-            return Ok(resumed);
+    ) -> Result<Option<u64>, ArgError> {
+        let (Some(checkpointer), true) = (&mut self.checkpointer, self.resume) else {
+            return Ok(None);
         };
-        if checkpoint.meta.kind != self.kind {
-            return Err(ArgError::new(format!(
-                "checkpoint {} was written by '{}' (this is '{}'); refusing to resume",
-                path.display(),
-                checkpoint.meta.kind,
-                self.kind
-            )));
+        let resumed = checkpointer
+            .resume(restore)
+            .map_err(|e| ArgError::new(e.to_string()))?;
+        for note in &resumed.notes {
+            *out += &format!("{note}\n");
         }
-        if checkpoint.meta.config_crc != self.config_crc {
-            // A label differing ONLY in its noise= token is the versioned
-            // noise-kernel case; name both versions and the fix instead of
-            // the generic configuration message.
-            let stored_noise = noise_token(&checkpoint.meta.label);
-            let our_noise = noise_token(&self.label);
-            if stored_noise != our_noise
-                && without_noise(&checkpoint.meta.label) == without_noise(&self.label)
-            {
-                let stored = stored_noise.unwrap_or("unrecorded");
-                return Err(ArgError::new(format!(
-                    "checkpoint {} was written under noise kernel {stored}, but this run \
-                     uses {}; set BZ_NOISE={stored} to resume it (see docs/CHECKPOINTS.md)",
-                    path.display(),
-                    our_noise.unwrap_or("unrecorded"),
-                )));
-            }
-            return Err(ArgError::new(format!(
-                "checkpoint {} was written under a different configuration ('{}', not '{}'); \
-                 refusing to resume",
-                path.display(),
-                checkpoint.meta.label,
-                self.label
-            )));
-        }
-        let mut reader = Reader::new(&checkpoint.payload);
-        restore(&mut reader).map_err(|e| {
-            ArgError::new(format!(
-                "checkpoint {} failed to restore: {e}",
-                path.display()
-            ))
-        })?;
-        let tick_ms = checkpoint.meta.tick_ms;
-        resumed.notes.push(format!(
-            "resumed from {} at t={}s",
-            path.display(),
-            tick_ms / 1_000
-        ));
-        resumed.tick_ms = Some(tick_ms);
-        if let Some(every) = self.every_ms {
-            self.next_due_ms = tick_ms + every;
-        }
-        Ok(resumed)
+        Ok(resumed.tick_ms)
     }
 
     /// Called after every simulation step: writes a snapshot when one is
-    /// due (atomically, pruning to the retention window) and then fires
-    /// the `--crash-at` injection.
+    /// due and then fires the `--crash-at` injection.
     ///
     /// # Errors
     ///
@@ -250,33 +162,16 @@ impl Session {
         now_ms: u64,
         save: impl FnOnce(&mut Writer),
     ) -> Result<(), ArgError> {
-        if now_ms >= self.next_due_ms {
-            let mut w = Writer::new();
-            save(&mut w);
-            let checkpoint = Checkpoint {
-                meta: CheckpointMeta {
-                    kind: self.kind.clone(),
-                    tick_ms: now_ms,
-                    config_crc: self.config_crc,
-                    label: self.label.clone(),
-                },
-                payload: w.into_bytes(),
-            };
-            checkpoint
-                .write_atomic(&self.dir.file_for_tick(now_ms))
-                .map_err(|e| ArgError::new(format!("checkpoint write failed: {e}")))?;
-            self.dir
-                .prune(KEEP)
-                .map_err(|e| ArgError::new(format!("checkpoint prune failed: {e}")))?;
-            self.next_due_ms = now_ms + self.every_ms.unwrap_or(u64::MAX);
+        if let Some(checkpointer) = &mut self.checkpointer {
+            checkpointer
+                .after_step(now_ms, save)
+                .map_err(|e| ArgError::new(e.to_string()))?;
         }
-        if let Some(crash_at) = self.crash_at_ms {
-            if now_ms >= crash_at {
-                return Err(ArgError::new(format!(
-                    "crash injected at t={}s (--crash-at)",
-                    now_ms / 1_000
-                )));
-            }
+        if self.crash_at_ms.is_some_and(|crash_at| now_ms >= crash_at) {
+            return Err(ArgError::new(format!(
+                "crash injected at t={}s (--crash-at)",
+                now_ms / 1_000
+            )));
         }
         Ok(())
     }
@@ -341,33 +236,17 @@ fn describe(checkpoint: &Checkpoint) -> String {
         "kind={} t={}s noise={} config_crc={:016x} label='{}' payload={} bytes",
         checkpoint.meta.kind,
         checkpoint.meta.tick_ms / 1_000,
-        noise_token(&checkpoint.meta.label).unwrap_or("unrecorded"),
+        RunIdentity::noise_of(&checkpoint.meta.label).unwrap_or("unrecorded"),
         checkpoint.meta.config_crc,
         checkpoint.meta.label,
         checkpoint.payload.len()
     )
 }
 
-/// Extracts the `noise=<version>` token from an identity label.
-fn noise_token(label: &str) -> Option<&str> {
-    label
-        .split_whitespace()
-        .find_map(|token| token.strip_prefix("noise="))
-}
-
-/// The identity label with its `noise=` token removed, for deciding
-/// whether two identities differ only in the noise-kernel version.
-fn without_noise(label: &str) -> String {
-    label
-        .split_whitespace()
-        .filter(|token| !token.starts_with("noise="))
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bz_state::CheckpointMeta;
 
     fn parse(tokens: &[&str]) -> Args {
         Args::parse(tokens.iter().map(|s| (*s).to_owned())).unwrap()
@@ -403,125 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn periodic_writes_land_and_prune() {
-        let root = scratch("periodic");
-        let opts = CheckpointOpts {
-            dir: Some(root.clone()),
-            every_s: Some(60),
-            ..CheckpointOpts::default()
-        };
-        let mut session = opts.session("trial", "seed=1").unwrap().unwrap();
-        for minute in 1..=6u64 {
-            session
-                .after_step(minute * 60_000, |w| w.put_u64(minute))
-                .unwrap();
-        }
-        let listed = CheckpointDir::open(&root).list().unwrap();
-        assert_eq!(listed.len(), KEEP, "retention window enforced");
-        assert_eq!(listed.last().unwrap().0, 360_000);
-    }
-
-    #[test]
-    fn resume_restores_the_newest_good_and_reports_corruption() {
-        let root = scratch("resume");
-        let opts = CheckpointOpts {
-            dir: Some(root.clone()),
-            every_s: Some(60),
-            resume: true,
-            ..CheckpointOpts::default()
-        };
-        let mut session = opts.session("trial", "seed=1").unwrap().unwrap();
-        session.after_step(60_000, |w| w.put_u64(1)).unwrap();
-        session.after_step(120_000, |w| w.put_u64(2)).unwrap();
-        // Corrupt the newest file: flip a byte in the middle.
-        let newest = CheckpointDir::open(&root).file_for_tick(120_000);
-        let mut bytes = std::fs::read(&newest).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&newest, bytes).unwrap();
-
-        let mut fresh = opts.session("trial", "seed=1").unwrap().unwrap();
-        let mut restored = 0;
-        let resumed = fresh
-            .resume(|r| {
-                restored = r.take_u64()?;
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(resumed.tick_ms, Some(60_000), "older good snapshot wins");
-        assert_eq!(restored, 1);
-        assert!(
-            resumed.notes.iter().any(|n| n.contains("corrupt")),
-            "corruption must be reported: {:?}",
-            resumed.notes
-        );
-    }
-
-    #[test]
-    fn resume_rejects_checkpoints_from_other_configurations() {
-        let root = scratch("identity");
-        let opts = CheckpointOpts {
-            dir: Some(root.clone()),
-            every_s: Some(60),
-            resume: true,
-            ..CheckpointOpts::default()
-        };
-        let mut session = opts.session("trial", "seed=1").unwrap().unwrap();
-        session.after_step(60_000, |w| w.put_u64(1)).unwrap();
-
-        let mut other_seed = opts.session("trial", "seed=2").unwrap().unwrap();
-        let err = other_seed.resume(|_| Ok(())).unwrap_err();
-        assert!(
-            err.to_string().contains("different configuration"),
-            "unexpected error: {err}"
-        );
-
-        let mut other_kind = opts.session("chaos", "seed=1").unwrap().unwrap();
-        let err = other_kind.resume(|_| Ok(())).unwrap_err();
-        assert!(
-            err.to_string().contains("refusing to resume"),
-            "unexpected error: {err}"
-        );
-    }
-
-    #[test]
-    fn noise_only_mismatch_names_both_kernel_versions() {
-        let root = scratch("noise");
-        let opts = CheckpointOpts {
-            dir: Some(root.clone()),
-            every_s: Some(60),
-            resume: true,
-            ..CheckpointOpts::default()
-        };
-        let mut session = opts
-            .session("trial", "trial seed=1 minutes=5 noise=v1")
-            .unwrap()
-            .unwrap();
-        session.after_step(60_000, |w| w.put_u64(1)).unwrap();
-
-        let mut other_noise = opts
-            .session("trial", "trial seed=1 minutes=5 noise=v2")
-            .unwrap()
-            .unwrap();
-        let err = other_noise.resume(|_| Ok(())).unwrap_err().to_string();
-        assert!(err.contains("noise kernel v1"), "{err}");
-        assert!(err.contains("uses v2"), "{err}");
-        assert!(err.contains("BZ_NOISE=v1"), "{err}");
-        assert!(
-            !err.contains("different configuration"),
-            "the noise case must replace the generic message: {err}"
-        );
-
-        // A mismatch beyond the noise token keeps the generic message.
-        let mut other_seed = opts
-            .session("trial", "trial seed=2 minutes=5 noise=v2")
-            .unwrap()
-            .unwrap();
-        let err = other_seed.resume(|_| Ok(())).unwrap_err().to_string();
-        assert!(err.contains("different configuration"), "{err}");
-    }
-
-    #[test]
     fn inspect_reports_the_noise_kernel_version() {
         let root = scratch("inspect-noise");
         let opts = CheckpointOpts {
@@ -529,31 +289,29 @@ mod tests {
             every_s: Some(60),
             ..CheckpointOpts::default()
         };
-        let mut session = opts
-            .session("trial", "trial seed=9 minutes=5 noise=v2")
-            .unwrap()
-            .unwrap();
+        let mut session = opts.session("trial", "trial seed=9 minutes=5").unwrap();
         session.after_step(60_000, |w| w.put_u64(1)).unwrap();
         let report = inspect(root.to_str().unwrap()).unwrap();
-        assert!(report.contains("noise=v2"), "{report}");
+        let noise = format!("noise={}", NoiseKernel::from_env());
+        assert!(report.contains(&noise), "{report}");
 
-        let legacy_root = scratch("inspect-legacy");
-        let mut legacy = CheckpointOpts {
-            dir: Some(legacy_root.clone()),
-            every_s: Some(60),
-            ..CheckpointOpts::default()
+        // A checkpoint from before identities recorded the kernel.
+        let legacy = scratch("inspect-legacy");
+        std::fs::create_dir_all(&legacy).unwrap();
+        let legacy = CheckpointDir::open(&legacy).file_for_tick(60_000);
+        let meta = CheckpointMeta {
+            kind: "trial".to_owned(),
+            tick_ms: 60_000,
+            config_crc: 7,
+            label: "seed=9".to_owned(),
+        };
+        Checkpoint {
+            meta,
+            payload: vec![1],
         }
-        .session("trial", "seed=9")
-        .unwrap()
+        .write_atomic(&legacy)
         .unwrap();
-        legacy.after_step(60_000, |w| w.put_u64(1)).unwrap();
-        let report = inspect(
-            CheckpointDir::open(&legacy_root)
-                .file_for_tick(60_000)
-                .to_str()
-                .unwrap(),
-        )
-        .unwrap();
+        let report = inspect(legacy.to_str().unwrap()).unwrap();
         assert!(report.contains("noise=unrecorded"), "{report}");
     }
 
@@ -566,7 +324,7 @@ mod tests {
             crash_at_s: Some(120),
             ..CheckpointOpts::default()
         };
-        let mut session = opts.session("trial", "seed=1").unwrap().unwrap();
+        let mut session = opts.session("trial", "seed=1").unwrap();
         session.after_step(60_000, |w| w.put_u64(1)).unwrap();
         let err = session.after_step(120_000, |w| w.put_u64(2)).unwrap_err();
         assert!(err.to_string().contains("crash injected"), "{err}");
@@ -583,7 +341,7 @@ mod tests {
             every_s: Some(60),
             ..CheckpointOpts::default()
         };
-        let mut session = opts.session("trial", "seed=9").unwrap().unwrap();
+        let mut session = opts.session("trial", "seed=9").unwrap();
         session.after_step(60_000, |w| w.put_u64(1)).unwrap();
         session.after_step(120_000, |w| w.put_u64(2)).unwrap();
         let newest = CheckpointDir::open(&root).file_for_tick(120_000);

@@ -20,7 +20,7 @@ use bz_wsn::multihop::MultihopNetwork;
 use bz_bench::sweep;
 
 use crate::args::{ArgError, Args};
-use crate::checkpoint::CheckpointOpts;
+use crate::checkpoint::{CheckpointOpts, RunCheckpoints};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -167,16 +167,9 @@ struct Telemetry {
 /// Returns an error if either flag is present without a path, so a
 /// truncated invocation cannot silently skip the export.
 fn metrics_begin(args: &Args) -> Result<Telemetry, ArgError> {
-    let path_of = |name: &str| -> Result<Option<String>, ArgError> {
-        match args.get(name) {
-            Some(path) => Ok(Some(path.to_owned())),
-            None if args.flag(name) => Err(ArgError::new(format!("flag --{name} needs a value"))),
-            None => Ok(None),
-        }
-    };
     let telemetry = Telemetry {
-        metrics: path_of("metrics-out")?,
-        flame: path_of("flamegraph-out")?,
+        metrics: args.get("metrics-out")?.map(str::to_owned),
+        flame: args.get("flamegraph-out")?.map(str::to_owned),
     };
     if telemetry.metrics.is_some() || telemetry.flame.is_some() {
         let obs = bz_obs::Handle::global();
@@ -229,20 +222,13 @@ fn metrics_finish(telemetry: &Telemetry, streamed: bool, out: &mut String) -> Re
 /// minute. Resume notes are appended to `out`.
 fn drive(
     run: &mut dyn Session,
-    mut checkpoints: Option<&mut crate::checkpoint::Session>,
+    checkpoints: &mut RunCheckpoints,
     out: &mut String,
 ) -> Result<(), ArgError> {
-    if let Some(checkpoints) = checkpoints.as_mut() {
-        let resumed = checkpoints.resume(|r| run.load_state(r))?;
-        for note in &resumed.notes {
-            *out += &format!("{note}\n");
-        }
-    }
+    checkpoints.resume(out, |r| run.load_state(r))?;
     while !run.is_done() {
         run.step_minute();
-        if let Some(checkpoints) = checkpoints.as_mut() {
-            checkpoints.after_step(run.now_ms(), |w| run.save_state(w))?;
-        }
+        checkpoints.after_step(run.now_ms(), |w| run.save_state(w))?;
     }
     Ok(())
 }
@@ -270,14 +256,9 @@ fn trial(args: &Args) -> Result<String, ArgError> {
     let minutes: u64 = args.get_or("minutes", 105)?;
     let seed: u64 = args.get_or("seed", 0x5EED_0001)?;
     let quiet = args.flag("quiet");
+    let csv = args.get("csv")?;
     let opts = CheckpointOpts::from_args(args)?;
-    let mut session = opts.session(
-        "trial",
-        &format!(
-            "trial seed={seed} minutes={minutes} noise={}",
-            NoiseKernel::from_env()
-        ),
-    )?;
+    let mut checkpoints = opts.session("trial", &format!("trial seed={seed} minutes={minutes}"))?;
     let metrics = metrics_begin(args)?;
 
     let plant = PlantConfig::bubble_zero_lab()
@@ -290,20 +271,12 @@ fn trial(args: &Args) -> Result<String, ArgError> {
     let mut system = BubbleZeroSystem::new(config);
     let mut trace = TraceRecorder::new();
     let mut out = String::new();
-    let mut start_minute = 0;
-    if let Some(session) = &mut session {
-        let resumed = session.resume(|r| {
-            system.load_state(r)?;
-            trace = bz_state::Persist::load(r)?;
-            Ok(())
-        })?;
-        for note in &resumed.notes {
-            out += &format!("{note}\n");
-        }
-        if let Some(tick_ms) = resumed.tick_ms {
-            start_minute = tick_ms / 60_000;
-        }
-    }
+    let resumed = checkpoints.resume(&mut out, |r| {
+        system.load_state(r)?;
+        trace = bz_state::Persist::load(r)?;
+        Ok(())
+    })?;
+    let start_minute = resumed.map_or(0, |tick_ms| tick_ms / 60_000);
     for minute in start_minute + 1..=minutes {
         system.run_seconds(60);
         // Per-minute counter samples give the export trajectories, not
@@ -332,12 +305,10 @@ fn trial(args: &Args) -> Result<String, ArgError> {
                 plant.telemetry().vent_heat_removed_w,
             );
         }
-        if let Some(session) = &mut session {
-            session.after_step(system.now().as_millis(), |w| {
-                system.save_state(w);
-                bz_state::Persist::save(&trace, w);
-            })?;
-        }
+        checkpoints.after_step(system.now().as_millis(), |w| {
+            system.save_state(w);
+            bz_state::Persist::save(&trace, w);
+        })?;
     }
     let plant = system.plant();
     out += &format!(
@@ -347,7 +318,7 @@ fn trial(args: &Args) -> Result<String, ArgError> {
         plant.panel_condensate_total(),
         100.0 * system.network().stats().delivery_ratio(),
     );
-    if let Some(path) = args.get("csv") {
+    if let Some(path) = csv {
         let names: Vec<String> = SubspaceId::ALL
             .iter()
             .flat_map(|id| {
@@ -533,6 +504,7 @@ fn multihop(args: &Args) -> Result<String, ArgError> {
 fn sniff(args: &Args) -> Result<String, ArgError> {
     args.expect_only(&["minutes", "csv", "metrics-out", "flamegraph-out"])?;
     let minutes: u64 = args.get_or("minutes", 10)?;
+    let csv = args.get("csv")?;
     let metrics = metrics_begin(args)?;
     let config = SystemConfig {
         enable_sniffer: true,
@@ -569,7 +541,7 @@ traffic by type:
         summaries.len()
     );
 
-    if let Some(path) = args.get("csv") {
+    if let Some(path) = csv {
         let file =
             File::create(path).map_err(|e| ArgError::new(format!("cannot create {path}: {e}")))?;
         sniffer
@@ -598,10 +570,7 @@ fn endurance(args: &Args) -> Result<String, ArgError> {
             "--stream cannot be combined with checkpointing flags",
         ));
     }
-    let mut session = opts.session(
-        "endurance",
-        &format!("endurance days={days} noise={}", NoiseKernel::from_env()),
-    )?;
+    let mut checkpoints = opts.session("endurance", &format!("endurance days={days}"))?;
     let metrics = metrics_begin(args)?;
     let stream = args.flag("stream");
     if stream {
@@ -629,16 +598,8 @@ fn endurance(args: &Args) -> Result<String, ArgError> {
         .with_disturbances(DisturbanceSchedule::periodic_events(duration, &mut rng));
     let mut system = BubbleZeroSystem::new(SystemConfig::paper_deployment(plant));
     let mut out = String::new();
-    let mut start_day = 0;
-    if let Some(session) = &mut session {
-        let resumed = session.resume(|r| system.load_state(r))?;
-        for note in &resumed.notes {
-            out += &format!("{note}\n");
-        }
-        if let Some(tick_ms) = resumed.tick_ms {
-            start_day = tick_ms / (24 * 3_600_000);
-        }
-    }
+    let resumed = checkpoints.resume(&mut out, |r| system.load_state(r))?;
+    let start_day = resumed.map_or(0, |tick_ms| tick_ms / (24 * 3_600_000));
     for day in start_day + 1..=days {
         system.run_seconds(24 * 3_600);
         system.obs().record_counters(system.now().as_millis());
@@ -649,9 +610,7 @@ fn endurance(args: &Args) -> Result<String, ArgError> {
             system.plant().zone_dew_point(SubspaceId::S1).get(),
             system.plant().panel_condensate_total(),
         );
-        if let Some(session) = &mut session {
-            session.after_step(system.now().as_millis(), |w| system.save_state(w))?;
-        }
+        checkpoints.after_step(system.now().as_millis(), |w| system.save_state(w))?;
     }
     let reports = system.bt_device_reports();
     let mean_life =
@@ -691,7 +650,7 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
         "kill",
     ])?;
     let scenario =
-        sweep::Scenario::parse(args.get("scenario").unwrap_or("trial")).map_err(ArgError::new)?;
+        sweep::Scenario::parse(args.get("scenario")?.unwrap_or("trial")).map_err(ArgError::new)?;
     let runs: u64 = args.get_or("runs", 4)?;
     if runs == 0 {
         return Err(ArgError::new("--runs must be positive"));
@@ -706,30 +665,19 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
         return Err(ArgError::new("--jobs must be positive"));
     }
     let quiet = args.flag("quiet");
-    let grid = sweep::parse_grid(args.get("grid").unwrap_or("")).map_err(ArgError::new)?;
-    let report_path = match args.get("metrics-out") {
-        Some(path) => Some(path.to_owned()),
-        None if args.flag("metrics-out") => {
-            return Err(ArgError::new("flag --metrics-out needs a value"))
-        }
-        None => None,
-    };
-    let out_dir = match args.get("out-dir") {
-        Some(dir) => Some(dir.to_owned()),
-        None if args.flag("out-dir") => return Err(ArgError::new("flag --out-dir needs a value")),
-        None => None,
-    };
+    let grid = sweep::parse_grid(args.get("grid")?.unwrap_or("")).map_err(ArgError::new)?;
+    let report_path = args.get("metrics-out")?;
+    let out_dir = args.get("out-dir")?;
 
     let opts = CheckpointOpts::from_args(args)?;
     let retries: u32 = args.get_or("retries", 0)?;
     let backoff_ms: u64 = args.get_or("backoff-ms", 250)?;
-    let kills = match args.get("kill") {
+    let kills = match args.get("kill")? {
         Some(spec) => spec
             .split(',')
             .map(sweep::parse_kill)
             .collect::<Result<Vec<_>, _>>()
             .map_err(ArgError::new)?,
-        None if args.flag("kill") => return Err(ArgError::new("flag --kill needs a value")),
         None => Vec::new(),
     };
 
@@ -782,7 +730,7 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
             outcome.cached, outcome.resumed, outcome.retried,
         );
     }
-    if let Some(dir) = &out_dir {
+    if let Some(dir) = out_dir {
         std::fs::create_dir_all(dir)
             .map_err(|e| ArgError::new(format!("cannot create {dir}: {e}")))?;
         for result in &results {
@@ -792,7 +740,7 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
         }
         out += &format!("per-run metrics written to {dir}/run-NNN.jsonl\n");
     }
-    if let Some(path) = &report_path {
+    if let Some(path) = report_path {
         let report = if path.ends_with(".csv") {
             sweep::report_csv(&results)
         } else {
@@ -851,18 +799,11 @@ fn bench(raw: Vec<String>) -> Result<String, ArgError> {
     let seed: u64 = args.get_or("seed", bz_bench::throughput::DEFAULT_SEED)?;
     let baseline: f64 = args.get_or("baseline", f64::NAN)?;
     let baseline = (!baseline.is_nan()).then_some(baseline);
-    let json_out = match args.get("json-out") {
-        Some(path) => Some(path.to_owned()),
-        None if args.flag("json-out") => {
-            return Err(ArgError::new("flag --json-out needs a value"))
-        }
-        None => Some("BENCH_0009.json".to_owned()),
-    };
-    let noise = match args.get("noise") {
+    let json_out = args.get("json-out")?.unwrap_or("BENCH_0009.json");
+    let noise = match args.get("noise")? {
         Some(name) => Some(NoiseKernel::parse(name).ok_or_else(|| {
             ArgError::new(format!("unknown noise kernel '{name}' (expected: v1, v2)"))
         })?),
-        None if args.flag("noise") => return Err(ArgError::new("flag --noise needs a value")),
         None => None,
     };
     let ab_pairs: u64 = args.get_or("ab", 0)?;
@@ -891,11 +832,9 @@ fn bench(raw: Vec<String>) -> Result<String, ArgError> {
                 report.sim_per_wall() / base,
             );
         }
-        if let Some(path) = &json_out {
-            std::fs::write(path, report.to_json(baseline))
-                .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
-            out += &format!("bench record written to {path}\n");
-        }
+        std::fs::write(json_out, report.to_json(baseline))
+            .map_err(|e| ArgError::new(format!("cannot write {json_out}: {e}")))?;
+        out += &format!("bench record written to {json_out}\n");
         if check && report.sim_per_wall() < floor {
             return Err(ArgError::new(format!(
                 "throughput regression: {:.0} sim-s/wall-s is below the floor {floor:.0}",
@@ -942,11 +881,9 @@ fn bench(raw: Vec<String>) -> Result<String, ArgError> {
             report.sim_per_wall / base,
         );
     }
-    if let Some(path) = &json_out {
-        std::fs::write(path, report.to_json(baseline))
-            .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
-        out += &format!("bench record written to {path}\n");
-    }
+    std::fs::write(json_out, report.to_json(baseline))
+        .map_err(|e| ArgError::new(format!("cannot write {json_out}: {e}")))?;
+    out += &format!("bench record written to {json_out}\n");
     if check && report.sim_per_wall < floor {
         return Err(ArgError::new(format!(
             "throughput regression: {:.0} sim-s/wall-s is below the floor {floor:.0}",
@@ -973,10 +910,10 @@ fn serve(args: &Args) -> Result<String, ArgError> {
         return Err(ArgError::new("--threads must be positive"));
     }
     let config = bz_serve::ServeConfig {
-        addr: args.get("addr").unwrap_or("127.0.0.1:7033").to_owned(),
+        addr: args.get("addr")?.unwrap_or("127.0.0.1:7033").to_owned(),
         threads,
         max_inflight: args.get_or("max-inflight", 4)?,
-        checkpoint_dir: args.get("checkpoint-dir").map(std::path::PathBuf::from),
+        checkpoint_dir: args.get("checkpoint-dir")?.map(std::path::PathBuf::from),
         quiet: args.flag("quiet"),
     };
     bz_serve::server::install_signal_handlers();
@@ -1016,7 +953,7 @@ fn loadgen(args: &Args) -> Result<String, ArgError> {
         "seed",
         "metrics-out",
     ])?;
-    let addr = args.get("addr").unwrap_or("127.0.0.1:7033").to_owned();
+    let addr = args.get("addr")?.unwrap_or("127.0.0.1:7033").to_owned();
 
     if args.flag("mirror") {
         let seed: u64 = args.get_or("seed", 0x5EED_0001)?;
@@ -1024,7 +961,7 @@ fn loadgen(args: &Args) -> Result<String, ArgError> {
         if minutes == 0 {
             return Err(ArgError::new("--minutes must be positive"));
         }
-        let Some(path) = args.get("metrics-out") else {
+        let Some(path) = args.get("metrics-out")? else {
             return Err(ArgError::new("--mirror needs --metrics-out PATH"));
         };
         let name = format!("mirror-s{seed}-m{minutes}");
@@ -1052,6 +989,9 @@ fn loadgen(args: &Args) -> Result<String, ArgError> {
             "--check needs --min-rps F and/or --max-p99-ms F",
         ));
     }
+    let json_out = args
+        .get("json-out")?
+        .unwrap_or(bz_bench::load::DEFAULT_JSON_OUT);
     let config = bz_serve::load::LoadgenConfig {
         addr,
         tenants,
@@ -1063,18 +1003,9 @@ fn loadgen(args: &Args) -> Result<String, ArgError> {
     let report =
         bz_serve::load::run(&config).map_err(|e| ArgError::new(format!("loadgen failed: {e}")))?;
     let mut out = report.summary();
-    let json_out = match args.get("json-out") {
-        Some(path) => Some(path.to_owned()),
-        None if args.flag("json-out") => {
-            return Err(ArgError::new("flag --json-out needs a value"))
-        }
-        None => Some(bz_bench::load::DEFAULT_JSON_OUT.to_owned()),
-    };
-    if let Some(path) = &json_out {
-        std::fs::write(path, report.to_json())
-            .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
-        out += &format!("bench record written to {path}\n");
-    }
+    std::fs::write(json_out, report.to_json())
+        .map_err(|e| ArgError::new(format!("cannot write {json_out}: {e}")))?;
+    out += &format!("bench record written to {json_out}\n");
     if check {
         if min_rps > 0.0 && report.requests_per_second < min_rps {
             return Err(ArgError::new(format!(
@@ -1125,14 +1056,11 @@ fn chaos(args: &Args) -> Result<String, ArgError> {
             "flamegraph-out",
         ],
     )?;
-    let mut scenario = match args.get("scenario") {
+    let mut scenario = match args.get("scenario")? {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| ArgError::new(format!("cannot read {path}: {e}")))?;
             ChaosScenario::from_json(&text).map_err(|e| ArgError::new(format!("{path}: {e}")))?
-        }
-        None if args.flag("scenario") => {
-            return Err(ArgError::new("flag --scenario needs a value"))
         }
         None => ChaosScenario::bundled_basic(),
     };
@@ -1144,20 +1072,18 @@ fn chaos(args: &Args) -> Result<String, ArgError> {
     scenario.duration = SimDuration::from_mins(minutes);
     scenario.seed = args.get_or("seed", scenario.seed)?;
     let opts = CheckpointOpts::from_args(args)?;
-    let mut session = opts.session(
+    let mut checkpoints = opts.session(
         "chaos",
         &format!(
-            "chaos scenario={} seed={} minutes={minutes} noise={}",
-            scenario.name,
-            scenario.seed,
-            NoiseKernel::from_env()
+            "chaos scenario={} seed={} minutes={minutes}",
+            scenario.name, scenario.seed
         ),
     )?;
     let metrics = metrics_begin(args)?;
 
     let mut chaos_run = scenario.begin_with_obs(bz_obs::Handle::global());
     let mut out = String::new();
-    drive(&mut chaos_run, session.as_mut(), &mut out)?;
+    drive(&mut chaos_run, &mut checkpoints, &mut out)?;
     let report = chaos_run.finish();
     out += &report.render();
     out += "\n";
@@ -1190,15 +1116,12 @@ fn mpc(args: &Args) -> Result<String, ArgError> {
             "quiet",
         ],
     )?;
-    let mut scenario = match args.get("scenario") {
+    let mut scenario = match args.get("scenario")? {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| ArgError::new(format!("cannot read {path}: {e}")))?;
             bz_predict::MpcScenario::from_json(&text)
                 .map_err(|e| ArgError::new(format!("{path}: {e}")))?
-        }
-        None if args.flag("scenario") => {
-            return Err(ArgError::new("flag --scenario needs a value"))
         }
         None => bz_predict::MpcScenario::bundled_office(),
     };
@@ -1216,18 +1139,13 @@ fn mpc(args: &Args) -> Result<String, ArgError> {
         return Err(ArgError::new("--jobs must be positive"));
     }
     let quiet = args.flag("quiet");
-    let path_of = |name: &str| -> Result<Option<String>, ArgError> {
-        match args.get(name) {
-            Some(path) if name == "metrics-out" && path.ends_with(".csv") => Err(ArgError::new(
-                "mpc exports JSONL; --metrics-out must not end in .csv",
-            )),
-            Some(path) => Ok(Some(path.to_owned())),
-            None if args.flag(name) => Err(ArgError::new(format!("flag --{name} needs a value"))),
-            None => Ok(None),
-        }
-    };
-    let metrics_path = path_of("metrics-out")?;
-    let flame_path = path_of("flamegraph-out")?;
+    let metrics_path = args.get("metrics-out")?;
+    if metrics_path.is_some_and(|path| path.ends_with(".csv")) {
+        return Err(ArgError::new(
+            "mpc exports JSONL; --metrics-out must not end in .csv",
+        ));
+    }
+    let flame_path = args.get("flamegraph-out")?;
     let opts = CheckpointOpts::from_args(args)?;
     if opts.active() && args.flag("compare") {
         return Err(ArgError::new(
@@ -1235,14 +1153,11 @@ fn mpc(args: &Args) -> Result<String, ArgError> {
              (checkpoint the strategies as separate runs instead)",
         ));
     }
-    let mut session = opts.session(
+    let mut checkpoints = opts.session(
         "mpc",
         &format!(
-            "mpc scenario={} seed={} minutes={minutes} horizon={} noise={}",
-            scenario.name,
-            scenario.seed,
-            config.horizon,
-            NoiseKernel::from_env()
+            "mpc scenario={} seed={} minutes={minutes} horizon={}",
+            scenario.name, scenario.seed, config.horizon
         ),
     )?;
 
@@ -1258,7 +1173,7 @@ fn mpc(args: &Args) -> Result<String, ArgError> {
         report.mpc
     } else {
         let mut strategy_run = bz_predict::compare::begin_strategy(&scenario, Some(config));
-        drive(&mut strategy_run, session.as_mut(), &mut out)?;
+        drive(&mut strategy_run, &mut checkpoints, &mut out)?;
         let run = strategy_run.finish();
         out += &format!(
             "mpc run: scenario {} ({minutes} min, seed {})\n\
@@ -1276,12 +1191,12 @@ fn mpc(args: &Args) -> Result<String, ArgError> {
         );
         run
     };
-    if let Some(path) = &metrics_path {
+    if let Some(path) = metrics_path {
         std::fs::write(path, &mpc_run.export)
             .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
         out += &format!("metrics written to {path}\n");
     }
-    if let Some(path) = &flame_path {
+    if let Some(path) = flame_path {
         std::fs::write(path, &mpc_run.flame)
             .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
         out += &format!("flamegraph stacks written to {path}\n");
@@ -1782,6 +1697,17 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn value_flags_without_a_value_are_errors() {
+        let err = run_err("trial", &["--minutes", "1", "--quiet", "--csv"]);
+        assert!(err.contains("flag --csv needs a value"), "{err}");
+        // Fails before binding: this address can never bind (the port is
+        // out of range, so no lookup is tried), so only the flag check can
+        // produce this error.
+        let err = run_err("serve", &["--addr", "127.0.0.1:99999", "--checkpoint-dir"]);
+        assert!(err.contains("flag --checkpoint-dir needs a value"), "{err}");
     }
 
     #[test]

@@ -31,7 +31,10 @@
 //! - [`chaos`] — deterministic full-stack fault schedules (sensor +
 //!   network + actuator) and the resilience metrics (time-to-detect,
 //!   time-to-recover, comfort-violation minutes) that quantify the
-//!   paper's "one subspace, not the whole room" degradation property.
+//!   paper's "one subspace, not the whole room" degradation property;
+//! - [`checkpoint`] — the one checkpoint policy every resumable run
+//!   shares: run identities that always record the noise kernel, the
+//!   resume scan, the snapshot cadence and the retention window.
 //!
 //! # Example
 //!
@@ -48,6 +51,7 @@
 
 pub mod baseline;
 pub mod chaos;
+pub mod checkpoint;
 pub mod devices;
 pub mod json;
 pub mod metrics;

@@ -377,7 +377,7 @@ fn tenant_action(method: &str, action: &str, request: &Request, tenant: &Tenant)
             Response::jsonl(200, lines).with_header("x-bz-next-cursor", next.to_string())
         }
         ("GET", "snapshot") => Response::octets(200, tenant.snapshot().to_wire_bytes())
-            .with_header("x-bz-config-crc", format!("{:016x}", tenant.config_crc)),
+            .with_header("x-bz-config-crc", format!("{:016x}", tenant.id.crc())),
         ("POST", "restore") => {
             let checkpoint = match bz_state::Checkpoint::from_wire_bytes(&request.body) {
                 Ok(checkpoint) => checkpoint,
@@ -437,7 +437,7 @@ fn tenant_status(tenant: &Tenant) -> String {
         json_escape(&tenant.scenario),
         now_ms / 60_000,
         tenant.total_minutes,
-        tenant.config_crc,
+        tenant.id.crc(),
         tenant.shed.load(Ordering::Relaxed)
     )
 }

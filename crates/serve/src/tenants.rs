@@ -23,6 +23,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use bz_bench::sweep::{self, RunSpec};
 use bz_core::chaos::ChaosScenario;
+use bz_core::checkpoint::{Mismatch, RunIdentity};
 use bz_core::json::Json;
 use bz_core::session::{Session, SetpointReadback, TenantSession};
 use bz_predict::compare::begin_strategy;
@@ -64,12 +65,10 @@ pub struct Tenant {
     /// Scenario family label (`trial`, `network`, `endurance`, `chaos`,
     /// `mpc`).
     pub scenario: String,
-    /// Canonical identity string: everything that shapes the simulation
-    /// (scenario, seed, duration, grid point, noise-kernel version). Its
-    /// CRC-64 gates snapshot restore.
-    pub identity: String,
-    /// CRC-64 of [`identity`](Self::identity).
-    pub config_crc: u64,
+    /// Everything that shapes the simulation (scenario, seed, duration,
+    /// grid point, noise-kernel version). Its CRC-64 gates snapshot
+    /// restore.
+    pub id: RunIdentity,
     /// Scenario duration, minutes.
     pub total_minutes: u64,
     /// The tenant's isolated metrics handle.
@@ -84,7 +83,7 @@ impl std::fmt::Debug for Tenant {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tenant")
             .field("name", &self.name)
-            .field("identity", &self.identity)
+            .field("id", &self.id)
             .finish_non_exhaustive()
     }
 }
@@ -196,19 +195,7 @@ impl Tenant {
     /// with its config identity.
     #[must_use]
     pub fn snapshot(&self) -> bz_state::Checkpoint {
-        self.with_session(|s| {
-            let mut w = bz_state::Writer::new();
-            s.save_state(&mut w);
-            bz_state::Checkpoint {
-                meta: bz_state::CheckpointMeta {
-                    kind: CHECKPOINT_KIND.to_owned(),
-                    tick_ms: s.now_ms(),
-                    config_crc: self.config_crc,
-                    label: self.identity.clone(),
-                },
-                payload: w.into_bytes(),
-            }
-        })
+        self.with_session(|s| self.id.seal(s.now_ms(), |w| s.save_state(w)))
     }
 
     /// Restores the tenant from a checkpoint envelope and returns the
@@ -222,19 +209,17 @@ impl Tenant {
     /// Returns a message (and implied 409) for identity mismatches and
     /// undecodable payloads.
     pub fn restore(&self, checkpoint: &bz_state::Checkpoint) -> Result<u64, String> {
-        if checkpoint.meta.kind != CHECKPOINT_KIND {
-            return Err(format!(
-                "checkpoint was written by '{}', not the serve layer; refusing to restore",
-                checkpoint.meta.kind
-            ));
-        }
-        if checkpoint.meta.config_crc != self.config_crc {
-            return Err(format!(
+        self.id.check(&checkpoint.meta).map_err(|why| match why {
+            Mismatch::Kind(stored, _) => format!(
+                "checkpoint was written by '{stored}', not the serve layer; refusing to restore"
+            ),
+            Mismatch::Noise(..) | Mismatch::Config(..) => format!(
                 "checkpoint was taken under a different configuration ('{}', this tenant is \
                  '{}'); refusing to restore",
-                checkpoint.meta.label, self.identity
-            ));
-        }
+                checkpoint.meta.label,
+                self.id.label()
+            ),
+        })?;
         self.with_session(|s| {
             let mut r = bz_state::Reader::new(&checkpoint.payload);
             s.load_state(&mut r)
@@ -329,11 +314,11 @@ pub fn build_tenant(body: &str) -> Result<Tenant, CreateError> {
             };
             let obs = bz_obs::Handle::isolated();
             let system = sweep::build_system(&spec, obs.clone()).map_err(CreateError::bad)?;
-            let identity = format!("serve {} minutes={minutes} noise={noise}", spec.label());
+            let label = format!("serve {} minutes={minutes}", spec.label());
             Ok(tenant(
                 name,
                 scenario,
-                identity,
+                RunIdentity::new(CHECKPOINT_KIND, &label, noise),
                 minutes,
                 obs.clone(),
                 Box::new(TenantSession::new(system, obs, minutes)),
@@ -346,13 +331,14 @@ pub fn build_tenant(body: &str) -> Result<Tenant, CreateError> {
                 ChaosScenario::from_json(body).map_err(|e| CreateError::bad(e.to_string()))?
             };
             let minutes = scenario_cfg.duration.as_millis() / 60_000;
-            let identity = format!(
-                "serve chaos {} seed={} minutes={minutes} noise={noise}",
+            let label = format!(
+                "serve chaos {} seed={} minutes={minutes}",
                 scenario_cfg.name, scenario_cfg.seed
             );
+            let id = RunIdentity::new(CHECKPOINT_KIND, &label, noise);
             let obs = bz_obs::Handle::isolated();
             let run = scenario_cfg.begin_with_obs(obs.clone());
-            Ok(tenant(name, "chaos", identity, minutes, obs, Box::new(run)))
+            Ok(tenant(name, "chaos", id, minutes, obs, Box::new(run)))
         }
         "mpc" => {
             let scenario_cfg = if is_bundled(&root) {
@@ -374,20 +360,14 @@ pub fn build_tenant(body: &str) -> Result<Tenant, CreateError> {
                 }
             };
             let minutes = scenario_cfg.duration.as_millis() / 60_000;
-            let identity = format!(
-                "serve mpc {} seed={} minutes={minutes} strategy={strategy} noise={noise}",
+            let label = format!(
+                "serve mpc {} seed={} minutes={minutes} strategy={strategy}",
                 scenario_cfg.name, scenario_cfg.seed
             );
+            let id = RunIdentity::new(CHECKPOINT_KIND, &label, noise);
             let session = begin_strategy(&scenario_cfg, mpc);
             let obs = session.obs().clone();
-            Ok(tenant(
-                name,
-                "mpc",
-                identity,
-                minutes,
-                obs,
-                Box::new(session),
-            ))
+            Ok(tenant(name, "mpc", id, minutes, obs, Box::new(session)))
         }
         other => Err(CreateError::bad(format!(
             "unknown scenario '{other}' (expected trial, network, endurance, chaos, or mpc)"
@@ -402,17 +382,15 @@ fn is_bundled(root: &Json) -> bool {
 fn tenant(
     name: String,
     scenario: &str,
-    identity: String,
+    id: RunIdentity,
     total_minutes: u64,
     obs: bz_obs::Handle,
     session: Box<dyn Session + Send>,
 ) -> Tenant {
-    let config_crc = bz_state::crc64::checksum(identity.as_bytes());
     Tenant {
         name,
         scenario: scenario.to_owned(),
-        identity,
-        config_crc,
+        id,
         total_minutes,
         obs,
         session: Mutex::new(session),
@@ -567,12 +545,9 @@ mod tests {
         let a = trial_tenant("a", 7, 10);
         let b = trial_tenant("b", 8, 10);
         let c = trial_tenant("c", 7, 11);
-        assert_ne!(a.config_crc, b.config_crc, "seed is part of the identity");
-        assert_ne!(
-            a.config_crc, c.config_crc,
-            "duration is part of the identity"
-        );
-        assert!(a.identity.contains("noise="), "noise version is recorded");
+        assert_ne!(a.id.crc(), b.id.crc(), "seed is part of the identity");
+        assert_ne!(a.id.crc(), c.id.crc(), "duration is part of the identity");
+        assert!(a.id.label().contains("noise="), "noise version is recorded");
     }
 
     #[test]

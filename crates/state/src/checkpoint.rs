@@ -113,15 +113,6 @@ pub enum CheckpointError {
         /// The codec error.
         source: StateError,
     },
-    /// The checkpoint's configuration does not match the resuming run's.
-    ConfigMismatch {
-        /// The file involved.
-        path: PathBuf,
-        /// CRC stored in the checkpoint.
-        recorded: u64,
-        /// CRC of the resuming configuration.
-        expected: u64,
-    },
 }
 
 impl CheckpointError {
@@ -141,8 +132,7 @@ impl CheckpointError {
             | Self::VersionMismatch { path, .. }
             | Self::Truncated { path, .. }
             | Self::ChecksumMismatch { path, .. }
-            | Self::Decode { path, .. }
-            | Self::ConfigMismatch { path, .. } => path,
+            | Self::Decode { path, .. } => path,
         }
     }
 }
@@ -188,16 +178,6 @@ impl fmt::Display for CheckpointError {
             Self::Decode { path, source } => {
                 write!(f, "{}: undecodable checkpoint: {source}", path.display())
             }
-            Self::ConfigMismatch {
-                path,
-                recorded,
-                expected,
-            } => write!(
-                f,
-                "{}: checkpoint was taken under a different configuration \
-                 (config crc {recorded:016x}, resuming run has {expected:016x})",
-                path.display()
-            ),
         }
     }
 }
@@ -248,19 +228,26 @@ impl Checkpoint {
     ///
     /// Returns the specific [`CheckpointError`] for bad magic, version
     /// mismatch, truncation, checksum mismatch, or undecodable meta.
+    /// Declared lengths past the end of the bytes (up to `u64::MAX`) are
+    /// truncation, never an arithmetic overflow.
     pub fn decode(path: &Path, bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let need = |expected: usize| -> Result<(), CheckpointError> {
-            if bytes.len() < expected {
-                Err(CheckpointError::Truncated {
+        let need = |expected: Option<usize>| -> Result<usize, CheckpointError> {
+            match expected {
+                Some(expected) if expected <= bytes.len() => Ok(expected),
+                _ => Err(CheckpointError::Truncated {
                     path: path.to_owned(),
-                    expected,
+                    expected: expected.unwrap_or(usize::MAX),
                     found: bytes.len(),
-                })
-            } else {
-                Ok(())
+                }),
             }
         };
-        need(16)?;
+        // Where a field ends: `extra` bytes past the 8-byte length
+        // declared at `at`, or `None` when that overflows.
+        let end_of = |at: usize, extra: usize| {
+            let declared = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+            usize::try_from(declared).ok()?.checked_add(extra)
+        };
+        need(Some(16))?;
         if bytes[0..4] != MAGIC {
             return Err(CheckpointError::BadMagic {
                 path: path.to_owned(),
@@ -275,16 +262,8 @@ impl Checkpoint {
                 supported: FORMAT_VERSION,
             });
         }
-        let meta_len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-        need(16 + meta_len + 8)?;
-        let payload_start = 16 + meta_len + 8;
-        let payload_len = u64::from_le_bytes(
-            bytes[16 + meta_len..payload_start]
-                .try_into()
-                .expect("8 bytes"),
-        ) as usize;
-        let total = payload_start + payload_len + 8;
-        need(total)?;
+        let payload_start = need(end_of(8, 24))?;
+        let total = need(end_of(payload_start - 8, payload_start + 8))?;
         if bytes.len() > total {
             return Err(CheckpointError::Decode {
                 path: path.to_owned(),
@@ -306,14 +285,14 @@ impl Checkpoint {
                 computed,
             });
         }
-        let mut reader = Reader::new(&bytes[16..16 + meta_len]);
+        let mut reader = Reader::new(&bytes[16..payload_start - 8]);
         let meta = CheckpointMeta::load(&mut reader).map_err(|source| CheckpointError::Decode {
             path: path.to_owned(),
             source,
         })?;
         Ok(Self {
             meta,
-            payload: bytes[payload_start..payload_start + payload_len].to_vec(),
+            payload: bytes[payload_start..total - 8].to_vec(),
         })
     }
 
@@ -492,6 +471,25 @@ mod tests {
         corrupt[mid] ^= 0xFF;
         let err = Checkpoint::from_wire_bytes(&corrupt).unwrap_err();
         assert!(err.to_string().contains(WIRE_PATH), "{err}");
+    }
+
+    #[test]
+    fn declared_lengths_near_u64_max_are_truncation() {
+        let header = |meta_len: u64| {
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+            bytes.extend_from_slice(&meta_len.to_le_bytes());
+            bytes
+        };
+        let mut huge_meta = header(u64::MAX - 10);
+        huge_meta.extend_from_slice(&[0; 32]);
+        let mut huge_payload = header(0);
+        huge_payload.extend_from_slice(&(u64::MAX - 10).to_le_bytes());
+        huge_payload.extend_from_slice(&[0; 32]);
+        for bytes in [huge_meta, huge_payload] {
+            let err = Checkpoint::decode(Path::new("x.bzck"), &bytes).unwrap_err();
+            assert!(matches!(err, CheckpointError::Truncated { .. }), "{err}");
+        }
     }
 
     #[test]

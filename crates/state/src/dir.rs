@@ -60,12 +60,6 @@ impl CheckpointDir {
         Self { root: root.into() }
     }
 
-    /// The directory path.
-    #[must_use]
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// The canonical file path for a checkpoint taken at `tick_ms`.
     #[must_use]
     pub fn file_for_tick(&self, tick_ms: u64) -> PathBuf {
