@@ -1,5 +1,6 @@
 //! Full-system benchmarks: one plant step, one closed-loop second, and a
-//! complete simulated minute of the deployed system.
+//! complete simulated minute of the deployed system, with telemetry off
+//! and on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -65,6 +66,21 @@ fn bench_closed_loop_minute(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         );
+    });
+    // The minute a trial tenant steps per request: an isolated, enabled
+    // handle, a system past its pull-down, and the per-minute counter
+    // sample.
+    group.bench_function("telemetry_on", |b| {
+        let obs = bz_obs::Handle::isolated();
+        let mut system = BubbleZeroSystem::with_obs(
+            SystemConfig::paper_deployment(PlantConfig::bubble_zero_lab()),
+            obs.clone(),
+        );
+        system.run_seconds(10 * 60);
+        b.iter(|| {
+            system.run_seconds(60);
+            obs.record_counters(system.now().as_millis());
+        });
     });
     group.finish();
 }

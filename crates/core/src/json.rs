@@ -8,6 +8,12 @@
 
 use std::fmt;
 
+/// Deepest nesting of arrays and objects a document may have. The parser
+/// recurses once per level, so without a bound one request body of
+/// brackets overflows a server worker's stack. The bundled scenarios
+/// nest 3 deep.
+const MAX_DEPTH: usize = 64;
+
 /// A JSON parsing error carrying the 1-based line and column where
 /// parsing failed, so a hand-edited scenario file can be fixed without
 /// counting bytes.
@@ -51,16 +57,18 @@ impl Json {
     /// # Errors
     ///
     /// Returns a [`JsonError`] naming the line and column of the first
-    /// malformed construct, or of trailing garbage after the document.
+    /// malformed construct, of arrays and objects nested more than 64
+    /// deep, or of trailing garbage after the document.
     pub fn parse(text: &str) -> Result<Self, JsonError> {
         let mut parser = JsonParser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
         parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
+        if parser.pos != text.len() {
             return Err(parser.error("trailing characters after the document"));
         }
         Ok(value)
@@ -104,13 +112,15 @@ impl Json {
 }
 
 struct JsonParser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl JsonParser<'_> {
     fn error(&self, message: &str) -> JsonError {
-        let consumed = &self.bytes[..self.pos.min(self.bytes.len())];
+        let consumed = &self.text.as_bytes()[..self.pos.min(self.text.len())];
         let line = 1 + consumed.iter().filter(|&&b| b == b'\n').count();
         let column = 1 + consumed.iter().rev().take_while(|&&b| b != b'\n').count();
         JsonError::new(format!(
@@ -119,7 +129,7 @@ impl JsonParser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -139,8 +149,7 @@ impl JsonParser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.nested(),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -148,6 +157,21 @@ impl JsonParser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a value")),
         }
+    }
+
+    /// An array or object, one level deeper than its parent.
+    fn nested(&mut self) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = if self.peek() == Some(b'{') {
+            self.object()
+        } else {
+            self.array()
+        };
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -226,7 +250,8 @@ impl JsonParser<'_> {
                         b'f' => out.push('\u{c}'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos..self.pos + 4)
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
@@ -239,13 +264,17 @@ impl JsonParser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid utf-8 in string"))?;
-                    let ch = text.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the plain run up to the next quote or escape.
+                    // The document is a `&str` and `pos` only ever steps
+                    // over ASCII bytes and whole runs, so it sits on a
+                    // character boundary.
+                    let rest = self
+                        .text
+                        .get(self.pos..)
+                        .ok_or_else(|| self.error("string splits a character"))?;
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -259,14 +288,14 @@ impl JsonParser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.error(&format!("bad number '{text}'")))
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -310,6 +339,38 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn json_parser_accepts_nesting_up_to_the_depth_bound() {
+        let arrays = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&arrays).is_ok());
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        let half = MAX_DEPTH / 2;
+        let mixed = format!("{}null{}", "[{\"k\":".repeat(half), "}]".repeat(half));
+        assert!(Json::parse(&mixed).is_ok());
+    }
+
+    #[test]
+    fn json_parser_rejects_nesting_past_the_depth_bound() {
+        let deep = MAX_DEPTH + 1;
+        let arrays = format!("{}{}", "[".repeat(deep), "]".repeat(deep));
+        let err = Json::parse(&arrays).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 64"), "{err}");
+        let objects = format!("{}1{}", "{\"k\":".repeat(deep), "}".repeat(deep));
+        assert!(Json::parse(&objects).is_err());
+        // Far past the bound, unclosed: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(10_000)).is_err());
+    }
+
+    #[test]
+    fn json_parser_reads_a_mebibyte_string() {
+        let body = "é".repeat(1 << 19);
+        let doc = Json::parse(&format!("{{\"name\":\"{body}\\n\"}}")).unwrap();
+        let name = doc.field("name").and_then(Json::as_str).unwrap();
+        assert_eq!(name.len(), (1 << 20) + 1);
+        assert!(name.starts_with("éé") && name.ends_with("é\n"));
     }
 
     #[test]

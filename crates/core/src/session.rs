@@ -302,6 +302,28 @@ mod tests {
     }
 
     #[test]
+    fn restore_over_an_advanced_session_continues_byte_identically() {
+        // Restoring rewinds the counts each part keeps; the counters
+        // published afterwards must grow from the restored counts.
+        let mut uninterrupted = session(13, 4);
+        uninterrupted.step_minutes(4);
+        let expected = export(&uninterrupted);
+
+        let mut rewound = session(13, 4);
+        rewound.step_minutes(2);
+        let mut w = bz_state::Writer::new();
+        rewound.save_state(&mut w);
+        let minute_two = w.into_bytes();
+        rewound.step_minutes(2);
+        rewound
+            .load_state(&mut bz_state::Reader::new(&minute_two))
+            .unwrap();
+        assert_eq!(rewound.now_ms(), 120_000);
+        rewound.step_minutes(2);
+        assert_eq!(export(&rewound), expected);
+    }
+
+    #[test]
     fn load_rejects_a_snapshot_of_a_different_duration() {
         let mut donor = session(5, 8);
         donor.step_minute();

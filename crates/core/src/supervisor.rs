@@ -309,6 +309,9 @@ pub struct SensorHealthSupervisor {
     overflow: std::collections::BTreeMap<(DataType, u16), ChannelState>,
     pumps: [PumpWatch; 2],
     detections: Vec<Detection>,
+    /// Readings accepted since the last
+    /// [`publish_counters`](Self::publish_counters).
+    unpublished_accepted: u64,
     obs: bz_obs::Handle,
 }
 
@@ -322,6 +325,7 @@ impl SensorHealthSupervisor {
             overflow: std::collections::BTreeMap::new(),
             pumps: Default::default(),
             detections: Vec::new(),
+            unpublished_accepted: 0,
             obs: bz_obs::Handle::global(),
         }
     }
@@ -392,7 +396,7 @@ impl SensorHealthSupervisor {
                     });
                     self.obs.counter_inc("supervisor.channel.recovered");
                 }
-                self.obs.counter_inc("supervisor.accepted");
+                self.unpublished_accepted += 1;
             }
             Err(reason) => {
                 state.rejects_in_row += 1;
@@ -410,6 +414,19 @@ impl SensorHealthSupervisor {
             }
         }
         verdict
+    }
+
+    /// Adds the readings accepted since the last publish to the
+    /// `supervisor.accepted` counter. Accepting is the hot path — about
+    /// one reading per delivered frame — so it only bumps a field, and
+    /// the registry sees the count once per publish. Rejections are rare
+    /// and count straight into the registry.
+    pub fn publish_counters(&mut self) {
+        if self.unpublished_accepted > 0 {
+            self.obs
+                .counter_add("supervisor.accepted", self.unpublished_accepted);
+            self.unpublished_accepted = 0;
+        }
     }
 
     /// The pure per-reading judgement, split out so `validate` can borrow
@@ -629,13 +646,16 @@ impl SensorHealthSupervisor {
         self.detections.save(w);
     }
 
-    /// Restores the state saved by [`Self::save_state`].
+    /// Restores the state saved by [`Self::save_state`], discarding any
+    /// accepted readings not yet published: they belong to the state
+    /// being replaced.
     ///
     /// # Errors
     ///
     /// Returns a decode error if the bytes do not parse.
     pub fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
         use bz_state::Persist;
+        self.unpublished_accepted = 0;
         let channels: std::collections::BTreeMap<(DataType, u16), ChannelState> = Persist::load(r)?;
         self.dense = vec![None; TRACKED_TYPES.len() * PLAN_CHANNELS];
         self.overflow.clear();

@@ -148,9 +148,7 @@ struct BtStream {
     scheduler: StreamScheduler,
     sampling_period: SimDuration,
     next_sample: SimTime,
-    /// Pre-built `wsn.node.<id>.sent` key so the per-transmission counter
-    /// update allocates nothing (see [`bz_obs::Handle::counter_inc_ref`]).
-    sent_key: bz_obs::MetricKey,
+    sent: SentCounter,
 }
 
 /// One AC periodic broadcast source.
@@ -160,8 +158,34 @@ struct AcStream {
     kind: AcKind,
     scheduler: AcScheduler,
     next_fire: SimTime,
-    /// Pre-built `wsn.node.<id>.sent` key (same role as on [`BtStream`]).
-    sent_key: bz_obs::MetricKey,
+    sent: SentCounter,
+}
+
+/// A stream's transmissions, published to its node's `wsn.node.<id>.sent`
+/// counter by [`BubbleZeroSystem::run_seconds`]. Streams of one device
+/// share the key and add to it separately.
+#[derive(Debug)]
+struct SentCounter {
+    /// The key, built once so a publish allocates nothing.
+    key: bz_obs::MetricKey,
+    /// Transmissions since the last publish.
+    unpublished: u64,
+}
+
+impl SentCounter {
+    fn new(node: NodeId) -> Self {
+        Self {
+            key: format!("wsn.node.{}.sent", node.get()).into(),
+            unpublished: 0,
+        }
+    }
+
+    fn publish(&mut self, obs: &bz_obs::Handle) {
+        if self.unpublished > 0 {
+            obs.counter_add_ref(&self.key, self.unpublished);
+            self.unpublished = 0;
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,6 +272,8 @@ pub struct BubbleZeroSystem {
     sniffer: Option<Sniffer>,
     supervisor: SensorHealthSupervisor,
     retrier: ControlRetrier,
+    /// `events.scheduled()` and `events.popped()` as of the last publish.
+    published_events: (u64, u64),
     obs: bz_obs::Handle,
 }
 
@@ -322,7 +348,7 @@ impl BubbleZeroSystem {
                     // Stagger initial sampling by node id to avoid a
                     // synchronized burst at t=0.
                     next_sample: SimTime::from_millis(u64::from(role.node_id().get()) * 53),
-                    sent_key: format!("wsn.node.{}.sent", role.node_id().get()).into(),
+                    sent: SentCounter::new(role.node_id()),
                 });
             }
         };
@@ -389,7 +415,7 @@ impl BubbleZeroSystem {
                 kind,
                 scheduler,
                 next_fire: SimTime::ZERO,
-                sent_key: format!("wsn.node.{}.sent", node.get()).into(),
+                sent: SentCounter::new(node),
             });
         };
         add_ac(
@@ -415,7 +441,7 @@ impl BubbleZeroSystem {
         // Seed the event queue: one pending action per stream. From here
         // on, every device action flows through the queue in time order
         // (FIFO among same-millisecond ties).
-        let mut events = EventQueue::with_obs(obs.clone());
+        let mut events = EventQueue::new();
         for (i, stream) in bt_streams.iter().enumerate() {
             events.schedule(stream.next_sample, SystemEvent::BtSample(i));
         }
@@ -426,7 +452,7 @@ impl BubbleZeroSystem {
         let config2_sniffer = config.enable_sniffer.then(Sniffer::new);
         let supervisor = SensorHealthSupervisor::new(config.supervisor).with_obs(obs.clone());
         let retrier = ControlRetrier::new(config.retry).with_obs(obs.clone());
-        Self {
+        let mut system = Self {
             config,
             plant,
             network,
@@ -448,8 +474,13 @@ impl BubbleZeroSystem {
             sniffer: config2_sniffer,
             supervisor,
             retrier,
+            published_events: (0, 0),
             obs,
-        }
+        };
+        // Publish the seeded events now, under the handle state they were
+        // scheduled in: a handle enabled later never counts them.
+        system.publish_counters();
+        system
     }
 
     /// The observability handle this system records into.
@@ -634,15 +665,49 @@ impl BubbleZeroSystem {
             .collect()
     }
 
-    /// Advances the whole system by `steps` whole seconds.
+    /// Advances the whole system by `steps` whole seconds, then publishes
+    /// the hot counters. The parts count frames, events, accepted readings
+    /// and transmissions in plain fields; each count's growth since the
+    /// last publish reaches the registry once per call, by the rules in
+    /// `docs/OBSERVABILITY.md`.
     pub fn run_seconds(&mut self, steps: u64) {
         for _ in 0..steps {
-            self.step_second();
+            self.advance_second();
+        }
+        self.publish_counters();
+    }
+
+    /// Advances the whole system by one second: `run_seconds(1)`.
+    pub fn step_second(&mut self) {
+        self.run_seconds(1);
+    }
+
+    /// Adds each hot count's growth since the last publish to the
+    /// registry (see [`Self::run_seconds`]).
+    fn publish_counters(&mut self) {
+        let now = (self.events.scheduled(), self.events.popped());
+        let was = std::mem::replace(&mut self.published_events, now);
+        for (key, now, was) in [
+            ("simcore.event_queue.scheduled", now.0, was.0),
+            ("simcore.event_queue.popped", now.1, was.1),
+        ] {
+            if now > was {
+                self.obs.counter_add(key, now - was);
+            }
+        }
+        self.network.publish_counters();
+        self.supervisor.publish_counters();
+        for stream in &mut self.bt_streams {
+            stream.sent.publish(&self.obs);
+        }
+        for stream in &mut self.ac_streams {
+            stream.sent.publish(&self.obs);
         }
     }
 
-    /// Advances the whole system by one second.
-    pub fn step_second(&mut self) {
+    /// One simulated second: device events, deliveries, the control
+    /// cycle and the plant.
+    fn advance_second(&mut self) {
         let step_span = self.obs.span("core.step_second", self.now.as_millis());
         let next = self.now + SimDuration::from_secs(1);
 
@@ -868,14 +933,14 @@ impl BubbleZeroSystem {
             let stream = &self.bt_streams[index];
             let message =
                 Message::on_channel(stream.node, stream.data_type, stream.channel, value, at);
-            self.obs.counter_inc_ref(&stream.sent_key);
+            self.bt_streams[index].sent.unpublished += 1;
             self.network.send(at, message);
         }
     }
 
     fn fire_ac_stream(&mut self, index: usize, at: SimTime) {
         let node = self.ac_streams[index].node;
-        self.obs.counter_inc_ref(&self.ac_streams[index].sent_key);
+        self.ac_streams[index].sent.unpublished += 1;
         match self.ac_streams[index].kind {
             AcKind::SupplyTemp => {
                 let value = self.plant.read_supply_temp().get();
@@ -1217,6 +1282,17 @@ impl BubbleZeroSystem {
         self.supervisor.load_state(r)?;
         self.retrier.load_state(r)?;
         self.obs.load_state(r)?;
+        // The restored registry holds the restored counts, so publish only
+        // growth from here on. Counts a panicked step left unpublished
+        // belong to the replaced state. (The network and supervisor reset
+        // their own.)
+        self.published_events = (self.events.scheduled(), self.events.popped());
+        for stream in &mut self.bt_streams {
+            stream.sent.unpublished = 0;
+        }
+        for stream in &mut self.ac_streams {
+            stream.sent.unpublished = 0;
+        }
         // Scratch buffers hold no cross-tick state; start them empty.
         self.event_buf.clear();
         self.delivery_buf.clear();
@@ -1308,6 +1384,7 @@ bz_state::persist_struct!(DecisionRecord {
 mod tests {
     use super::*;
     use bz_thermal::disturbance::DisturbanceSchedule;
+    use bz_wsn::channel::ChannelStats;
 
     fn quick_system() -> BubbleZeroSystem {
         BubbleZeroSystem::new(SystemConfig::paper_deployment(
@@ -1443,6 +1520,103 @@ mod tests {
             PlantConfig::bubble_zero_lab(),
         ));
         assert!(without.sniffer().is_none());
+    }
+
+    fn seeded(seed: u64, obs: &bz_obs::Handle) -> BubbleZeroSystem {
+        let config = SystemConfig {
+            seed,
+            ..SystemConfig::paper_deployment(PlantConfig::bubble_zero_lab().with_seed(seed))
+        };
+        BubbleZeroSystem::with_obs(config, obs.clone())
+    }
+
+    fn export(obs: &bz_obs::Handle) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        obs.write_jsonl(&mut bytes).unwrap();
+        bytes
+    }
+
+    #[test]
+    fn run_seconds_exports_what_single_steps_export() {
+        // Chaos and MPC sessions step one second at a time; the trial
+        // runs a minute per call. Both must publish the same counters.
+        let (by_minute, by_second) = (bz_obs::Handle::isolated(), bz_obs::Handle::isolated());
+        let mut a = seeded(3, &by_minute);
+        let mut b = seeded(3, &by_second);
+        // Construction schedules one event per stream and publishes them.
+        let streams = (a.bt_stream_count() + a.ac_streams.len()) as u64;
+        assert_eq!(
+            by_minute.snapshot().counters["simcore.event_queue.scheduled"],
+            streams
+        );
+        for _ in 0..2 {
+            a.run_seconds(60);
+            by_minute.record_counters(a.now().as_millis());
+            for _ in 0..60 {
+                b.step_second();
+            }
+            by_second.record_counters(b.now().as_millis());
+        }
+        assert!(by_minute.snapshot().counters["wsn.packets.sent"] > 0);
+        assert_eq!(export(&by_minute), export(&by_second));
+    }
+
+    #[test]
+    fn systems_sharing_a_handle_sum_their_counts() {
+        // The figure harnesses run several systems on the global handle.
+        let shared = bz_obs::Handle::isolated();
+        let mut systems = [seeded(1, &shared), seeded(2, &shared)];
+        for _ in 0..2 {
+            for system in &mut systems {
+                system.run_seconds(60);
+            }
+        }
+        let counters = shared.snapshot().counters;
+        let total = |key: &str| counters.get(key).copied().unwrap_or(0);
+        type Count<T> = fn(&T) -> u64;
+        let queue: [(&str, Count<EventQueue<SystemEvent>>); 2] = [
+            ("simcore.event_queue.scheduled", EventQueue::scheduled),
+            ("simcore.event_queue.popped", EventQueue::popped),
+        ];
+        for (key, count) in queue {
+            let owned: u64 = systems.iter().map(|s| count(&s.events)).sum();
+            assert_eq!(total(key), owned, "{key}");
+        }
+        let channel: [(&str, Count<ChannelStats>); 6] = [
+            ("wsn.packets.sent", |c| c.offered),
+            ("wsn.packets.delivered", |c| c.delivered),
+            ("wsn.packets.collided", |c| c.collided),
+            ("wsn.packets.dropped_busy", |c| c.busy_drops),
+            ("wsn.packets.dropped_fading", |c| c.faded),
+            ("wsn.backoffs", |c| c.backoffs),
+        ];
+        for (key, count) in channel {
+            let owned: u64 = systems.iter().map(|s| count(s.network().stats())).sum();
+            assert_eq!(total(key), owned, "{key}");
+        }
+        for report in systems[0].bt_device_reports() {
+            let key = format!("wsn.node.{}.sent", report.node.get());
+            let owned: u64 = systems
+                .iter()
+                .flat_map(BubbleZeroSystem::bt_device_reports)
+                .filter(|r| r.node == report.node)
+                .map(|r| r.transmissions)
+                .sum();
+            assert_eq!(total(&key), owned, "{key}");
+        }
+
+        // Every counter, `supervisor.accepted` included, is the sum of
+        // what each system publishes on a handle of its own.
+        let alone = [1, 2].map(|seed| {
+            let obs = bz_obs::Handle::isolated();
+            seeded(seed, &obs).run_seconds(120);
+            obs.snapshot().counters
+        });
+        assert!(counters["supervisor.accepted"] > 0);
+        for (key, value) in &counters {
+            let parts: u64 = alone.iter().filter_map(|c| c.get(key)).sum();
+            assert_eq!(*value, parts, "{key}");
+        }
     }
 
     #[test]

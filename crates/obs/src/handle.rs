@@ -139,21 +139,14 @@ impl Handle {
     }
 
     /// Adds `delta` to counter `name` without taking ownership of the
-    /// key: the key is cloned only on the counter's first update. Hot
-    /// loops that increment a per-entity key (e.g. `wsn.node.21.sent`)
+    /// key: the key is cloned only on the counter's first update. Callers
+    /// that repeatedly publish a per-entity key (e.g. `wsn.node.21.sent`)
     /// hold the built key and call this to stay allocation-free.
     #[inline]
     pub fn counter_add_ref(&self, name: &MetricKey, delta: u64) {
         if self.is_enabled() {
             self.with_registry(|registry| registry.counter_add_ref(name, delta));
         }
-    }
-
-    /// Adds one to counter `name` by reference (see
-    /// [`counter_add_ref`](Self::counter_add_ref)).
-    #[inline]
-    pub fn counter_inc_ref(&self, name: &MetricKey) {
-        self.counter_add_ref(name, 1);
     }
 
     /// Sets gauge `name` to `value` at simulation time `t_ms`.
@@ -324,7 +317,7 @@ mod tests {
         let by_value = Handle::isolated();
         let key: MetricKey = format!("wsn.node.{}.sent", 21).into();
         for _ in 0..5 {
-            by_ref.counter_inc_ref(&key);
+            by_ref.counter_add_ref(&key, 1);
             by_value.counter_inc(format!("wsn.node.{}.sent", 21));
         }
         by_ref.counter_add_ref(&key, 3);

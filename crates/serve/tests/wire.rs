@@ -355,3 +355,21 @@ fn unknown_routes_and_tenants_are_clean_errors() {
     );
     server.stop();
 }
+
+#[test]
+fn deeply_nested_request_body_is_a_clean_400() {
+    // Unbounded JSON recursion used to overflow a worker's stack, which
+    // aborts the whole server.
+    let server = start(ServeConfig {
+        threads: 2,
+        ..ServeConfig::default()
+    });
+    let mut client = server.client();
+    let deep = "[".repeat(10_000);
+    let reply = client
+        .request("POST", "/tenants", deep.as_bytes())
+        .expect("the server answers instead of aborting");
+    assert_eq!(reply.status, 400, "{}", reply.text());
+    assert_eq!(server.client().get_ok("/healthz").unwrap().status, 200);
+    server.stop();
+}

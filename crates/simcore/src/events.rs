@@ -45,31 +45,37 @@ struct Entry<E> {
 pub struct EventQueue<E> {
     entries: Vec<Entry<E>>,
     next_seq: u64,
-    obs: bz_obs::Handle,
+    popped: u64,
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue recording throughput counters against the
-    /// global `bz_obs` registry.
+    /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_obs(bz_obs::Handle::global())
-    }
-
-    /// Creates an empty queue recording against `obs` (per-run metric
-    /// isolation for parallel embeddings).
-    #[must_use]
-    pub fn with_obs(obs: bz_obs::Handle) -> Self {
         Self {
             entries: Vec::new(),
             next_seq: 0,
-            obs,
+            popped: 0,
         }
+    }
+
+    /// Events ever scheduled, restored ones included: the sequence
+    /// allocator, which a checkpoint carries.
+    #[must_use]
+    pub fn scheduled(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Events this instance has popped or drained. The count is not part
+    /// of the saved state, so [`load_state`](Self::load_state) leaves it
+    /// as it was.
+    #[must_use]
+    pub fn popped(&self) -> u64 {
+        self.popped
     }
 
     /// Schedules `event` to fire at `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        self.obs.counter_inc("simcore.event_queue.scheduled");
         let seq = self.next_seq;
         self.next_seq += 1;
         self.entries.push(Entry { at, seq, event });
@@ -94,7 +100,7 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let i = self.min_index()?;
         let entry = self.entries.swap_remove(i);
-        self.obs.counter_inc("simcore.event_queue.popped");
+        self.popped += 1;
         Some((entry.at, entry.event))
     }
 
@@ -106,7 +112,7 @@ impl<E> EventQueue<E> {
             return None;
         }
         let entry = self.entries.swap_remove(i);
-        self.obs.counter_inc("simcore.event_queue.popped");
+        self.popped += 1;
         Some((entry.at, entry.event))
     }
 
@@ -115,13 +121,12 @@ impl<E> EventQueue<E> {
     /// many were drained.
     ///
     /// `out` is appended to (clear it between ticks to reuse its
-    /// allocation). The throughput counter advances by the drained count
-    /// in one step, so counter totals match the equivalent `pop_due`
-    /// loop at any point between calls. The one semantic difference from
-    /// a `pop_due` loop is deliberate: events the *handlers* schedule
-    /// are not visible to the current drain — callers must only use this
-    /// when handlers reschedule strictly beyond `now`, as the control
-    /// tick loop does.
+    /// allocation). [`popped`](Self::popped) advances by the drained
+    /// count, as it would over the equivalent `pop_due` loop. The one
+    /// semantic difference from a `pop_due` loop is deliberate: events
+    /// the *handlers* schedule are not visible to the current drain —
+    /// callers must only use this when handlers reschedule strictly
+    /// beyond `now`, as the control tick loop does.
     pub fn drain_due_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
         // Partition the due entries into the tail of the vector, then
         // sort just that tail: one pass plus a ~dozen-element sort per
@@ -145,8 +150,7 @@ impl<E> EventQueue<E> {
         for entry in self.entries.drain(end..) {
             out.push((entry.at, entry.event));
         }
-        self.obs
-            .counter_add("simcore.event_queue.popped", drained as u64);
+        self.popped += drained as u64;
         drained
     }
 
@@ -196,8 +200,7 @@ impl<E: bz_state::Persist> EventQueue<E> {
         }
     }
 
-    /// Replaces the queue contents with previously saved state. The obs
-    /// handle is untouched — it is wiring, not state.
+    /// Replaces the queue contents with previously saved state.
     ///
     /// # Errors
     ///
@@ -264,7 +267,7 @@ mod tests {
     #[test]
     fn drain_due_into_matches_a_pop_due_loop() {
         let build = || {
-            let mut q = EventQueue::with_obs(bz_obs::Handle::isolated());
+            let mut q = EventQueue::new();
             q.schedule(SimTime::from_secs(2), "b");
             q.schedule(SimTime::from_secs(1), "a");
             q.schedule(SimTime::from_secs(2), "c");
@@ -289,17 +292,16 @@ mod tests {
 
     #[test]
     fn drain_due_into_counts_pops_in_one_step() {
-        let obs = bz_obs::Handle::isolated();
-        let mut q = EventQueue::with_obs(obs.clone());
+        let mut q = EventQueue::new();
         for i in 0..5 {
             q.schedule(SimTime::from_secs(i), i);
         }
         let mut out = Vec::new();
         q.drain_due_into(SimTime::from_secs(3), &mut out);
-        assert_eq!(obs.snapshot().counters["simcore.event_queue.popped"], 4);
+        assert_eq!(q.popped(), 4);
         // An empty drain records nothing.
         q.drain_due_into(SimTime::from_secs(3), &mut out);
-        assert_eq!(obs.snapshot().counters["simcore.event_queue.popped"], 4);
+        assert_eq!(q.popped(), 4);
     }
 
     #[test]
@@ -327,15 +329,13 @@ mod tests {
     }
 
     #[test]
-    fn with_obs_counts_into_the_supplied_registry() {
-        let obs = bz_obs::Handle::isolated();
-        let mut q = EventQueue::with_obs(obs.clone());
+    fn counts_scheduled_and_popped_events() {
+        let mut q = EventQueue::new();
         q.schedule(SimTime::ZERO, 1);
         q.schedule(SimTime::ZERO, 2);
         let _ = q.pop();
-        let counters = obs.snapshot().counters;
-        assert_eq!(counters["simcore.event_queue.scheduled"], 2);
-        assert_eq!(counters["simcore.event_queue.popped"], 1);
+        assert_eq!(q.scheduled(), 2);
+        assert_eq!(q.popped(), 1);
     }
 
     #[test]
@@ -343,7 +343,7 @@ mod tests {
         // Drains interleaved with fresh schedules must still pop every
         // batch in (at, seq) order — the partition leaves later events
         // in arbitrary vector positions, so this exercises the re-sort.
-        let mut q = EventQueue::with_obs(bz_obs::Handle::isolated());
+        let mut q = EventQueue::new();
         for i in 0..10u64 {
             q.schedule(SimTime::from_millis(1000 - i * 50), i);
         }
@@ -363,7 +363,7 @@ mod tests {
 
     #[test]
     fn save_and_load_round_trip_preserves_order_and_seq() {
-        let mut q = EventQueue::with_obs(bz_obs::Handle::isolated());
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(3), 30u64);
         q.schedule(SimTime::from_secs(1), 10u64);
         q.schedule(SimTime::from_secs(1), 11u64);
@@ -371,7 +371,7 @@ mod tests {
         q.save_state(&mut w);
         let bytes = w.into_bytes();
 
-        let mut restored = EventQueue::with_obs(bz_obs::Handle::isolated());
+        let mut restored = EventQueue::new();
         let mut r = bz_state::Reader::new(&bytes);
         restored.load_state(&mut r).expect("load");
         let order: Vec<u64> = std::iter::from_fn(|| restored.pop().map(|(_, e)| e)).collect();

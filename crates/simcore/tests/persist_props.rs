@@ -45,7 +45,7 @@ proptest! {
         schedule in proptest::collection::vec((0u64..600_000, 0u64..4_096), 0..64),
         popped_before in 0usize..16,
     ) {
-        let mut original: EventQueue<u64> = EventQueue::with_obs(bz_obs::Handle::isolated());
+        let mut original: EventQueue<u64> = EventQueue::new();
         for (i, &(at_ms, payload)) in schedule.iter().enumerate() {
             original.schedule(SimTime::from_millis(at_ms), payload.wrapping_add(i as u64));
         }
@@ -58,7 +58,7 @@ proptest! {
         let mut w = Writer::new();
         original.save_state(&mut w);
         let bytes = w.into_bytes();
-        let mut restored: EventQueue<u64> = EventQueue::with_obs(bz_obs::Handle::isolated());
+        let mut restored: EventQueue<u64> = EventQueue::new();
         restored.load_state(&mut Reader::new(&bytes)).expect("saved queue decodes");
 
         prop_assert_eq!(restored.len(), original.len());

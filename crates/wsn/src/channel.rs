@@ -139,6 +139,8 @@ pub struct Network {
     rng: Rng,
     in_flight: Vec<Flight>,
     stats: ChannelStats,
+    /// `stats` as of the last [`Network::publish_counters`].
+    published: ChannelStats,
     failures: Vec<(Message, TxFailure)>,
     faults: WsnFaultSchedule,
     obs: bz_obs::Handle,
@@ -157,6 +159,7 @@ impl Network {
             rng,
             in_flight: Vec::new(),
             stats: ChannelStats::default(),
+            published: ChannelStats::default(),
             failures: Vec::new(),
             faults: WsnFaultSchedule::none(),
             obs: bz_obs::Handle::global(),
@@ -210,7 +213,6 @@ impl Network {
             return false;
         }
         self.stats.offered += 1;
-        self.obs.counter_inc("wsn.packets.sent");
         let airtime = self.config.airtime(message.payload_bytes());
 
         // CSMA: find a start instant at which the channel is clear, with
@@ -221,7 +223,6 @@ impl Network {
             if self.busy_at(candidate) {
                 if attempt >= self.config.max_backoffs {
                     self.stats.busy_drops += 1;
-                    self.obs.counter_inc("wsn.packets.dropped_busy");
                     self.failures.push((message, TxFailure::ChannelBusy));
                     return false;
                 }
@@ -239,7 +240,6 @@ impl Network {
                 candidate = horizon + SimDuration::from_millis(slots * self.config.backoff_unit_ms);
                 attempt += 1;
                 self.stats.backoffs += 1;
-                self.obs.counter_inc("wsn.backoffs");
             } else {
                 break;
             }
@@ -305,16 +305,13 @@ impl Network {
         for &f in &done {
             if f.corrupted {
                 self.stats.collided += 1;
-                self.obs.counter_inc("wsn.packets.collided");
                 self.failures.push((f.message, TxFailure::Collision));
             } else if f.faded {
                 self.stats.faded += 1;
-                self.obs.counter_inc("wsn.packets.dropped_fading");
                 self.failures.push((f.message, TxFailure::Fading));
             } else {
                 let delay = f.end.since(f.requested);
                 self.stats.delivered += 1;
-                self.obs.counter_inc("wsn.packets.delivered");
                 self.obs
                     .observe("wsn.delivery_delay_ms", delay.as_millis() as f64);
                 self.stats.total_delay_ms += delay.as_millis();
@@ -333,6 +330,28 @@ impl Network {
     #[must_use]
     pub fn stats(&self) -> &ChannelStats {
         &self.stats
+    }
+
+    /// Adds the growth of the packet statistics since the last publish to
+    /// the `wsn.packets.*` and `wsn.backoffs` counters. The statistics are
+    /// the counts, so sending and resolving a frame never touches the
+    /// registry. A count that has not grown is not published, so a counter
+    /// still appears only after its first frame.
+    pub fn publish_counters(&mut self) {
+        let (now, was) = (&self.stats, &self.published);
+        for (key, now, was) in [
+            ("wsn.packets.sent", now.offered, was.offered),
+            ("wsn.packets.delivered", now.delivered, was.delivered),
+            ("wsn.packets.collided", now.collided, was.collided),
+            ("wsn.packets.dropped_busy", now.busy_drops, was.busy_drops),
+            ("wsn.packets.dropped_fading", now.faded, was.faded),
+            ("wsn.backoffs", now.backoffs, was.backoffs),
+        ] {
+            if now > was {
+                self.obs.counter_add(key, now - was);
+            }
+        }
+        self.published = self.stats;
     }
 
     /// Drains the per-frame failure reports accumulated since the last
@@ -354,7 +373,10 @@ impl Network {
         self.failures.save(w);
     }
 
-    /// Restores the dynamic state saved by [`Self::save_state`].
+    /// Restores the dynamic state saved by [`Self::save_state`]. The
+    /// restored statistics become the publish baseline, so
+    /// [`Network::publish_counters`] adds only what happens after the
+    /// restore.
     ///
     /// # Errors
     ///
@@ -364,6 +386,7 @@ impl Network {
         self.rng = Persist::load(r)?;
         self.in_flight = Persist::load(r)?;
         self.stats = Persist::load(r)?;
+        self.published = self.stats;
         self.failures = Persist::load(r)?;
         self.done_buf.clear();
         Ok(())
