@@ -2,7 +2,7 @@
 //! commands.
 //!
 //! Every resumable command (`trial`, `endurance`, `chaos`, `mpc
-//! simulate`, `bench throughput`) accepts the same flag family:
+//! simulate`) accepts the same flag family:
 //!
 //! * `--checkpoint-dir DIR` — where snapshots live (required by the rest)
 //! * `--checkpoint-every SECS` — simulated seconds between snapshots

@@ -9,7 +9,7 @@ use bz_core::scenario::{NetworkTrial, TRIAL_START_HOUR};
 use bz_core::session::Session;
 use bz_core::system::{BtMode, BubbleZeroSystem, SystemConfig};
 use bz_psychro::{Celsius, Ppm};
-use bz_simcore::{NoiseKernel, SimDuration, TraceRecorder};
+use bz_simcore::{SimDuration, TraceRecorder};
 use bz_thermal::comfort::{pmv, ppd, ComfortInputs};
 use bz_thermal::disturbance::DisturbanceSchedule;
 use bz_thermal::plant::PlantConfig;
@@ -61,10 +61,8 @@ COMMANDS:
     bench      wall-clock performance measurements
                  throughput  --minutes N (1920)  --seed S
                  --json-out PATH (BENCH_0009.json)  --baseline F
-                 --noise v1|v2 (pin the kernel)  --ab N (interleaved pairs)
                  --check --min-sim-per-wall F
-                 --checkpoint-dir DIR --checkpoint-every SECS
-                   (measure the checkpointing tax)
+                 (BZ_NOISE=v1|v2 picks the noise kernel)
     chaos      full-stack fault-injection run with a resilience report
                  --scenario PATH (bundled)  --minutes N  --seed S
                  --metrics-out PATH  [checkpoint flags]
@@ -761,8 +759,7 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
 /// bench so far is `throughput`, which runs the bundled trial scenario
 /// with telemetry off, reports sim-seconds per wall-second, and writes
 /// the `BENCH_*.json` record CI gates on (see docs/PERFORMANCE.md).
-/// `--noise` pins the kernel for a single run; `--ab N` instead measures
-/// N interleaved V1/V2 pass pairs and reports per-version medians.
+/// `BZ_NOISE` picks the noise kernel, as for every other command.
 fn bench(raw: Vec<String>) -> Result<String, ArgError> {
     let mut raw = raw;
     let which = if raw.first().is_some_and(|t| !t.starts_with("--")) {
@@ -770,7 +767,6 @@ fn bench(raw: Vec<String>) -> Result<String, ArgError> {
     } else {
         return Err(ArgError::new(
             "usage: bzctl bench throughput [--minutes N] [--seed S] \
-             [--noise v1|v2] [--ab PAIRS] \
              [--json-out PATH] [--baseline F] [--check --min-sim-per-wall F]",
         ));
     };
@@ -785,12 +781,8 @@ fn bench(raw: Vec<String>) -> Result<String, ArgError> {
         "seed",
         "json-out",
         "baseline",
-        "noise",
-        "ab",
         "check",
         "min-sim-per-wall",
-        "checkpoint-dir",
-        "checkpoint-every",
     ])?;
     let minutes: u64 = args.get_or("minutes", bz_bench::throughput::DEFAULT_SIM_MINUTES)?;
     if minutes == 0 {
@@ -800,81 +792,15 @@ fn bench(raw: Vec<String>) -> Result<String, ArgError> {
     let baseline: f64 = args.get_or("baseline", f64::NAN)?;
     let baseline = (!baseline.is_nan()).then_some(baseline);
     let json_out = args.get("json-out")?.unwrap_or("BENCH_0009.json");
-    let noise = match args.get("noise")? {
-        Some(name) => Some(NoiseKernel::parse(name).ok_or_else(|| {
-            ArgError::new(format!("unknown noise kernel '{name}' (expected: v1, v2)"))
-        })?),
-        None => None,
-    };
-    let ab_pairs: u64 = args.get_or("ab", 0)?;
     let check = args.flag("check");
     let floor: f64 = args.get_or("min-sim-per-wall", 0.0)?;
     if check && floor <= 0.0 {
         return Err(ArgError::new("--check needs --min-sim-per-wall FLOOR"));
     }
 
-    let opts = CheckpointOpts::from_args(&args)?;
-    if ab_pairs > 0 {
-        if opts.active() {
-            return Err(ArgError::new(
-                "--ab cannot be combined with checkpointing flags",
-            ));
-        }
-        if noise.is_some() {
-            return Err(ArgError::new("--ab measures both kernels; drop --noise"));
-        }
-        let report = bz_bench::throughput::measure_ab(minutes, seed, ab_pairs as usize);
-        let mut out = report.summary();
-        out += "\n";
-        if let Some(base) = baseline {
-            out += &format!(
-                "baseline {base:.0} sim-s/wall-s, v2 speedup {:.2}x\n",
-                report.sim_per_wall() / base,
-            );
-        }
-        std::fs::write(json_out, report.to_json(baseline))
-            .map_err(|e| ArgError::new(format!("cannot write {json_out}: {e}")))?;
-        out += &format!("bench record written to {json_out}\n");
-        if check && report.sim_per_wall() < floor {
-            return Err(ArgError::new(format!(
-                "throughput regression: {:.0} sim-s/wall-s is below the floor {floor:.0}",
-                report.sim_per_wall(),
-            )));
-        }
-        if check {
-            out += &format!(
-                "check passed: {:.0} >= floor {floor:.0}\n",
-                report.sim_per_wall()
-            );
-        }
-        return Ok(out);
-    }
-    let report = match (&opts.dir, opts.every_s) {
-        (Some(dir), Some(every_s)) => {
-            bz_bench::throughput::measure_trial_with_checkpoints(minutes, seed, every_s, dir)
-                .map_err(ArgError::new)?
-        }
-        (Some(_), None) => {
-            return Err(ArgError::new(
-                "bench --checkpoint-dir needs --checkpoint-every SECS",
-            ))
-        }
-        _ => match noise {
-            Some(noise) => bz_bench::throughput::measure_trial_with_noise(minutes, seed, noise),
-            None => bz_bench::throughput::measure_trial(minutes, seed),
-        },
-    };
+    let report = bz_bench::throughput::measure_trial(minutes, seed);
     let mut out = report.summary_line();
     out += "\n";
-    if let Some(noise) = noise {
-        out += &format!("(noise kernel pinned to {noise})\n");
-    }
-    if opts.active() {
-        out += &format!(
-            "(with a checkpoint every {} simulated seconds)\n",
-            opts.every_s.unwrap_or(0),
-        );
-    }
     if let Some(base) = baseline {
         out += &format!(
             "baseline {base:.0} sim-s/wall-s, speedup {:.2}x\n",
@@ -1465,55 +1391,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_throughput_pins_the_noise_kernel() {
-        let dir = std::env::temp_dir().join("bzctl-bench-noise");
-        std::fs::create_dir_all(&dir).unwrap();
-        let json = dir.join("BENCH_test.json");
-        let out = run_ok(
-            "bench",
-            &[
-                "throughput",
-                "--minutes",
-                "1",
-                "--noise",
-                "v1",
-                "--json-out",
-                json.to_str().unwrap(),
-            ],
-        );
-        assert!(out.contains("noise kernel pinned to v1"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_throughput_ab_reports_both_medians() {
-        let dir = std::env::temp_dir().join("bzctl-bench-ab");
-        std::fs::create_dir_all(&dir).unwrap();
-        let json = dir.join("BENCH_ab.json");
-        let out = run_ok(
-            "bench",
-            &[
-                "throughput",
-                "--minutes",
-                "1",
-                "--ab",
-                "1",
-                "--json-out",
-                json.to_str().unwrap(),
-                "--baseline",
-                "1",
-            ],
-        );
-        assert!(out.contains("v1 median:"));
-        assert!(out.contains("v2 median:"));
-        let record = std::fs::read_to_string(&json).unwrap();
-        assert!(record.contains("\"bench\": \"throughput-ab\""));
-        assert!(record.contains("\"v1_median_sim_per_wall\""));
-        assert!(record.contains("\"v2_median_sim_per_wall\""));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn bench_rejects_bad_inputs() {
         assert!(run("bench", vec![]).is_err());
         assert!(run("bench", vec!["frobnicate".into()]).is_err());
@@ -1523,35 +1400,15 @@ mod tests {
         )
         .is_err());
         assert!(run("bench", vec!["throughput".into(), "--check".into()]).is_err());
-        assert!(run(
-            "bench",
-            vec!["throughput".into(), "--noise".into(), "v3".into()]
-        )
-        .is_err());
-        assert!(run(
-            "bench",
-            vec![
-                "throughput".into(),
-                "--ab".into(),
-                "1".into(),
-                "--noise".into(),
-                "v1".into()
-            ]
-        )
-        .is_err());
-        assert!(run(
-            "bench",
-            vec![
-                "throughput".into(),
-                "--ab".into(),
-                "1".into(),
-                "--checkpoint-dir".into(),
-                "/tmp/x".into(),
-                "--checkpoint-every".into(),
-                "60".into()
-            ]
-        )
-        .is_err());
+        for (flag, value) in [
+            ("--ab", "1"),
+            ("--noise", "v1"),
+            ("--checkpoint-dir", "d"),
+            ("--checkpoint-every", "60"),
+        ] {
+            let err = run_err("bench", &["throughput", flag, value]);
+            assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+        }
     }
 
     #[test]
@@ -1724,11 +1581,6 @@ mod tests {
             &["--compare", "--checkpoint-dir", "/tmp/x", "--minutes", "3"],
         );
         assert!(err.contains("--compare"), "{err}");
-        let err = run_err(
-            "bench",
-            &["throughput", "--minutes", "1", "--checkpoint-dir", "/tmp/x"],
-        );
-        assert!(err.contains("--checkpoint-every"), "{err}");
         assert!(run_err("checkpoint", &[]).contains("usage"));
         assert!(run_err("checkpoint", &["frobnicate"]).contains("usage"));
     }

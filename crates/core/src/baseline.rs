@@ -7,7 +7,7 @@
 //! same number is *computed* by running an all-air system against the
 //! same laboratory physics and chiller model as BubbleZERO.
 
-use bz_psychro::{dry_air_density, moist_air_enthalpy, Celsius, KgPerKg, Seconds, Watts};
+use bz_psychro::{dry_air_density, moist_air_enthalpy, Celsius, KgPerKg};
 use bz_simcore::{Rng, SimDuration, SimTime};
 use bz_thermal::chiller::{ChillerConfig, TankChiller};
 use bz_thermal::hydronics::Tank;
@@ -239,13 +239,6 @@ impl AirConSystem {
     pub fn measured_cop(&self) -> Option<f64> {
         let electrical = self.chiller.electrical_energy().get();
         (electrical > 0.0).then(|| self.removed_energy_j / electrical)
-    }
-
-    /// Mean electrical power of the chiller over the window, W.
-    #[must_use]
-    pub fn mean_chiller_power(&self) -> Watts {
-        let elapsed = Seconds::new(self.now.since(self.metered_since).as_secs_f64().max(1.0));
-        Watts::new(self.chiller.electrical_energy().get() / elapsed.get())
     }
 }
 

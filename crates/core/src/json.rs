@@ -373,6 +373,56 @@ mod tests {
         assert!(name.starts_with("éé") && name.ends_with("é\n"));
     }
 
+    /// Pieces the token-soup property strings together: structure,
+    /// escapes, literals, numbers and multi-byte characters.
+    const PIECES: [&str; 24] = [
+        "{", "}", "[", "]", "\"", "\\", ":", ",", " ", "\n", "\"k\"", "1", "-", ".", "e", "true",
+        "nul", "\\u", "00e9", "\\ud800", "é", "€", "\u{7f}", "0",
+    ];
+
+    /// A valid document ending in `}`, so every strict prefix is
+    /// incomplete.
+    const DOC: &str = r#"{"name": "b-é€\u00e9\n", "n": -2.5e1, "on": [true, false, null],
+        "grid": {"k": [1, 2, {"deep": [[]]}]}}"#;
+
+    proptest::proptest! {
+        #[test]
+        fn json_parser_survives_token_soup(
+            picks in proptest::collection::vec(0usize..PIECES.len(), 0..48),
+        ) {
+            let text: String = picks.iter().map(|&i| PIECES[i]).collect();
+            for (cut, _) in text.char_indices() {
+                let _ = Json::parse(&text[..cut]);
+            }
+            let _ = Json::parse(&text);
+        }
+
+        #[test]
+        fn json_parser_refuses_every_truncation(cut in 0usize..DOC.len()) {
+            proptest::prop_assume!(DOC.is_char_boundary(cut));
+            proptest::prop_assert!(Json::parse(DOC).is_ok());
+            proptest::prop_assert!(Json::parse(&DOC[..cut]).is_err(), "accepted {:?}", &DOC[..cut]);
+        }
+
+        #[test]
+        fn json_parser_survives_bit_flips(at in 0usize..DOC.len(), bit in 0u8..8) {
+            let mut bytes = DOC.as_bytes().to_vec();
+            bytes[at] ^= 1 << bit;
+            let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn json_parser_bounds_any_mix_of_nesting(
+            kinds in proptest::collection::vec(0u8..2, 0..MAX_DEPTH * 2),
+        ) {
+            let open: String = kinds.iter().map(|&k| if k == 0 { "[" } else { "{\"k\":" }).collect();
+            let close: String = kinds.iter().rev().map(|&k| if k == 0 { "]" } else { "}" }).collect();
+            let parsed = Json::parse(&format!("{open}0{close}"));
+            proptest::prop_assert_eq!(parsed.is_ok(), kinds.len() <= MAX_DEPTH, "depth {}", kinds.len());
+            proptest::prop_assert!(Json::parse(&open).is_err());
+        }
+    }
+
     #[test]
     fn json_errors_carry_line_and_column() {
         // The stray token sits on line 3, column 10.

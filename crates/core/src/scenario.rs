@@ -301,28 +301,14 @@ impl NetworkTrialOutcome {
             .collect()
     }
 
-    /// Detection delay of each scripted event on stream `stream`: seconds
-    /// from the event start to the first transition-classified decision.
-    /// Events with no detection within `horizon` are reported as `None`.
-    #[must_use]
-    pub fn detection_delays_s(&self, stream: usize, horizon: SimDuration) -> Vec<Option<f64>> {
-        self.detection_delays_for(&self.events, stream, horizon)
-    }
-
-    /// Detection delays for the door events only (the Fig. 14 setup:
-    /// subspace 1's device watching the door in its own subspace).
+    /// Detection delay of each door event (the Fig. 14 setup: subspace
+    /// 1's device watching the door in its own subspace) on stream
+    /// `stream`: seconds from the event start to the first
+    /// transition-classified decision. Events with no detection within
+    /// `horizon` are reported as `None`.
     #[must_use]
     pub fn door_detection_delays_s(&self, stream: usize, horizon: SimDuration) -> Vec<Option<f64>> {
-        self.detection_delays_for(&self.door_events, stream, horizon)
-    }
-
-    fn detection_delays_for(
-        &self,
-        events: &[SimTime],
-        stream: usize,
-        horizon: SimDuration,
-    ) -> Vec<Option<f64>> {
-        events
+        self.door_events
             .iter()
             .map(|&event| {
                 self.decisions

@@ -1272,6 +1272,19 @@ impl BubbleZeroSystem {
             stream.next_fire = Persist::load(r)?;
         }
         self.events.load_state(r)?;
+        let (n_bt, n_ac) = (self.bt_streams.len(), self.ac_streams.len());
+        if let Some(event) = self.events.iter().find(|event| match event {
+            SystemEvent::BtSample(i) => *i >= n_bt,
+            SystemEvent::AcFire(i) => *i >= n_ac,
+        }) {
+            return Err(bz_state::StateError::Invalid {
+                what: "BubbleZeroSystem",
+                reason: format!(
+                    "queued {event:?} names a stream past this configuration's \
+                     {n_bt} battery and {n_ac} AC streams"
+                ),
+            });
+        }
         self.commands = Persist::load(r)?;
         self.last_radiant = Persist::load(r)?;
         self.last_ventilation = Persist::load(r)?;
@@ -1488,6 +1501,27 @@ mod tests {
             (tx_adaptive as f64) < tx_fixed as f64 * 0.75,
             "adaptive {tx_adaptive} vs fixed {tx_fixed}"
         );
+    }
+
+    #[test]
+    fn restore_rejects_queued_events_past_the_stream_tables() {
+        for event in [SystemEvent::BtSample(9999), SystemEvent::AcFire(9999)] {
+            let mut source = quick_system();
+            source.run_seconds(1);
+            source
+                .events
+                .schedule(source.now() + SimDuration::from_secs(1), event);
+            let mut w = bz_state::Writer::new();
+            source.save_state(&mut w);
+            let mut restored = quick_system();
+            let loaded = restored.load_state(&mut bz_state::Reader::new(w.as_bytes()));
+            if loaded.is_ok() {
+                // The next step indexes the stream tables with the event.
+                restored.run_seconds(2);
+            }
+            let err = loaded.unwrap_err().to_string();
+            assert!(err.contains("past this configuration"), "{err}");
+        }
     }
 
     #[test]

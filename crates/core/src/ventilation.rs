@@ -193,12 +193,6 @@ impl VentilationController {
         &self.coil_pid
     }
 
-    /// The most recent outlet reading ingested (diagnostics).
-    #[must_use]
-    pub fn last_outlet_reading(&self) -> Option<(f64, Celsius, Percent)> {
-        self.outlet
-    }
-
     fn fresh<T: Copy>(&self, entry: Option<(f64, T)>, now_s: f64) -> Option<T> {
         entry
             .filter(|(at, _)| now_s - at <= self.config.max_staleness_s)

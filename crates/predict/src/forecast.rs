@@ -169,10 +169,27 @@ impl OccupancyForecaster {
     ///
     /// # Errors
     ///
-    /// Returns a decode error if the bytes do not parse.
+    /// Returns a decode error if the bytes do not parse, or
+    /// [`bz_state::StateError::Invalid`] for a profile whose bins, or
+    /// whose current bin, do not fit this configuration's bin count.
     pub fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
         use bz_state::Persist;
-        self.profiles = Persist::load(r)?;
+        let profiles: [Profile; 4] = Persist::load(r)?;
+        let bins = self.config.bins();
+        if let Some(p) = profiles
+            .iter()
+            .find(|p| p.bins.len() != bins || p.current_bin.is_some_and(|b| b >= bins))
+        {
+            return Err(bz_state::StateError::Invalid {
+                what: "OccupancyForecaster",
+                reason: format!(
+                    "a profile of {} bins at bin {:?} does not fit {bins} bins",
+                    p.bins.len(),
+                    p.current_bin
+                ),
+            });
+        }
+        self.profiles = profiles;
         Ok(())
     }
 }
@@ -209,6 +226,23 @@ mod tests {
                 forecaster.observe(s, t, if occupied { 2 } else { 0 });
             }
         }
+    }
+
+    #[test]
+    fn restore_rejects_bins_past_the_configured_profile() {
+        let mut source = OccupancyForecaster::new(office_config());
+        feed(&mut source, 1);
+        source.profiles[2].current_bin = Some(999);
+        let mut w = bz_state::Writer::new();
+        source.save_state(&mut w);
+        let mut restored = OccupancyForecaster::new(office_config());
+        let loaded = restored.load_state(&mut bz_state::Reader::new(w.as_bytes()));
+        if loaded.is_ok() {
+            // Entering a new bin commits the current one by index.
+            restored.observe(2, 0.0, 1);
+        }
+        let err = loaded.unwrap_err().to_string();
+        assert!(err.contains("Some(999) does not fit 4 bins"), "{err}");
     }
 
     #[test]

@@ -532,6 +532,17 @@ impl ControlStrategy for MpcStrategy {
         self.forecaster.load_state(r)?;
         self.identifiers = Persist::load(r)?;
         self.plan = Persist::load(r)?;
+        if self.plan.fan_cap.len() != self.plan.radiant_scale.len() {
+            // Both tables are indexed by the step the radiant table picks.
+            return Err(bz_state::StateError::Invalid {
+                what: "MpcStrategy plan",
+                reason: format!(
+                    "{} fan caps for {} radiant steps",
+                    self.plan.fan_cap.len(),
+                    self.plan.radiant_scale.len()
+                ),
+            });
+        }
         self.next_replan_s = r.take_f64()?;
         self.sensed_room = Persist::load(r)?;
         self.sensed_co2 = Persist::load(r)?;
@@ -593,6 +604,27 @@ mod tests {
                 .all(|e| !format!("{e:?}").contains("mpc.")),
             "horizon 0 must record nothing"
         );
+    }
+
+    #[test]
+    fn restore_rejects_a_plan_whose_tables_differ_in_length() {
+        let mut source = harness(MpcConfig::office());
+        source.plan = Plan {
+            start_s: 0.0,
+            step_s: 120.0,
+            radiant_scale: vec![[1.0; 2]; 3],
+            fan_cap: vec![[FanLevel::L4; 4]; 1],
+        };
+        let mut w = bz_state::Writer::new();
+        source.save_state(&mut w);
+        let mut restored = harness(MpcConfig::office());
+        let loaded = restored.load_state(&mut bz_state::Reader::new(w.as_bytes()));
+        if loaded.is_ok() {
+            // The fan cap is looked up at the step the radiant table picks.
+            let _ = restored.decide_ventilation(0, 300.0, 5.0);
+        }
+        let err = loaded.unwrap_err().to_string();
+        assert!(err.contains("1 fan caps for 3 radiant steps"), "{err}");
     }
 
     #[test]

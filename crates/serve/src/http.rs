@@ -392,6 +392,57 @@ pub(crate) mod tests {
         assert!(parse("POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nbody").is_err());
     }
 
+    /// Pieces the token-soup property strings together, `|`-separated.
+    const PIECES: &str = "GET|POST| |/tenants/t-1|?|&|=|HTTP/1.1|HTTP/1.0|\r\n|\n|\r|:|\
+                          Content-Length|Connection: close|7|-1|18446744073709551616";
+
+    /// A well-formed request with a body: every strict prefix of it is
+    /// an incomplete request.
+    const REQUEST: &[u8] =
+        b"POST /tenants/t-1/restore?x=1 HTTP/1.1\r\nHost: a\r\nContent-Length: 5\r\n\r\nBZCK!";
+
+    fn read(bytes: &[u8]) -> io::Result<Option<Request>> {
+        read_request(&mut &bytes[..])
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn token_soup_never_panics(picks in proptest::collection::vec(0usize..274, 0..40)) {
+            // Indices past the pieces stand for one raw byte each.
+            let pieces: Vec<&str> = PIECES.split('|').collect();
+            let bytes: Vec<u8> = picks
+                .iter()
+                .flat_map(|&i| match pieces.get(i) {
+                    Some(piece) => piece.as_bytes().to_vec(),
+                    None => vec![(i - pieces.len()) as u8],
+                })
+                .collect();
+            let mut reader = &bytes[..];
+            // A keep-alive connection reads requests until an error or EOF.
+            while let Ok(Some(_)) = read_request(&mut reader) {}
+        }
+
+        #[test]
+        fn every_truncation_is_refused(cut in 0usize..REQUEST.len()) {
+            proptest::prop_assert!(read(REQUEST).unwrap().is_some());
+            match read(&REQUEST[..cut]) {
+                Ok(None) => proptest::prop_assert_eq!(cut, 0),
+                Ok(Some(request)) => proptest::prop_assert!(false, "accepted a cut request: {request:?}"),
+                Err(_) => {}
+            }
+        }
+
+        #[test]
+        fn bit_flips_never_panic_or_misframe(at in 0usize..REQUEST.len(), bit in 0u8..8) {
+            let mut bytes = REQUEST.to_vec();
+            bytes[at] ^= 1 << bit;
+            if let Ok(Some(request)) = read(&bytes) {
+                let declared = request.header("content-length").map_or(Ok(0), str::parse);
+                proptest::prop_assert_eq!(declared, Ok(request.body.len()));
+            }
+        }
+    }
+
     #[test]
     fn response_round_trips_through_the_parser_shape() {
         let mut wire = Vec::new();

@@ -207,7 +207,8 @@ impl Tenant {
     /// # Errors
     ///
     /// Returns a message (and implied 409) for identity mismatches and
-    /// undecodable payloads.
+    /// undecodable payloads; a refused restore leaves the tenant as it
+    /// was.
     pub fn restore(&self, checkpoint: &bz_state::Checkpoint) -> Result<u64, String> {
         self.id.check(&checkpoint.meta).map_err(|why| match why {
             Mismatch::Kind(stored, _) => format!(
@@ -221,9 +222,16 @@ impl Tenant {
             ),
         })?;
         self.with_session(|s| {
-            let mut r = bz_state::Reader::new(&checkpoint.payload);
-            s.load_state(&mut r)
-                .map_err(|e| format!("snapshot failed to restore: {e}"))?;
+            // A payload can pass the CRC and identity checks and still
+            // fail to decode partway, after loading over part of the live
+            // state. Keep a save to put the tenant back as it was.
+            let mut live = bz_state::Writer::new();
+            s.save_state(&mut live);
+            if let Err(e) = s.load_state(&mut bz_state::Reader::new(&checkpoint.payload)) {
+                s.load_state(&mut bz_state::Reader::new(live.as_bytes()))
+                    .expect("a session reloads its own save");
+                return Err(format!("snapshot failed to restore: {e}"));
+            }
             Ok(s.now_ms())
         })
     }
@@ -602,6 +610,27 @@ mod tests {
         foreign.meta.kind = "trial".to_owned();
         let err = source.restore(&foreign).unwrap_err();
         assert!(err.contains("not the serve layer"), "{err}");
+    }
+
+    #[test]
+    fn a_refused_restore_leaves_the_tenant_unchanged() {
+        let tenant = trial_tenant("t", 9, 6);
+        tenant.step_minutes(2);
+        let mut torn = tenant.snapshot();
+        tenant.step_minutes(2);
+        let twin = trial_tenant("t", 9, 6);
+        twin.step_minutes(4);
+
+        // Cut the payload in half and re-seal it, so the CRC still holds
+        // and only the decoder can refuse it.
+        torn.payload.truncate(torn.payload.len() / 2);
+        let torn = bz_state::Checkpoint::from_wire_bytes(&torn.to_wire_bytes()).unwrap();
+        let err = tenant.restore(&torn).unwrap_err();
+        assert!(err.contains("failed to restore"), "{err}");
+        assert_eq!(tenant.progress(), (240_000, false));
+        tenant.step_minutes(1);
+        twin.step_minutes(1);
+        assert_eq!(tenant.metrics_jsonl(), twin.metrics_jsonl());
     }
 
     #[test]

@@ -172,6 +172,11 @@ impl<E> EventQueue<E> {
         self.entries.is_empty()
     }
 
+    /// The pending events, in storage order rather than firing order.
+    pub fn iter(&self) -> impl Iterator<Item = &E> {
+        self.entries.iter().map(|entry| &entry.event)
+    }
+
     /// Drops all pending events.
     pub fn clear(&mut self) {
         self.entries.clear();

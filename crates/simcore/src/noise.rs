@@ -63,16 +63,15 @@ impl NoiseKernel {
     #[must_use]
     pub fn from_env() -> Self {
         match std::env::var("BZ_NOISE") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "v1" | "1" => Self::V1,
-                "v2" | "2" | "" => Self::V2,
-                other => panic!("BZ_NOISE must be v1 or v2, got '{other}'"),
-            },
+            Ok(v) if v.trim().is_empty() => Self::V2,
+            Ok(v) => Self::parse(&v)
+                .unwrap_or_else(|| panic!("BZ_NOISE must be v1 or v2, got '{}'", v.trim())),
             Err(_) => Self::V2,
         }
     }
 
-    /// Parses a kernel name as used by `BZ_NOISE` and `--noise`.
+    /// Parses a kernel name as `BZ_NOISE` spells it (`v1`/`1` or
+    /// `v2`/`2`, any case).
     #[must_use]
     pub fn parse(name: &str) -> Option<Self> {
         match name.trim().to_ascii_lowercase().as_str() {

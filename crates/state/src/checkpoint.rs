@@ -421,6 +421,53 @@ mod tests {
         }
     }
 
+    fn sealed(payload_len: usize, label: &str) -> Vec<u8> {
+        Checkpoint {
+            meta: CheckpointMeta {
+                label: label.to_owned(),
+                ..sample().meta
+            },
+            payload: (0..payload_len).map(|i| i as u8).collect(),
+        }
+        .to_wire_bytes()
+    }
+
+    proptest::proptest! {
+        /// The magic and version, then declared lengths (some near
+        /// `u64::MAX`) and arbitrary bytes: refused, never a panic.
+        #[test]
+        fn any_bytes_behind_the_magic_are_refused(
+            meta_len in 0u64..64,
+            near_max in 0u64..3,
+            tail in proptest::collection::vec(0u16..256, 0..96),
+        ) {
+            let declared = if near_max == 0 { meta_len } else { u64::MAX - meta_len };
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+            bytes.extend_from_slice(&declared.to_le_bytes());
+            bytes.extend(tail.iter().map(|&b| b as u8));
+            proptest::prop_assert!(Checkpoint::from_wire_bytes(&bytes).is_err());
+            let cut = bytes.len() / 2;
+            proptest::prop_assert!(Checkpoint::from_wire_bytes(&bytes[..cut]).is_err());
+        }
+
+        #[test]
+        fn every_truncation_is_refused(payload_len in 0usize..300, cut in 0usize..400) {
+            let bytes = sealed(payload_len, "serve trial-s0007 noise=v2");
+            let cut = cut % bytes.len();
+            let err = Checkpoint::from_wire_bytes(&bytes[..cut]).unwrap_err();
+            proptest::prop_assert!(matches!(err, CheckpointError::Truncated { .. }), "{err}");
+        }
+
+        #[test]
+        fn every_bit_flip_is_refused(payload_len in 0usize..300, at in 0usize..400, bit in 0u8..8) {
+            let mut bytes = sealed(payload_len, "é€");
+            let at = at % bytes.len();
+            bytes[at] ^= 1 << bit;
+            proptest::prop_assert!(Checkpoint::from_wire_bytes(&bytes).is_err(), "flip at {at}");
+        }
+    }
+
     #[test]
     fn version_bump_is_a_clear_error() {
         let mut bytes = sample().encode();

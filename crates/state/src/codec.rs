@@ -627,6 +627,52 @@ mod tests {
         assert!(matches!(err, StateError::Invalid { .. }), "{err}");
     }
 
+    proptest::proptest! {
+        /// Values of random kinds, then stray bytes, read back by a random
+        /// walk of takes: each take returns `Ok` or `Err`, never panics,
+        /// and the reader never passes the end.
+        #[test]
+        fn any_walk_over_any_bytes_returns_errors_not_panics(
+            written in proptest::collection::vec((0u8..6, 0u64..48), 0..24),
+            stray in proptest::collection::vec(0u16..256, 0..16),
+            takes in proptest::collection::vec(0u8..14, 1..32),
+        ) {
+            let mut w = Writer::new();
+            for (kind, v) in written {
+                match kind {
+                    0 => w.put_u8(v as u8),
+                    1 => w.put_u64(v),
+                    2 => w.put_len(v as usize),
+                    3 => w.put_str(&"é".repeat(v as usize % 5)),
+                    4 => w.put_u8((v % 3) as u8),
+                    _ => w.put_f64(v as f64),
+                }
+            }
+            let mut bytes = w.into_bytes();
+            bytes.extend(stray.iter().map(|&b| b as u8));
+            let mut r = Reader::new(&bytes);
+            for take in takes {
+                let _ = match take {
+                    0 => r.take_u8().map(drop),
+                    1 => r.take_u16().map(drop),
+                    2 => r.take_u32().map(drop),
+                    3 => r.take_u64().map(drop),
+                    4 => r.take_len().map(drop),
+                    5 => r.take_bool().map(drop),
+                    6 => r.take_str().map(drop),
+                    7 => r.take_bytes().map(drop),
+                    8 => r.take::<usize>().map(drop),
+                    9 => r.take::<Vec<Option<u8>>>().map(drop),
+                    10 => r.take::<VecDeque<String>>().map(drop),
+                    11 => r.take::<BTreeMap<u8, bool>>().map(drop),
+                    12 => r.take::<[u16; 3]>().map(drop),
+                    _ => r.take::<(u128, i64)>().map(drop),
+                };
+                proptest::prop_assert!(r.position() <= bytes.len());
+            }
+        }
+    }
+
     #[test]
     fn bad_tags_are_descriptive() {
         let err = Option::<u8>::load(&mut Reader::new(&[9])).unwrap_err();

@@ -85,13 +85,6 @@ impl OccupancySchedule {
         Self::default()
     }
 
-    /// Overrides the physiological rates.
-    #[must_use]
-    pub fn with_rates(mut self, rates: OccupantRates) -> Self {
-        self.rates = rates;
-        self
-    }
-
     /// The physiological rates in use.
     #[must_use]
     pub fn rates(&self) -> OccupantRates {

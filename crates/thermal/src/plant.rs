@@ -742,18 +742,6 @@ impl ThermalPlant {
         self.loops[panel].mixed_flow_m3s
     }
 
-    /// True outlet air state of an airbox after the last step.
-    #[must_use]
-    pub fn airbox_outlet_state(&self, airbox: usize) -> AirState {
-        self.outlet_states[airbox]
-    }
-
-    /// True coil water flow of an airbox after the last step, m³/s.
-    #[must_use]
-    pub fn airbox_coil_flow(&self, airbox: usize) -> f64 {
-        self.coil_flows[airbox]
-    }
-
     /// The exogenous inputs applied to each zone on the most recent step
     /// (diagnostics).
     #[must_use]
@@ -1056,16 +1044,6 @@ impl ThermalPlant {
         self.instruments.flow[panel * 3].read(self.loops[panel].mixed_flow_m3s)
     }
 
-    /// VISION-2000 reading of the supply (tank-side) flow, m³/s.
-    pub fn read_supply_flow(&mut self, panel: usize) -> f64 {
-        self.instruments.flow[panel * 3 + 1].read(self.loops[panel].supply_flow_m3s)
-    }
-
-    /// VISION-2000 reading of the recycle flow, m³/s.
-    pub fn read_recycle_flow(&mut self, panel: usize) -> f64 {
-        self.instruments.flow[panel * 3 + 2].read(self.loops[panel].recycle_flow_m3s)
-    }
-
     /// SHT75 reading at an airbox outlet: (temperature, RH).
     pub fn read_airbox_outlet(&mut self, airbox: usize) -> (Celsius, Percent) {
         let state = self.outlet_states[airbox];
@@ -1092,13 +1070,6 @@ impl ThermalPlant {
         let truth = self.zones[id.index()].state().co2;
         let clean = self.instruments.co2[id.index()].read(truth);
         Ppm::new(self.faulted(SensorTarget::Co2(id.index()), 0, clean.get()))
-    }
-
-    /// The coil pump model for an airbox (controllers need the
-    /// voltage↔flow curve to compute commands).
-    #[must_use]
-    pub fn coil_pump(&self, airbox: usize) -> &Pump {
-        &self.coil_pumps[airbox]
     }
 
     /// The radiant loop pump model (supply and recycle pumps are
@@ -1213,7 +1184,17 @@ impl ThermalPlant {
         self.airboxes = Persist::load(r)?;
         self.outlet_states = Persist::load(r)?;
         self.coil_flows = Persist::load(r)?;
+        let sensors = (self.instruments.ceiling.len(), self.instruments.flow.len());
         self.instruments = Persist::load(r)?;
+        let restored = (self.instruments.ceiling.len(), self.instruments.flow.len());
+        if restored != sensors {
+            return Err(bz_state::StateError::Invalid {
+                what: "ThermalPlant",
+                reason: format!(
+                    "checkpoint has {restored:?} ceiling and flow sensors, this plant has {sensors:?}"
+                ),
+            });
+        }
         self.telemetry = Persist::load(r)?;
         self.meters = Persist::load(r)?;
         self.last_zone_inputs = Persist::load(r)?;
@@ -1231,6 +1212,22 @@ mod tests {
 
     fn lab() -> ThermalPlant {
         ThermalPlant::new(PlantConfig::bubble_zero_lab())
+    }
+
+    #[test]
+    fn restore_rejects_sensor_tables_of_another_shape() {
+        let mut source = lab();
+        source.instruments.ceiling.truncate(3);
+        let mut w = bz_state::Writer::new();
+        source.save_state(&mut w);
+        let mut restored = lab();
+        let loaded = restored.load_state(&mut bz_state::Reader::new(w.as_bytes()));
+        if loaded.is_ok() {
+            // Sensor reads index the tables by panel and position.
+            restored.read_ceiling_sensor(1, 5);
+        }
+        let err = loaded.unwrap_err().to_string();
+        assert!(err.contains("this plant has (12, 6)"), "{err}");
     }
 
     /// The fast paths (batched zone stepping, single-channel sensor

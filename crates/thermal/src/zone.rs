@@ -356,13 +356,6 @@ impl Zone {
         };
     }
 
-    /// Sensible heat the zone air would release if cooled by `delta`
-    /// Kelvin — used by tests and the baseline sizing code.
-    #[must_use]
-    pub fn sensible_capacity(&self, delta: f64) -> f64 {
-        self.params.heat_capacity(self.state.temperature) * delta
-    }
-
     /// Latent heat associated with condensing the zone down to
     /// `target_ratio`, J (zero if already drier).
     #[must_use]

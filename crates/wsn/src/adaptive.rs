@@ -63,14 +63,6 @@ impl AdaptiveConfig {
             counter_reset_period: SimDuration::from_hours(7 * 24),
         }
     }
-
-    /// Same configuration with a different histogram size (the Fig. 12
-    /// parameter sweep).
-    #[must_use]
-    pub fn with_histogram_slots(mut self, n: usize) -> Self {
-        self.histogram_slots = n;
-        self
-    }
 }
 
 /// What happened when a sample was processed.

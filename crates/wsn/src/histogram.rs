@@ -378,17 +378,60 @@ impl ExactClusterer {
 // --- Checkpoint support --------------------------------------------------
 
 bz_state::persist_unit_enum!(Stability { Stable, Transition });
-bz_state::persist_struct!(VarianceHistogram {
-    n_slots,
-    var_min,
-    var_max,
-    counts,
-    observed,
-});
+impl bz_state::Persist for VarianceHistogram {
+    fn save(&self, w: &mut bz_state::Writer) {
+        w.put(&self.n_slots);
+        w.put(&self.var_min);
+        w.put(&self.var_max);
+        w.put(&self.counts);
+        w.put(&self.observed);
+    }
+
+    /// Refuses a histogram whose counters do not match its slot count:
+    /// the next observation would index past them.
+    fn load(r: &mut bz_state::Reader<'_>) -> Result<Self, bz_state::StateError> {
+        let histogram = Self {
+            n_slots: r.take()?,
+            var_min: r.take()?,
+            var_max: r.take()?,
+            counts: r.take()?,
+            observed: r.take()?,
+        };
+        if histogram.n_slots < 2 || histogram.counts.len() != histogram.n_slots {
+            return Err(bz_state::StateError::Invalid {
+                what: "VarianceHistogram",
+                reason: format!(
+                    "{} counters for {} slots",
+                    histogram.counts.len(),
+                    histogram.n_slots
+                ),
+            });
+        }
+        Ok(histogram)
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bz_state::Persist;
+
+    #[test]
+    fn restore_rejects_counters_that_do_not_match_the_slots() {
+        let mut histogram = VarianceHistogram::new(40);
+        histogram.observe(0.0);
+        histogram.observe(1.0);
+        histogram.counts.truncate(3);
+        let mut w = bz_state::Writer::new();
+        histogram.save(&mut w);
+        let loaded = VarianceHistogram::load(&mut bz_state::Reader::new(w.as_bytes()));
+        if let Ok(restored) = &loaded {
+            // The next observation indexes the counters by slot.
+            restored.clone().observe(0.9);
+        }
+        let err = loaded.unwrap_err().to_string();
+        assert!(err.contains("3 counters for 40 slots"), "{err}");
+    }
 
     /// A bimodal variance stream like a real sensor produces: a dense
     /// cluster of tiny stable-state variances and a sparse cluster of

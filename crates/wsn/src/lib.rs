@@ -41,7 +41,6 @@
 
 pub mod ac_schedule;
 pub mod adaptive;
-pub mod aggregate;
 pub mod channel;
 pub mod energy;
 pub mod faults;
@@ -51,4 +50,3 @@ pub mod multihop;
 pub mod platform;
 pub mod retry;
 pub mod sniffer;
-pub mod timesync;

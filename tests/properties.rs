@@ -296,36 +296,6 @@ proptest! {
         }
     }
 
-    // ---------------- time synchronization ---------------------------------
-
-    #[test]
-    fn sync_error_bounded_by_half_asymmetry(
-        drift_ppm in -40.0..40.0f64,
-        offset_s in -1.0..1.0f64,
-        out_ms in 1u64..50,
-        back_ms in 1u64..50,
-        at_mins in 1u64..600,
-    ) {
-        use bubblezero::simcore::{SimDuration, SimTime};
-        use bubblezero::wsn::timesync::{two_way_exchange, DriftingClock};
-        let clock = DriftingClock::new(drift_ppm, offset_s);
-        let now = SimTime::from_mins(at_mins);
-        let exchange = two_way_exchange(
-            &clock,
-            now,
-            SimDuration::from_millis(out_ms),
-            SimDuration::from_millis(back_ms),
-        );
-        let truth = clock.error_s(now + SimDuration::from_millis(out_ms));
-        let asymmetry_s = (out_ms as f64 - back_ms as f64).abs() / 1_000.0;
-        prop_assert!(
-            (exchange.estimated_offset_s - truth).abs() <= asymmetry_s / 2.0 + 1e-6,
-            "estimate error {} beyond half-asymmetry bound {}",
-            (exchange.estimated_offset_s - truth).abs(),
-            asymmetry_s / 2.0
-        );
-    }
-
     // ---------------- thermal comfort ---------------------------------------
 
     #[test]
@@ -355,43 +325,6 @@ proptest! {
             Percent::new(rh),
         ));
         prop_assert!(warm > cool, "PMV fell from {cool} to {warm}");
-    }
-
-    // ---------------- aggregation ------------------------------------------
-
-    #[test]
-    fn aggregator_conserves_every_sample(
-        offsets in prop::collection::vec(0u64..600, 1..120),
-        budget_s in 1u64..30,
-    ) {
-        use bubblezero::simcore::{SimDuration, SimTime};
-        use bubblezero::wsn::aggregate::Aggregator;
-        use bubblezero::wsn::message::{DataType, Message, NodeId};
-        let mut sorted = offsets.clone();
-        sorted.sort_unstable();
-        let mut aggregator = Aggregator::new(SimDuration::from_secs(budget_s));
-        let mut delivered = 0usize;
-        for (i, &at_s) in sorted.iter().enumerate() {
-            let sample = Message::on_channel(
-                NodeId::new((i % 8) as u16),
-                DataType::Temperature,
-                i as u16,
-                25.0,
-                SimTime::from_secs(at_s),
-            );
-            let now = sample.created_at();
-            if let Some(frame) = aggregator.offer(sample) {
-                delivered += frame.samples.len();
-            }
-            if let Some(frame) = aggregator.poll(now) {
-                delivered += frame.samples.len();
-            }
-        }
-        if let Some(frame) = aggregator.flush(SimTime::from_secs(10_000)) {
-            delivered += frame.samples.len();
-        }
-        prop_assert_eq!(delivered, sorted.len(), "samples lost or duplicated");
-        prop_assert_eq!(aggregator.pending(), 0);
     }
 
     // ---------------- fault schedules ---------------------------------------
