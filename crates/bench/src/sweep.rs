@@ -11,6 +11,13 @@
 //! index, and every report function sorts by index before rendering, so
 //! job completion order cannot leak into the output.
 //!
+//! A sweep crashes and resumes like every other resumable run: given a
+//! checkpoint root, [`execute_resumable`] keeps each run's snapshots in
+//! its own `run-NNN/` directory under the shared [`bz_core::checkpoint`]
+//! policy (cadence, `--resume`, `--crash-at`) and takes its last snapshot
+//! at the run's end, so resuming a finished run steps nothing. A resumed
+//! run's result is byte-identical to an uninterrupted run's.
+//!
 //! ```
 //! use bz_bench::sweep::{Scenario, SweepSpec};
 //!
@@ -25,11 +32,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use bz_core::checkpoint::{Checkpointer, CheckpointerError, RunIdentity};
+use bz_core::checkpoint::{Checkpointer, CheckpointerError, Policy, RunIdentity};
 use bz_core::system::{BtMode, BubbleZeroSystem, SystemConfig};
 use bz_predict::strategy::{MpcConfig, MpcStrategy};
 use bz_simcore::{NoiseKernel, Rng, SimDuration, SimTime};
@@ -415,202 +422,47 @@ pub fn build_system(spec: &RunSpec, obs: bz_obs::Handle) -> Result<BubbleZeroSys
 ///
 /// Returns a message for invalid grid parameters.
 pub fn run_one(spec: &RunSpec) -> Result<RunResult, String> {
-    run_one_tracked(spec, None, 0, &[]).map(|(result, _)| result)
+    run_resumable(spec, None).map(|(result, _)| result)
 }
 
-/// Per-run crash-safety configuration for a sweep (see [`ExecutePlan`]).
-#[derive(Debug, Clone)]
-pub struct SweepCheckpoints {
-    /// Root directory; each run gets a `run-NNN/` subdirectory of
-    /// checkpoints plus a `done.bzck` completion record.
-    pub root: PathBuf,
-    /// Simulated seconds between mid-run checkpoints.
-    pub every_s: u64,
-    /// Reuse prior state: completed runs are served from their
-    /// `done.bzck` record without re-executing, interrupted runs resume
-    /// from their newest good mid-run checkpoint. When false the
-    /// directory is write-only (a later `--resume` can still use it).
-    pub resume: bool,
-}
-
-/// A deterministic kill for the crash-injection harness: aborts run
-/// `index` just before simulated minute `minute`, on the first
-/// `attempts` attempts. With `attempts < retries` the sweep self-heals
-/// by resuming the run from its last checkpoint.
-#[derive(Debug, Clone, Copy)]
-pub struct KillRule {
-    /// The [`RunSpec::index`] to kill.
-    pub index: usize,
-    /// Simulated minute at which to kill it (before stepping it).
-    pub minute: u64,
-    /// How many attempts the kill applies to (then it stops firing).
-    pub attempts: u32,
-}
-
-/// Parses a `--kill index:minute[:attempts]` spec.
-///
-/// # Errors
-///
-/// Returns a message for malformed specs.
-pub fn parse_kill(spec: &str) -> Result<KillRule, String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    let bad = || format!("kill spec '{spec}' is not of the form index:minute[:attempts]");
-    if !(parts.len() == 2 || parts.len() == 3) {
-        return Err(bad());
-    }
-    let index = parts[0].parse().map_err(|_| bad())?;
-    let minute = parts[1].parse().map_err(|_| bad())?;
-    let attempts = match parts.get(2) {
-        Some(n) => n.parse().map_err(|_| bad())?,
-        None => 1,
-    };
-    Ok(KillRule {
-        index,
-        minute,
-        attempts,
-    })
-}
-
-fn run_dir(root: &Path, index: usize) -> PathBuf {
-    root.join(format!("run-{index:03}"))
-}
-
-/// Serializes a completed [`RunResult`] for the `done.bzck` record.
-fn encode_result(result: &RunResult, w: &mut bz_state::Writer) {
-    w.put_u64(result.index as u64);
-    w.put_u64(result.seed);
-    let s = &result.summary;
-    for v in [
-        s.t_end_c,
-        s.dew_end_c,
-        s.condensate_kg,
-        s.delivery_pct,
-        s.energy_kj,
-        s.cop,
-        s.lifetime_y,
-    ] {
-        w.put_f64(v);
-    }
-    w.put_u64(s.packets_sent);
-    w.put_bytes(&result.metrics_jsonl);
-}
-
-/// Decodes a `done.bzck` payload back into the [`RunResult`] for `spec`.
-fn decode_result(spec: &RunSpec, bytes: &[u8]) -> Result<RunResult, String> {
-    let mut r = bz_state::Reader::new(bytes);
-    let mut take = || r.take_u64().map_err(|e| e.to_string());
-    let index = take()? as usize;
-    let seed = take()?;
-    if index != spec.index || seed != spec.seed {
-        return Err(format!(
-            "completion record is for run {index} seed {seed}, not run {} seed {}",
-            spec.index, spec.seed
-        ));
-    }
-    let mut f = || r.take_f64().map_err(|e| e.to_string());
-    let summary = RunSummary {
-        t_end_c: f()?,
-        dew_end_c: f()?,
-        condensate_kg: f()?,
-        delivery_pct: f()?,
-        energy_kj: f()?,
-        cop: f()?,
-        lifetime_y: f()?,
-        packets_sent: r.take_u64().map_err(|e| e.to_string())?,
-    };
-    let metrics_jsonl = r.take_bytes().map_err(|e| e.to_string())?;
-    Ok(RunResult {
-        index: spec.index,
-        label: spec.label(),
-        seed: spec.seed,
-        scenario: spec.scenario.name(),
-        params: spec
-            .params
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(";"),
-        summary,
-        metrics_jsonl,
-    })
-}
-
-/// What one resumable run did beyond producing its result.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunProvenance {
-    /// Served entirely from a `done.bzck` completion record.
-    pub cached: bool,
-    /// Resumed from a mid-run checkpoint.
-    pub resumed: bool,
-}
-
-/// Executes one run with optional crash-safety: periodic mid-run
-/// checkpoints, resume from the newest good one, a completion record
-/// that lets a restarted sweep skip the run entirely, and the
-/// deterministic kill harness. Snapshots and the record are sealed with
-/// identities of the run's spec and noise kernel; one of another
-/// identity is never reused, the run starts fresh instead.
-fn run_one_tracked(
+/// Executes one run, checkpointed as [`execute_resumable`] describes.
+fn run_resumable(
     spec: &RunSpec,
-    ckpt: Option<&SweepCheckpoints>,
-    attempt: u32,
-    kills: &[KillRule],
-) -> Result<(RunResult, RunProvenance), String> {
-    let label = format!("{} minutes={}", spec.label(), spec.minutes);
-    let noise = NoiseKernel::from_env();
-    let done_id = RunIdentity::new("sweep-done", &label, noise);
-    let mut provenance = RunProvenance::default();
-    // --resume trusts state left by a previous invocation; a retry
-    // (attempt > 0) additionally trusts what this very invocation wrote
-    // before the attempt died.
-    let reuse = ckpt.is_some_and(|cfg| cfg.resume || attempt > 0);
-    let mut checkpoints = match ckpt {
-        Some(cfg) => {
-            let root = run_dir(&cfg.root, spec.index);
-            let id = RunIdentity::new("sweep-run", &label, noise);
-            let checkpoints = Checkpointer::create(&root, id, Some(cfg.every_s.max(1)))
-                .map_err(|e| e.to_string())?;
-            let done = root.join("done.bzck");
-            let record = reuse.then(|| bz_state::Checkpoint::read(&done).ok());
-            // A torn or foreign record means the run starts fresh.
-            if let Some(record) = record.flatten().filter(|r| done_id.check(&r.meta).is_ok()) {
-                provenance.cached = true;
-                return Ok((decode_result(spec, &record.payload)?, provenance));
-            }
-            Some((checkpoints, done))
-        }
-        None => None,
-    };
-
+    checkpoints: Option<(&Path, Policy)>,
+) -> Result<(RunResult, u64), String> {
     let obs = bz_obs::Handle::isolated();
     let mut system = build_system(spec, obs.clone())?;
     let mut start_minute = 0;
-    if let Some((checkpoints, _)) = checkpoints.as_mut().filter(|_| reuse) {
-        let tick_ms = match checkpoints.resume(|r| system.load_state(r)) {
-            Ok(resumed) => resumed.tick_ms,
-            Err(CheckpointerError::Foreign(..)) => None,
-            Err(e) => return Err(e.to_string()),
-        };
-        provenance.resumed = tick_ms.is_some();
-        start_minute = tick_ms.map_or(0, |tick_ms| tick_ms / 60_000);
-    }
-
-    for minute in start_minute + 1..=spec.minutes {
-        if kills
-            .iter()
-            .any(|k| k.index == spec.index && k.minute == minute && attempt < k.attempts)
-        {
-            return Err(format!(
-                "killed by the crash-injection harness at minute {minute} (attempt {attempt})"
-            ));
+    let mut checkpointer = match checkpoints {
+        Some((root, policy)) => {
+            let label = format!("{} minutes={}", spec.label(), spec.minutes);
+            let id = RunIdentity::new("sweep-run", &label, NoiseKernel::from_env());
+            let dir = root.join(format!("run-{:03}", spec.index));
+            let mut checkpointer =
+                Checkpointer::create(dir, id, policy).map_err(|e| e.to_string())?;
+            let tick_ms = match checkpointer.resume(|r| system.load_state(r)) {
+                Ok(resumed) => resumed.tick_ms,
+                Err(CheckpointerError::Foreign(..)) => None,
+                Err(e) => return Err(e.to_string()),
+            };
+            start_minute = tick_ms.map_or(0, |tick_ms| tick_ms / 60_000);
+            Some(checkpointer)
         }
+        None => None,
+    };
+    for _ in start_minute..spec.minutes {
         system.run_seconds(60);
         obs.record_counters(system.now().as_millis());
-        if let Some((checkpoints, _)) = &mut checkpoints {
-            checkpoints
+        if let Some(checkpointer) = &mut checkpointer {
+            checkpointer
                 .after_step(system.now().as_millis(), |w| system.save_state(w))
                 .map_err(|e| e.to_string())?;
         }
+    }
+    if let Some(checkpointer) = &mut checkpointer {
+        checkpointer
+            .finish(system.now().as_millis(), |w| system.save_state(w))
+            .map_err(|e| e.to_string())?;
     }
     obs.disable();
     let mut metrics_jsonl = Vec::new();
@@ -661,159 +513,54 @@ fn run_one_tracked(
         summary,
         metrics_jsonl,
     };
-    if let Some((_, done)) = &checkpoints {
-        done_id
-            .seal(system.now().as_millis(), |w| encode_result(&result, w))
-            .write_atomic(done)
-            .map_err(|e| format!("completion record write failed: {e}"))?;
-    }
-    Ok((result, provenance))
+    Ok((result, start_minute))
 }
 
 /// Executes every run across `jobs` worker threads, work-stealing from a
-/// shared queue. Results come back indexed by [`RunSpec::index`] — the
-/// output is independent of scheduling because each run records into its
-/// own isolated registry and results are placed by index, not by
+/// shared queue. Results come back in spec order — the output is
+/// independent of scheduling because each run records into its own
+/// isolated registry and results are placed by position, not by
 /// completion order.
 #[must_use]
 pub fn execute(specs: &[RunSpec], jobs: usize) -> Vec<Result<RunResult, String>> {
-    let plan = ExecutePlan {
-        jobs,
-        ..ExecutePlan::default()
-    };
-    let outcome = execute_plan(specs, &plan);
-    let mut slots: Vec<Result<RunResult, String>> = specs
-        .iter()
-        .map(|s| Err(format!("run {} produced no result", s.index)))
-        .collect();
-    for result in outcome.results {
-        let index = result.index;
-        slots[index] = Ok(result);
-    }
-    for q in outcome.quarantined {
-        slots[q.index] = Err(q.error);
-    }
-    slots
+    execute_resumable(specs, jobs, None)
+        .into_iter()
+        .map(|outcome| outcome.map(|(result, _)| result))
+        .collect()
 }
 
-/// How [`execute_plan`] runs a sweep: parallelism, crash-safety, retry
-/// policy, and the deterministic kill harness.
-#[derive(Debug, Clone, Default)]
-pub struct ExecutePlan {
-    /// Worker threads (clamped to 1..=runs).
-    pub jobs: usize,
-    /// Per-run checkpoints and completion records; `None` disables
-    /// crash-safety.
-    pub checkpoints: Option<SweepCheckpoints>,
-    /// Re-attempts after a failed run (0 = fail fast into quarantine).
-    pub retries: u32,
-    /// Base backoff between attempts; attempt `n` waits `base << n`.
-    pub backoff_ms: u64,
-    /// Deterministic kill schedule (crash-injection tests).
-    pub kills: Vec<KillRule>,
-}
-
-/// A run that kept failing after every retry: reported, excluded from
-/// the merged results, never allowed to wedge the sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuarantinedRun {
-    /// The failed run's index.
-    pub index: usize,
-    /// The failed run's label.
-    pub label: String,
-    /// Error from the final attempt.
-    pub error: String,
-    /// Attempts made (1 + retries).
-    pub attempts: u32,
-}
-
-/// Outcome of [`execute_plan`]: completed results sorted by index, plus
-/// the recovery bookkeeping.
-#[derive(Debug, Clone, Default)]
-pub struct SweepOutcome {
-    /// Successful runs, sorted by run index.
-    pub results: Vec<RunResult>,
-    /// Runs that failed every attempt (poison detection).
-    pub quarantined: Vec<QuarantinedRun>,
-    /// Runs served from a completion record without re-executing.
-    pub cached: usize,
-    /// Runs resumed from a mid-run checkpoint.
-    pub resumed: usize,
-    /// Total retry attempts across the sweep.
-    pub retried: usize,
-}
-
-/// Executes a sweep under `plan`: work-stealing across threads, per-run
-/// crash-safety, retry-with-backoff, and quarantine for runs that fail
-/// every attempt. The merged reports over `results` are byte-identical
-/// for any jobs count and any mix of fresh, resumed, and cached runs,
-/// because each run's result bytes depend only on its spec.
+/// [`execute`] with checkpoints: given `(root, policy)`, each run keeps
+/// its snapshots in `run-NNN/` below `root`, resumes and crashes as
+/// `policy` says, and takes its last snapshot at its end. A snapshot of
+/// another identity (spec, duration or noise kernel) is never restored:
+/// that run starts fresh. Returns, in spec order, each run's result and
+/// the simulated minute it resumed from (0 when fresh), or its error for
+/// invalid grid parameters, checkpoint failures and the injected crash.
+/// A failed run does not stop the others.
 #[must_use]
-pub fn execute_plan(specs: &[RunSpec], plan: &ExecutePlan) -> SweepOutcome {
-    struct Shared {
-        slots: Vec<Option<Result<(RunResult, RunProvenance), QuarantinedRun>>>,
-        retried: usize,
-    }
-    let jobs = plan.jobs.clamp(1, specs.len().max(1));
+pub fn execute_resumable(
+    specs: &[RunSpec],
+    jobs: usize,
+    checkpoints: Option<(&Path, Policy)>,
+) -> Vec<Result<(RunResult, u64), String>> {
+    let jobs = jobs.clamp(1, specs.len().max(1));
     let next = AtomicUsize::new(0);
-    let shared = Mutex::new(Shared {
-        slots: specs.iter().map(|_| None).collect(),
-        retried: 0,
-    });
+    let slots = Mutex::new(specs.iter().map(|_| None).collect::<Vec<_>>());
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= specs.len() {
-                    break;
-                }
-                let spec = &specs[i];
-                let mut outcome = None;
-                for attempt in 0..=plan.retries {
-                    if attempt > 0 {
-                        shared.lock().expect("sweep state poisoned").retried += 1;
-                        if plan.backoff_ms > 0 {
-                            let wait = plan.backoff_ms << (attempt - 1).min(16);
-                            std::thread::sleep(std::time::Duration::from_millis(wait));
-                        }
-                    }
-                    match run_one_tracked(spec, plan.checkpoints.as_ref(), attempt, &plan.kills) {
-                        Ok(done) => {
-                            outcome = Some(Ok(done));
-                            break;
-                        }
-                        Err(error) => {
-                            outcome = Some(Err(QuarantinedRun {
-                                index: spec.index,
-                                label: spec.label(),
-                                error,
-                                attempts: attempt + 1,
-                            }));
-                        }
-                    }
-                }
-                shared.lock().expect("sweep state poisoned").slots[i] = outcome;
+                let Some(spec) = specs.get(i) else { break };
+                let outcome = run_resumable(spec, checkpoints);
+                slots.lock().expect("sweep state poisoned")[i] = Some(outcome);
             });
         }
     });
-    let shared = shared.into_inner().expect("sweep state poisoned");
-    let mut outcome = SweepOutcome {
-        retried: shared.retried,
-        ..SweepOutcome::default()
-    };
-    for slot in shared.slots {
-        match slot.expect("every job completed") {
-            Ok((result, provenance)) => {
-                outcome.cached += usize::from(provenance.cached);
-                outcome.resumed += usize::from(provenance.resumed);
-                outcome.results.push(result);
-            }
-            Err(q) => outcome.quarantined.push(q),
-        }
-    }
-    outcome.results.sort_by_key(|r| r.index);
-    outcome.quarantined.sort_by_key(|q| q.index);
-    outcome
+    let slots = slots.into_inner().expect("sweep state poisoned");
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every job completed"))
+        .collect()
 }
 
 /// Results sorted by run index (the permutation-invariance point: every
@@ -1163,7 +910,7 @@ mod tests {
         assert_eq!(summary_table(&shuffled), summary_table(&sorted));
     }
 
-    fn scratch(name: &str) -> PathBuf {
+    fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("bz-sweep-{name}"));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
@@ -1171,123 +918,56 @@ mod tests {
     }
 
     #[test]
-    fn kill_specs_parse_and_reject_garbage() {
-        let k = parse_kill("2:15").unwrap();
-        assert_eq!((k.index, k.minute, k.attempts), (2, 15, 1));
-        let k = parse_kill("0:3:4").unwrap();
-        assert_eq!((k.index, k.minute, k.attempts), (0, 3, 4));
-        for bad in ["", "3", "a:1", "1:b", "1:2:3:4"] {
-            assert!(parse_kill(bad).is_err(), "accepted {bad:?}");
-        }
-    }
+    fn crashed_runs_resume_to_the_bytes_of_an_uninterrupted_sweep() {
+        // Run 0 ends before the crash time, run 1 does not. The cadence
+        // leaves both ends to the final snapshot.
+        let specs: Vec<RunSpec> = [(11, 1), (12, 3)]
+            .into_iter()
+            .enumerate()
+            .map(|(index, (seed, minutes))| RunSpec {
+                index,
+                scenario: Scenario::Trial,
+                seed,
+                minutes,
+                params: Vec::new(),
+            })
+            .collect();
+        let baseline: Vec<RunResult> = execute(&specs, 2)
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let root = scratch("crash-resume");
+        let crash = Policy {
+            every_s: Some(120),
+            resume: false,
+            crash_at_s: Some(120),
+        };
+        let crashed = execute_resumable(&specs, 2, Some((&root, crash)));
+        assert!(crashed[0].is_ok(), "{:?}", crashed[0].as_ref().err());
+        let err = crashed[1].as_ref().unwrap_err();
+        assert!(err.contains("crash injected at t=120s"), "{err}");
 
-    #[test]
-    fn sweeps_self_heal_from_injected_kills_with_identical_reports() {
-        let spec = SweepSpec {
-            scenario: Scenario::Trial,
-            seeds: vec![11, 12],
-            minutes: 3,
-            grid: vec![Vec::new()],
-        };
-        let specs = spec.expand();
-        let baseline = execute_plan(
-            &specs,
-            &ExecutePlan {
-                jobs: 2,
-                ..ExecutePlan::default()
-            },
-        );
-        assert_eq!(baseline.results.len(), 2);
-
-        // Kill run 1 at minute 2 on its first attempt: the retry resumes
-        // from the minute-1 checkpoint and must converge to the same bytes.
-        let plan = ExecutePlan {
-            jobs: 2,
-            checkpoints: Some(SweepCheckpoints {
-                root: scratch("self-heal"),
-                every_s: 60,
-                resume: true,
-            }),
-            retries: 2,
-            backoff_ms: 0,
-            kills: vec![KillRule {
-                index: 1,
-                minute: 2,
-                attempts: 1,
-            }],
-        };
-        let healed = execute_plan(&specs, &plan);
-        assert!(healed.quarantined.is_empty(), "{:?}", healed.quarantined);
-        assert!(healed.retried >= 1, "the kill must have forced a retry");
-        assert!(healed.resumed >= 1, "the retry must resume, not restart");
-        assert_eq!(report_csv(&healed.results), report_csv(&baseline.results));
-        assert_eq!(
-            report_jsonl(&healed.results),
-            report_jsonl(&baseline.results)
-        );
-        for (a, b) in healed.results.iter().zip(&baseline.results) {
-            assert_eq!(a.metrics_jsonl, b.metrics_jsonl, "{} diverged", a.label);
-        }
-    }
-
-    #[test]
-    fn runs_that_fail_every_attempt_are_quarantined() {
-        let spec = SweepSpec {
-            scenario: Scenario::Trial,
-            seeds: vec![21, 22],
-            minutes: 1,
-            grid: vec![Vec::new()],
-        };
-        let plan = ExecutePlan {
-            jobs: 2,
-            retries: 1,
-            kills: vec![KillRule {
-                index: 0,
-                minute: 1,
-                attempts: u32::MAX,
-            }],
-            ..ExecutePlan::default()
-        };
-        let outcome = execute_plan(&spec.expand(), &plan);
-        assert_eq!(outcome.results.len(), 1);
-        assert_eq!(outcome.results[0].index, 1);
-        assert_eq!(outcome.quarantined.len(), 1);
-        let q = &outcome.quarantined[0];
-        assert_eq!((q.index, q.attempts), (0, 2));
-        assert!(q.error.contains("killed"), "unexpected error: {}", q.error);
-    }
-
-    #[test]
-    fn restarted_sweeps_serve_completed_runs_from_done_records() {
-        let spec = SweepSpec {
-            scenario: Scenario::Trial,
-            seeds: vec![31],
-            minutes: 1,
-            grid: vec![Vec::new()],
-        };
-        let specs = spec.expand();
-        let checkpoints = Some(SweepCheckpoints {
-            root: scratch("done-cache"),
-            every_s: 600,
+        let resume = Policy {
+            every_s: Some(120),
             resume: true,
-        });
-        let plan = ExecutePlan {
-            jobs: 1,
-            checkpoints,
-            ..ExecutePlan::default()
+            crash_at_s: None,
         };
-        let first = execute_plan(&specs, &plan);
-        assert_eq!(first.cached, 0);
-        let second = execute_plan(&specs, &plan);
-        assert_eq!(second.cached, 1, "the restart must not re-run the sweep");
-        assert_eq!(
-            report_csv(&second.results),
-            report_csv(&first.results),
-            "cached results must merge to identical bytes"
-        );
-        assert_eq!(
-            second.results[0].metrics_jsonl,
-            first.results[0].metrics_jsonl
-        );
+        // The first pass finishes run 1 from minute 2; after it, both runs
+        // resume at their end and step nothing.
+        for expected_starts in [[1, 2], [1, 3]] {
+            let resumed: Vec<(RunResult, u64)> =
+                execute_resumable(&specs, 2, Some((&root, resume)))
+                    .into_iter()
+                    .collect::<Result<_, _>>()
+                    .unwrap();
+            let starts: Vec<u64> = resumed.iter().map(|(_, start)| *start).collect();
+            assert_eq!(starts, expected_starts);
+            let results: Vec<RunResult> = resumed.into_iter().map(|(r, _)| r).collect();
+            assert_eq!(report_csv(&results), report_csv(&baseline));
+            for (a, b) in results.iter().zip(&baseline) {
+                assert_eq!(a.summary, b.summary, "{} diverged", a.label);
+                assert_eq!(a.metrics_jsonl, b.metrics_jsonl, "{} diverged", a.label);
+            }
+        }
     }
 }

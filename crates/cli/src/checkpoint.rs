@@ -2,15 +2,15 @@
 //! commands.
 //!
 //! Every resumable command (`trial`, `endurance`, `chaos`, `mpc
-//! simulate`) accepts the same flag family:
+//! simulate`, `sweep`) accepts the same flag family:
 //!
 //! * `--checkpoint-dir DIR` — where snapshots live (required by the rest)
 //! * `--checkpoint-every SECS` — simulated seconds between snapshots
 //! * `--resume` — restore from the newest *good* snapshot in the dir
 //! * `--crash-at SECS` — deterministic crash injection for recovery tests
 //!
-//! The module owns flag parsing, `--resume`, `--crash-at` and `inspect`;
-//! everything else (run identities, the resume scan, the cadence, atomic
+//! The module parses the flags and renders `inspect`; what they do (run
+//! identities, the resume scan, the cadence, the injected crash, atomic
 //! writes and retention) is the shared [`bz_core::checkpoint`] policy.
 //! See `docs/CHECKPOINTS.md` for the on-disk format and guarantees.
 
@@ -18,7 +18,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use crate::args::{ArgError, Args};
-use bz_core::checkpoint::{Checkpointer, RunIdentity};
+use bz_core::checkpoint::{Checkpointer, CheckpointerError, Policy, RunIdentity};
 use bz_simcore::NoiseKernel;
 use bz_state::{Checkpoint, CheckpointDir, Reader, StateError, Writer};
 
@@ -31,13 +31,8 @@ pub const FLAGS: &[&str] = &["checkpoint-dir", "checkpoint-every", "resume", "cr
 pub struct CheckpointOpts {
     /// Snapshot directory (`--checkpoint-dir`).
     pub dir: Option<PathBuf>,
-    /// Simulated seconds between snapshots (`--checkpoint-every`).
-    pub every_s: Option<u64>,
-    /// Restore from the newest good snapshot (`--resume`).
-    pub resume: bool,
-    /// Crash (exit nonzero) once simulated time reaches this
-    /// (`--crash-at`), *after* any snapshot due at that instant.
-    pub crash_at_s: Option<u64>,
+    /// `--checkpoint-every`, `--resume` and `--crash-at`.
+    pub policy: Policy,
 }
 
 impl CheckpointOpts {
@@ -45,38 +40,25 @@ impl CheckpointOpts {
     ///
     /// # Errors
     ///
-    /// Rejects malformed values, a zero cadence, and any of the family
-    /// used without `--checkpoint-dir`.
+    /// Rejects malformed values, a zero cadence or crash time, and any of
+    /// the family used without `--checkpoint-dir`.
     pub fn from_args(args: &Args) -> Result<Self, ArgError> {
-        let dir = args.get("checkpoint-dir")?.map(PathBuf::from);
-        let every_s = match args.get_or("checkpoint-every", 0u64)? {
-            0 if args.flag("checkpoint-every") => {
-                return Err(ArgError::new(
-                    "--checkpoint-every must be a positive number of seconds",
-                ));
-            }
-            0 => None,
-            s => Some(s),
+        let seconds = |name: &str| match args.get_or(name, 0u64)? {
+            0 if args.flag(name) => Err(ArgError::new(format!(
+                "--{name} must be a positive number of seconds"
+            ))),
+            0 => Ok(None),
+            s => Ok(Some(s)),
         };
-        let crash_at_s = match args.get_or("crash-at", 0u64)? {
-            0 if args.flag("crash-at") => {
-                return Err(ArgError::new(
-                    "--crash-at must be a positive number of seconds",
-                ));
-            }
-            0 => None,
-            s => Some(s),
-        };
-        let resume = args.flag("resume");
         let opts = Self {
-            dir,
-            every_s,
-            resume,
-            crash_at_s,
+            dir: args.get("checkpoint-dir")?.map(PathBuf::from),
+            policy: Policy {
+                every_s: seconds("checkpoint-every")?,
+                resume: args.flag("resume"),
+                crash_at_s: seconds("crash-at")?,
+            },
         };
-        if opts.dir.is_none()
-            && (opts.every_s.is_some() || opts.resume || opts.crash_at_s.is_some())
-        {
+        if opts.dir.is_none() && opts.policy != Policy::default() {
             return Err(ArgError::new(
                 "--checkpoint-every, --resume, and --crash-at need --checkpoint-dir DIR",
             ));
@@ -102,31 +84,26 @@ impl CheckpointOpts {
     /// Fails when the checkpoint directory cannot be created.
     pub fn session(&self, kind: &str, label: &str) -> Result<RunCheckpoints, ArgError> {
         let id = RunIdentity::new(kind, label, NoiseKernel::from_env());
-        let checkpointer = self.dir.as_ref().map(|root| {
-            Checkpointer::create(root, id, self.every_s).map_err(|e| ArgError::new(e.to_string()))
-        });
-        Ok(RunCheckpoints {
-            checkpointer: checkpointer.transpose()?,
-            crash_at_ms: self.crash_at_s.map(|s| s.saturating_mul(1_000)),
-            resume: self.resume,
-        })
+        let checkpointer = self
+            .dir
+            .as_ref()
+            .map(|root| Checkpointer::create(root, id, self.policy))
+            .transpose()
+            .map_err(arg_error)?;
+        Ok(RunCheckpoints(checkpointer))
     }
 }
 
-/// One command run's checkpoints: the shared [`Checkpointer`], when
-/// `--checkpoint-dir` asked for one, plus the CLI's `--resume` and
-/// `--crash-at` switches.
+/// One command run's [`Checkpointer`], when `--checkpoint-dir` asked for
+/// one; its errors become usage errors and its resume notes part of the
+/// command's output.
 #[derive(Debug)]
-pub struct RunCheckpoints {
-    checkpointer: Option<Checkpointer>,
-    crash_at_ms: Option<u64>,
-    resume: bool,
-}
+pub struct RunCheckpoints(Option<Checkpointer>);
 
 impl RunCheckpoints {
-    /// Under `--resume`, restores the newest good snapshot through
-    /// `restore`, appends the scan's notes to `out`, and returns the
-    /// restored simulated time (`None` for a fresh start).
+    /// Resumes the run through `restore` as the policy says, appends the
+    /// scan's notes to `out`, and returns the restored simulated time
+    /// (`None` for a fresh start).
     ///
     /// # Errors
     ///
@@ -138,20 +115,17 @@ impl RunCheckpoints {
         out: &mut String,
         restore: impl FnOnce(&mut Reader<'_>) -> Result<(), StateError>,
     ) -> Result<Option<u64>, ArgError> {
-        let (Some(checkpointer), true) = (&mut self.checkpointer, self.resume) else {
+        let Some(checkpointer) = &mut self.0 else {
             return Ok(None);
         };
-        let resumed = checkpointer
-            .resume(restore)
-            .map_err(|e| ArgError::new(e.to_string()))?;
+        let resumed = checkpointer.resume(restore).map_err(arg_error)?;
         for note in &resumed.notes {
             *out += &format!("{note}\n");
         }
         Ok(resumed.tick_ms)
     }
 
-    /// Called after every simulation step: writes a snapshot when one is
-    /// due and then fires the `--crash-at` injection.
+    /// Called after every simulation step; see [`Checkpointer::after_step`].
     ///
     /// # Errors
     ///
@@ -162,19 +136,15 @@ impl RunCheckpoints {
         now_ms: u64,
         save: impl FnOnce(&mut Writer),
     ) -> Result<(), ArgError> {
-        if let Some(checkpointer) = &mut self.checkpointer {
-            checkpointer
-                .after_step(now_ms, save)
-                .map_err(|e| ArgError::new(e.to_string()))?;
+        match &mut self.0 {
+            Some(checkpointer) => checkpointer.after_step(now_ms, save).map_err(arg_error),
+            None => Ok(()),
         }
-        if self.crash_at_ms.is_some_and(|crash_at| now_ms >= crash_at) {
-            return Err(ArgError::new(format!(
-                "crash injected at t={}s (--crash-at)",
-                now_ms / 1_000
-            )));
-        }
-        Ok(())
     }
+}
+
+fn arg_error(e: CheckpointerError) -> ArgError {
+    ArgError::new(e.to_string())
 }
 
 /// Renders `bzctl checkpoint inspect` for one file or a directory.
@@ -286,8 +256,10 @@ mod tests {
         let root = scratch("inspect-noise");
         let opts = CheckpointOpts {
             dir: Some(root.clone()),
-            every_s: Some(60),
-            ..CheckpointOpts::default()
+            policy: Policy {
+                every_s: Some(60),
+                ..Policy::default()
+            },
         };
         let mut session = opts.session("trial", "trial seed=9 minutes=5").unwrap();
         session.after_step(60_000, |w| w.put_u64(1)).unwrap();
@@ -316,30 +288,14 @@ mod tests {
     }
 
     #[test]
-    fn crash_injection_fires_after_the_due_snapshot() {
-        let root = scratch("crash");
-        let opts = CheckpointOpts {
-            dir: Some(root.clone()),
-            every_s: Some(60),
-            crash_at_s: Some(120),
-            ..CheckpointOpts::default()
-        };
-        let mut session = opts.session("trial", "seed=1").unwrap();
-        session.after_step(60_000, |w| w.put_u64(1)).unwrap();
-        let err = session.after_step(120_000, |w| w.put_u64(2)).unwrap_err();
-        assert!(err.to_string().contains("crash injected"), "{err}");
-        // The snapshot due at the crash instant was still written.
-        let listed = CheckpointDir::open(&root).list().unwrap();
-        assert_eq!(listed.last().unwrap().0, 120_000);
-    }
-
-    #[test]
     fn inspect_renders_good_and_bad_files() {
         let root = scratch("inspect");
         let opts = CheckpointOpts {
             dir: Some(root.clone()),
-            every_s: Some(60),
-            ..CheckpointOpts::default()
+            policy: Policy {
+                every_s: Some(60),
+                ..Policy::default()
+            },
         };
         let mut session = opts.session("trial", "seed=9").unwrap();
         session.after_step(60_000, |w| w.put_u64(1)).unwrap();

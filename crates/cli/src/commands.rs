@@ -52,9 +52,7 @@ COMMANDS:
                  --runs N (4)  --seed-base S  --minutes N (5)
                  --grid \"key=v1,v2;key2=v3\"  --jobs N (1)
                  --out-dir DIR  --metrics-out PATH  --quiet
-                 --checkpoint-dir DIR  --checkpoint-every SECS  --resume
-                 --retries N (0)  --backoff-ms MS (250)
-                 --kill index:minute[:attempts][,...]  (crash harness)
+                 [checkpoint flags]  (--checkpoint-every 60 by default)
                  grid keys: dew-margin-k control-period-s ac-period-s
                  residual-loss bt-fixed occupancy-rate weather-seed
                  strategy
@@ -110,7 +108,9 @@ through to `--metrics-out` as they happen instead of buffering them.
 `sweep` executes every run against an isolated metrics registry on a
 work-stealing thread pool; `--out-dir` writes one `run-NNN.jsonl` per
 run and `--metrics-out` writes the merged report. Per-run files are
-byte-identical for any `--jobs` value. `mpc --compare` likewise runs
+byte-identical for any `--jobs` value. With `--checkpoint-dir` each run
+keeps its snapshots in `run-NNN/`: `--crash-at` fails every run at that
+simulated time and `--resume` finishes them. `mpc --compare` likewise runs
 both strategies against isolated registries, so its exports are
 byte-identical for any `--jobs` value.
 ";
@@ -630,23 +630,20 @@ after {days} day(s): delivery {:.1}%, mean projected device lifetime {mean_life:
 /// isolated registry and the merge is keyed by run index, the outputs
 /// are byte-identical for any `--jobs` value.
 fn sweep(args: &Args) -> Result<String, ArgError> {
-    args.expect_only(&[
-        "scenario",
-        "runs",
-        "seed-base",
-        "minutes",
-        "grid",
-        "jobs",
-        "out-dir",
-        "metrics-out",
-        "quiet",
-        "checkpoint-dir",
-        "checkpoint-every",
-        "resume",
-        "retries",
-        "backoff-ms",
-        "kill",
-    ])?;
+    expect_only_with_checkpoints(
+        args,
+        &[
+            "scenario",
+            "runs",
+            "seed-base",
+            "minutes",
+            "grid",
+            "jobs",
+            "out-dir",
+            "metrics-out",
+            "quiet",
+        ],
+    )?;
     let scenario =
         sweep::Scenario::parse(args.get("scenario")?.unwrap_or("trial")).map_err(ArgError::new)?;
     let runs: u64 = args.get_or("runs", 4)?;
@@ -666,18 +663,9 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
     let grid = sweep::parse_grid(args.get("grid")?.unwrap_or("")).map_err(ArgError::new)?;
     let report_path = args.get("metrics-out")?;
     let out_dir = args.get("out-dir")?;
-
-    let opts = CheckpointOpts::from_args(args)?;
-    let retries: u32 = args.get_or("retries", 0)?;
-    let backoff_ms: u64 = args.get_or("backoff-ms", 250)?;
-    let kills = match args.get("kill")? {
-        Some(spec) => spec
-            .split(',')
-            .map(sweep::parse_kill)
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(ArgError::new)?,
-        None => Vec::new(),
-    };
+    let mut opts = CheckpointOpts::from_args(args)?;
+    // Sweep runs are short: snapshot every simulated minute by default.
+    opts.policy.every_s.get_or_insert(60);
 
     let spec = sweep::SweepSpec {
         scenario,
@@ -686,33 +674,27 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
         grid,
     };
     let run_specs = spec.expand();
-    let plan = sweep::ExecutePlan {
-        jobs,
-        checkpoints: opts.dir.as_ref().map(|root| sweep::SweepCheckpoints {
-            root: root.clone(),
-            every_s: opts.every_s.unwrap_or(60),
-            resume: opts.resume,
-        }),
-        retries,
-        backoff_ms,
-        kills,
-    };
-    let outcome = sweep::execute_plan(&run_specs, &plan);
-    if !outcome.quarantined.is_empty() {
-        let mut lines = String::new();
-        for q in &outcome.quarantined {
-            lines += &format!(
-                "\n  run {} ({}) failed {} attempt(s): {}",
-                q.index, q.label, q.attempts, q.error
-            );
+    let checkpoints = opts.dir.as_deref().map(|root| (root, opts.policy));
+    let outcomes = sweep::execute_resumable(&run_specs, jobs, checkpoints);
+    let (mut results, mut failed) = (Vec::new(), String::new());
+    let (mut resumed, mut stepped) = (0, 0);
+    for (run, outcome) in run_specs.iter().zip(outcomes) {
+        match outcome {
+            Ok((result, start_minute)) => {
+                resumed += usize::from(start_minute > 0);
+                stepped += minutes.saturating_sub(start_minute);
+                results.push(result);
+            }
+            Err(e) => failed += &format!("\n  run {} ({}): {e}", run.index, run.label()),
         }
+    }
+    if !failed.is_empty() {
         return Err(ArgError::new(format!(
-            "{} of {} run(s) quarantined after exhausting retries:{lines}",
-            outcome.quarantined.len(),
+            "{} of {} run(s) failed:{failed}",
+            run_specs.len() - results.len(),
             run_specs.len(),
         )));
     }
-    let results = outcome.results;
 
     let mut out = format!(
         "sweep: {} run(s) of {} minute(s) each ({} scenario, {} job(s))\n",
@@ -723,9 +705,10 @@ fn sweep(args: &Args) -> Result<String, ArgError> {
     );
     if opts.active() {
         out += &format!(
-            "crash-safety: {} run(s) served from completion records, \
-             {} resumed mid-run, {} retry attempt(s)\n",
-            outcome.cached, outcome.resumed, outcome.retried,
+            "crash-safety: {resumed} of {} run(s) resumed, \
+             {stepped} of {} simulated minute(s) stepped\n",
+            results.len(),
+            minutes * results.len() as u64,
         );
     }
     if let Some(dir) = out_dir {
@@ -1340,6 +1323,14 @@ mod tests {
         assert!(run("sweep", vec!["--grid".into(), "frobnicate=1".into()]).is_err());
         assert!(run("sweep", vec!["--scenario".into(), "nope".into()]).is_err());
         assert!(run("sweep", vec!["--metrics-out".into()]).is_err());
+        for (flag, value) in [
+            ("--kill", "0:2"),
+            ("--retries", "2"),
+            ("--backoff-ms", "50"),
+        ] {
+            let err = run_err("sweep", &[flag, value]);
+            assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+        }
     }
 
     #[test]
@@ -1790,82 +1781,51 @@ mod tests {
     }
 
     #[test]
-    fn sweep_survives_kills_and_resumes_to_an_identical_merged_report() {
+    fn sweep_crash_at_then_resume_matches_an_uninterrupted_sweep() {
         let dir = scratch("sweep-resume");
-        let ckpt = dir.join("ckpt");
-        let baseline = dir.join("baseline.jsonl");
-        let healed = dir.join("healed.jsonl");
-        let resumed = dir.join("resumed.jsonl");
-        let base_flags = ["--runs", "2", "--minutes", "3", "--jobs", "2", "--quiet"];
-        let with = |extra: &[&str], out_path: &std::path::Path| {
-            let mut flags: Vec<&str> = base_flags.to_vec();
-            flags.extend_from_slice(extra);
-            let out_str = out_path.to_str().unwrap().to_owned();
-            let mut argv: Vec<String> = flags.iter().map(|s| (*s).to_owned()).collect();
-            argv.push("--metrics-out".to_owned());
-            argv.push(out_str);
+        let sweep = |name: &str, extra: &[&str]| {
+            let mut argv: Vec<String> = ["--runs", "3", "--minutes", "3", "--quiet"]
+                .iter()
+                .chain(extra)
+                .map(|s| (*s).to_owned())
+                .collect();
+            let report = dir.join(format!("{name}.jsonl"));
+            let runs = dir.join(name);
+            for (flag, path) in [("--metrics-out", &report), ("--out-dir", &runs)] {
+                argv.extend([flag.to_owned(), path.to_str().unwrap().to_owned()]);
+            }
             run("sweep", argv)
         };
-        with(&[], &baseline).unwrap();
-        // In-process self-heal: kill run 1 at minute 2 once, retry resumes.
-        with(
-            &[
-                "--checkpoint-dir",
-                ckpt.to_str().unwrap(),
-                "--checkpoint-every",
-                "60",
-                "--retries",
-                "2",
-                "--backoff-ms",
-                "0",
-                "--kill",
-                "1:2",
-            ],
-            &healed,
-        )
-        .unwrap();
-        assert_eq!(
-            std::fs::read(&baseline).unwrap(),
-            std::fs::read(&healed).unwrap(),
-            "self-healed sweep must merge to the baseline bytes"
-        );
-        // Cross-invocation restart: a poisoned run quarantines the first
-        // sweep; the rerun with --resume completes every run and merges
-        // to the same bytes as a never-interrupted sweep.
-        let ckpt2 = dir.join("ckpt2");
-        let err = with(
-            &[
-                "--checkpoint-dir",
-                ckpt2.to_str().unwrap(),
-                "--checkpoint-every",
-                "60",
-                "--kill",
-                "0:2:9",
-            ],
-            &resumed,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("quarantined"), "{err}");
-        let out = with(
-            &[
-                "--checkpoint-dir",
-                ckpt2.to_str().unwrap(),
-                "--checkpoint-every",
-                "60",
-                "--resume",
-            ],
-            &resumed,
-        )
-        .unwrap();
-        assert!(
-            out.contains("served from completion records") || out.contains("resumed mid-run"),
-            "{out}"
-        );
-        assert_eq!(
-            std::fs::read(&baseline).unwrap(),
-            std::fs::read(&resumed).unwrap(),
-            "restarted sweep must merge to the baseline bytes"
-        );
+        let read = |name: &str| {
+            let mut files = vec![std::fs::read(dir.join(format!("{name}.jsonl"))).unwrap()];
+            for index in 0..3 {
+                let run = dir.join(name).join(format!("run-{index:03}.jsonl"));
+                files.push(std::fs::read(run).unwrap());
+            }
+            files
+        };
+        sweep("reference", &[]).unwrap();
+        for jobs in ["1", "2"] {
+            let ckpt = dir.join(format!("ckpt-{jobs}"));
+            let checkpointed = ["--jobs", jobs, "--checkpoint-dir", ckpt.to_str().unwrap()];
+            let checkpointed = [checkpointed.as_slice(), &["--checkpoint-every", "60"]].concat();
+            let crashed = [checkpointed.as_slice(), &["--crash-at", "120"]].concat();
+            let err = sweep("crashed", &crashed).unwrap_err().to_string();
+            assert!(err.contains("3 of 3 run(s) failed"), "{err}");
+            assert!(err.contains("crash injected at t=120s"), "{err}");
+
+            let resume = [checkpointed.as_slice(), &["--resume"]].concat();
+            let out = sweep("resumed", &resume).unwrap();
+            assert!(
+                out.contains("3 of 3 run(s) resumed, 3 of 9 simulated minute(s) stepped"),
+                "{out}"
+            );
+            assert_eq!(read("resumed"), read("reference"), "--jobs {jobs}");
+            // A finished sweep resumes at every run's end.
+            let out = sweep("again", &resume).unwrap();
+            assert!(out.contains("0 of 9 simulated minute(s) stepped"), "{out}");
+            assert_eq!(read("again"), read("reference"), "--jobs {jobs}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

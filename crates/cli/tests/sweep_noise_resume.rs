@@ -47,10 +47,7 @@ fn a_v1_resume_reruns_a_default_kernel_sweep_instead_of_reusing_it() {
         &[checkpointed.as_slice(), &["--resume"]].concat(),
     );
 
-    assert!(
-        out.contains("0 run(s) served from completion records"),
-        "{out}"
-    );
+    assert!(out.contains("0 of 2 run(s) resumed"), "{out}");
     let fresh = std::fs::read(&fresh_v1).unwrap();
     assert_ne!(
         fresh,

@@ -1,9 +1,10 @@
-//! One checkpoint policy for every resumable run. [`RunIdentity`] says
-//! what a checkpoint belongs to, and its label always ends in the noise
-//! kernel. [`Checkpointer`] decides when a snapshot is due, how many are
-//! kept, and which one a resume may restore. `bzctl`, the sweep runner,
-//! the throughput bench and `bz-serve` all go through these two types;
-//! see `docs/CHECKPOINTS.md` for the guarantees.
+//! One crash-and-resume policy for every resumable run. [`RunIdentity`]
+//! says what a checkpoint belongs to, and its label always ends in the
+//! noise kernel. [`Checkpointer`] decides when a snapshot is due, how many
+//! are kept, whether and from which snapshot a run resumes, and when an
+//! injected crash fails the run ([`Policy`]). `bzctl`'s resumable
+//! commands and its sweep runner go through both types, `bz-serve`
+//! through [`RunIdentity`]; see `docs/CHECKPOINTS.md` for the guarantees.
 
 use std::fmt;
 use std::io;
@@ -150,6 +151,9 @@ pub enum CheckpointerError {
     Foreign(PathBuf, Mismatch),
     /// The newest good snapshot, at this path, did not restore.
     Restore(PathBuf, StateError),
+    /// The run reached its [`Policy::crash_at_s`] at this simulated time,
+    /// ms.
+    Crash(u64),
 }
 
 impl fmt::Display for CheckpointerError {
@@ -160,6 +164,9 @@ impl fmt::Display for CheckpointerError {
             Self::Foreign(path, why) => write!(f, "checkpoint {} {why}", path.display()),
             Self::Restore(path, e) => {
                 write!(f, "checkpoint {} failed to restore: {e}", path.display())
+            }
+            Self::Crash(now_ms) => {
+                write!(f, "crash injected at t={}s (--crash-at)", now_ms / 1_000)
             }
         }
     }
@@ -177,18 +184,35 @@ pub struct Resumed {
     pub notes: Vec<String>,
 }
 
+/// How a run checkpoints, resumes and crashes: `bzctl`'s
+/// `--checkpoint-every`, `--resume` and `--crash-at`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Policy {
+    /// Simulated seconds between snapshots; `None` writes none on a
+    /// cadence.
+    pub every_s: Option<u64>,
+    /// Whether [`Checkpointer::resume`] restores the newest good snapshot.
+    /// Without it the directory is only written.
+    pub resume: bool,
+    /// Simulated second at which [`Checkpointer::after_step`] fails the
+    /// run, after writing the snapshot due then.
+    pub crash_at_s: Option<u64>,
+}
+
 /// One run's checkpoint directory under the shared policy.
 #[derive(Debug)]
 pub struct Checkpointer {
     dir: CheckpointDir,
     id: RunIdentity,
+    policy: Policy,
     every_ms: u64,
     next_due_ms: u64,
+    /// Tick of the newest snapshot this run wrote or restored.
+    newest_ms: Option<u64>,
 }
 
 impl Checkpointer {
-    /// Creates `dir` if needed and binds it to `id`. A snapshot falls due
-    /// every `every_s` simulated seconds; `None` never writes one.
+    /// Creates `dir` if needed and binds it to `id` under `policy`.
     ///
     /// # Errors
     ///
@@ -196,22 +220,25 @@ impl Checkpointer {
     pub fn create(
         dir: impl Into<PathBuf>,
         id: RunIdentity,
-        every_s: Option<u64>,
+        policy: Policy,
     ) -> Result<Self, CheckpointerError> {
         let dir = CheckpointDir::create(dir)
             .map_err(|e| CheckpointerError::Dir("cannot create checkpoint dir", e))?;
-        let every_ms = every_s.map_or(u64::MAX, |s| s.saturating_mul(1_000));
+        let every_ms = policy.every_s.map_or(u64::MAX, |s| s.saturating_mul(1_000));
         Ok(Self {
             dir,
             id,
+            policy,
             every_ms,
             next_due_ms: every_ms,
+            newest_ms: None,
         })
     }
 
-    /// Restores the newest good snapshot through `restore`. Corrupt or
-    /// torn files are noted and skipped, so an older good snapshot wins
-    /// over a newer bad one; an empty directory is a fresh start.
+    /// When the policy resumes, restores the newest good snapshot through
+    /// `restore`. Corrupt or torn files are noted and skipped, so an
+    /// older good snapshot wins over a newer bad one; an empty directory
+    /// is a fresh start. Without `resume` nothing is scanned.
     ///
     /// # Errors
     ///
@@ -221,6 +248,9 @@ impl Checkpointer {
         &mut self,
         restore: impl FnOnce(&mut Reader<'_>) -> Result<(), StateError>,
     ) -> Result<Resumed, CheckpointerError> {
+        if !self.policy.resume {
+            return Ok(Resumed::default());
+        }
         let scan = self
             .dir
             .latest_good()
@@ -247,6 +277,7 @@ impl Checkpointer {
         let t_s = tick_ms / 1_000;
         notes.push(format!("resumed from {} at t={t_s}s", path.display()));
         self.next_due_ms = tick_ms.saturating_add(self.every_ms);
+        self.newest_ms = Some(tick_ms);
         Ok(Resumed {
             tick_ms: Some(tick_ms),
             notes,
@@ -254,27 +285,61 @@ impl Checkpointer {
     }
 
     /// Called after every simulation step: when a snapshot is due, writes
-    /// it atomically through `save` and prunes the directory to [`KEEP`].
+    /// it atomically through `save` and prunes the directory to [`KEEP`];
+    /// then fails the run once `now_ms` reaches the policy's crash time.
     ///
     /// # Errors
     ///
-    /// Fails when the snapshot cannot be written or the prune fails.
+    /// Fails when the snapshot cannot be written or the prune fails, and
+    /// with [`CheckpointerError::Crash`] at the crash time.
     pub fn after_step(
         &mut self,
         now_ms: u64,
         save: impl FnOnce(&mut Writer),
     ) -> Result<(), CheckpointerError> {
         if now_ms >= self.next_due_ms {
-            let snapshot = self.id.seal(now_ms, save);
-            let path = self.dir.file_for_tick(now_ms);
-            snapshot
-                .write_atomic(&path)
-                .map_err(CheckpointerError::Write)?;
-            self.dir
-                .prune(KEEP)
-                .map_err(|e| CheckpointerError::Dir("checkpoint prune failed", e))?;
-            self.next_due_ms = now_ms.saturating_add(self.every_ms);
+            self.write(now_ms, save)?;
         }
+        let crash_at_ms = self.policy.crash_at_s.map(|s| s.saturating_mul(1_000));
+        if crash_at_ms.is_some_and(|crash_at_ms| now_ms >= crash_at_ms) {
+            return Err(CheckpointerError::Crash(now_ms));
+        }
+        Ok(())
+    }
+
+    /// Called once the run has ended at `now_ms`: writes its final
+    /// snapshot unless the newest one is already at `now_ms`, so a resume
+    /// of the finished run restores its end and steps nothing.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the snapshot cannot be written or the prune fails.
+    pub fn finish(
+        &mut self,
+        now_ms: u64,
+        save: impl FnOnce(&mut Writer),
+    ) -> Result<(), CheckpointerError> {
+        if self.newest_ms == Some(now_ms) {
+            return Ok(());
+        }
+        self.write(now_ms, save)
+    }
+
+    fn write(
+        &mut self,
+        now_ms: u64,
+        save: impl FnOnce(&mut Writer),
+    ) -> Result<(), CheckpointerError> {
+        let snapshot = self.id.seal(now_ms, save);
+        let path = self.dir.file_for_tick(now_ms);
+        snapshot
+            .write_atomic(&path)
+            .map_err(CheckpointerError::Write)?;
+        self.dir
+            .prune(KEEP)
+            .map_err(|e| CheckpointerError::Dir("checkpoint prune failed", e))?;
+        self.next_due_ms = now_ms.saturating_add(self.every_ms);
+        self.newest_ms = Some(now_ms);
         Ok(())
     }
 }
@@ -290,9 +355,14 @@ mod tests {
         dir
     }
 
-    /// A one-minute-cadence checkpointer over `root`.
+    /// A one-minute-cadence checkpointer over `root` that resumes.
     fn at(root: &Path, kind: &str, label: &str, noise: NoiseKernel) -> Checkpointer {
-        Checkpointer::create(root, RunIdentity::new(kind, label, noise), Some(60)).unwrap()
+        let policy = Policy {
+            every_s: Some(60),
+            resume: true,
+            crash_at_s: None,
+        };
+        Checkpointer::create(root, RunIdentity::new(kind, label, noise), policy).unwrap()
     }
 
     #[test]
@@ -320,6 +390,56 @@ mod tests {
         let listed = CheckpointDir::open(&root).list().unwrap();
         assert_eq!(listed.len(), KEEP, "retention window enforced");
         assert_eq!(listed.last().unwrap().0, 360_000);
+    }
+
+    #[test]
+    fn crash_injection_fires_after_the_due_snapshot() {
+        let root = scratch("crash");
+        let policy = Policy {
+            every_s: Some(60),
+            crash_at_s: Some(120),
+            ..Policy::default()
+        };
+        let id = RunIdentity::new("trial", "seed=1", NoiseKernel::V2);
+        let mut checkpoints = Checkpointer::create(&root, id, policy).unwrap();
+        checkpoints.after_step(60_000, |w| w.put_u64(1)).unwrap();
+        let err = checkpoints
+            .after_step(120_000, |w| w.put_u64(2))
+            .unwrap_err();
+        assert!(err.to_string().contains("crash injected"), "{err}");
+        // The snapshot due at the crash instant was still written.
+        let listed = CheckpointDir::open(&root).list().unwrap();
+        assert_eq!(listed.last().unwrap().0, 120_000);
+    }
+
+    #[test]
+    fn a_finished_run_resumes_at_its_end_and_only_a_resume_scans() {
+        let root = scratch("finish");
+        let mut checkpoints = at(&root, "sweep-run", "trial-s0001 minutes=3", NoiseKernel::V2);
+        checkpoints.after_step(120_000, |w| w.put_u64(2)).unwrap();
+        checkpoints.finish(150_000, |w| w.put_u64(3)).unwrap();
+        let mut resumed = at(&root, "sweep-run", "trial-s0001 minutes=3", NoiseKernel::V2);
+        let mut restored = 0;
+        let tick_ms = resumed
+            .resume(|r| {
+                restored = r.take_u64()?;
+                Ok(())
+            })
+            .unwrap()
+            .tick_ms;
+        assert_eq!((tick_ms, restored), (Some(150_000), 3));
+        // The end is already on disk: nothing is rewritten.
+        resumed
+            .finish(150_000, |_| panic!("rewrote the end"))
+            .unwrap();
+
+        let id = RunIdentity::new("sweep-run", "trial-s0001 minutes=3", NoiseKernel::V2);
+        let mut write_only = Checkpointer::create(&root, id, Policy::default()).unwrap();
+        let fresh = write_only
+            .resume(|_| panic!("restored without resume"))
+            .unwrap();
+        assert_eq!(fresh.tick_ms, None);
+        assert!(fresh.notes.is_empty(), "{:?}", fresh.notes);
     }
 
     #[test]

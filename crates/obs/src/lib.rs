@@ -63,7 +63,7 @@ pub use flame::collapsed_stacks;
 pub use handle::Handle;
 pub use hist::{FixedHistogram, DEFAULT_BUCKETS};
 pub use key::MetricKey;
-pub use registry::{Event, Registry, Snapshot, SpanStats, MAX_EVENTS};
+pub use registry::{json_escape, Event, JsonF64, Registry, Snapshot, SpanStats, MAX_EVENTS};
 pub use span::SpanGuard;
 
 #[cfg(test)]

@@ -201,7 +201,7 @@ impl KeyTable {
     fn insert(&mut self, key: MetricKey) -> usize {
         let id = self.slots.len();
         assert!(id < MAX_KEYS, "a registry interns at most {MAX_KEYS} keys");
-        let escaped = escape(key.as_str());
+        let escaped = json_escape(key.as_str());
         self.slots.push(Slot {
             escaped: (escaped != key.as_str()).then(|| escaped.into_boxed_str()),
             key: key.clone(),
@@ -810,10 +810,11 @@ fn write_joined<W: Write, T: fmt::Display>(
     Ok(())
 }
 
-/// Escapes a metric key for embedding in a JSON string literal.
-fn escape(name: &str) -> String {
-    let mut escaped = String::with_capacity(name.len());
-    for c in name.chars() {
+/// Escapes `text` for embedding in a JSON string literal.
+#[must_use]
+pub fn json_escape(text: &str) -> String {
+    let mut escaped = String::with_capacity(text.len());
+    for c in text.chars() {
         match c {
             '"' => escaped.push_str("\\\""),
             '\\' => escaped.push_str("\\\\"),
@@ -830,7 +831,7 @@ fn escape(name: &str) -> String {
 /// Formats an `f64` as a JSON number (`null` for non-finite values).
 /// `{}` on f64 never emits exponents, so a finite value is always a
 /// valid JSON number.
-struct JsonF64(f64);
+pub struct JsonF64(pub f64);
 
 impl fmt::Display for JsonF64 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

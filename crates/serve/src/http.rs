@@ -74,7 +74,7 @@ impl Request {
 ///
 /// Returns an [`io::Error`] for transport failures, torn requests, and
 /// protocol violations (bad request line, oversized headers/body,
-/// unparsable `Content-Length`).
+/// unparsable or conflicting `Content-Length`, any `Transfer-Encoding`).
 pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
     let Some(request_line) = read_header_line(reader, true)? else {
         return Ok(None);
@@ -107,12 +107,24 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
     }
 
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        Some((_, v)) => v
+    // Only `Content-Length` frames a body here. A chunked body read as
+    // empty would leave its chunks to be parsed as the next request.
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(bad(
+            "transfer-encoding is not supported; send a content-length",
+        ));
+    }
+    let mut declared = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let length = v
             .parse::<usize>()
-            .map_err(|_| bad(format!("unparsable content-length '{v}'")))?,
-        None => 0,
-    };
+            .map_err(|_| bad(format!("unparsable content-length '{v}'")))?;
+        if declared.is_some_and(|first| first != length) {
+            return Err(bad("conflicting content-length headers"));
+        }
+        declared = Some(length);
+    }
+    let content_length = declared.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(bad(format!(
             "request body of {content_length} bytes exceeds the limit"
@@ -236,7 +248,7 @@ impl Response {
     pub fn error(status: u16, message: &str) -> Self {
         Self::json(
             status,
-            format!("{{\"error\":\"{}\"}}", json_escape(message)),
+            format!("{{\"error\":\"{}\"}}", bz_obs::json_escape(message)),
         )
     }
 
@@ -316,34 +328,6 @@ pub fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// Escapes `text` for embedding in a JSON string literal.
-#[must_use]
-pub fn json_escape(text: &str) -> String {
-    let mut escaped = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => escaped.push_str("\\\""),
-            '\\' => escaped.push_str("\\\\"),
-            '\n' => escaped.push_str("\\n"),
-            '\r' => escaped.push_str("\\r"),
-            '\t' => escaped.push_str("\\t"),
-            c if (c as u32) < 0x20 => escaped.push_str(&format!("\\u{:04x}", c as u32)),
-            c => escaped.push(c),
-        }
-    }
-    escaped
-}
-
-/// Formats an `f64` as a JSON number (`null` for non-finite values).
-#[must_use]
-pub fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -390,6 +374,13 @@ pub(crate) mod tests {
         assert!(parse("GET /x HTTP/1.1\r\nContent-Length: nope\r\n\r\n").is_err());
         // Torn body: declared 10, only 4 present.
         assert!(parse("POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nbody").is_err());
+        assert!(parse("POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n").is_err());
+        assert!(
+            parse("POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 5\r\n\r\nbody!")
+                .is_err()
+        );
+        let agreeing = "POST /x HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nbody";
+        assert_eq!(parse(agreeing).unwrap().unwrap().body, b"body");
     }
 
     /// Pieces the token-soup property strings together, `|`-separated.

@@ -21,8 +21,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use crate::http::{self, json_escape, json_f64, Request, Response};
+use crate::http::{self, Request, Response};
 use crate::tenants::{build_tenant, Registry, Tenant};
+use bz_obs::{json_escape, JsonF64};
 
 /// How long a worker blocks on an idle keep-alive connection before
 /// re-checking the shutdown flag.
@@ -467,8 +468,8 @@ fn readback_json(readback: &bz_core::session::SetpointReadback) -> String {
         }
         body.push_str(&format!(
             "{{\"supply\":{},\"recycle\":{}}}",
-            json_f64(*supply),
-            json_f64(*recycle)
+            JsonF64(*supply),
+            JsonF64(*recycle)
         ));
     }
     body.push_str("],\"airboxes\":[");
@@ -478,7 +479,7 @@ fn readback_json(readback: &bz_core::session::SetpointReadback) -> String {
         }
         body.push_str(&format!(
             "{{\"coil_pump_v\":{},\"fan\":\"{}\",\"flap_open\":{}}}",
-            json_f64(airbox.coil_pump_v),
+            JsonF64(airbox.coil_pump_v),
             airbox.fan,
             airbox.flap_open
         ));
@@ -492,7 +493,7 @@ fn push_f64s(body: &mut String, values: &[f64]) {
         if i > 0 {
             body.push(',');
         }
-        body.push_str(&json_f64(*value));
+        body.push_str(&JsonF64(*value).to_string());
     }
 }
 

@@ -373,3 +373,22 @@ fn deeply_nested_request_body_is_a_clean_400() {
     assert_eq!(server.client().get_ok("/healthz").unwrap().status, 200);
     server.stop();
 }
+
+#[test]
+fn a_chunked_request_gets_one_400_and_a_close() {
+    // A chunked body used to be read as empty, and its chunk lines were
+    // then parsed as the next request on the same connection.
+    use std::io::{Read, Write};
+    let server = start(ServeConfig::default());
+    let mut stream = std::net::TcpStream::connect(server.addr).unwrap();
+    stream
+        .write_all(
+            b"GET /healthz HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+        )
+        .unwrap();
+    let mut replies = String::new();
+    stream.read_to_string(&mut replies).unwrap();
+    assert_eq!(replies.matches("HTTP/1.1 ").count(), 1, "{replies}");
+    assert!(replies.starts_with("HTTP/1.1 400 "), "{replies}");
+    server.stop();
+}

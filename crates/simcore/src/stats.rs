@@ -3,9 +3,8 @@
 //! The adaptive transmission scheme of §IV-B computes a *population*
 //! variance `var(X) = E[X²] − (E[X])²` over a sliding window of recent
 //! sensor samples; [`SlidingWindow`] implements exactly that definition so
-//! the networking code matches the paper. [`Welford`] provides a numerically
-//! stable streaming mean/variance for metrics, and [`Cdf`] backs the
-//! Fig. 15 distribution plots.
+//! the networking code matches the paper, and [`Cdf`] backs the Fig. 15
+//! distribution plots.
 
 use std::collections::VecDeque;
 
@@ -96,12 +95,6 @@ impl SlidingWindow {
         self.samples.is_empty()
     }
 
-    /// True when the window has reached its capacity.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.samples.len() == self.capacity
-    }
-
     /// Mean of the samples currently in the window, or `None` when empty.
     #[must_use]
     pub fn mean(&self) -> Option<f64> {
@@ -130,63 +123,6 @@ impl SlidingWindow {
         self.sum = 0.0;
         self.sum_sq = 0.0;
         self.pushes_since_rebuild = 0;
-    }
-}
-
-/// Welford's online mean/variance accumulator (numerically stable, for
-/// unbounded streams — metrics, energy accounting, benchmark summaries).
-#[derive(Debug, Clone, Default)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, value: f64) {
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-    }
-
-    /// Number of samples seen.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the samples seen, or `None` if none.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.mean)
-    }
-
-    /// Population variance of the samples seen, or `None` if none.
-    #[must_use]
-    pub fn variance(&self) -> Option<f64> {
-        (self.count > 0).then(|| (self.m2 / self.count as f64).max(0.0))
-    }
-
-    /// Population standard deviation, or `None` if no samples.
-    #[must_use]
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-}
-
-impl Extend<f64> for Welford {
-    fn extend<T: IntoIterator<Item = f64>>(&mut self, iter: T) {
-        for value in iter {
-            self.push(value);
-        }
     }
 }
 
@@ -286,8 +222,6 @@ bz_state::persist_struct!(SlidingWindow {
     pushes_since_rebuild,
 });
 
-bz_state::persist_struct!(Welford { count, mean, m2 });
-
 /// Mean of a slice; `None` when empty. Convenience for sensor fusion code
 /// ("T_room is computed by averaging temperature readings from a set of
 /// sensors" — §III-B).
@@ -330,7 +264,6 @@ mod tests {
         w.push(2.0);
         w.push(3.0); // evicts 1.0
         assert!((w.mean().unwrap() - 2.5).abs() < 1e-12);
-        assert!(w.is_full());
         assert_eq!(w.len(), 2);
     }
 
@@ -371,24 +304,6 @@ mod tests {
         // The paper's E[X²]−(E[X])² form cancels catastrophically at large
         // magnitudes, so allow a generous absolute tolerance here.
         assert!((w.variance().unwrap() - 2.0 / 3.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn welford_matches_closed_form() {
-        let mut acc = Welford::new();
-        acc.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert_eq!(acc.count(), 8);
-        assert!((acc.mean().unwrap() - 5.0).abs() < 1e-12);
-        assert!((acc.variance().unwrap() - 4.0).abs() < 1e-12);
-        assert!((acc.std_dev().unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_empty() {
-        let acc = Welford::new();
-        assert_eq!(acc.mean(), None);
-        assert_eq!(acc.variance(), None);
-        assert_eq!(acc.std_dev(), None);
     }
 
     #[test]

@@ -66,53 +66,6 @@ impl Series {
             .take_while(move |s| s.at <= to)
             .copied()
     }
-
-    /// Earliest time at which the series enters and *stays* within
-    /// `target ± tolerance` until the end of the recording. This is the
-    /// convergence-time definition used for the "reaches the target in 30
-    /// minutes" claims.
-    #[must_use]
-    pub fn settles_at(&self, target: f64, tolerance: f64) -> Option<SimTime> {
-        let mut candidate: Option<SimTime> = None;
-        for s in &self.samples {
-            if (s.value - target).abs() <= tolerance {
-                candidate.get_or_insert(s.at);
-            } else {
-                candidate = None;
-            }
-        }
-        candidate
-    }
-
-    /// Mean value over `[from, to]`, or `None` if no samples fall inside.
-    #[must_use]
-    pub fn mean_between(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for s in self.between(from, to) {
-            sum += s.value;
-            count += 1;
-        }
-        (count > 0).then(|| sum / count as f64)
-    }
-
-    /// Maximum value over the whole series.
-    #[must_use]
-    pub fn max_value(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .map(|s| s.value)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
-    /// Minimum value over the whole series.
-    #[must_use]
-    pub fn min_value(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .map(|s| s.value)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.min(v))))
-    }
 }
 
 /// A collection of named time series recorded during a simulation run.
@@ -338,29 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn settles_at_finds_stable_entry() {
-        let mut trace = TraceRecorder::new();
-        // Converges to 25 ± 0.5 at t=3 after an excursion at t=2.
-        for (time, value) in [(0, 28.9), (1, 26.0), (2, 25.4), (3, 25.1), (4, 24.9)] {
-            trace.record("temp", t(time), value);
-        }
-        let s = trace.series("temp").unwrap();
-        assert_eq!(s.settles_at(25.0, 0.5), Some(t(2)));
-        assert_eq!(s.settles_at(25.0, 0.15), Some(t(3)));
-        assert_eq!(s.settles_at(20.0, 0.5), None);
-    }
-
-    #[test]
-    fn settles_at_resets_on_excursion() {
-        let mut trace = TraceRecorder::new();
-        for (time, value) in [(0, 25.0), (1, 25.0), (2, 27.0), (3, 25.0)] {
-            trace.record("temp", t(time), value);
-        }
-        let s = trace.series("temp").unwrap();
-        assert_eq!(s.settles_at(25.0, 0.5), Some(t(3)));
-    }
-
-    #[test]
     fn between_and_means() {
         let mut trace = TraceRecorder::new();
         for i in 0..10 {
@@ -369,10 +299,6 @@ mod tests {
         let s = trace.series("a").unwrap();
         let window: Vec<f64> = s.between(t(3), t(5)).map(|x| x.value).collect();
         assert_eq!(window, vec![3.0, 4.0, 5.0]);
-        assert!((s.mean_between(t(3), t(5)).unwrap() - 4.0).abs() < 1e-12);
-        assert_eq!(s.mean_between(t(100), t(200)), None);
-        assert_eq!(s.max_value(), Some(9.0));
-        assert_eq!(s.min_value(), Some(0.0));
     }
 
     #[test]
