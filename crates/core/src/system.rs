@@ -1285,6 +1285,18 @@ impl BubbleZeroSystem {
                 ),
             });
         }
+        // A step leaves nothing queued before the clock. A clock restored
+        // past the queue would make the next step drain the whole gap.
+        if let Some(at) = self.events.peek_time().filter(|&at| at < self.now) {
+            return Err(bz_state::StateError::Invalid {
+                what: "BubbleZeroSystem",
+                reason: format!(
+                    "the clock reads {} ms, past the earliest queued event at {} ms",
+                    self.now.as_millis(),
+                    at.as_millis()
+                ),
+            });
+        }
         self.commands = Persist::load(r)?;
         self.last_radiant = Persist::load(r)?;
         self.last_ventilation = Persist::load(r)?;
@@ -1522,6 +1534,25 @@ mod tests {
             let err = loaded.unwrap_err().to_string();
             assert!(err.contains("past this configuration"), "{err}");
         }
+    }
+
+    #[test]
+    fn restore_rejects_a_clock_past_the_event_queue() {
+        let mut source = quick_system();
+        source.run_seconds(5);
+        let mut w = bz_state::Writer::new();
+        source.save_state(&mut w);
+        quick_system()
+            .load_state(&mut bz_state::Reader::new(w.as_bytes()))
+            .expect("an unmodified save loads");
+        source.now += SimDuration::from_secs(2 * 3600);
+        let mut w = bz_state::Writer::new();
+        source.save_state(&mut w);
+        let err = quick_system()
+            .load_state(&mut bz_state::Reader::new(w.as_bytes()))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("past the earliest queued event"), "{err}");
     }
 
     #[test]

@@ -100,6 +100,20 @@ enum Kind {
     Span = 2,
 }
 
+impl Kind {
+    fn from_tag(tag: u64) -> Result<Self, StateError> {
+        match tag {
+            0 => Ok(Self::Counter),
+            1 => Ok(Self::Gauge),
+            2 => Ok(Self::Span),
+            tag => Err(StateError::BadTag {
+                what: "obs::Event",
+                tag,
+            }),
+        }
+    }
+}
+
 /// Key ids take the low 30 bits of [`Record::key_kind`], the [`Kind`] the
 /// top two. An interned key costs more than 64 bytes, so a registry would
 /// hold over 64 GiB of keys before reaching the limit.
@@ -146,9 +160,80 @@ impl Record {
     }
 }
 
-/// The smallest checkpoint encoding of one event: tag, empty key, `t_ms`,
-/// value. Bounds the record capacity reserved for a decoded length.
-const MIN_EVENT_BYTES: usize = 1 + 8 + 8 + 8;
+/// The first word of a registry checkpoint in the keyed layout. A legacy
+/// section starts with its counter-map length instead, which can never be
+/// `u64::MAX`.
+const KEYED_LAYOUT: u64 = u64::MAX;
+
+/// The two checkpoint layouts of the registry section this build reads.
+#[derive(Debug, Clone, Copy)]
+enum Layout {
+    /// Envelope format 2: every event spells out its key, and integers
+    /// are fixed-width. Decode only.
+    Legacy,
+    /// Envelope format 3: events name keys by id in the saved key table,
+    /// with zigzag-delta `t_ms` and varint values.
+    Keyed,
+}
+
+impl Layout {
+    /// The smallest encoding of one event: legacy tag, empty key, `t_ms`
+    /// and value; or one varint byte each for the key and kind, the time
+    /// delta and the value. Bounds the record capacity reserved for a
+    /// decoded count.
+    fn min_event_bytes(self) -> usize {
+        match self {
+            Self::Legacy => 1 + 8 + 8 + 8,
+            Self::Keyed => 3,
+        }
+    }
+
+    /// Reads a map or list length.
+    fn take_len(self, r: &mut Reader<'_>) -> Result<u64, StateError> {
+        match self {
+            Self::Legacy => r.take_len().map(|len| len as u64),
+            Self::Keyed => take_varint(r),
+        }
+    }
+}
+
+/// Writes `value` as a LEB128 varint: seven bits a byte, low bits first.
+fn put_varint(w: &mut Writer, mut value: u64) {
+    while value >= 0x80 {
+        w.put_u8(value as u8 | 0x80);
+        value >>= 7;
+    }
+    w.put_u8(value as u8);
+}
+
+/// Reads a varint written by [`put_varint`]: at most 10 bytes, the tenth
+/// holding only the top bit of a `u64`.
+fn take_varint(r: &mut Reader<'_>) -> Result<u64, StateError> {
+    let mut value = 0;
+    for shift in (0..64).step_by(7) {
+        let byte = r.take_u8()?;
+        if shift == 63 && byte > 1 {
+            return Err(StateError::Invalid {
+                what: "obs varint",
+                reason: "longer than 10 bytes or past u64::MAX".to_owned(),
+            });
+        }
+        value |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            break;
+        }
+    }
+    Ok(value)
+}
+
+/// Maps a signed delta onto the unsigned varints, small magnitudes first.
+fn zigzag(delta: i64) -> u64 {
+    ((delta << 1) ^ (delta >> 63)) as u64
+}
+
+fn unzigzag(coded: u64) -> i64 {
+    (coded >> 1) as i64 ^ -((coded & 1) as i64)
+}
 
 /// One interned key with every aggregate recorded under it.
 #[derive(Debug)]
@@ -243,30 +328,113 @@ impl KeyTable {
         }
     }
 
-    /// Writes one checkpointed totals map — the encoding of a
-    /// `BTreeMap<MetricKey, T>` over the keys that hold `get`'s aggregate.
+    /// Writes every key in id order, so a restored table hands out the
+    /// same ids.
+    fn save_keys(&self, w: &mut Writer) {
+        put_varint(w, self.slots.len() as u64);
+        for slot in &self.slots {
+            w.put_str(slot.key.as_str());
+        }
+    }
+
+    /// Reads a table written by [`KeyTable::save_keys`].
+    fn load_keys(r: &mut Reader<'_>) -> Result<Self, StateError> {
+        let count = take_varint(r)?;
+        if count > MAX_KEYS as u64 {
+            return Err(StateError::Invalid {
+                what: "obs key table",
+                reason: format!("{count} keys, over the {MAX_KEYS} a registry holds"),
+            });
+        }
+        let mut keys = Self::default();
+        // Each key takes at least its 8-byte length.
+        keys.slots.reserve((count as usize).min(r.remaining() / 8));
+        for _ in 0..count {
+            let text = r.take_str()?;
+            if keys.index.contains_key(text) {
+                return Err(StateError::Invalid {
+                    what: "obs key table",
+                    reason: format!("key {text:?} is saved twice"),
+                });
+            }
+            keys.insert(MetricKey::from(text.to_owned()));
+        }
+        Ok(keys)
+    }
+
+    /// The key a checkpointed map entry or event names: its text in the
+    /// legacy layout (interned on first sight), an id into the saved table
+    /// in the keyed one.
+    fn take_key(&mut self, r: &mut Reader<'_>, layout: Layout) -> Result<usize, StateError> {
+        match layout {
+            Layout::Legacy => Ok(self.id_of_text(r.take_str()?)),
+            Layout::Keyed => self.checked_id(take_varint(r)?),
+        }
+    }
+
+    fn checked_id(&self, id: u64) -> Result<usize, StateError> {
+        match usize::try_from(id) {
+            Ok(id) if id < self.slots.len() => Ok(id),
+            _ => Err(StateError::Invalid {
+                what: "obs key id",
+                reason: format!("{id} is past the {} saved keys", self.slots.len()),
+            }),
+        }
+    }
+
+    /// Writes one checkpointed totals map: the ids of the keys that hold
+    /// `get`'s aggregate, in key-text order, each with its value.
     fn save_section<T: Persist>(&self, w: &mut Writer, get: impl Fn(&Slot) -> Option<&T>) {
-        w.put_len(self.slots.iter().filter(|slot| get(slot).is_some()).count());
-        for slot in self.sorted() {
-            if let Some(value) = get(slot) {
-                w.put_str(slot.key.as_str());
+        put_varint(
+            w,
+            self.slots.iter().filter(|slot| get(slot).is_some()).count() as u64,
+        );
+        for &id in self.index.values() {
+            if let Some(value) = get(&self.slots[id as usize]) {
+                put_varint(w, u64::from(id));
                 value.save(w);
             }
         }
     }
 
-    /// Reads one map written by [`KeyTable::save_section`]; a repeated key
-    /// keeps its last value, as decoding into a map would.
+    /// Reads `len` entries of one totals map; a repeated key keeps its
+    /// last value, as decoding into a map would.
     fn load_section<T: Persist>(
         &mut self,
         r: &mut Reader<'_>,
+        layout: Layout,
+        len: u64,
         set: impl Fn(&mut Slot, T),
     ) -> Result<(), StateError> {
-        for _ in 0..r.take_len()? {
-            let id = self.id_of_text(r.take_str()?);
+        for _ in 0..len {
+            let id = self.take_key(r, layout)?;
             set(&mut self.slots[id], T::load(r)?);
         }
         Ok(())
+    }
+
+    /// Reads the four totals maps (counters, gauges, histograms, spans);
+    /// the counter map's length is already read, as it doubles as the
+    /// layout tag.
+    fn load_totals(
+        &mut self,
+        r: &mut Reader<'_>,
+        layout: Layout,
+        counters: u64,
+    ) -> Result<(), StateError> {
+        self.load_section(r, layout, counters, |slot, value| {
+            slot.counter = Some(value);
+        })?;
+        let len = layout.take_len(r)?;
+        self.load_section(r, layout, len, |slot, value| slot.gauge = Some(value))?;
+        let len = layout.take_len(r)?;
+        self.load_section(r, layout, len, |slot, value| {
+            slot.histogram = Some(Box::new(value));
+        })?;
+        let len = layout.take_len(r)?;
+        self.load_section(r, layout, len, |slot, value| {
+            slot.span = Some(Box::new(value));
+        })
     }
 }
 
@@ -693,9 +861,14 @@ impl Registry {
     /// already on disk and replaying them after a resume would duplicate
     /// lines.
     ///
-    /// The encoding is that of four key-sorted maps (counters, gauges,
-    /// histograms, spans), the event list with each event's key spelled
-    /// out, and the drop count.
+    /// The keyed layout (`docs/CHECKPOINTS.md`): a `u64::MAX` layout tag,
+    /// the key table in id order, four key-sorted totals maps (counters,
+    /// gauges, histograms, spans) that name keys by id, the event list,
+    /// and the drop count. Each event is `varint(id << 2 | kind)`, the
+    /// zigzag varint of its `t_ms` minus the previous event's (a parent
+    /// span records after its children, with an earlier `t_ms`), then a
+    /// varint counter value, the gauge's 8-byte bit pattern, or a varint
+    /// span `sim_ms` and depth.
     ///
     /// # Panics
     ///
@@ -707,59 +880,90 @@ impl Registry {
             self.log.stream.is_none(),
             "cannot checkpoint a streaming registry"
         );
+        w.put_u64(KEYED_LAYOUT);
+        self.keys.save_keys(w);
         self.keys.save_section(w, |slot| slot.counter.as_ref());
         self.keys.save_section(w, |slot| slot.gauge.as_ref());
         self.keys.save_section(w, |slot| slot.histogram.as_deref());
         self.keys.save_section(w, |slot| slot.span.as_deref());
-        w.put_len(self.log.records.len());
+        put_varint(w, self.log.records.len() as u64);
+        let mut t_ms = 0u64;
         for &record in &self.log.records {
             let kind = record.kind();
-            w.put_u8(kind as u8);
-            w.put_str(self.keys.slots[record.id()].key.as_str());
-            w.put_u64(record.t_ms);
-            w.put_u64(record.value);
-            if kind == Kind::Span {
-                w.put_u32(record.depth);
+            put_varint(w, (record.id() as u64) << 2 | kind as u64);
+            put_varint(w, zigzag(record.t_ms.wrapping_sub(t_ms) as i64));
+            t_ms = record.t_ms;
+            match kind {
+                Kind::Counter => put_varint(w, record.value),
+                Kind::Gauge => w.put_u64(record.value),
+                Kind::Span => {
+                    put_varint(w, record.value);
+                    put_varint(w, u64::from(record.depth));
+                }
             }
         }
-        w.put_u64(self.log.dropped);
+        put_varint(w, self.log.dropped);
     }
 
-    /// Replaces this registry's contents with previously saved state. Any
-    /// open stream is dropped unfinished. Each distinct key is interned
-    /// once, however many events name it.
+    /// Replaces this registry's contents with previously saved state, in
+    /// the keyed layout or the legacy one of envelope format 2. Any open
+    /// stream is dropped unfinished. Each distinct key is interned once,
+    /// however many events name it.
     ///
     /// # Errors
     ///
     /// Returns a decode error (and leaves the registry unchanged) if the
     /// bytes do not parse.
     pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), StateError> {
-        let mut keys = KeyTable::default();
-        keys.load_section(r, |slot, value| slot.counter = Some(value))?;
-        keys.load_section(r, |slot, value| slot.gauge = Some(value))?;
-        keys.load_section(r, |slot, value| slot.histogram = Some(Box::new(value)))?;
-        keys.load_section(r, |slot, value| slot.span = Some(Box::new(value)))?;
-        let len = r.take_len()?;
-        let mut records = Vec::with_capacity(len.min(r.remaining() / MIN_EVENT_BYTES));
+        let (layout, mut keys, counters) = match r.take_u64()? {
+            KEYED_LAYOUT => {
+                let keys = KeyTable::load_keys(r)?;
+                (Layout::Keyed, keys, take_varint(r)?)
+            }
+            counters => (Layout::Legacy, KeyTable::default(), counters),
+        };
+        keys.load_totals(r, layout, counters)?;
+        let len = layout.take_len(r)?;
+        // A registry never buffers more, and a record takes up to 8 times
+        // the bytes of its smallest encoding.
+        if len > MAX_EVENTS as u64 {
+            return Err(StateError::Invalid {
+                what: "obs event log",
+                reason: format!("{len} events, over the {MAX_EVENTS}-event cap"),
+            });
+        }
+        let mut records =
+            Vec::with_capacity((len as usize).min(r.remaining() / layout.min_event_bytes()));
+        let mut t_ms = 0u64;
         for _ in 0..len {
-            let kind = match r.take_u8()? {
-                0 => Kind::Counter,
-                1 => Kind::Gauge,
-                2 => Kind::Span,
-                tag => {
-                    return Err(StateError::BadTag {
-                        what: "obs::Event",
-                        tag: u64::from(tag),
-                    })
+            let record = match layout {
+                Layout::Legacy => {
+                    let kind = Kind::from_tag(u64::from(r.take_u8()?))?;
+                    let id = keys.take_key(r, layout)?;
+                    t_ms = r.take_u64()?;
+                    let value = r.take_u64()?;
+                    let depth = if kind == Kind::Span { r.take_u32()? } else { 0 };
+                    Record::new(kind, id, t_ms, value, depth)
+                }
+                Layout::Keyed => {
+                    let key_kind = take_varint(r)?;
+                    let kind = Kind::from_tag(key_kind & 3)?;
+                    let id = keys.checked_id(key_kind >> 2)?;
+                    t_ms = t_ms.wrapping_add(unzigzag(take_varint(r)?) as u64);
+                    let (value, depth) = match kind {
+                        Kind::Counter => (take_varint(r)?, 0),
+                        Kind::Gauge => (r.take_u64()?, 0),
+                        Kind::Span => (take_varint(r)?, take_depth(r)?),
+                    };
+                    Record::new(kind, id, t_ms, value, depth)
                 }
             };
-            let id = keys.id_of_text(r.take_str()?);
-            let t_ms = r.take_u64()?;
-            let value = r.take_u64()?;
-            let depth = if kind == Kind::Span { r.take_u32()? } else { 0 };
-            records.push(Record::new(kind, id, t_ms, value, depth));
+            records.push(record);
         }
-        let dropped = r.take_u64()?;
+        let dropped = match layout {
+            Layout::Legacy => r.take_u64()?,
+            Layout::Keyed => take_varint(r)?,
+        };
         *self = Self {
             keys,
             log: EventLog {
@@ -770,6 +974,15 @@ impl Registry {
         };
         Ok(())
     }
+}
+
+/// Reads a keyed-layout span depth, which must fit the record's `u32`.
+fn take_depth(r: &mut Reader<'_>) -> Result<u32, StateError> {
+    let depth = take_varint(r)?;
+    u32::try_from(depth).map_err(|_| StateError::Invalid {
+        what: "obs span depth",
+        reason: format!("{depth} does not fit a u32"),
+    })
 }
 
 /// Serializes one record as its JSONL line (shared by the buffered
@@ -1081,19 +1294,44 @@ mod tests {
     fn load_rejects_an_unknown_event_tag() {
         let mut registry = Registry::new();
         registry.gauge_set("g", 1, 2.0);
-        let mut w = bz_state::Writer::new();
-        registry.save_state(&mut w);
-        let mut bytes = w.into_bytes();
-        // The one event ends just before the 8-byte drop count: its tag,
-        // the key "g" (8-byte length, 1 byte), t_ms and the value.
-        let tag_at = bytes.len() - 8 - (1 + 8 + 1 + 8 + 8);
-        assert_eq!(bytes[tag_at], 1);
-        bytes[tag_at] = 9;
-        let err = registry
-            .load_state(&mut bz_state::Reader::new(&bytes))
-            .unwrap_err();
-        assert!(matches!(err, bz_state::StateError::BadTag { tag: 9, .. }));
-        assert_eq!(registry.events_len(), 1, "a failed load changes nothing");
+        let mut keyed = saved(&registry);
+        // The one event ends just before the one-byte drop count: its key
+        // and kind, its time delta, and the 8-byte value.
+        let tag_at = keyed.len() - 1 - (1 + 1 + 8);
+        assert_eq!(keyed[tag_at], 1, "key 0, kind gauge");
+        keyed[tag_at] = 3;
+        // The same registry in the legacy layout: the counter map, the
+        // gauge map with its one entry, the histogram and span maps, the
+        // event count, then the event's tag byte.
+        let mut w = Writer::new();
+        w.put_len(0);
+        w.put_len(1);
+        w.put_str("g");
+        w.put_f64(2.0);
+        w.put_len(0);
+        w.put_len(0);
+        w.put_len(1);
+        let legacy_tag_at = w.len();
+        w.put_u8(Kind::Gauge as u8);
+        w.put_str("g");
+        w.put_u64(1);
+        w.put_f64(2.0);
+        w.put_u64(0);
+        let mut legacy = w.into_bytes();
+        let mut restored = Registry::new();
+        restored.load_state(&mut Reader::new(&legacy)).unwrap();
+        assert_eq!(saved(&restored), saved(&registry));
+        legacy[legacy_tag_at] = 9;
+
+        registry.gauge_set("g", 2, 3.0);
+        for (bytes, tag) in [(keyed, 3), (legacy, 9)] {
+            let err = registry.load_state(&mut Reader::new(&bytes)).unwrap_err();
+            assert!(
+                matches!(err, StateError::BadTag { tag: t, .. } if t == tag),
+                "{err}"
+            );
+            assert_eq!(registry.events_len(), 2, "a failed load changes nothing");
+        }
     }
 
     #[test]
@@ -1148,6 +1386,250 @@ mod tests {
         let summary = registry.summary_table();
         for section in ["spans", "counters", "gauges", "histograms"] {
             assert!(summary.contains(section), "missing {section}:\n{summary}");
+        }
+    }
+
+    fn saved(registry: &Registry) -> Vec<u8> {
+        let mut w = Writer::new();
+        registry.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// The legacy-layout bytes `tests/pinned_encodings.rs`'s sequence
+    /// saved to under envelope format 2.
+    const LEGACY_STATE: &[u8] = include_bytes!("../tests/fixtures/pinned_state_v2.bin");
+
+    /// A keyed-layout section with every event kind, a parent span
+    /// recorded after its child with an earlier `t_ms`, a depth past
+    /// one varint byte, and drops.
+    fn keyed_sample() -> Vec<u8> {
+        let mut registry = Registry::new();
+        record_sample(&mut registry);
+        registry.span_complete("child", 9_000, 5, u32::MAX, 0);
+        registry.span_complete("parent", 8_000, 1_005, 0, 0);
+        registry.gauge_set("g", u64::MAX, -0.0);
+        registry.gauge_set("g", 0, f64::from_bits(0x7ff8_dead_beef_0001));
+        registry.counter_add("c", u64::MAX);
+        registry.record_counters(3);
+        registry.log.dropped = 300;
+        saved(&registry)
+    }
+
+    /// Loads `bytes` over a registry that already holds data and checks
+    /// the decoder's contract: a failed load leaves the registry as it
+    /// was, and a successful one reserved no more records than the bytes
+    /// could hold (the smallest event takes 3 bytes). Returns whether the
+    /// load succeeded.
+    fn load_checked(bytes: &[u8]) -> Result<bool, String> {
+        let mut registry = Registry::new();
+        registry.gauge_set("kept", 5, 1.0);
+        registry.span_complete("kept.span", 6, 1, 0, 0);
+        let before = (saved(&registry), registry.snapshot().events);
+        match registry.load_state(&mut Reader::new(bytes)) {
+            Ok(()) => {
+                let reserved = registry.log.records.capacity();
+                if reserved > bytes.len() / 3 {
+                    return Err(format!(
+                        "reserved {reserved} records for {} bytes",
+                        bytes.len()
+                    ));
+                }
+                Ok(true)
+            }
+            Err(_) if (saved(&registry), registry.snapshot().events) == before => Ok(false),
+            Err(e) => Err(format!("a failed load ({e}) changed the registry")),
+        }
+    }
+
+    /// A keyed section holding `keys` keys, no totals, and `events`
+    /// events behind an event count of `count`.
+    fn keyed_section(keys: u64, count: u64, events: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u64(KEYED_LAYOUT);
+        put_varint(&mut w, keys);
+        for key in 0..keys {
+            w.put_str(&format!("k{key}"));
+        }
+        for _ in 0..4 {
+            put_varint(&mut w, 0);
+        }
+        put_varint(&mut w, count);
+        let mut bytes = w.into_bytes();
+        bytes.extend_from_slice(events);
+        bytes.push(0); // drop count
+        bytes
+    }
+
+    #[test]
+    fn keyed_sample_round_trips_and_re_saves_to_the_same_bytes() {
+        let bytes = keyed_sample();
+        let mut restored = Registry::new();
+        restored.load_state(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(saved(&restored), bytes);
+        let events = restored.snapshot().events;
+        assert!(events.contains(&Event::Span {
+            name: "child".into(),
+            t_ms: 9_000,
+            sim_ms: 5,
+            depth: u32::MAX,
+        }));
+        let gauge_bits: Vec<u64> = events
+            .iter()
+            .filter_map(|event| match event {
+                Event::Gauge { name, value, .. } if name.as_str() == "g" => Some(value.to_bits()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(gauge_bits, [(-0.0f64).to_bits(), 0x7ff8_dead_beef_0001]);
+        assert_eq!(restored.log.dropped, 300);
+    }
+
+    #[test]
+    fn every_truncation_of_either_layout_is_an_error_that_changes_nothing() {
+        for bytes in [keyed_sample(), LEGACY_STATE.to_vec()] {
+            assert_eq!(load_checked(&bytes), Ok(true));
+            for cut in 0..bytes.len() {
+                assert_eq!(load_checked(&bytes[..cut]), Ok(false), "cut at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn varints_stop_at_ten_bytes() {
+        let take = |bytes: &[u8]| take_varint(&mut Reader::new(bytes));
+        let mut w = Writer::new();
+        put_varint(&mut w, u64::MAX);
+        assert_eq!(
+            w.as_bytes(),
+            [0xff; 9].iter().chain(&[1]).copied().collect::<Vec<_>>()
+        );
+        assert_eq!(take(w.as_bytes()), Ok(u64::MAX));
+        let eleven: Vec<u8> = [0xff; 10].iter().chain(&[1]).copied().collect();
+        assert!(take(&eleven).is_err(), "an 11-byte varint");
+        assert!(
+            take(&[0x80; 10]).is_err(),
+            "a continuation on the tenth byte"
+        );
+        assert!(take(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 2]).is_err());
+        // An 11-byte varint in place of the key count, the event count,
+        // or an event's time delta.
+        let mut at_keys = KEYED_LAYOUT.to_le_bytes().to_vec();
+        at_keys.extend_from_slice(&eleven);
+        let mut at_count = keyed_section(1, 0, &[]);
+        at_count.truncate(at_count.len() - 2);
+        at_count.extend_from_slice(&eleven);
+        let event: Vec<u8> = [0].iter().chain(&eleven).chain(&[0]).copied().collect();
+        let at_delta = keyed_section(1, 1, &event);
+        for bytes in [at_keys, at_count, at_delta] {
+            assert_eq!(load_checked(&bytes), Ok(false));
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn varints_and_zigzag_round_trip(value in 0u64..u64::MAX, shift in 0u64..64, delta in 0u64..u64::MAX) {
+            let value = value >> shift;
+            let mut w = Writer::new();
+            put_varint(&mut w, value);
+            proptest::prop_assert!(w.len() <= 10);
+            proptest::prop_assert_eq!(take_varint(&mut Reader::new(w.as_bytes())), Ok(value));
+            let delta = (delta >> shift) as i64;
+            for delta in [delta, delta.wrapping_neg(), i64::MIN, i64::MAX] {
+                proptest::prop_assert_eq!(unzigzag(zigzag(delta)), delta);
+            }
+        }
+
+        #[test]
+        fn arbitrary_bytes_after_either_layout_tag_load_or_fail_cleanly(
+            legacy_counters in 0u64..4,
+            tail in proptest::collection::vec(0u16..256, 0..160),
+        ) {
+            let tag = if legacy_counters == 0 { KEYED_LAYOUT } else { legacy_counters - 1 };
+            let mut bytes = tag.to_le_bytes().to_vec();
+            bytes.extend(tail.iter().map(|&b| b as u8));
+            load_checked(&bytes).map_err(proptest::test_runner::TestCaseError::Fail)?;
+        }
+
+        #[test]
+        fn bit_flips_in_either_layout_load_or_fail_cleanly(
+            legacy in 0u8..2,
+            at in 0usize..1 << 16,
+            bit in 0u8..8,
+        ) {
+            let mut bytes = if legacy == 1 { LEGACY_STATE.to_vec() } else { keyed_sample() };
+            let at = at % bytes.len();
+            bytes[at] ^= 1 << bit;
+            load_checked(&bytes).map_err(proptest::test_runner::TestCaseError::Fail)?;
+        }
+
+        #[test]
+        fn key_ids_must_name_a_saved_key(keys in 0u64..5, past in 0u64..3, kind in 0u64..3) {
+            // One event naming the id `past` places beyond the last saved
+            // key: valid only when `past` is 0 and there is a key.
+            let id = (keys + past).saturating_sub(1);
+            let mut event = Writer::new();
+            put_varint(&mut event, id << 2 | kind);
+            put_varint(&mut event, zigzag(-7));
+            if kind == Kind::Gauge as u64 {
+                event.put_f64(1.5);
+            } else {
+                put_varint(&mut event, 60_000);
+            }
+            if kind == Kind::Span as u64 {
+                put_varint(&mut event, 2);
+            }
+            let valid = keys > 0 && past == 0;
+            let bytes = keyed_section(keys, 1, event.as_bytes());
+            proptest::prop_assert_eq!(load_checked(&bytes), Ok(valid));
+            // The same id in the counter totals map.
+            let mut w = Writer::new();
+            w.put_u64(KEYED_LAYOUT);
+            put_varint(&mut w, keys);
+            for key in 0..keys {
+                w.put_str(&format!("k{key}"));
+            }
+            put_varint(&mut w, 1);
+            put_varint(&mut w, id);
+            w.put_u64(4);
+            for _ in 0..5 {
+                put_varint(&mut w, 0);
+            }
+            proptest::prop_assert_eq!(load_checked(w.as_bytes()), Ok(valid));
+        }
+
+        #[test]
+        fn event_counts_up_to_u64_max_reserve_only_what_the_bytes_hold(
+            count in 0u64..u64::MAX,
+            near_max in 0u64..3,
+            events in 0usize..40,
+        ) {
+            let count = match near_max {
+                0 => count % 64,
+                1 => count,
+                _ => u64::MAX - count % 64,
+            };
+            // Counter events of key 0: key and kind, delta, value.
+            let keyed = keyed_section(1, count, &[0, 0, 7].repeat(events));
+            // Fewer events than present leave the rest unread, as any
+            // section followed by more state does.
+            proptest::prop_assert_eq!(load_checked(&keyed), Ok(count <= events as u64));
+            if count > MAX_EVENTS as u64 {
+                let err = Registry::new().load_state(&mut Reader::new(&keyed)).unwrap_err();
+                proptest::prop_assert!(err.to_string().contains("cap"), "{err}");
+            }
+            let mut w = Writer::new();
+            for _ in 0..4 {
+                w.put_len(0);
+            }
+            w.put_u64(count);
+            for _ in 0..events {
+                w.put_u8(Kind::Counter as u8);
+                w.put_str("k");
+                w.put_u64(0);
+                w.put_u64(7);
+            }
+            w.put_u64(0);
+            proptest::prop_assert_eq!(load_checked(w.as_bytes()), Ok(count <= events as u64));
         }
     }
 

@@ -4,11 +4,17 @@
 //! escape-needing keys, nested spans, non-finite gauges, histograms and
 //! two counter samples — is exported through the JSONL writer, the CSV
 //! writer, a streamed export, the paged telemetry tap and the checkpoint
-//! codec. The CRC-64/XZ constants below were captured from the registry
-//! that stored one owned `Event` per record, before key interning; any
-//! change to how the registry stores its data must keep reproducing them
-//! byte for byte. A restored registry must then re-export the same bytes
-//! and keep recording exactly like the original.
+//! codec. The export CRC-64/XZ constants below were captured from the
+//! registry that stored one owned `Event` per record, before key
+//! interning; any change to how the registry stores its data must keep
+//! reproducing them byte for byte. A restored registry must then
+//! re-export the same bytes and keep recording exactly like the original.
+//!
+//! The checkpoint codec has two pins: [`STATE_CRC`] for the keyed layout
+//! this build writes (envelope format 3), and [`LEGACY_STATE_CRC`] for
+//! the bytes the same sequence saved to in the layout of envelope format
+//! 2. Those bytes are kept in `fixtures/pinned_state_v2.bin` and must
+//! still restore to the pinned exports.
 
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
@@ -23,7 +29,13 @@ const CSV_CRC: u64 = 0xd5c1_06ac_21a6_e9ac;
 /// CRC-64/XZ of the concatenated incremental-tap pages.
 const TAP_CRC: u64 = 0xa7d3_5931_7bc4_0ea6;
 /// CRC-64/XZ of the `save_state` bytes.
-const STATE_CRC: u64 = 0x1816_8646_0966_9a42;
+const STATE_CRC: u64 = 0xa9cd_0cb3_ea9e_71cd;
+/// CRC-64/XZ of the `save_state` bytes as envelope format 2 wrote them,
+/// each event spelling out its key (the fixture below).
+const LEGACY_STATE_CRC: u64 = 0x1816_8646_0966_9a42;
+
+/// The whole sequence's registry, saved in the legacy layout.
+const LEGACY_STATE: &[u8] = include_bytes!("fixtures/pinned_state_v2.bin");
 
 /// Custom histogram edges (a non-default set that restores by leaking).
 const CUSTOM_EDGES: &[f64] = &[-1.0, 0.0, 0.25, 1e9];
@@ -228,4 +240,36 @@ fn truncated_state_is_an_error_and_leaves_the_registry_unchanged() {
         assert!(result.is_err(), "a {cut}-byte prefix must not load");
         assert_eq!(jsonl(&target), before);
     }
+}
+
+#[test]
+fn legacy_state_restores_to_the_pinned_exports() {
+    assert_eq!(checksum(LEGACY_STATE), LEGACY_STATE_CRC);
+    let mut restored = Registry::new();
+    let mut reader = bz_state::Reader::new(LEGACY_STATE);
+    restored.load_state(&mut reader).unwrap();
+    assert!(reader.is_exhausted());
+    assert_eq!(checksum(&jsonl(&restored)), JSONL_CRC);
+    assert_eq!(checksum(&csv(&restored)), CSV_CRC);
+    let mut pages = Vec::new();
+    restored.write_events_from(0, &mut pages).unwrap();
+    assert_eq!(checksum(&pages), TAP_CRC);
+
+    // Re-saved in the keyed layout, it restores to the same exports, and
+    // it keeps recording like the registry that never stopped.
+    let resaved = state(&restored);
+    assert!(resaved.len() < LEGACY_STATE.len());
+    let mut again = Registry::new();
+    again
+        .load_state(&mut bz_state::Reader::new(&resaved))
+        .unwrap();
+    assert_eq!(state(&again), resaved);
+    let (mut original, _) = record_with_tap();
+    for registry in [&mut original, &mut restored, &mut again] {
+        record_second_half(registry);
+        registry.gauge_set("after.restore", 200_000, 1.0);
+    }
+    assert_eq!(jsonl(&restored), jsonl(&original));
+    assert_eq!(jsonl(&again), jsonl(&original));
+    assert_eq!(csv(&again), csv(&original));
 }

@@ -7,7 +7,9 @@
 //! time and serves keep-alive requests on it until the peer closes,
 //! errors, or shutdown is requested. Tenant state is behind the sharded
 //! registry locks plus one mutex per tenant, so requests for different
-//! tenants proceed fully in parallel.
+//! tenants proceed fully in parallel. A request that panics is answered
+//! 500 and its connection closed; the worker goes on to the next
+//! connection.
 //!
 //! Shutdown (SIGINT/SIGTERM or `POST /admin/shutdown`): the listener
 //! stops accepting, in-flight connections finish their current request,
@@ -16,6 +18,7 @@
 
 use std::io::{self, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -256,7 +259,8 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 continue; // idle keep-alive poll
             }
             Err(e) if e.kind() == ErrorKind::InvalidData => {
-                let response = Response::error(400, &e.to_string());
+                let too_large = e.get_ref().is_some_and(|e| e.is::<http::BodyTooLarge>());
+                let response = Response::error(if too_large { 413 } else { 400 }, &e.to_string());
                 let _ = response.write_to(&mut writer, false);
                 return Ok(());
             }
@@ -265,7 +269,21 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
         shared.requests.fetch_add(1, Ordering::Relaxed);
         let shutting_down = shared.shutdown.load(Ordering::SeqCst);
         let keep_alive = !request.wants_close() && !shutting_down;
-        let response = route(&request, shared);
+        // A panicking request (say, a step over restored state that is out
+        // of physical range) ends its connection, not the worker.
+        let response = match panic::catch_unwind(AssertUnwindSafe(|| route(&request, shared))) {
+            Ok(response) => response,
+            Err(payload) => {
+                let why = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("unknown cause");
+                let response = Response::error(500, &format!("the request panicked: {why}"));
+                let _ = response.write_to(&mut writer, false);
+                return Ok(());
+            }
+        };
         response.write_to(&mut writer, keep_alive)?;
         writer.flush()?;
         if !keep_alive {

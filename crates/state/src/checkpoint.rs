@@ -32,13 +32,20 @@ use crate::persist_struct;
 pub const MAGIC: [u8; 4] = *b"BZCK";
 
 /// Current envelope format version. Bump on any wire-format change; older
-/// readers reject newer files (and vice versa) with a clear error instead
-/// of misinterpreting bytes.
+/// readers reject newer files with a clear error instead of
+/// misinterpreting bytes, and this build reads back to
+/// [`OLDEST_READABLE_VERSION`].
 ///
 /// History: 1 — initial release; 2 — `Rng` payloads gained a noise-kernel
 /// tag (round-2 noise campaign), so v1 snapshots would misparse and are
-/// rejected/skipped instead.
-pub const FORMAT_VERSION: u32 = 2;
+/// rejected/skipped instead; 3 — the telemetry registry section names
+/// each event's key by id, with delta-coded times and varints. That
+/// section's first word tells its two layouts apart, so v2 files still
+/// decode.
+pub const FORMAT_VERSION: u32 = 3;
+
+/// Oldest envelope format version this build still reads.
+pub const OLDEST_READABLE_VERSION: u32 = 2;
 
 /// Self-describing header stored ahead of the payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,13 +86,14 @@ pub enum CheckpointError {
         /// The four bytes found instead.
         found: [u8; 4],
     },
-    /// The file's format version is not [`FORMAT_VERSION`].
+    /// The file's format version is outside [`OLDEST_READABLE_VERSION`]
+    /// to [`FORMAT_VERSION`].
     VersionMismatch {
         /// The file involved.
         path: PathBuf,
         /// Version recorded in the file.
         found: u32,
-        /// Version this build understands.
+        /// Newest version this build understands.
         supported: u32,
     },
     /// The file ends before its declared length (a torn write).
@@ -152,7 +160,8 @@ impl fmt::Display for CheckpointError {
                 supported,
             } => write!(
                 f,
-                "{}: checkpoint format v{found} is not supported (this build reads v{supported})",
+                "{}: checkpoint format v{found} is not supported (this build reads \
+                 v{OLDEST_READABLE_VERSION} to v{supported})",
                 path.display()
             ),
             Self::Truncated {
@@ -255,7 +264,7 @@ impl Checkpoint {
             });
         }
         let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != FORMAT_VERSION {
+        if !(OLDEST_READABLE_VERSION..=FORMAT_VERSION).contains(&version) {
             return Err(CheckpointError::VersionMismatch {
                 path: path.to_owned(),
                 found: version,
@@ -482,6 +491,25 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains("not supported"));
+    }
+
+    #[test]
+    fn format_2_envelopes_still_decode_and_format_1_is_refused() {
+        let ckpt = sample();
+        for version in [1, OLDEST_READABLE_VERSION] {
+            let mut bytes = ckpt.encode();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            let total = bytes.len();
+            let crc = crc64::checksum(&bytes[..total - 8]);
+            bytes[total - 8..].copy_from_slice(&crc.to_le_bytes());
+            let decoded = Checkpoint::decode(Path::new("x.bzck"), &bytes);
+            if version == 1 {
+                let err = decoded.unwrap_err();
+                assert!(err.to_string().contains("reads v2 to v3"), "{err}");
+            } else {
+                assert_eq!(decoded.unwrap(), ckpt);
+            }
+        }
     }
 
     #[test]
