@@ -67,7 +67,7 @@ COMMANDS:
     mpc        occupancy-aware model-predictive control (bz-predict)
                  --scenario PATH (bundled office)  --minutes N  --seed S
                  --horizon N (15)  --compare  --jobs N (1)
-                 --metrics-out PATH  --flamegraph-out PATH  --quiet
+                 --metrics-out PATH  --quiet
                  [checkpoint flags]
     serve      multi-tenant control-plane service (docs/SERVE.md)
                  --addr A (127.0.0.1:7033)  --threads N (8)
@@ -100,10 +100,8 @@ writes the collected metrics to PATH — JSONL by default, CSV when PATH
 ends in `.csv` (see docs/OBSERVABILITY.md). The export is deterministic:
 two runs with the same seed produce byte-identical files.
 
-`--flamegraph-out PATH` additionally folds the run's span tree into
-collapsed-stack lines (`core.step_second;core.control_tick 1234`) ready
-for flamegraph tooling; `endurance --stream` writes metric events
-through to `--metrics-out` as they happen instead of buffering them.
+`endurance --stream` writes metric events through to `--metrics-out` as
+they happen instead of buffering them.
 
 `sweep` executes every run against an isolated metrics registry on a
 work-stealing thread pool; `--out-dir` writes one `run-NNN.jsonl` per
@@ -149,67 +147,47 @@ pub fn run(command: &str, raw: Vec<String>) -> Result<String, ArgError> {
     }
 }
 
-/// Output paths for the run's telemetry artifacts.
-struct Telemetry {
-    /// `--metrics-out` path (JSONL, or CSV when it ends in `.csv`).
-    metrics: Option<String>,
-    /// `--flamegraph-out` path (collapsed-stack lines).
-    flame: Option<String>,
-}
-
-/// Turns telemetry on (cleared) when `--metrics-out` or
-/// `--flamegraph-out` was given and returns the output paths.
+/// Turns telemetry on (cleared) when `--metrics-out` was given and
+/// returns its path (JSONL, or CSV when it ends in `.csv`).
 ///
 /// # Errors
 ///
-/// Returns an error if either flag is present without a path, so a
+/// Returns an error if the flag is present without a path, so a
 /// truncated invocation cannot silently skip the export.
-fn metrics_begin(args: &Args) -> Result<Telemetry, ArgError> {
-    let telemetry = Telemetry {
-        metrics: args.get("metrics-out")?.map(str::to_owned),
-        flame: args.get("flamegraph-out")?.map(str::to_owned),
-    };
-    if telemetry.metrics.is_some() || telemetry.flame.is_some() {
+fn metrics_begin(args: &Args) -> Result<Option<String>, ArgError> {
+    let path = args.get("metrics-out")?.map(str::to_owned);
+    if path.is_some() {
         let obs = bz_obs::Handle::global();
         obs.enable();
         obs.reset();
     }
-    Ok(telemetry)
+    Ok(path)
 }
 
-/// Disables telemetry and writes the requested artifacts: the metric
-/// export (CSV when the path ends in `.csv`, JSONL otherwise; skipped
-/// when `streamed` — the bytes are already on disk and only the totals
-/// tail is flushed) and the collapsed-stack flamegraph lines. Appends
-/// the summary table to `out`.
-fn metrics_finish(telemetry: &Telemetry, streamed: bool, out: &mut String) -> Result<(), ArgError> {
-    if telemetry.metrics.is_none() && telemetry.flame.is_none() {
+/// Disables telemetry and writes the metric export to `path` (CSV when
+/// the path ends in `.csv`, JSONL otherwise; skipped when `streamed` —
+/// the bytes are already on disk and only the totals tail is flushed).
+/// Appends the summary table to `out`.
+fn metrics_finish(path: Option<&str>, streamed: bool, out: &mut String) -> Result<(), ArgError> {
+    let Some(path) = path else {
         return Ok(());
-    }
+    };
     let obs = bz_obs::Handle::global();
     obs.disable();
-    if let Some(path) = &telemetry.metrics {
-        if streamed {
-            obs.finish_stream()
-                .map_err(|e| ArgError::new(format!("cannot finish stream to {path}: {e}")))?;
-            *out += &format!("\nmetrics streamed to {path}\n{}", obs.summary_table());
+    if streamed {
+        obs.finish_stream()
+            .map_err(|e| ArgError::new(format!("cannot finish stream to {path}: {e}")))?;
+        *out += &format!("\nmetrics streamed to {path}\n{}", obs.summary_table());
+    } else {
+        let file =
+            File::create(path).map_err(|e| ArgError::new(format!("cannot create {path}: {e}")))?;
+        let written = if path.ends_with(".csv") {
+            obs.write_csv(file)
         } else {
-            let file = File::create(path)
-                .map_err(|e| ArgError::new(format!("cannot create {path}: {e}")))?;
-            let written = if path.ends_with(".csv") {
-                obs.write_csv(file)
-            } else {
-                obs.write_jsonl(file)
-            };
-            written.map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
-            *out += &format!("\nmetrics written to {path}\n{}", obs.summary_table());
-        }
-    }
-    if let Some(path) = &telemetry.flame {
-        let stacks = bz_obs::collapsed_stacks(&obs.snapshot());
-        std::fs::write(path, stacks)
-            .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
-        *out += &format!("flamegraph stacks written to {path}\n");
+            obs.write_jsonl(file)
+        };
+        written.map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
+        *out += &format!("\nmetrics written to {path}\n{}", obs.summary_table());
     }
     Ok(())
 }
@@ -240,17 +218,7 @@ fn expect_only_with_checkpoints(args: &Args, base: &[&str]) -> Result<(), ArgErr
 }
 
 fn trial(args: &Args) -> Result<String, ArgError> {
-    expect_only_with_checkpoints(
-        args,
-        &[
-            "minutes",
-            "seed",
-            "csv",
-            "quiet",
-            "metrics-out",
-            "flamegraph-out",
-        ],
-    )?;
+    expect_only_with_checkpoints(args, &["minutes", "seed", "csv", "quiet", "metrics-out"])?;
     let minutes: u64 = args.get_or("minutes", 105)?;
     let seed: u64 = args.get_or("seed", 0x5EED_0001)?;
     let quiet = args.flag("quiet");
@@ -334,12 +302,12 @@ fn trial(args: &Args) -> Result<String, ArgError> {
             .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
         out += &format!("series written to {path}\n");
     }
-    metrics_finish(&metrics, false, &mut out)?;
+    metrics_finish(metrics.as_deref(), false, &mut out)?;
     Ok(out)
 }
 
 fn cop(args: &Args) -> Result<String, ArgError> {
-    args.expect_only(&["settle-mins", "meter-mins", "metrics-out", "flamegraph-out"])?;
+    args.expect_only(&["settle-mins", "meter-mins", "metrics-out"])?;
     let settle: u64 = args.get_or("settle-mins", 40)?;
     let meter: u64 = args.get_or("meter-mins", 20)?;
     let metrics = metrics_begin(args)?;
@@ -373,12 +341,12 @@ fn cop(args: &Args) -> Result<String, ArgError> {
         summary.cop_overall(),
         100.0 * summary.improvement_over(aircon_cop),
     );
-    metrics_finish(&metrics, false, &mut out)?;
+    metrics_finish(metrics.as_deref(), false, &mut out)?;
     Ok(out)
 }
 
 fn network(args: &Args) -> Result<String, ArgError> {
-    args.expect_only(&["minutes", "fixed", "metrics-out", "flamegraph-out"])?;
+    args.expect_only(&["minutes", "fixed", "metrics-out"])?;
     let minutes: u64 = args.get_or("minutes", 300)?;
     let mode = if args.flag("fixed") {
         BtMode::Fixed
@@ -412,7 +380,7 @@ fn network(args: &Args) -> Result<String, ArgError> {
             out += &format!("mean temperature send period {mean:.1} s\n");
         }
     }
-    metrics_finish(&metrics, false, &mut out)?;
+    metrics_finish(metrics.as_deref(), false, &mut out)?;
     Ok(out)
 }
 
@@ -500,7 +468,7 @@ fn multihop(args: &Args) -> Result<String, ArgError> {
 }
 
 fn sniff(args: &Args) -> Result<String, ArgError> {
-    args.expect_only(&["minutes", "csv", "metrics-out", "flamegraph-out"])?;
+    args.expect_only(&["minutes", "csv", "metrics-out"])?;
     let minutes: u64 = args.get_or("minutes", 10)?;
     let csv = args.get("csv")?;
     let metrics = metrics_begin(args)?;
@@ -550,12 +518,12 @@ traffic by type:
 "
         );
     }
-    metrics_finish(&metrics, false, &mut out)?;
+    metrics_finish(metrics.as_deref(), false, &mut out)?;
     Ok(out)
 }
 
 fn endurance(args: &Args) -> Result<String, ArgError> {
-    expect_only_with_checkpoints(args, &["days", "metrics-out", "flamegraph-out", "stream"])?;
+    expect_only_with_checkpoints(args, &["days", "metrics-out", "stream"])?;
     let days: u64 = args.get_or("days", 1)?;
     if days == 0 || days > 30 {
         return Err(ArgError::new("--days must be between 1 and 30"));
@@ -572,18 +540,12 @@ fn endurance(args: &Args) -> Result<String, ArgError> {
     let metrics = metrics_begin(args)?;
     let stream = args.flag("stream");
     if stream {
-        let Some(path) = &metrics.metrics else {
+        let Some(path) = &metrics else {
             return Err(ArgError::new("--stream needs --metrics-out PATH"));
         };
         if path.ends_with(".csv") {
             return Err(ArgError::new(
                 "--stream writes JSONL; --metrics-out must not end in .csv",
-            ));
-        }
-        if metrics.flame.is_some() {
-            return Err(ArgError::new(
-                "--stream cannot be combined with --flamegraph-out \
-                 (streamed spans go to disk instead of the in-memory buffer)",
             ));
         }
         let file =
@@ -619,7 +581,7 @@ after {days} day(s): delivery {:.1}%, mean projected device lifetime {mean_life:
 ",
         100.0 * system.network().stats().delivery_ratio(),
     );
-    metrics_finish(&metrics, stream, &mut out)?;
+    metrics_finish(metrics.as_deref(), stream, &mut out)?;
     Ok(out)
 }
 
@@ -955,16 +917,7 @@ fn checkpoint_inspect(raw: Vec<String>) -> Result<String, ArgError> {
 /// machine-greppable `chaos-result:` line carries the headline numbers
 /// for CI smoke checks.
 fn chaos(args: &Args) -> Result<String, ArgError> {
-    expect_only_with_checkpoints(
-        args,
-        &[
-            "scenario",
-            "minutes",
-            "seed",
-            "metrics-out",
-            "flamegraph-out",
-        ],
-    )?;
+    expect_only_with_checkpoints(args, &["scenario", "minutes", "seed", "metrics-out"])?;
     let mut scenario = match args.get("scenario")? {
         Some(path) => {
             let text = std::fs::read_to_string(path)
@@ -998,7 +951,7 @@ fn chaos(args: &Args) -> Result<String, ArgError> {
     out += "\n";
     out += &report.summary_line();
     out += "\n";
-    metrics_finish(&metrics, false, &mut out)?;
+    metrics_finish(metrics.as_deref(), false, &mut out)?;
     Ok(out)
 }
 
@@ -1007,9 +960,9 @@ fn chaos(args: &Args) -> Result<String, ArgError> {
 /// With `--compare` it runs MPC and the reactive baseline head-to-head
 /// on the same seed and prints an energy-vs-comfort report plus a
 /// machine-greppable `mpc-result:` line. Both strategies record into
-/// isolated telemetry registries, so `--metrics-out` /
-/// `--flamegraph-out` receive the MPC run's export directly and the
-/// bytes are identical for any `--jobs` value.
+/// isolated telemetry registries, so `--metrics-out` receives the MPC
+/// run's export directly and the bytes are identical for any `--jobs`
+/// value.
 fn mpc(args: &Args) -> Result<String, ArgError> {
     expect_only_with_checkpoints(
         args,
@@ -1021,7 +974,6 @@ fn mpc(args: &Args) -> Result<String, ArgError> {
             "compare",
             "jobs",
             "metrics-out",
-            "flamegraph-out",
             "quiet",
         ],
     )?;
@@ -1054,7 +1006,6 @@ fn mpc(args: &Args) -> Result<String, ArgError> {
             "mpc exports JSONL; --metrics-out must not end in .csv",
         ));
     }
-    let flame_path = args.get("flamegraph-out")?;
     let opts = CheckpointOpts::from_args(args)?;
     if opts.active() && args.flag("compare") {
         return Err(ArgError::new(
@@ -1104,11 +1055,6 @@ fn mpc(args: &Args) -> Result<String, ArgError> {
         std::fs::write(path, &mpc_run.export)
             .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
         out += &format!("metrics written to {path}\n");
-    }
-    if let Some(path) = flame_path {
-        std::fs::write(path, &mpc_run.flame)
-            .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
-        out += &format!("flamegraph stacks written to {path}\n");
     }
     Ok(out)
 }
@@ -1479,59 +1425,32 @@ mod tests {
     }
 
     #[test]
-    fn mpc_writes_metrics_and_flamegraph_files() {
+    fn mpc_writes_the_metrics_file() {
         let dir = std::env::temp_dir().join("bzctl-mpc-artifacts");
         std::fs::create_dir_all(&dir).unwrap();
         let metrics = dir.join("mpc.jsonl");
-        let flame = dir.join("mpc.folded");
         let out = run_ok(
             "mpc",
-            &[
-                "--minutes",
-                "3",
-                "--metrics-out",
-                metrics.to_str().unwrap(),
-                "--flamegraph-out",
-                flame.to_str().unwrap(),
-            ],
+            &["--minutes", "3", "--metrics-out", metrics.to_str().unwrap()],
         );
         assert!(out.contains("metrics written to"));
-        assert!(out.contains("flamegraph stacks written to"));
         let export = std::fs::read_to_string(&metrics).unwrap();
         assert!(
             export.contains("\"kind\""),
             "JSONL export looks wrong: {export}"
         );
-        let stacks = std::fs::read_to_string(&flame).unwrap();
-        assert!(
-            stacks.contains("core.step_second"),
-            "collapsed stacks look wrong: {stacks}"
-        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn trial_flamegraph_out_writes_collapsed_stacks() {
-        let dir = std::env::temp_dir().join("bzctl-trial-flame");
-        std::fs::create_dir_all(&dir).unwrap();
-        let flame = dir.join("trial.folded");
-        let out = run_ok(
-            "trial",
-            &[
-                "--minutes",
-                "1",
-                "--quiet",
-                "--flamegraph-out",
-                flame.to_str().unwrap(),
-            ],
-        );
-        assert!(out.contains("flamegraph stacks written to"));
-        let stacks = std::fs::read_to_string(&flame).unwrap();
-        assert!(!stacks.is_empty(), "collapsed stacks must not be empty");
-        assert!(stacks.lines().all(|l| l
-            .rsplit_once(' ')
-            .is_some_and(|(_, n)| n.parse::<u64>().is_ok())));
-        std::fs::remove_dir_all(&dir).ok();
+    fn flamegraph_out_is_an_unknown_flag() {
+        for command in "trial cop network sniff endurance chaos mpc".split(' ') {
+            let err = run_err(command, &["--flamegraph-out", "run.folded"]);
+            assert!(
+                err.contains("unknown flag --flamegraph-out"),
+                "{command}: {err}"
+            );
+        }
     }
 
     fn run_err(command: &str, flags: &[&str]) -> String {
@@ -1847,17 +1766,5 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("must not end in .csv"));
-        let err = run(
-            "endurance",
-            vec![
-                "--stream".into(),
-                "--metrics-out".into(),
-                "/tmp/x.jsonl".into(),
-                "--flamegraph-out".into(),
-                "/tmp/x.folded".into(),
-            ],
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("cannot be combined"));
     }
 }

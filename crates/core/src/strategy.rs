@@ -10,10 +10,12 @@
 //!
 //! Design rules the trait encodes:
 //!
-//! - **Observations flow through the strategy.** Every sensor delivery the
-//!   system routes to a controller goes through a trait method, so a
-//!   wrapper strategy can tee the sensed stream into its own estimators
-//!   while the inner reactive controllers stay byte-identical.
+//! - **Room observations flow through the strategy.** Room temperature,
+//!   humidity and CO₂ deliveries go through trait methods, so a wrapper
+//!   strategy can tee them into its own estimators while the inner
+//!   reactive controllers stay byte-identical. The readings only the
+//!   reactive loops use (ceiling, outlet, supply and pipe sensors) go
+//!   straight to [`ControlStrategy::reactive_mut`].
 //! - **Safety stays outside.** Supervisor validation, condensation safe
 //!   mode, and the pump watchdog live in `system.rs` and apply to *any*
 //!   strategy's commands.
@@ -74,18 +76,6 @@ pub trait ControlStrategy: std::fmt::Debug + Send {
         let _ = inputs;
     }
 
-    /// Ceiling temperature delivery for sensor `k` (0–5) under `panel`.
-    fn observe_ceiling_temperature(&mut self, panel: usize, k: usize, now_s: f64, value: Celsius) {
-        self.reactive_mut()
-            .observe_ceiling_temperature(panel, k, now_s, value);
-    }
-
-    /// Ceiling humidity delivery for sensor `k` (0–5) under `panel`.
-    fn observe_ceiling_humidity(&mut self, panel: usize, k: usize, now_s: f64, value: Percent) {
-        self.reactive_mut()
-            .observe_ceiling_humidity(panel, k, now_s, value);
-    }
-
     /// Room temperature delivery for `subspace` (0–3).
     fn observe_room_temperature(&mut self, subspace: usize, now_s: f64, value: Celsius) {
         self.reactive_mut()
@@ -104,37 +94,9 @@ pub trait ControlStrategy: std::fmt::Debug + Send {
             .observe_room(subspace, now_s, temperature, humidity);
     }
 
-    /// Paired airbox outlet temperature + humidity for `airbox` (0–3).
-    fn observe_outlet(
-        &mut self,
-        airbox: usize,
-        now_s: f64,
-        temperature: Celsius,
-        humidity: Percent,
-    ) {
-        self.reactive_mut()
-            .observe_outlet(airbox, now_s, temperature, humidity);
-    }
-
     /// CO₂ delivery for `subspace` (0–3).
     fn observe_co2(&mut self, subspace: usize, now_s: f64, value: Ppm) {
         self.reactive_mut().observe_co2(subspace, now_s, value);
-    }
-
-    /// Ventilation supply (tank) temperature broadcast.
-    fn observe_supply_temperature(&mut self, now_s: f64, value: Celsius) {
-        self.reactive_mut().observe_supply_temperature(now_s, value);
-    }
-
-    /// Wired supply/return pipe readings for `panel`.
-    fn set_pipe_readings(&mut self, panel: usize, supply: Celsius, return_temp: Celsius) {
-        self.reactive_mut()
-            .set_pipe_readings(panel, supply, return_temp);
-    }
-
-    /// Wired mixed-water temperature reading for `panel`.
-    fn observe_mixed_temp(&mut self, panel: usize, value: Celsius) {
-        self.reactive_mut().observe_mixed_temp(panel, value);
     }
 
     /// One radiant decision for `panel` (0–1).
@@ -225,7 +187,7 @@ impl ReactiveStrategy {
         &self.ventilation[subspace]
     }
 
-    /// See [`ControlStrategy::observe_ceiling_temperature`].
+    /// Ceiling temperature delivery for sensor `k` (0–5) under `panel`.
     pub fn observe_ceiling_temperature(
         &mut self,
         panel: usize,
@@ -236,7 +198,7 @@ impl ReactiveStrategy {
         self.radiant[panel].observe_ceiling_temperature(k, now_s, value);
     }
 
-    /// See [`ControlStrategy::observe_ceiling_humidity`].
+    /// Ceiling humidity delivery for sensor `k` (0–5) under `panel`.
     pub fn observe_ceiling_humidity(&mut self, panel: usize, k: usize, now_s: f64, value: Percent) {
         self.radiant[panel].observe_ceiling_humidity(k, now_s, value);
     }
@@ -258,7 +220,7 @@ impl ReactiveStrategy {
         self.ventilation[subspace].observe_room(now_s, temperature, humidity);
     }
 
-    /// See [`ControlStrategy::observe_outlet`].
+    /// Paired airbox outlet temperature + humidity for `airbox` (0–3).
     pub fn observe_outlet(
         &mut self,
         airbox: usize,
@@ -274,20 +236,20 @@ impl ReactiveStrategy {
         self.ventilation[subspace].observe_co2(now_s, value);
     }
 
-    /// See [`ControlStrategy::observe_supply_temperature`] (broadcast to
-    /// all four subspace controllers).
+    /// Ventilation supply (tank) temperature, broadcast to all four
+    /// subspace controllers.
     pub fn observe_supply_temperature(&mut self, now_s: f64, value: Celsius) {
         for controller in &mut self.ventilation {
             controller.observe_supply_temperature(now_s, value);
         }
     }
 
-    /// See [`ControlStrategy::set_pipe_readings`].
+    /// Wired supply/return pipe readings for `panel`.
     pub fn set_pipe_readings(&mut self, panel: usize, supply: Celsius, return_temp: Celsius) {
         self.radiant[panel].set_pipe_readings(supply, return_temp);
     }
 
-    /// See [`ControlStrategy::observe_mixed_temp`].
+    /// Wired mixed-water temperature reading for `panel`.
     pub fn observe_mixed_temp(&mut self, panel: usize, value: Celsius) {
         self.radiant[panel].observe_mixed_temp(value);
     }
@@ -383,11 +345,12 @@ mod tests {
         let strategy: &mut dyn ControlStrategy = &mut s;
         assert_eq!(strategy.name(), "reactive");
         let rh = relative_humidity_from_dew_point(Celsius::new(26.0), Celsius::new(15.0));
+        let reactive = strategy.reactive_mut();
         for k in 0..6 {
-            strategy.observe_ceiling_temperature(0, k, 0.0, Celsius::new(26.0));
-            strategy.observe_ceiling_humidity(0, k, 0.0, rh);
+            reactive.observe_ceiling_temperature(0, k, 0.0, Celsius::new(26.0));
+            reactive.observe_ceiling_humidity(0, k, 0.0, rh);
         }
-        strategy.set_pipe_readings(0, Celsius::new(18.0), Celsius::new(20.0));
+        reactive.set_pipe_readings(0, Celsius::new(18.0), Celsius::new(20.0));
         strategy.observe_room_temperature(0, 0.0, Celsius::new(27.0));
         let decision = strategy.decide_radiant(0, 0.0, 5.0);
         assert!(decision.ceiling_dew.is_some());

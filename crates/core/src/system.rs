@@ -998,7 +998,7 @@ impl BubbleZeroSystem {
                 if let Some(k) = channel.checked_sub(channels::CEILING_BASE) {
                     if k < 12 {
                         let panel = (k / 6) as usize;
-                        self.strategy.observe_ceiling_temperature(
+                        self.strategy.reactive_mut().observe_ceiling_temperature(
                             panel,
                             (k % 6) as usize,
                             now_s,
@@ -1029,7 +1029,7 @@ impl BubbleZeroSystem {
                 if let Some(k) = channel.checked_sub(channels::CEILING_BASE) {
                     if k < 12 {
                         let panel = (k / 6) as usize;
-                        self.strategy.observe_ceiling_humidity(
+                        self.strategy.reactive_mut().observe_ceiling_humidity(
                             panel,
                             (k % 6) as usize,
                             now_s,
@@ -1067,6 +1067,7 @@ impl BubbleZeroSystem {
             }
             DataType::SupplyTemperature => {
                 self.strategy
+                    .reactive_mut()
                     .observe_supply_temperature(now_s, Celsius::new(message.value()));
             }
             // Control-C-2's loop-flow broadcast feeds the actuator
@@ -1089,7 +1090,7 @@ impl BubbleZeroSystem {
 
     fn push_outlet_pair(&mut self, a: usize, now_s: f64) {
         if let (Some(t), Some(h)) = self.outlet_cache[a] {
-            self.strategy.observe_outlet(a, now_s, t, h);
+            self.strategy.reactive_mut().observe_outlet(a, now_s, t, h);
         }
     }
 
@@ -1129,8 +1130,9 @@ impl BubbleZeroSystem {
             let supply = self.plant.read_supply_temp();
             let ret = self.plant.read_return_temp(panel);
             let mixed = self.plant.read_mixed_temp(panel);
-            self.strategy.set_pipe_readings(panel, supply, ret);
-            self.strategy.observe_mixed_temp(panel, mixed);
+            let reactive = self.strategy.reactive_mut();
+            reactive.set_pipe_readings(panel, supply, ret);
+            reactive.observe_mixed_temp(panel, mixed);
             let decision = self.strategy.decide_radiant(panel, now_s, dt_s);
             // Condensation safe mode: while the panel's dew-margin inputs
             // are untrustworthy or its pump watchdog is latched, the

@@ -349,7 +349,7 @@ mod tests {
         assert!(snapshot.counters.is_empty());
         assert!(snapshot.gauges.is_empty());
         assert!(snapshot.histograms.is_empty());
-        assert!(snapshot.events.is_empty());
+        assert_eq!(handle.events_len(), 0);
         assert!(snapshot.spans.is_empty());
     }
 

@@ -6,6 +6,8 @@
 //! metric's edges must mean the same thing in every exported run (a
 //! re-binning histogram would make two runs incomparable).
 
+use std::borrow::Cow;
+
 /// Default bucket upper edges: a power-of-two ladder wide enough for
 /// millisecond delays, send periods in seconds, and queue depths alike.
 pub const DEFAULT_BUCKETS: &[f64] = &[
@@ -33,7 +35,9 @@ pub const DEFAULT_BUCKETS: &[f64] = &[
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FixedHistogram {
-    edges: &'static [f64],
+    /// Borrowed from the caller's `'static` set, or owned when restored
+    /// from a checkpoint (and freed with the histogram).
+    edges: Cow<'static, [f64]>,
     counts: Vec<u64>,
     count: u64,
     sum: f64,
@@ -55,7 +59,7 @@ impl FixedHistogram {
             "histogram edges must be strictly ascending"
         );
         Self {
-            edges,
+            edges: Cow::Borrowed(edges),
             counts: vec![0; edges.len() + 1],
             count: 0,
             sum: 0.0,
@@ -66,8 +70,8 @@ impl FixedHistogram {
 
     /// The bucket upper edges.
     #[must_use]
-    pub fn edges(&self) -> &'static [f64] {
-        self.edges
+    pub fn edges(&self) -> &[f64] {
+        &self.edges
     }
 
     /// Per-bucket counters; the final entry is the overflow bucket.
@@ -130,7 +134,7 @@ use bz_state::Persist;
 impl Persist for FixedHistogram {
     fn save(&self, w: &mut bz_state::Writer) {
         w.put_len(self.edges.len());
-        for &edge in self.edges {
+        for &edge in self.edges.iter() {
             w.put_f64(edge);
         }
         self.counts.save(w);
@@ -146,20 +150,6 @@ impl Persist for FixedHistogram {
         for _ in 0..n {
             edges.push(r.take_f64()?);
         }
-        // Edges are `&'static` by design. The only edge set production code
-        // creates is DEFAULT_BUCKETS, so restoring normally re-points at
-        // it; an unrecognized set (a custom test histogram) is leaked once,
-        // which is bounded by the number of distinct restored histograms.
-        let is_default = edges.len() == DEFAULT_BUCKETS.len()
-            && edges
-                .iter()
-                .zip(DEFAULT_BUCKETS)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        let edges: &'static [f64] = if is_default {
-            DEFAULT_BUCKETS
-        } else {
-            Box::leak(edges.into_boxed_slice())
-        };
         let counts = Vec::<u64>::load(r)?;
         if counts.len() != edges.len() + 1 {
             return Err(bz_state::StateError::Invalid {
@@ -173,7 +163,7 @@ impl Persist for FixedHistogram {
             });
         }
         Ok(Self {
-            edges,
+            edges: Cow::Owned(edges),
             counts,
             count: r.take_u64()?,
             sum: r.take_f64()?,

@@ -17,9 +17,8 @@
 //!    machines plus a human [`Handle::summary_table`]; long runs can
 //!    switch to streaming export with [`Handle::stream_to`] (events are
 //!    written through as they happen, unbounded by [`MAX_EVENTS`]), and
-//!    [`flame::collapsed_stacks`] folds the span stream into
-//!    flamegraph-ready collapsed stacks; formats are documented in
-//!    `docs/OBSERVABILITY.md`.
+//!    [`Handle::write_events_from`] taps the buffered events from a
+//!    cursor; formats are documented in `docs/OBSERVABILITY.md`.
 //!
 //! The API is **instance-first**: all state lives behind a [`Handle`], and
 //! instrumented components (the event queue, the channel, the controllers,
@@ -52,18 +51,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod flame;
 mod handle;
 mod hist;
 mod key;
 mod registry;
 mod span;
 
-pub use flame::collapsed_stacks;
 pub use handle::Handle;
 pub use hist::{FixedHistogram, DEFAULT_BUCKETS};
 pub use key::MetricKey;
-pub use registry::{json_escape, Event, JsonF64, Registry, Snapshot, SpanStats, MAX_EVENTS};
+pub use registry::{json_escape, JsonF64, Registry, Snapshot, SpanStats, MAX_EVENTS};
 pub use span::SpanGuard;
 
 #[cfg(test)]
@@ -81,16 +78,13 @@ mod tests {
         let snapshot = obs.snapshot();
         assert_eq!(snapshot.spans["outer"].sim_ms_total, 1_000);
         assert_eq!(snapshot.spans["inner"].sim_ms_total, 100);
-        let depths: Vec<(&str, u32)> = snapshot
-            .events
-            .iter()
-            .filter_map(|event| match event {
-                Event::Span { name, depth, .. } => Some((name.as_str(), *depth)),
-                _ => None,
-            })
-            .collect();
+        let mut csv = Vec::new();
+        obs.write_csv(&mut csv).unwrap();
         // Inner exits first, at depth 1; outer carries depth 0.
-        assert_eq!(depths, vec![("inner", 1), ("outer", 0)]);
+        assert_eq!(
+            String::from_utf8(csv).unwrap(),
+            "t_ms,kind,name,value,sim_ms,depth\n1200,span,inner,,100,1\n1000,span,outer,,1000,0\n"
+        );
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! recorded under it. The event stream is a vector of fixed 24-byte
 //! [`Record`]s that name their key by table id, so a buffered event costs
 //! the same whether its key was a literal, a `format!`-built string, or a
-//! key restored from a checkpoint. [`Event`]s are materialized only for
-//! [`Registry::snapshot`]; every exporter writes straight from the
-//! records.
+//! key restored from a checkpoint, and every exporter writes straight
+//! from the records.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -22,43 +21,6 @@ use crate::key::MetricKey;
 /// Hard cap on buffered events; beyond it events are counted but dropped,
 /// so a runaway run degrades to totals-only instead of exhausting memory.
 pub const MAX_EVENTS: usize = 2_000_000;
-
-/// One timestamped entry in the exported stream. All fields are functions
-/// of the deterministic simulation alone — never of wall-clock time — so a
-/// seeded run exports byte-identical events every time.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
-    /// A counter's value sampled at a sim instant (see
-    /// [`Registry::record_counters`]).
-    Counter {
-        /// Metric key.
-        name: MetricKey,
-        /// Simulation time of the sample, ms.
-        t_ms: u64,
-        /// Counter value at that instant.
-        value: u64,
-    },
-    /// A gauge update.
-    Gauge {
-        /// Metric key.
-        name: MetricKey,
-        /// Simulation time of the update, ms.
-        t_ms: u64,
-        /// The new gauge value.
-        value: f64,
-    },
-    /// A completed span.
-    Span {
-        /// Span key.
-        name: MetricKey,
-        /// Simulation time at span entry, ms.
-        t_ms: u64,
-        /// Simulated duration covered by the span, ms.
-        sim_ms: u64,
-        /// Nesting depth at entry (0 = outermost).
-        depth: u32,
-    },
-}
 
 /// Aggregate statistics of one span key.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -74,8 +36,9 @@ pub struct SpanStats {
     pub wall_ns_max: u128,
 }
 
-/// An owned, inspectable copy of the registry state (see
-/// [`Handle::snapshot`](crate::Handle::snapshot)).
+/// An owned, inspectable copy of the registry's aggregates (see
+/// [`Handle::snapshot`](crate::Handle::snapshot)); the events themselves
+/// are read through the exporters.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Counter totals by key.
@@ -86,8 +49,6 @@ pub struct Snapshot {
     pub histograms: BTreeMap<MetricKey, FixedHistogram>,
     /// Span aggregates by key.
     pub spans: BTreeMap<MetricKey, SpanStats>,
-    /// Buffered events in record order.
-    pub events: Vec<Event>,
     /// Events discarded after [`MAX_EVENTS`] was reached.
     pub dropped_events: u64,
 }
@@ -107,7 +68,7 @@ impl Kind {
             1 => Ok(Self::Gauge),
             2 => Ok(Self::Span),
             tag => Err(StateError::BadTag {
-                what: "obs::Event",
+                what: "obs event kind",
                 tag,
             }),
         }
@@ -302,30 +263,6 @@ impl KeyTable {
     /// Every slot, in key-text order.
     fn sorted(&self) -> impl Iterator<Item = &Slot> {
         self.index.values().map(|&id| &self.slots[id as usize])
-    }
-
-    /// The owned [`Event`] a record stands for.
-    fn event(&self, record: Record) -> Event {
-        let name = self.slots[record.id()].key.clone();
-        let t_ms = record.t_ms;
-        match record.kind() {
-            Kind::Counter => Event::Counter {
-                name,
-                t_ms,
-                value: record.value,
-            },
-            Kind::Gauge => Event::Gauge {
-                name,
-                t_ms,
-                value: f64::from_bits(record.value),
-            },
-            Kind::Span => Event::Span {
-                name,
-                t_ms,
-                sim_ms: record.value,
-                depth: record.depth,
-            },
-        }
     }
 
     /// Writes every key in id order, so a restored table hands out the
@@ -633,22 +570,9 @@ impl Registry {
         Ok(records.len())
     }
 
-    /// An owned copy of everything the registry holds.
+    /// An owned copy of the aggregates, as key-sorted maps.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            events: self
-                .log
-                .records
-                .iter()
-                .map(|&r| self.keys.event(r))
-                .collect(),
-            ..self.totals()
-        }
-    }
-
-    /// The aggregates as key-sorted maps: a [`Snapshot`] without events.
-    fn totals(&self) -> Snapshot {
         let mut totals = Snapshot {
             dropped_events: self.log.dropped,
             ..Snapshot::default()
@@ -778,7 +702,7 @@ impl Registry {
     /// stdout, not for files that get diffed across runs.
     #[must_use]
     pub fn summary_table(&self) -> String {
-        let totals = self.totals();
+        let totals = self.snapshot();
         let mut out = String::new();
         if !totals.spans.is_empty() {
             out += "spans (per-stage timing):\n";
@@ -1074,21 +998,11 @@ mod tests {
         registry.counter_add("b", 2);
         registry.counter_add("a", 1);
         registry.record_counters(1_000);
-        let events = registry.snapshot().events;
+        let mut csv = Vec::new();
+        registry.write_csv(&mut csv).unwrap();
         assert_eq!(
-            events,
-            vec![
-                Event::Counter {
-                    name: "a".into(),
-                    t_ms: 1_000,
-                    value: 1
-                },
-                Event::Counter {
-                    name: "b".into(),
-                    t_ms: 1_000,
-                    value: 2
-                },
-            ]
+            String::from_utf8(csv).unwrap(),
+            "t_ms,kind,name,value,sim_ms,depth\n1000,counter,a,1,,\n1000,counter,b,2,,\n"
         );
     }
 
@@ -1188,7 +1102,7 @@ mod tests {
         assert!(streaming.is_streaming());
         record_sample(&mut streaming);
         // Streamed events are written through, not buffered.
-        assert!(streaming.snapshot().events.is_empty());
+        assert_eq!(streaming.events_len(), 0);
         streaming.finish_stream().unwrap();
         assert!(!streaming.is_streaming());
         assert_eq!(sink.bytes(), expected);
@@ -1230,7 +1144,7 @@ mod tests {
         assert_eq!(err.to_string(), "disk full");
         // And the registry is usable (buffered) again afterwards.
         registry.gauge_set("g", 2, 3.0);
-        assert_eq!(registry.snapshot().events.len(), 1);
+        assert_eq!(registry.events_len(), 1);
     }
 
     #[test]
@@ -1371,9 +1285,8 @@ mod tests {
         for _ in 0..MAX_EVENTS + 10 {
             registry.gauge_set("g", 0, 0.0);
         }
-        let snapshot = registry.snapshot();
-        assert_eq!(snapshot.events.len(), MAX_EVENTS);
-        assert_eq!(snapshot.dropped_events, 10);
+        assert_eq!(registry.events_len(), MAX_EVENTS);
+        assert_eq!(registry.snapshot().dropped_events, 10);
     }
 
     #[test]
@@ -1424,7 +1337,7 @@ mod tests {
         let mut registry = Registry::new();
         registry.gauge_set("kept", 5, 1.0);
         registry.span_complete("kept.span", 6, 1, 0, 0);
-        let before = (saved(&registry), registry.snapshot().events);
+        let before = saved(&registry);
         match registry.load_state(&mut Reader::new(bytes)) {
             Ok(()) => {
                 let reserved = registry.log.records.capacity();
@@ -1436,7 +1349,7 @@ mod tests {
                 }
                 Ok(true)
             }
-            Err(_) if (saved(&registry), registry.snapshot().events) == before => Ok(false),
+            Err(_) if saved(&registry) == before => Ok(false),
             Err(e) => Err(format!("a failed load ({e}) changed the registry")),
         }
     }
@@ -1466,19 +1379,16 @@ mod tests {
         let mut restored = Registry::new();
         restored.load_state(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(saved(&restored), bytes);
-        let events = restored.snapshot().events;
-        assert!(events.contains(&Event::Span {
-            name: "child".into(),
-            t_ms: 9_000,
-            sim_ms: 5,
-            depth: u32::MAX,
-        }));
-        let gauge_bits: Vec<u64> = events
+        let records = &restored.log.records;
+        let child = restored.keys.index["child"] as usize;
+        assert!(records.iter().any(|r| r.id() == child
+            && r.kind() == Kind::Span
+            && (r.t_ms, r.value, r.depth) == (9_000, 5, u32::MAX)));
+        let g = restored.keys.index["g"] as usize;
+        let gauge_bits: Vec<u64> = records
             .iter()
-            .filter_map(|event| match event {
-                Event::Gauge { name, value, .. } if name.as_str() == "g" => Some(value.to_bits()),
-                _ => None,
-            })
+            .filter(|r| r.id() == g)
+            .map(|r| r.value)
             .collect();
         assert_eq!(gauge_bits, [(-0.0f64).to_bits(), 0x7ff8_dead_beef_0001]);
         assert_eq!(restored.log.dropped, 300);

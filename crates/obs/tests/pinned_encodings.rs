@@ -37,7 +37,7 @@ const LEGACY_STATE_CRC: u64 = 0x1816_8646_0966_9a42;
 /// The whole sequence's registry, saved in the legacy layout.
 const LEGACY_STATE: &[u8] = include_bytes!("fixtures/pinned_state_v2.bin");
 
-/// Custom histogram edges (a non-default set that restores by leaking).
+/// Custom histogram edges (a non-default set that restores as an owned copy).
 const CUSTOM_EDGES: &[f64] = &[-1.0, 0.0, 0.25, 1e9];
 
 /// Keys that need JSON escaping or skip the escaper's fast path.

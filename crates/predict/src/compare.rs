@@ -232,8 +232,6 @@ pub struct StrategyRun {
     pub condensate_kg: f64,
     /// The run's full deterministic JSONL metric export.
     pub export: Vec<u8>,
-    /// The run's span tree folded to collapsed-stack (flamegraph) lines.
-    pub flame: String,
 }
 
 /// Runs `scenario` under one strategy against an isolated telemetry
@@ -373,7 +371,6 @@ impl StrategySession {
         self.obs
             .write_jsonl(&mut export)
             .expect("writing to a Vec cannot fail");
-        let flame = bz_obs::collapsed_stacks(&self.obs.snapshot());
         StrategyRun {
             strategy: self.system.strategy_name().to_string(),
             energy_kj: energy_j / 1_000.0,
@@ -384,7 +381,6 @@ impl StrategySession {
             comfort_violation_min: self.violation_secs as f64 / 60.0,
             condensate_kg: self.system.plant().panel_condensate_total(),
             export,
-            flame,
         }
     }
 }
@@ -607,7 +603,6 @@ mod tests {
             comfort_violation_min: violation,
             condensate_kg: condensate,
             export: Vec::new(),
-            flame: String::new(),
         };
         let report = ComparisonReport {
             scenario: "t".to_string(),

@@ -596,12 +596,10 @@ mod tests {
         let _ = s.decide_ventilation(0, 0.0, 5.0);
         assert!(s.sensed_room.iter().all(Option::is_none));
         assert!(!s.forecaster.confident());
-        let snapshot = s.obs.snapshot();
+        let mut export = Vec::new();
+        s.obs.write_jsonl(&mut export).unwrap();
         assert!(
-            snapshot
-                .events
-                .iter()
-                .all(|e| !format!("{e:?}").contains("mpc.")),
+            !String::from_utf8(export).unwrap().contains("mpc."),
             "horizon 0 must record nothing"
         );
     }

@@ -15,11 +15,7 @@
 //! batch results are bit-identical to scalar results — the property the
 //! scalar-parity suite in `crates/thermal` and `crates/core` locks down.
 
-use crate::magnus::saturation_vapor_pressure;
-use crate::moist_air::{
-    dry_air_density, moist_air_enthalpy, relative_humidity_from_humidity_ratio,
-    vapor_pressure_from_humidity_ratio, STANDARD_PRESSURE,
-};
+use crate::moist_air::{dry_air_density, relative_humidity_from_humidity_ratio};
 use crate::units::{Celsius, KgPerKg};
 
 /// Asserts the parallel-slice contract shared by every batch kernel.
@@ -31,34 +27,6 @@ macro_rules! same_len {
             "batch kernel slices must have equal lengths"
         );
     };
-}
-
-/// Batch Magnus saturation vapor pressure: `out[i] = p_ws(temps_c[i])`
-/// in Pa.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn saturation_vapor_pressure_batch(temps_c: &[f64], out: &mut [f64]) {
-    same_len!(temps_c, out);
-    for (t, o) in temps_c.iter().zip(out.iter_mut()) {
-        *o = saturation_vapor_pressure(Celsius::new(*t)).get();
-    }
-}
-
-/// Batch vapor pressure from humidity ratio at standard pressure:
-/// `out[i] = p_w(ratios[i])` in Pa.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or any ratio is negative.
-pub fn vapor_pressure_batch(ratios: &[f64], out: &mut [f64]) {
-    same_len!(ratios, out);
-    for (w, o) in ratios.iter().zip(out.iter_mut()) {
-        *o = vapor_pressure_from_humidity_ratio(KgPerKg::new(*w), STANDARD_PRESSURE)
-            .expect("humidity ratio must be non-negative")
-            .get();
-    }
 }
 
 /// Batch relative humidity from humidity ratio:
@@ -74,20 +42,6 @@ pub fn relative_humidity_batch(temps_c: &[f64], ratios: &[f64], out: &mut [f64])
         *o = relative_humidity_from_humidity_ratio(Celsius::new(*t), KgPerKg::new(*w))
             .expect("humidity ratio must be non-negative")
             .get();
-    }
-}
-
-/// Batch moist-air specific enthalpy:
-/// `out[i] = h(temps_c[i], ratios[i])` in J per kg dry air.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn moist_air_enthalpy_batch(temps_c: &[f64], ratios: &[f64], out: &mut [f64]) {
-    same_len!(temps_c, out);
-    same_len!(ratios, out);
-    for ((t, w), o) in temps_c.iter().zip(ratios.iter()).zip(out.iter_mut()) {
-        *o = moist_air_enthalpy(Celsius::new(*t), KgPerKg::new(*w));
     }
 }
 
@@ -113,28 +67,6 @@ mod tests {
     const RATIOS: [f64; 4] = [0.009, 0.0136, 0.0233, 0.0258];
 
     #[test]
-    fn saturation_pressure_matches_scalar_bitwise() {
-        let mut out = [0.0; 4];
-        saturation_vapor_pressure_batch(&TEMPS, &mut out);
-        for (t, o) in TEMPS.iter().zip(out.iter()) {
-            let scalar = saturation_vapor_pressure(Celsius::new(*t)).get();
-            assert_eq!(scalar.to_bits(), o.to_bits());
-        }
-    }
-
-    #[test]
-    fn vapor_pressure_matches_scalar_bitwise() {
-        let mut out = [0.0; 4];
-        vapor_pressure_batch(&RATIOS, &mut out);
-        for (w, o) in RATIOS.iter().zip(out.iter()) {
-            let scalar = vapor_pressure_from_humidity_ratio(KgPerKg::new(*w), STANDARD_PRESSURE)
-                .unwrap()
-                .get();
-            assert_eq!(scalar.to_bits(), o.to_bits());
-        }
-    }
-
-    #[test]
     fn relative_humidity_matches_scalar_bitwise() {
         let mut out = [0.0; 4];
         relative_humidity_batch(&TEMPS, &RATIOS, &mut out);
@@ -152,16 +84,6 @@ mod tests {
     }
 
     #[test]
-    fn enthalpy_matches_scalar_bitwise() {
-        let mut out = [0.0; 4];
-        moist_air_enthalpy_batch(&TEMPS, &RATIOS, &mut out);
-        for i in 0..4 {
-            let scalar = moist_air_enthalpy(Celsius::new(TEMPS[i]), KgPerKg::new(RATIOS[i]));
-            assert_eq!(scalar.to_bits(), out[i].to_bits());
-        }
-    }
-
-    #[test]
     fn density_matches_scalar_bitwise() {
         let mut out = [0.0; 4];
         dry_air_density_batch(&TEMPS, &mut out);
@@ -174,6 +96,6 @@ mod tests {
     #[should_panic(expected = "equal lengths")]
     fn mismatched_lengths_panic() {
         let mut out = [0.0; 3];
-        saturation_vapor_pressure_batch(&TEMPS, &mut out);
+        dry_air_density_batch(&TEMPS, &mut out);
     }
 }

@@ -5,32 +5,39 @@
 //! Concurrency model: the accept thread hands connections to `threads`
 //! workers over an MPSC channel; each worker owns one connection at a
 //! time and serves keep-alive requests on it until the peer closes,
-//! errors, or shutdown is requested. Tenant state is behind the sharded
-//! registry locks plus one mutex per tenant, so requests for different
-//! tenants proceed fully in parallel. A request that panics is answered
-//! 500 and its connection closed; the worker goes on to the next
-//! connection.
+//! errors, or shutdown is requested. A connection that sits idle between
+//! requests for a second while another accepted connection waits for a
+//! worker is closed, so idle clients cannot lock the server out. Tenant
+//! state is behind the sharded registry locks plus one mutex per tenant,
+//! so requests for different tenants proceed fully in parallel. A
+//! request that panics is answered 500 and its connection closed; the
+//! worker goes on to the next connection.
 //!
 //! Shutdown (SIGINT/SIGTERM or `POST /admin/shutdown`): the listener
 //! stops accepting, in-flight connections finish their current request,
 //! workers drain and join, and every live tenant is checkpointed into
 //! the configured directory via the atomic temp → fsync → rename path.
 
-use std::io::{self, BufReader, ErrorKind, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::http::{self, Request, Response};
 use crate::tenants::{build_tenant, Registry, Tenant};
 use bz_obs::{json_escape, JsonF64};
 
 /// How long a worker blocks on an idle keep-alive connection before
-/// re-checking the shutdown flag.
+/// re-checking the shutdown flag and the queue of waiting connections.
 const IDLE_POLL: Duration = Duration::from_millis(200);
+
+/// How long a keep-alive connection may sit idle at a request boundary
+/// while another accepted connection waits for a worker, before it is
+/// closed to free its worker.
+const IDLE_YIELD: Duration = Duration::from_secs(1);
 
 /// How long the accept thread sleeps when no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
@@ -84,6 +91,8 @@ struct Shared {
     requests: AtomicU64,
     shed: AtomicU64,
     max_inflight: u32,
+    /// Accepted connections no worker has taken yet.
+    queued: AtomicUsize,
 }
 
 /// A handle that can request shutdown from another thread (the CLI's
@@ -121,6 +130,7 @@ impl Server {
             requests: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             max_inflight: config.max_inflight.max(1),
+            queued: AtomicUsize::new(0),
         });
         Ok(Self {
             listener,
@@ -179,6 +189,7 @@ impl Server {
                     // notice shutdown at request boundaries.
                     let _ = stream.set_read_timeout(Some(IDLE_POLL));
                     let _ = stream.set_nodelay(true);
+                    self.shared.queued.fetch_add(1, Ordering::Relaxed);
                     if sender.send(stream).is_err() {
                         break;
                     }
@@ -240,6 +251,7 @@ fn worker_loop(receiver: &Mutex<mpsc::Receiver<TcpStream>>, shared: &Shared) {
         let Ok(stream) = stream else {
             return; // channel closed: shutdown drain
         };
+        shared.queued.fetch_sub(1, Ordering::Relaxed);
         let _ = serve_connection(stream, shared);
     }
 }
@@ -248,15 +260,39 @@ fn worker_loop(receiver: &Mutex<mpsc::Receiver<TcpStream>>, shared: &Shared) {
 fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
+    // Since when this connection, idle at a request boundary, has seen
+    // another connection waiting for a worker.
+    let mut waited_on_since: Option<Instant> = None;
     loop {
+        // Wait at the request boundary for the next request's first bytes.
+        if reader.buffer().is_empty() {
+            match reader.fill_buf() {
+                Ok([]) => return Ok(()), // peer closed cleanly
+                Ok(_) => waited_on_since = None,
+                Err(e) if timed_out(&e) => {
+                    if shared.shutdown.load(Ordering::SeqCst) {
+                        return Ok(());
+                    }
+                    if shared.queued.load(Ordering::Relaxed) == 0 {
+                        waited_on_since = None;
+                    } else if waited_on_since.get_or_insert_with(Instant::now).elapsed()
+                        >= IDLE_YIELD
+                    {
+                        return Ok(()); // free the worker for the waiting one
+                    }
+                    continue;
+                }
+                Err(_) => return Ok(()), // torn connection
+            }
+        }
         let request = match http::read_request(&mut reader) {
             Ok(Some(request)) => request,
             Ok(None) => return Ok(()), // peer closed cleanly
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+            Err(e) if timed_out(&e) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return Ok(());
                 }
-                continue; // idle keep-alive poll
+                continue; // a request stalled mid-way
             }
             Err(e) if e.kind() == ErrorKind::InvalidData => {
                 let too_large = e.get_ref().is_some_and(|e| e.is::<http::BodyTooLarge>());
@@ -290,6 +326,11 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
             return Ok(());
         }
     }
+}
+
+/// Whether a read gave up at the socket's read timeout.
+fn timed_out(e: &io::Error) -> bool {
+    e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut
 }
 
 /// Dispatches one request against the registry.

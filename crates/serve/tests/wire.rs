@@ -1,8 +1,8 @@
 //! End-to-end tests over a real TCP socket: the determinism contract
 //! (wire-driven tenants export the offline bytes), snapshot/restore
 //! across server instances and from a format-2 build, backpressure
-//! shedding, the 400/413/500 paths, and graceful shutdown with final
-//! checkpoints.
+//! shedding, the 400/413/500 paths, idle connections yielding to
+//! waiting ones, and graceful shutdown with final checkpoints.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -481,4 +481,46 @@ fn a_format_2_snapshot_restores_and_replays_the_uninterrupted_export() {
     let replayed = client.get_ok("/tenants/legacy/metrics").unwrap().body;
     server.stop();
     assert_eq!(bz_state::crc64::checksum(&replayed), UNINTERRUPTED_CRC);
+}
+
+#[test]
+fn an_idle_keep_alive_connection_yields_its_worker_to_a_waiting_one() {
+    // With one worker, a client that sent a request and then went quiet
+    // must not keep the worker from a client that is waiting for it.
+    use std::io::{Read, Write};
+    use std::time::{Duration, Instant};
+    let server = start(ServeConfig {
+        threads: 1,
+        ..ServeConfig::default()
+    });
+    let mut idle = std::net::TcpStream::connect(server.addr).unwrap();
+    idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    idle.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
+        .unwrap();
+    let mut reply = Vec::new();
+    let mut chunk = [0u8; 512];
+    while !reply.ends_with(b"{\"ok\":true}") {
+        let n = idle.read(&mut chunk).unwrap();
+        assert!(n > 0, "closed before the first reply");
+        reply.extend_from_slice(&chunk[..n]);
+    }
+    assert!(reply.starts_with(b"HTTP/1.1 200 "));
+
+    let mut waiting = std::net::TcpStream::connect(server.addr).unwrap();
+    let bound = Duration::from_millis(2_500);
+    waiting.set_read_timeout(Some(bound)).unwrap();
+    let asked = Instant::now();
+    waiting
+        .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n")
+        .unwrap();
+    let mut answer = String::new();
+    waiting
+        .read_to_string(&mut answer)
+        .expect("the waiting client is answered");
+    let elapsed = asked.elapsed();
+    assert!(elapsed < bound, "answered after {elapsed:?}");
+    assert!(answer.starts_with("HTTP/1.1 200 "), "{answer}");
+    // The idle connection was closed between requests, not mid-way.
+    assert_eq!(idle.read(&mut chunk).unwrap(), 0);
+    server.stop();
 }
