@@ -8,7 +8,7 @@
 //! record so CI can hold a regression floor.
 //!
 //! The measured simulation is bit-identical to the metered one: the
-//! speed knobs this crate benchmarks (batched psychrometric kernels,
+//! speed knobs this crate benchmarks (sibling-skip sensor reads,
 //! buffer reuse, batched event pops) never change what the simulation
 //! computes, only how fast it computes it.
 

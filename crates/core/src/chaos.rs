@@ -382,6 +382,13 @@ impl Session for ChaosRun {
                 ),
             });
         }
+        let system_ms = self.system.now().as_millis();
+        if second * 1_000 != system_ms {
+            return Err(bz_state::StateError::Invalid {
+                what: "ChaosRun",
+                reason: format!("session clock {second}s, system clock {system_ms}ms"),
+            });
+        }
         self.second = second;
         Ok(())
     }
@@ -925,6 +932,30 @@ mod tests {
             .load_state(&mut bz_state::Reader::new(&bytes))
             .unwrap_err();
         assert!(err.to_string().contains("into a run of only"), "{err}");
+    }
+
+    #[test]
+    fn chaos_checkpoint_whose_clocks_disagree_is_rejected() {
+        let mut scenario = ChaosScenario::bundled_basic();
+        scenario.duration = SimDuration::from_mins(10);
+        let mut run = scenario.begin_with_obs(bz_obs::Handle::isolated());
+        run.step_minutes(2);
+        let mut w = bz_state::Writer::new();
+        run.save_state(&mut w);
+        let mut bytes = w.into_bytes();
+        // The session's own second is the last field: rewrite 120 to 60.
+        let at = bytes.len() - 8;
+        bytes[at..].copy_from_slice(&60u64.to_le_bytes());
+
+        let mut restored = scenario.begin_with_obs(bz_obs::Handle::isolated());
+        let err = restored
+            .load_state(&mut bz_state::Reader::new(&bytes))
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("session clock 60s, system clock 120000ms"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -243,7 +243,8 @@ impl Checkpointer {
     /// # Errors
     ///
     /// [`CheckpointerError::Foreign`] when another identity sealed the
-    /// newest good snapshot; otherwise scan or restore failures.
+    /// newest good snapshot; otherwise scan or restore failures, a
+    /// payload with bytes left after what `restore` reads included.
     pub fn resume(
         &mut self,
         restore: impl FnOnce(&mut Reader<'_>) -> Result<(), StateError>,
@@ -270,7 +271,9 @@ impl Checkpointer {
         if let Err(why) = self.id.check(&checkpoint.meta) {
             return Err(CheckpointerError::Foreign(path, why));
         }
-        if let Err(e) = restore(&mut Reader::new(&checkpoint.payload)) {
+        let mut reader = Reader::new(&checkpoint.payload);
+        if let Err(e) = restore(&mut reader).and_then(|()| reader.expect_end("checkpoint payload"))
+        {
             return Err(CheckpointerError::Restore(path, e));
         }
         let tick_ms = checkpoint.meta.tick_ms;
@@ -469,6 +472,28 @@ mod tests {
             "corruption must be reported: {:?}",
             resumed.notes
         );
+    }
+
+    #[test]
+    fn resume_refuses_bytes_left_after_the_state() {
+        let root = scratch("leftover");
+        at(&root, "trial", "seed=1", NoiseKernel::V2)
+            .after_step(60_000, |w| {
+                w.put_u64(1);
+                w.put_u8(0);
+            })
+            .unwrap();
+        let err = at(&root, "trial", "seed=1", NoiseKernel::V2)
+            .resume(|r| r.take_u64().map(drop))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CheckpointerError::Restore(_, StateError::Invalid { .. })
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("1 byte(s) left"), "{err}");
     }
 
     #[test]

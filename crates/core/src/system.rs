@@ -733,44 +733,6 @@ impl BubbleZeroSystem {
                 if self.events.drain_due_into(deadline, &mut buf) == 0 {
                     break;
                 }
-                // Coalesced sensor-read scheduling: all of this batch's
-                // humidity-bearing reads see the same zone/outlet air (the
-                // plant only steps at second boundaries), so their RH
-                // truths are computed in one batched psychrometric pass
-                // and the per-event reads below just fan them out. Slots
-                // we mark but never read (dead motes, fault fallbacks) are
-                // wasted work, not wrong answers; reads we fail to mark
-                // fall back to the identical scalar computation.
-                let mut rooms = [false; 4];
-                let mut halves = [false; 4];
-                let mut outlets = [false; 4];
-                let mut any = false;
-                for &(at, event) in &buf {
-                    match event {
-                        SystemEvent::BtSample(i) => match self.bt_streams[i].binding {
-                            SensorBinding::RoomHumidity(s) => {
-                                rooms[s] = true;
-                                any = true;
-                            }
-                            SensorBinding::CeilingHumidity { panel, k } => {
-                                halves[panel * 2 + k / 3] = true;
-                                any = true;
-                            }
-                            _ => {}
-                        },
-                        SystemEvent::AcFire(i) => {
-                            if at == self.ac_streams[i].next_fire {
-                                if let AcKind::Outlet(a) = self.ac_streams[i].kind {
-                                    outlets[a] = true;
-                                    any = true;
-                                }
-                            }
-                        }
-                    }
-                }
-                if any {
-                    self.plant.coalesce_reads(rooms, halves, outlets);
-                }
                 for &(at, event) in &buf {
                     self.handle_event(event, at);
                 }

@@ -1,7 +1,7 @@
 //! Byte-identity regression gate for the hot-path optimizations.
 //!
-//! The fast path (batched zone stepping, single-channel sensor reads,
-//! batched event drains, allocation-free counters) must be *invisible* in
+//! The fast path (single-channel sensor reads, batched event drains,
+//! allocation-free counters) must be *invisible* in
 //! every export: a trial driven through the optimized code produces
 //! metric JSONL and CSV files byte-identical to the scalar reference
 //! path, and leaves the plant in a bit-identical physical state. The

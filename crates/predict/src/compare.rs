@@ -345,6 +345,13 @@ impl Session for StrategySession {
                 ),
             });
         }
+        let system_ms = self.system.now().as_millis();
+        if second * 1_000 != system_ms {
+            return Err(bz_state::StateError::Invalid {
+                what: "StrategySession",
+                reason: format!("session clock {second}s, system clock {system_ms}ms"),
+            });
+        }
         self.second = second;
         Ok(())
     }
@@ -589,6 +596,29 @@ mod tests {
             let err = MpcScenario::from_json(text).expect_err(text).to_string();
             assert!(err.contains(needle), "{err} should mention {needle}");
         }
+    }
+
+    #[test]
+    fn strategy_checkpoint_whose_clocks_disagree_is_rejected() {
+        let scenario = MpcScenario::bundled_office();
+        let mut session = begin_strategy(&scenario, None);
+        session.step_minutes(2);
+        let mut w = bz_state::Writer::new();
+        session.save_state(&mut w);
+        let mut bytes = w.into_bytes();
+        // The session's own second is the last field: rewrite 120 to 60.
+        let at = bytes.len() - 8;
+        bytes[at..].copy_from_slice(&60u64.to_le_bytes());
+
+        let mut restored = begin_strategy(&scenario, None);
+        let err = restored
+            .load_state(&mut bz_state::Reader::new(&bytes))
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("session clock 60s, system clock 120000ms"),
+            "{err}"
+        );
     }
 
     #[test]

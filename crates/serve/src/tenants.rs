@@ -207,8 +207,8 @@ impl Tenant {
     /// # Errors
     ///
     /// Returns a message (and implied 409) for identity mismatches and
-    /// undecodable payloads; a refused restore leaves the tenant as it
-    /// was.
+    /// for payloads that do not decode or leave bytes after the state; a
+    /// refused restore leaves the tenant as it was.
     pub fn restore(&self, checkpoint: &bz_state::Checkpoint) -> Result<u64, String> {
         self.id.check(&checkpoint.meta).map_err(|why| match why {
             Mismatch::Kind(stored, _) => format!(
@@ -227,7 +227,11 @@ impl Tenant {
             // state. Keep a save to put the tenant back as it was.
             let mut live = bz_state::Writer::new();
             s.save_state(&mut live);
-            if let Err(e) = s.load_state(&mut bz_state::Reader::new(&checkpoint.payload)) {
+            let mut reader = bz_state::Reader::new(&checkpoint.payload);
+            if let Err(e) = s
+                .load_state(&mut reader)
+                .and_then(|()| reader.expect_end("snapshot payload"))
+            {
                 s.load_state(&mut bz_state::Reader::new(live.as_bytes()))
                     .expect("a session reloads its own save");
                 return Err(format!("snapshot failed to restore: {e}"));
@@ -616,18 +620,26 @@ mod tests {
     fn a_refused_restore_leaves_the_tenant_unchanged() {
         let tenant = trial_tenant("t", 9, 6);
         tenant.step_minutes(2);
-        let mut torn = tenant.snapshot();
+        let snapshot = tenant.snapshot();
         tenant.step_minutes(2);
         let twin = trial_tenant("t", 9, 6);
         twin.step_minutes(4);
 
-        // Cut the payload in half and re-seal it, so the CRC still holds
-        // and only the decoder can refuse it.
+        // Cut the payload in half, or append one byte, and re-seal it, so
+        // the CRC still holds and only the decoder can refuse it.
+        let mut torn = snapshot.clone();
         torn.payload.truncate(torn.payload.len() / 2);
-        let torn = bz_state::Checkpoint::from_wire_bytes(&torn.to_wire_bytes()).unwrap();
-        let err = tenant.restore(&torn).unwrap_err();
-        assert!(err.contains("failed to restore"), "{err}");
-        assert_eq!(tenant.progress(), (240_000, false));
+        let mut padded = snapshot;
+        padded.payload.push(0);
+        for (bad, why) in [
+            (torn, "failed to restore"),
+            (padded, "1 byte(s) left after the state"),
+        ] {
+            let bad = bz_state::Checkpoint::from_wire_bytes(&bad.to_wire_bytes()).unwrap();
+            let err = tenant.restore(&bad).unwrap_err();
+            assert!(err.contains(why), "{err}");
+            assert_eq!(tenant.progress(), (240_000, false));
+        }
         tenant.step_minutes(1);
         twin.step_minutes(1);
         assert_eq!(tenant.metrics_jsonl(), twin.metrics_jsonl());

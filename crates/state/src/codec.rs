@@ -190,6 +190,23 @@ impl<'a> Reader<'a> {
         self.pos == self.data.len()
     }
 
+    /// Refuses bytes left after a complete `what`: a state that decoded
+    /// but did not consume its whole buffer is not the state that was
+    /// saved.
+    ///
+    /// # Errors
+    ///
+    /// [`StateError::Invalid`] naming the leftover byte count.
+    pub fn expect_end(&self, what: &'static str) -> Result<(), StateError> {
+        if self.is_exhausted() {
+            return Ok(());
+        }
+        Err(StateError::Invalid {
+            what,
+            reason: format!("{} byte(s) left after the state", self.remaining()),
+        })
+    }
+
     fn take_raw(&mut self, what: &'static str, n: usize) -> Result<&'a [u8], StateError> {
         if self.remaining() < n {
             return Err(StateError::UnexpectedEof {

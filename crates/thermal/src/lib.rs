@@ -49,4 +49,3 @@ pub mod plant;
 pub mod sensors;
 pub mod weather;
 pub mod zone;
-pub mod zone_batch;

@@ -145,12 +145,13 @@ pub struct PlantConfig {
     /// reproduces all pre-seam exports. Defaults to the `BZ_NOISE`
     /// environment variable (V2 when unset).
     pub noise: NoiseKernel,
-    /// Forces the scalar reference paths (per-zone stepping, full
-    /// two-channel sensor reads, per-read psychrometrics) instead of the
-    /// batched/skipping fast paths. Both produce bit-identical results —
-    /// this switch exists so the parity suites can prove it and so a
-    /// suspicious run can be re-executed on the original code path.
-    /// Defaults to the `BZ_SCALAR_REFERENCE` environment variable.
+    /// Forces the reference paths (full two-channel sensor reads, and in
+    /// `bz-core` one event popped at a time) instead of the fast paths
+    /// (single-channel reads that skip the sibling's noise draw, batched
+    /// event drain). Both produce bit-identical results — this switch
+    /// exists so the parity suites can prove it and so a suspicious run
+    /// can be re-executed on the original code path. Defaults to the
+    /// `BZ_SCALAR_REFERENCE` environment variable.
     pub scalar_reference: bool,
 }
 
@@ -279,75 +280,6 @@ impl Instruments {
     }
 }
 
-/// Which cached slot a coalesced psychrometric result lands in.
-#[derive(Debug, Clone, Copy)]
-enum ReadSlot {
-    /// Room RH for subspace `s`.
-    Room(usize),
-    /// Near-ceiling RH for `panel * 2 + half` (the three sensors under
-    /// one served subspace share the same blended air state, so one
-    /// evaluation serves all three).
-    Half(usize),
-    /// Airbox outlet RH for airbox `a`.
-    Outlet(usize),
-}
-
-/// Per-tick cache of the psychrometric *truth* values behind
-/// same-timestamp sensor reads.
-///
-/// Zone and outlet air states only change inside [`ThermalPlant::step`],
-/// so every sensor read between two steps sees the same underlying air —
-/// and the relative humidity behind those reads is a pure function of
-/// that air. [`ThermalPlant::coalesce_reads`] evaluates all of a tick's
-/// RH truths in one `bz_psychro` batch pass (deduplicating the shared
-/// near-ceiling states) and the read methods fan the results out. A read
-/// whose slot was not coalesced falls back to the identical scalar
-/// computation, so the cache can only change *cost*, never bytes. The
-/// scratch vectors are reused across ticks; the cache is derived state
-/// and is never checkpointed.
-#[derive(Debug, Clone, Default)]
-struct ReadPass {
-    /// Tick the cached values were computed for.
-    tick: Option<SimTime>,
-    room_rh: [Option<f64>; 4],
-    half_rh: [Option<f64>; 4],
-    outlet_rh: [Option<f64>; 4],
-    temps: Vec<f64>,
-    ratios: Vec<f64>,
-    rh: Vec<f64>,
-    slots: Vec<ReadSlot>,
-}
-
-impl ReadPass {
-    fn valid(&self, now: SimTime) -> bool {
-        self.tick == Some(now)
-    }
-
-    fn room(&self, now: SimTime, s: usize) -> Option<f64> {
-        if self.valid(now) {
-            self.room_rh[s]
-        } else {
-            None
-        }
-    }
-
-    fn half(&self, now: SimTime, h: usize) -> Option<f64> {
-        if self.valid(now) {
-            self.half_rh[h]
-        } else {
-            None
-        }
-    }
-
-    fn outlet(&self, now: SimTime, a: usize) -> Option<f64> {
-        if self.valid(now) {
-            self.outlet_rh[a]
-        } else {
-            None
-        }
-    }
-}
-
 /// State of one radiant mixing loop between steps.
 #[derive(Debug, Clone, Copy)]
 struct LoopState {
@@ -392,14 +324,14 @@ pub struct ThermalPlant {
     /// Latched output per (target, channel) for stuck-at faults: the first
     /// value read while the fault is active.
     stuck_latch: std::collections::BTreeMap<(SensorTarget, u8), f64>,
-    /// Per-tick coalesced psychrometrics for sensor reads (derived cache,
-    /// never persisted).
-    read_pass: ReadPass,
     obs: bz_obs::Handle,
 }
 
-/// Adjacent-subspace pairs in the 2×2 layout (S1 S2 / S3 S4).
-const ADJACENCY: [(usize, usize); 4] = [(0, 1), (2, 3), (0, 2), (1, 3)];
+/// Each subspace's two neighbours in the 2×2 layout (S1 S2 / S3 S4), in
+/// the order a scan of the adjacent pairs S1–S2, S3–S4, S1–S3, S2–S4
+/// visits them. The order fixes how the zone balances sum their mixing
+/// terms, so it is part of the exported trajectories.
+const NEIGHBORS: [[usize; 2]; 4] = [[1, 2], [0, 3], [3, 0], [2, 1]];
 
 impl ThermalPlant {
     /// Builds the plant in its initial condition.
@@ -447,7 +379,6 @@ impl ThermalPlant {
             last_zone_inputs: Default::default(),
             sensor_fault_rng,
             stuck_latch: std::collections::BTreeMap::new(),
-            read_pass: ReadPass::default(),
             obs: bz_obs::Handle::global(),
         }
     }
@@ -482,8 +413,6 @@ impl ThermalPlant {
         let step_span = self.obs.span("thermal.plant.step", self.now.as_millis());
         let dt_s = dt.as_secs_f64();
         self.now += dt;
-        // Zone/outlet air is about to change: drop the coalesced-read cache.
-        self.read_pass.tick = None;
         self.outdoor = self.weather.sample(self.now);
 
         // Physical actuators apply their faults regardless of commands.
@@ -608,35 +537,11 @@ impl ThermalPlant {
         let zone_span = self.obs.span("thermal.zones.step", self.now.as_millis());
         self.last_zone_inputs = zone_inputs;
         let pre_states: [AirState; 4] = std::array::from_fn(|i| self.zones[i].state());
-        if self.config.scalar_reference {
-            // Scalar reference path: per-zone stepping with the neighbour
-            // list rebuilt from the adjacency scan each tick. The batched
-            // path below is bit-identical (`zone_batch` tests plus the
-            // plant parity test prove it); this branch stays as the
-            // re-executable original.
-            for (i, zone) in self.zones.iter_mut().enumerate() {
-                let neighbors: Vec<(f64, AirState)> = ADJACENCY
-                    .iter()
-                    .filter_map(|&(a, b)| {
-                        if a == i {
-                            Some((self.config.interzone_mixing_m3s, pre_states[b]))
-                        } else if b == i {
-                            Some((self.config.interzone_mixing_m3s, pre_states[a]))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                zone.step(dt_s, &zone_inputs[i], self.outdoor, &neighbors);
-            }
-        } else {
-            crate::zone_batch::step_zones(
-                &mut self.zones,
-                dt_s,
-                &zone_inputs,
-                self.outdoor,
-                self.config.interzone_mixing_m3s,
-            );
+        let mixing = self.config.interzone_mixing_m3s;
+        for (i, zone) in self.zones.iter_mut().enumerate() {
+            let [a, b] = NEIGHBORS[i];
+            let neighbors = [(mixing, pre_states[a]), (mixing, pre_states[b])];
+            zone.step(dt_s, &zone_inputs[i], self.outdoor, &neighbors);
         }
 
         zone_span.exit(self.now.as_millis());
@@ -771,82 +676,6 @@ impl ThermalPlant {
 
     // --- Sensor interface (what the control boards see) --------------------
 
-    /// Pre-computes, in one batched `bz_psychro` pass, the
-    /// relative-humidity truth values behind the sensor reads the caller
-    /// is about to issue at the current tick: `rooms[s]` marks the room
-    /// SHT75 of subspace `s`, `ceiling_halves[panel * 2 + half]` the
-    /// three ceiling SHT75s sharing one served subspace's near-ceiling
-    /// air, and `outlets[a]` the airbox outlet SHT75s. The tick driver
-    /// calls this once per drained event batch so ~14 scalar per-event
-    /// psychrometric evaluations collapse into a single pass over at most
-    /// 12 deduplicated states.
-    ///
-    /// Purely an evaluation-order change: each cached value is the exact
-    /// scalar computation the read would have performed, reads whose slot
-    /// was not requested fall back to that scalar computation, and the
-    /// scalar-reference path ignores the cache entirely — so exports are
-    /// byte-identical with or without coalescing.
-    pub fn coalesce_reads(
-        &mut self,
-        rooms: [bool; 4],
-        ceiling_halves: [bool; 4],
-        outlets: [bool; 4],
-    ) {
-        if self.config.scalar_reference {
-            return;
-        }
-        let pass = &mut self.read_pass;
-        pass.tick = Some(self.now);
-        pass.room_rh = [None; 4];
-        pass.half_rh = [None; 4];
-        pass.outlet_rh = [None; 4];
-        pass.temps.clear();
-        pass.ratios.clear();
-        pass.slots.clear();
-        for (s, requested) in rooms.iter().enumerate() {
-            if *requested {
-                let state = self.zones[s].state();
-                pass.temps.push(state.temperature.get());
-                pass.ratios.push(state.humidity_ratio.get());
-                pass.slots.push(ReadSlot::Room(s));
-            }
-        }
-        for (h, requested) in ceiling_halves.iter().enumerate() {
-            if *requested {
-                let (panel, half) = (h / 2, h % 2);
-                let state = self.zones[2 * panel + half].state();
-                let surface = self.panels[panel].surface_temperature();
-                // Must match the per-read blend in `read_ceiling_sensor_rh`
-                // operation for operation.
-                let near_t = 0.7 * state.temperature.get() + 0.3 * surface.get();
-                pass.temps.push(near_t);
-                pass.ratios.push(state.humidity_ratio.get());
-                pass.slots.push(ReadSlot::Half(h));
-            }
-        }
-        for (a, requested) in outlets.iter().enumerate() {
-            if *requested {
-                let state = self.outlet_states[a];
-                pass.temps.push(state.temperature.get());
-                pass.ratios.push(state.humidity_ratio.get());
-                pass.slots.push(ReadSlot::Outlet(a));
-            }
-        }
-        if pass.slots.is_empty() {
-            return;
-        }
-        pass.rh.clear();
-        pass.rh.resize(pass.slots.len(), 0.0);
-        bz_psychro::batch::relative_humidity_batch(&pass.temps, &pass.ratios, &mut pass.rh);
-        for (slot, &rh) in pass.slots.iter().zip(&pass.rh) {
-            match *slot {
-                ReadSlot::Room(s) => pass.room_rh[s] = Some(rh),
-                ReadSlot::Half(h) => pass.half_rh[h] = Some(rh),
-                ReadSlot::Outlet(a) => pass.outlet_rh[a] = Some(rh),
-            }
-        }
-    }
-
     /// True if `target` is dropped out (produces no reading) right now.
     /// Callers should skip sampling — and transmitting — a dropped-out
     /// element, the way a mote skips a sensor that stops answering.
@@ -888,46 +717,31 @@ impl ThermalPlant {
         )
     }
 
-    /// The six ceiling sensors under a panel: (temperature, RH) for each.
-    /// Three sensors sit under each of the two served subspaces; the air
-    /// they sample is slightly cooler than the bulk zone air because of
-    /// the cold panel above (a 30% blend toward the surface temperature).
-    pub fn read_ceiling(&mut self, panel: usize) -> Vec<(Celsius, Percent)> {
+    /// Air sampled by ceiling sensor `k` (0–5) under `panel`. Three
+    /// sensors sit under each of the two served subspaces; the air they
+    /// sample is slightly cooler than the bulk zone air because of the
+    /// cold panel above (a 30% blend toward the surface temperature). The
+    /// humidity *ratio* is unchanged near the ceiling, so RH rises as the
+    /// air cools.
+    fn near_ceiling_air(&self, panel: usize, k: usize) -> AirState {
+        let state = self.zones[2 * panel + k / 3].state();
         let surface = self.panels[panel].surface_temperature();
-        let mut readings = Vec::with_capacity(6);
-        for k in 0..6 {
-            let zone_idx = 2 * panel + (k / 3);
-            let state = self.zones[zone_idx].state();
-            // Near-ceiling air: blend of bulk air and panel surface.
-            let near_t = 0.7 * state.temperature.get() + 0.3 * surface.get();
-            // Humidity *ratio* is unchanged near the ceiling; RH rises as
-            // the air cools.
-            let near = AirState {
-                temperature: Celsius::new(near_t),
-                ..state
-            };
-            let sensor = &mut self.instruments.ceiling[panel * 6 + k];
-            let (t, rh) = sensor.read_pair(near.temperature, near.relative_humidity());
-            let target = SensorTarget::Ceiling(panel * 6 + k);
-            readings.push((
-                Celsius::new(self.faulted(target, 0, t.get())),
-                Percent::new(self.faulted(target, 1, rh.get())),
-            ));
+        AirState {
+            temperature: Celsius::new(0.7 * state.temperature.get() + 0.3 * surface.get()),
+            ..state
         }
-        readings
+    }
+
+    /// The six ceiling sensors under a panel: (temperature, RH) for each,
+    /// read in order through [`ThermalPlant::read_ceiling_sensor`].
+    pub fn read_ceiling(&mut self, panel: usize) -> Vec<(Celsius, Percent)> {
+        (0..6).map(|k| self.read_ceiling_sensor(panel, k)).collect()
     }
 
     /// A single ceiling sensor (`k` in 0–5) under a panel: (temperature,
-    /// RH). Same air model as [`ThermalPlant::read_ceiling`].
+    /// RH) of its near-ceiling air.
     pub fn read_ceiling_sensor(&mut self, panel: usize, k: usize) -> (Celsius, Percent) {
-        let surface = self.panels[panel].surface_temperature();
-        let zone_idx = 2 * panel + (k / 3);
-        let state = self.zones[zone_idx].state();
-        let near_t = 0.7 * state.temperature.get() + 0.3 * surface.get();
-        let near = AirState {
-            temperature: Celsius::new(near_t),
-            ..state
-        };
+        let near = self.near_ceiling_air(panel, k);
         let sensor = &mut self.instruments.ceiling[panel * 6 + k];
         let (t, rh) = sensor.read_pair(near.temperature, near.relative_humidity());
         let target = SensorTarget::Ceiling(panel * 6 + k);
@@ -963,10 +777,7 @@ impl ThermalPlant {
         if self.config.scalar_reference || self.config.sensor_faults.ever_targets(target) {
             return self.read_room(id).1;
         }
-        let truth = match self.read_pass.room(self.now, id.index()) {
-            Some(rh) => Percent::new(rh),
-            None => self.zones[id.index()].state().relative_humidity(),
-        };
+        let truth = self.zones[id.index()].state().relative_humidity();
         let sensor = &mut self.instruments.room[id.index()];
         sensor.skip_temp();
         sensor.read_rh(truth)
@@ -979,12 +790,9 @@ impl ThermalPlant {
         if self.config.scalar_reference || self.config.sensor_faults.ever_targets(target) {
             return self.read_ceiling_sensor(panel, k).0;
         }
-        let surface = self.panels[panel].surface_temperature();
-        let zone_idx = 2 * panel + (k / 3);
-        let state = self.zones[zone_idx].state();
-        let near_t = 0.7 * state.temperature.get() + 0.3 * surface.get();
+        let near = self.near_ceiling_air(panel, k);
         let sensor = &mut self.instruments.ceiling[panel * 6 + k];
-        let t = sensor.read_temp(Celsius::new(near_t));
+        let t = sensor.read_temp(near.temperature);
         sensor.skip_rh();
         t
     }
@@ -996,20 +804,7 @@ impl ThermalPlant {
         if self.config.scalar_reference || self.config.sensor_faults.ever_targets(target) {
             return self.read_ceiling_sensor(panel, k).1;
         }
-        let truth = match self.read_pass.half(self.now, panel * 2 + k / 3) {
-            Some(rh) => Percent::new(rh),
-            None => {
-                let surface = self.panels[panel].surface_temperature();
-                let zone_idx = 2 * panel + (k / 3);
-                let state = self.zones[zone_idx].state();
-                let near_t = 0.7 * state.temperature.get() + 0.3 * surface.get();
-                let near = AirState {
-                    temperature: Celsius::new(near_t),
-                    ..state
-                };
-                near.relative_humidity()
-            }
-        };
+        let truth = self.near_ceiling_air(panel, k).relative_humidity();
         let sensor = &mut self.instruments.ceiling[panel * 6 + k];
         sensor.skip_temp();
         sensor.read_rh(truth)
@@ -1047,12 +842,8 @@ impl ThermalPlant {
     /// SHT75 reading at an airbox outlet: (temperature, RH).
     pub fn read_airbox_outlet(&mut self, airbox: usize) -> (Celsius, Percent) {
         let state = self.outlet_states[airbox];
-        let truth_rh = match self.read_pass.outlet(self.now, airbox) {
-            Some(rh) => Percent::new(rh),
-            None => state.relative_humidity(),
-        };
         let sensor = &mut self.instruments.outlet[airbox];
-        let (t, rh) = sensor.read_pair(state.temperature, truth_rh);
+        let (t, rh) = sensor.read_pair(state.temperature, state.relative_humidity());
         let target = SensorTarget::Outlet(airbox);
         (
             Celsius::new(self.faulted(target, 0, t.get())),
@@ -1200,8 +991,6 @@ impl ThermalPlant {
         self.last_zone_inputs = Persist::load(r)?;
         self.sensor_fault_rng = Persist::load(r)?;
         self.stuck_latch = Persist::load(r)?;
-        // Derived cache: recomputed on demand, never restored.
-        self.read_pass = ReadPass::default();
         Ok(())
     }
 }
@@ -1230,9 +1019,29 @@ mod tests {
         assert!(err.contains("this plant has (12, 6)"), "{err}");
     }
 
-    /// The fast paths (batched zone stepping, single-channel sensor
-    /// reads with sibling skips) must be bit-identical to the scalar
-    /// reference paths, reading for reading and state for state.
+    #[test]
+    fn restore_rejects_a_negative_humidity_ratio() {
+        let mut source = lab();
+        let dry = AirState {
+            humidity_ratio: bz_psychro::KgPerKg::new(-0.01),
+            ..source.zones[1].state()
+        };
+        source.zones[1] = Zone::new(source.config.zone, dry);
+        let mut w = bz_state::Writer::new();
+        source.save_state(&mut w);
+        let mut restored = lab();
+        let loaded = restored.load_state(&mut bz_state::Reader::new(w.as_bytes()));
+        if loaded.is_ok() {
+            // The RH behind its dew point expects a non-negative ratio.
+            let _ = restored.zone_dew_point(SubspaceId::S2);
+        }
+        let err = loaded.unwrap_err().to_string();
+        assert!(err.contains("humidity ratio -0.01"), "{err}");
+    }
+
+    /// The fast path (single-channel sensor reads with sibling skips)
+    /// must be bit-identical to the scalar reference path, reading for
+    /// reading and state for state.
     #[test]
     fn scalar_reference_and_fast_paths_are_bit_identical() {
         let build = |scalar: bool| {

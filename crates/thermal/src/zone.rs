@@ -278,27 +278,10 @@ impl Zone {
         outdoor: AirState,
         neighbor_exchange: &[(f64, AirState)],
     ) {
-        let rho = dry_air_density(self.state.temperature);
-        self.step_with_density(dt_s, inputs, outdoor, neighbor_exchange, rho);
-    }
-
-    /// [`step`](Self::step) with the zone-air density supplied by the
-    /// caller — the hook the batched stepper uses after evaluating the
-    /// density kernel for all subspaces in one pass. `rho` must be the
-    /// dry-air density at the zone's current temperature; passing the
-    /// value `dry_air_density(state.temperature)` returns makes this
-    /// bit-identical to [`step`](Self::step).
-    pub fn step_with_density(
-        &mut self,
-        dt_s: f64,
-        inputs: &ZoneInputs,
-        outdoor: AirState,
-        neighbor_exchange: &[(f64, AirState)],
-        rho: f64,
-    ) {
         debug_assert!(dt_s > 0.0 && dt_s.is_finite());
         // Same arithmetic as `ZoneParams::air_mass`/`heat_capacity`, with
         // the shared density factored out.
+        let rho = dry_air_density(self.state.temperature);
         let air_mass = self.params.volume_m3 * rho;
         let heat_capacity = air_mass * CP_DRY_AIR * self.params.thermal_mass_factor;
         let t = self.state.temperature.get();
@@ -370,11 +353,36 @@ impl Zone {
 // --- Checkpoint support --------------------------------------------------
 
 bz_state::persist_unit_enum!(SubspaceId { S1, S2, S3, S4 });
-bz_state::persist_struct!(AirState {
-    temperature,
-    humidity_ratio,
-    co2,
-});
+impl bz_state::Persist for AirState {
+    fn save(&self, w: &mut bz_state::Writer) {
+        w.put(&self.temperature);
+        w.put(&self.humidity_ratio);
+        w.put(&self.co2);
+    }
+
+    /// Refuses air no step can produce: a non-finite temperature,
+    /// humidity ratio or CO₂, or a negative humidity ratio or CO₂. The
+    /// psychrometric functions that read this air assert against them.
+    fn load(r: &mut bz_state::Reader<'_>) -> Result<Self, bz_state::StateError> {
+        let state = Self {
+            temperature: r.take()?,
+            humidity_ratio: r.take()?,
+            co2: r.take()?,
+        };
+        let (t, w, c) = (
+            state.temperature.get(),
+            state.humidity_ratio.get(),
+            state.co2.get(),
+        );
+        if !(t.is_finite() && w.is_finite() && c.is_finite()) || w < 0.0 || c < 0.0 {
+            return Err(bz_state::StateError::Invalid {
+                what: "AirState",
+                reason: format!("{t} °C, humidity ratio {w}, {c} ppm CO₂ is not physical air"),
+            });
+        }
+        Ok(state)
+    }
+}
 bz_state::persist_struct!(ZoneParams {
     volume_m3,
     envelope_ua,
