@@ -1,6 +1,6 @@
 //! Noise-kernel microbenchmarks: V1 (Box–Muller) vs V2 (ziggurat)
-//! standard-normal draws, plus the dual-channel pair draw the humidity
-//! sensors use. These are the numbers behind the fast-path table in
+//! standard-normal draws, plus the stride skip the single-channel sensor
+//! reads use. These are the numbers behind the fast-path table in
 //! docs/PERFORMANCE.md.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -23,22 +23,6 @@ fn bench_standard_normal(c: &mut Criterion) {
     }
 }
 
-fn bench_normal_pair(c: &mut Criterion) {
-    for kernel in [NoiseKernel::V1, NoiseKernel::V2] {
-        c.bench_function(&format!("noise/{kernel}_normal_pair_1k"), |b| {
-            let mut rng = Rng::seed_from(7).with_kernel(kernel);
-            b.iter(|| {
-                let mut acc = 0.0;
-                for _ in 0..1_000 {
-                    let (a, bb) = rng.normal_pair((0.0, 0.008), (0.0, 0.25));
-                    acc += a + bb;
-                }
-                black_box(acc)
-            });
-        });
-    }
-}
-
 fn bench_skip(c: &mut Criterion) {
     for kernel in [NoiseKernel::V1, NoiseKernel::V2] {
         c.bench_function(&format!("noise/{kernel}_skip_normals_1k"), |b| {
@@ -51,10 +35,5 @@ fn bench_skip(c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    bench_standard_normal,
-    bench_normal_pair,
-    bench_skip
-);
+criterion_group!(benches, bench_standard_normal, bench_skip);
 criterion_main!(benches);

@@ -42,7 +42,7 @@ use bz_predict::strategy::{MpcConfig, MpcStrategy};
 use bz_simcore::{NoiseKernel, Rng, SimDuration, SimTime};
 use bz_thermal::disturbance::DisturbanceSchedule;
 use bz_thermal::occupancy::{OccupancyChange, OccupancySchedule};
-use bz_thermal::plant::PlantConfig;
+use bz_thermal::plant::{PlantConfig, MAX_SCHEDULE_ENTRIES};
 use bz_thermal::zone::SubspaceId;
 
 /// The closed-loop scenario a sweep runs.
@@ -262,12 +262,20 @@ pub struct RunResult {
 
 /// Builds the repeating occupancy schedule for the `occupancy-rate` axis:
 /// every subspace holds two people for the first `rate` fraction of each
-/// [`OCCUPANCY_PERIOD_S`] period over the run.
-fn occupancy_for_rate(rate: f64, minutes: u64) -> OccupancySchedule {
+/// [`OCCUPANCY_PERIOD_S`] period over the run. Refuses a run whose
+/// periods could hold more than [`MAX_SCHEDULE_ENTRIES`] changes (eight
+/// per period).
+fn occupancy_for_rate(rate: f64, minutes: u64) -> Result<OccupancySchedule, String> {
     let total_s = minutes as f64 * 60.0;
     let occupied_s = rate * OCCUPANCY_PERIOD_S;
     let mut changes = Vec::new();
     let periods = (total_s / OCCUPANCY_PERIOD_S).ceil() as u64;
+    if periods.saturating_mul(8) > MAX_SCHEDULE_ENTRIES {
+        return Err(format!(
+            "occupancy-rate over {minutes} minutes walks {periods} periods of up to 8 \
+             changes, past the {MAX_SCHEDULE_ENTRIES}-entry schedule cap"
+        ));
+    }
     for p in 0..periods {
         let base = p as f64 * OCCUPANCY_PERIOD_S;
         for subspace in SubspaceId::ALL {
@@ -282,7 +290,7 @@ fn occupancy_for_rate(rate: f64, minutes: u64) -> OccupancySchedule {
             }
         }
     }
-    OccupancySchedule::new(changes)
+    Ok(OccupancySchedule::new(changes))
 }
 
 /// The strategy a run's grid point selects: `None` for the reactive
@@ -346,7 +354,7 @@ fn apply_params(config: &mut SystemConfig, params: &GridPoint, minutes: u64) -> 
                 if !(0.0..=1.0).contains(&rate) {
                     return Err("occupancy-rate must be within 0..=1".to_owned());
                 }
-                config.plant.occupancy = occupancy_for_rate(rate, minutes);
+                config.plant.occupancy = occupancy_for_rate(rate, minutes)?;
             }
             "weather-seed" => {
                 // Re-seeds the plant environment stream (weather wander +
@@ -369,34 +377,40 @@ fn apply_params(config: &mut SystemConfig, params: &GridPoint, minutes: u64) -> 
 }
 
 /// Builds the closed-loop system for one run spec, recording into `obs`.
-/// This is the single construction recipe shared by the sweep executor
-/// and the `bzctl serve` tenant factory, so a tenant driven over the
-/// wire is the same simulation as the offline run.
+/// This is the single construction recipe shared by the sweep executor,
+/// `bzctl trial` and the `bzctl serve` tenant factory, so a tenant driven
+/// over the wire is the same simulation as the offline run.
 ///
 /// # Errors
 ///
-/// Returns a message for invalid grid parameters.
+/// Returns a message for invalid grid parameters, and for a run length
+/// whose milliseconds overflow or whose schedule would hold more than
+/// [`MAX_SCHEDULE_ENTRIES`] entries.
 pub fn build_system(spec: &RunSpec, obs: bz_obs::Handle) -> Result<BubbleZeroSystem, String> {
-    let plant_seed = spec.seed ^ 0x9E37;
     let plant = match spec.scenario {
         Scenario::Trial => PlantConfig::bubble_zero_lab()
-            .with_seed(plant_seed)
             .with_disturbances(DisturbanceSchedule::figure10_afternoon()),
-        Scenario::Network => PlantConfig::bubble_zero_lab().with_seed(plant_seed),
+        Scenario::Network => PlantConfig::bubble_zero_lab(),
         Scenario::Endurance => {
+            let total = spec
+                .minutes
+                .checked_mul(60_000)
+                .map(SimDuration::from_millis)
+                .ok_or_else(|| format!("{} minutes overflow the clock", spec.minutes))?;
+            let events = DisturbanceSchedule::periodic_event_count(total);
+            if events > MAX_SCHEDULE_ENTRIES {
+                return Err(format!(
+                    "{} minutes schedule {events} disturbance events, \
+                     past the {MAX_SCHEDULE_ENTRIES}-entry schedule cap",
+                    spec.minutes
+                ));
+            }
             let mut rng = Rng::seed_from(spec.seed ^ 0x7DA7);
             PlantConfig::bubble_zero_lab()
-                .with_seed(plant_seed)
-                .with_disturbances(DisturbanceSchedule::periodic_events(
-                    SimDuration::from_mins(spec.minutes),
-                    &mut rng,
-                ))
+                .with_disturbances(DisturbanceSchedule::periodic_events(total, &mut rng))
         }
     };
-    let mut config = SystemConfig {
-        seed: spec.seed,
-        ..SystemConfig::paper_deployment(plant)
-    };
+    let mut config = SystemConfig::paper_deployment(plant).with_run_seed(spec.seed);
     apply_params(&mut config, &spec.params, spec.minutes)?;
     let system = match strategy_of(&spec.params)? {
         Some(mpc) => {
@@ -836,7 +850,7 @@ mod tests {
 
     #[test]
     fn occupancy_rate_schedule_covers_the_requested_fraction() {
-        let schedule = occupancy_for_rate(0.5, 180);
+        let schedule = occupancy_for_rate(0.5, 180).unwrap();
         let probe = |at_s: f64| {
             schedule.headcount(
                 SubspaceId::S1,
@@ -850,7 +864,7 @@ mod tests {
             "empty after the window"
         );
         assert_eq!(probe(OCCUPANCY_PERIOD_S + 60.0), 2, "the pattern repeats");
-        let empty = occupancy_for_rate(0.0, 180);
+        let empty = occupancy_for_rate(0.0, 180).unwrap();
         assert_eq!(
             empty.headcount(
                 SubspaceId::S1,

@@ -80,14 +80,9 @@ impl ThroughputReport {
 #[must_use]
 pub fn trial_system_with_noise(seed: u64, noise: NoiseKernel) -> BubbleZeroSystem {
     let plant = PlantConfig::bubble_zero_lab()
-        .with_seed(seed ^ 0x9E37)
         .with_noise(noise)
         .with_disturbances(DisturbanceSchedule::figure10_afternoon());
-    let config = SystemConfig {
-        seed,
-        ..SystemConfig::paper_deployment(plant)
-    };
-    BubbleZeroSystem::new(config)
+    BubbleZeroSystem::new(SystemConfig::paper_deployment(plant).with_run_seed(seed))
 }
 
 /// Runs the bundled trial scenario for `sim_minutes` simulated minutes

@@ -227,14 +227,14 @@ fn trial(args: &Args) -> Result<String, ArgError> {
     let mut checkpoints = opts.session("trial", &format!("trial seed={seed} minutes={minutes}"))?;
     let metrics = metrics_begin(args)?;
 
-    let plant = PlantConfig::bubble_zero_lab()
-        .with_seed(seed ^ 0x9E37)
-        .with_disturbances(DisturbanceSchedule::figure10_afternoon());
-    let config = SystemConfig {
+    let spec = sweep::RunSpec {
+        index: 0,
+        scenario: sweep::Scenario::Trial,
         seed,
-        ..SystemConfig::paper_deployment(plant)
+        minutes,
+        params: Vec::new(),
     };
-    let mut system = BubbleZeroSystem::new(config);
+    let mut system = sweep::build_system(&spec, bz_obs::Handle::global()).map_err(ArgError::new)?;
     let mut trace = TraceRecorder::new();
     let mut out = String::new();
     let resumed = checkpoints.resume(&mut out, |r| {

@@ -132,12 +132,6 @@ impl AirConSystem {
         self.zones[id.index()].state()
     }
 
-    /// The supply air condition produced on the last step.
-    #[must_use]
-    pub fn supply_air(&self) -> AirState {
-        self.last_supply
-    }
-
     /// The supply flow commanded on the last step, m³/s.
     #[must_use]
     pub fn supply_flow(&self) -> f64 {
@@ -276,7 +270,7 @@ mod tests {
     #[test]
     fn supply_air_is_cold_and_dry() {
         let system = settled_system();
-        let supply = system.supply_air();
+        let supply = system.last_supply;
         assert!(supply.temperature.get() < 14.0, "{supply:?}");
         assert!(supply.dew_point().get() < 12.0);
         assert!(system.supply_flow() > 0.0);

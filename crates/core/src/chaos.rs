@@ -190,15 +190,14 @@ impl ChaosScenario {
     #[must_use]
     pub fn system_config(&self) -> SystemConfig {
         let plant = PlantConfig::bubble_zero_lab()
-            .with_seed(self.seed ^ 0x9E37)
             .with_disturbances(self.disturbances.clone())
             .with_faults(self.actuators.clone())
             .with_sensor_faults(self.sensors.clone());
         SystemConfig {
-            seed: self.seed,
             wsn_faults: self.wsn.clone(),
             ..SystemConfig::paper_deployment(plant)
         }
+        .with_run_seed(self.seed)
     }
 
     /// Every fault window across the three layers as

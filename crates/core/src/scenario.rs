@@ -68,8 +68,7 @@ impl AfternoonTrial {
     /// Same trial with a different seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self.config.plant = self.config.plant.clone().with_seed(seed ^ 0x9E37);
+        self.config = self.config.with_run_seed(seed);
         self
     }
 
@@ -403,12 +402,6 @@ impl VarianceReplay {
         }
     }
 
-    /// Number of streams with at least one observation.
-    #[must_use]
-    pub fn active_streams(&self) -> usize {
-        self.streams.iter().filter(|s| !s.is_empty()).count()
-    }
-
     /// Total number of observations.
     #[must_use]
     pub fn observations(&self) -> usize {
@@ -579,7 +572,7 @@ mod tests {
     fn replay_matches_online_decisions_at_default_n() {
         let outcome = short_network_outcome();
         let replay = VarianceReplay::from_decisions(&outcome.decisions, 36, 100);
-        assert!(replay.active_streams() > 10);
+        assert!(replay.streams.iter().filter(|s| !s.is_empty()).count() > 10);
         assert!(replay.observations() > 1_000);
         let accuracy = replay.accuracy_for_histogram_size(40);
         // This 40-minute window is entirely inside the warm-up regime the

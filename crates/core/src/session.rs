@@ -240,11 +240,8 @@ mod tests {
 
     fn session(seed: u64, minutes: u64) -> TenantSession {
         let obs = bz_obs::Handle::isolated();
-        let plant = PlantConfig::bubble_zero_lab().with_seed(seed ^ 0x9E37);
-        let config = SystemConfig {
-            seed,
-            ..SystemConfig::paper_deployment(plant)
-        };
+        let config =
+            SystemConfig::paper_deployment(PlantConfig::bubble_zero_lab()).with_run_seed(seed);
         let system = BubbleZeroSystem::with_obs(config, obs.clone());
         TenantSession::new(system, obs, minutes)
     }

@@ -110,6 +110,16 @@ impl SystemConfig {
         }
     }
 
+    /// Seeds a run from one number: `seed` drives the network and
+    /// scheduler, and the plant's environment stream (weather wander,
+    /// sensor noise) gets `seed ^ 0x9E37`.
+    #[must_use]
+    pub fn with_run_seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self.plant.seed = seed ^ 0x9E37;
+        self
+    }
+
     /// Overrides the sampling period of one data type.
     #[must_use]
     pub fn with_sampling_override(mut self, data_type: DataType, period: SimDuration) -> Self {

@@ -16,7 +16,7 @@ use bz_core::session::Session;
 use bz_core::system::{BubbleZeroSystem, SystemConfig};
 use bz_simcore::SimDuration;
 use bz_thermal::occupancy::{OccupancyChange, OccupancySchedule};
-use bz_thermal::plant::PlantConfig;
+use bz_thermal::plant::{PlantConfig, MAX_SCHEDULE_ENTRIES};
 use bz_thermal::zone::SubspaceId;
 
 use crate::strategy::{MpcConfig, MpcStrategy};
@@ -108,7 +108,8 @@ impl MpcScenario {
     ///
     /// # Errors
     ///
-    /// Malformed JSON, missing fields, or out-of-range values.
+    /// Malformed JSON, missing fields, out-of-range values, or a schedule
+    /// of more than [`MAX_SCHEDULE_ENTRIES`] periods or occupancy changes.
     pub fn from_json(text: &str) -> Result<Self, CompareError> {
         let root = Json::parse(text).map_err(|e| CompareError::new(e.to_string()))?;
         let str_field = |name: &str| -> Result<String, CompareError> {
@@ -128,8 +129,10 @@ impl MpcScenario {
             return Err(CompareError::new("'seed' must be a non-negative integer"));
         }
         let duration_min = num_field(&root, "duration_min")?;
-        if !duration_min.is_finite() || duration_min <= 0.0 {
-            return Err(CompareError::new("'duration_min' must be positive"));
+        if !(duration_min * 60.0).is_finite() || duration_min <= 0.0 {
+            return Err(CompareError::new(
+                "'duration_min' must be positive and finite",
+            ));
         }
         let period_s = num_field(&root, "period_s")?;
         if !period_s.is_finite() || period_s <= 0.0 {
@@ -163,13 +166,28 @@ impl MpcScenario {
                 count: count as u32,
             });
         }
-        Ok(Self {
+        let scenario = Self {
             name,
             seed: seed as u64,
             duration: SimDuration::from_secs_f64(duration_min * 60.0),
             period_s,
             windows,
-        })
+        };
+        let periods = scenario.periods();
+        let changes = periods.saturating_mul(2 * scenario.windows.len() as u64);
+        if periods.max(changes) > MAX_SCHEDULE_ENTRIES {
+            return Err(CompareError::new(format!(
+                "{periods} periods of {} window(s) pass the {MAX_SCHEDULE_ENTRIES}-entry schedule cap",
+                scenario.windows.len()
+            )));
+        }
+        Ok(scenario)
+    }
+
+    /// How many occupancy periods the scenario duration spans.
+    fn periods(&self) -> u64 {
+        let total_s = self.duration.as_millis() as f64 / 1_000.0;
+        (total_s / self.period_s).ceil() as u64
     }
 
     /// The scripted schedule realizing the repeating pattern over the
@@ -178,8 +196,7 @@ impl MpcScenario {
     pub fn occupancy_schedule(&self) -> OccupancySchedule {
         let mut changes = Vec::new();
         let total_s = self.duration.as_millis() as f64 / 1_000.0;
-        let periods = (total_s / self.period_s).ceil() as u64;
-        for p in 0..periods {
+        for p in 0..self.periods() {
             let base = p as f64 * self.period_s;
             for w in &self.windows {
                 let subspace = SubspaceId::from_index(w.subspace);
@@ -200,13 +217,8 @@ impl MpcScenario {
     /// The closed-loop system configuration for this scenario.
     #[must_use]
     pub fn system_config(&self) -> SystemConfig {
-        let plant = PlantConfig::bubble_zero_lab()
-            .with_seed(self.seed ^ 0x9E37)
-            .with_occupancy(self.occupancy_schedule());
-        SystemConfig {
-            seed: self.seed,
-            ..SystemConfig::paper_deployment(plant)
-        }
+        let plant = PlantConfig::bubble_zero_lab().with_occupancy(self.occupancy_schedule());
+        SystemConfig::paper_deployment(plant).with_run_seed(self.seed)
     }
 }
 
@@ -583,6 +595,10 @@ mod tests {
                 "'duration_min'",
             ),
             (
+                r#"{"name": "x", "seed": 1, "duration_min": 1e307, "period_s": 1e308, "windows": []}"#,
+                "'duration_min'",
+            ),
+            (
                 r#"{"name": "x", "seed": 1, "duration_min": 10, "period_s": 100,
                     "windows": [{"subspace": 4, "start_s": 0, "end_s": 10, "count": 1}]}"#,
                 "'subspace'",
@@ -595,6 +611,25 @@ mod tests {
         ] {
             let err = MpcScenario::from_json(text).expect_err(text).to_string();
             assert!(err.contains(needle), "{err} should mention {needle}");
+        }
+    }
+
+    #[test]
+    fn json_refuses_schedules_past_the_cap() {
+        let doc = |duration_min: u64, windows: &str| {
+            format!(
+                r#"{{"name": "x", "seed": 1, "duration_min": {duration_min}, "period_s": 60,
+                    "windows": [{windows}]}}"#
+            )
+        };
+        let window = r#"{"subspace": 0, "start_s": 0, "end_s": 30, "count": 1}"#;
+        // 100,001 empty periods; 50,001 periods of two changes each.
+        for text in [doc(100_001, ""), doc(50_001, window)] {
+            let err = MpcScenario::from_json(&text).expect_err(&text).to_string();
+            assert!(err.contains("schedule cap"), "{err}");
+        }
+        for text in [doc(100_000, ""), doc(50_000, window)] {
+            assert!(MpcScenario::from_json(&text).is_ok(), "{text}");
         }
     }
 

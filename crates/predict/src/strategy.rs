@@ -212,12 +212,6 @@ impl MpcStrategy {
         &self.forecaster
     }
 
-    /// The identified rate model for `subspace` (diagnostics).
-    #[must_use]
-    pub fn identified_theta(&self, subspace: usize) -> [f64; DIM] {
-        self.identifiers[subspace].theta()
-    }
-
     /// One RLS update per subspace whose room channel is trusted and has
     /// delivered a fresh sample since the last anchor.
     fn identify(&mut self, inputs: &CycleInputs) {
@@ -654,7 +648,7 @@ mod tests {
     #[test]
     fn identification_moves_theta_only_when_trusted() {
         let mut s = harness(MpcConfig::office());
-        let before = s.identified_theta(0);
+        let before = s.identifiers[0].theta();
         s.observe_room_temperature(0, 0.0, Celsius::new(27.0));
         s.begin_cycle(&inputs(0.0, [1; 4]));
         s.observe_room_temperature(0, 5.0, Celsius::new(26.9));
@@ -662,7 +656,7 @@ mod tests {
         untrusted.room_trusted = [false; 4];
         s.begin_cycle(&untrusted);
         assert_eq!(s.identifiers[0].samples(), 0);
-        assert_eq!(s.identified_theta(0), before);
+        assert_eq!(s.identifiers[0].theta(), before);
 
         s.observe_room_temperature(0, 10.0, Celsius::new(26.8));
         s.begin_cycle(&inputs(10.0, [1; 4]));

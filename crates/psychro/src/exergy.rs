@@ -50,26 +50,6 @@ pub fn carnot_cop_cooling(evaporator: Kelvin, condenser: Kelvin) -> f64 {
     evaporator.get() / lift
 }
 
-/// Ideal (Carnot) coefficient of performance for a *heating* cycle
-/// delivering heat at `condenser` drawn from `evaporator`:
-/// `COP = T_cond / (T_cond − T_evap)`. The same low-exergy argument the
-/// paper makes for cooling applies in reverse — §VI notes water-based
-/// radiant *heating* as the companion application: a 28 °C radiant floor
-/// needs far less compressor work per Watt than a 45 °C radiator loop.
-///
-/// # Panics
-///
-/// Panics if `condenser` is not strictly warmer than `evaporator`.
-#[must_use]
-pub fn carnot_cop_heating(evaporator: Kelvin, condenser: Kelvin) -> f64 {
-    let lift = condenser.get() - evaporator.get();
-    assert!(
-        lift > 0.0,
-        "condenser ({condenser}) must be warmer than evaporator ({evaporator})"
-    );
-    condenser.get() / lift
-}
-
 /// A vapor-compression chiller modeled as a fixed fraction of the Carnot
 /// limit.
 ///
@@ -164,31 +144,6 @@ mod tests {
         let room = Celsius::new(25.0).to_kelvin();
         let ex = exergy_of_heat(Watts::new(500.0), room, room);
         assert!(ex.get().abs() < 1e-9);
-    }
-
-    #[test]
-    fn heating_cop_favors_low_supply_temperatures() {
-        // Outdoor source at 5 °C: a 28 °C radiant surface beats a 45 °C
-        // radiator loop on ideal COP by ~75%.
-        let source = Celsius::new(5.0).to_kelvin();
-        let radiant = carnot_cop_heating(source, Celsius::new(28.0).to_kelvin());
-        let radiator = carnot_cop_heating(source, Celsius::new(45.0).to_kelvin());
-        assert!(
-            radiant > radiator * 1.6,
-            "radiant {radiant} vs radiator {radiator}"
-        );
-        // Reference: 301.15/23 ≈ 13.1.
-        assert!((radiant - 13.09).abs() < 0.05);
-    }
-
-    #[test]
-    fn heating_and_cooling_cops_differ_by_one() {
-        // Thermodynamic identity: COP_heat = COP_cool + 1.
-        let evap = Celsius::new(5.0).to_kelvin();
-        let cond = Celsius::new(35.0).to_kelvin();
-        let heat = carnot_cop_heating(evap, cond);
-        let cool = carnot_cop_cooling(evap, cond);
-        assert!((heat - cool - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -34,7 +34,7 @@ mod units;
 mod water;
 
 pub use error::PsychroError;
-pub use exergy::{carnot_cop_cooling, carnot_cop_heating, exergy_of_heat, CarnotChiller};
+pub use exergy::{carnot_cop_cooling, exergy_of_heat, CarnotChiller};
 pub use magnus::{
     dew_point, dew_point_checked, relative_humidity_from_dew_point, saturation_vapor_pressure,
     vapor_pressure, MAGNUS_A, MAGNUS_B,

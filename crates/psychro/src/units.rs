@@ -255,14 +255,6 @@ impl Celsius {
     }
 }
 
-impl Kelvin {
-    /// Converts this absolute temperature to Celsius.
-    #[must_use]
-    pub fn to_celsius(self) -> Celsius {
-        Celsius::new(self.0 - 273.15)
-    }
-}
-
 impl Sub for Celsius {
     type Output = DeltaCelsius;
     fn sub(self, rhs: Self) -> DeltaCelsius {
@@ -334,7 +326,6 @@ mod tests {
     fn celsius_kelvin_round_trip() {
         let t = Celsius::new(25.0);
         assert!((t.to_kelvin().get() - 298.15).abs() < 1e-12);
-        assert!((t.to_kelvin().to_celsius().get() - 25.0).abs() < 1e-12);
     }
 
     #[test]

@@ -553,6 +553,36 @@ mod tests {
     }
 
     #[test]
+    fn create_refuses_schedules_past_the_cap() {
+        // One entry past `MAX_SCHEDULE_ENTRIES` each: 100,001 disturbance
+        // events, 12,501 occupancy periods of 8 changes, 100,001 mpc
+        // periods; then the first minutes whose milliseconds overflow.
+        for doc in [
+            r#"{"name":"e","scenario":"endurance","minutes":3000028}"#,
+            r#"{"name":"o","scenario":"trial","minutes":1125001,"grid":"occupancy-rate=0.5"}"#,
+            r#"{"name":"m","scenario":"mpc","seed":1,"duration_min":100001,"period_s":60,"windows":[]}"#,
+            r#"{"name":"x","scenario":"endurance","minutes":307445734561826}"#,
+        ] {
+            let err = build_tenant(doc)
+                .err()
+                .unwrap_or_else(|| panic!("{doc} built"));
+            assert_eq!(err.status, 400, "{doc}: {}", err.message);
+            assert!(
+                err.message.contains("schedule cap") || err.message.contains("overflow"),
+                "{}",
+                err.message
+            );
+        }
+        for doc in [
+            r#"{"name":"e","scenario":"endurance","minutes":3000027}"#,
+            r#"{"name":"o","scenario":"trial","minutes":1125000,"grid":"occupancy-rate=0.5"}"#,
+            r#"{"name":"t","scenario":"trial","minutes":1000000}"#,
+        ] {
+            assert!(build_tenant(doc).is_ok(), "{doc}");
+        }
+    }
+
+    #[test]
     fn wire_identity_embeds_everything_that_shapes_the_run() {
         let a = trial_tenant("a", 7, 10);
         let b = trial_tenant("b", 8, 10);

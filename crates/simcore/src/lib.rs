@@ -37,7 +37,6 @@
 
 mod events;
 pub mod noise;
-pub mod numeric;
 mod rng;
 pub mod stats;
 mod time;
@@ -45,7 +44,6 @@ mod trace;
 
 pub use events::EventQueue;
 pub use noise::NoiseKernel;
-pub use numeric::{fast_floor, fast_round};
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Sample, Series, TraceRecorder};

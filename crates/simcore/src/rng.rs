@@ -158,13 +158,6 @@ impl Rng {
         }
     }
 
-    /// Two consecutive standard-normal samples — bit-identical to two
-    /// [`standard_normal`](Self::standard_normal) calls, fused so
-    /// dual-channel sensor reads touch the sampler once.
-    pub fn standard_normal_pair(&mut self) -> (f64, f64) {
-        (self.standard_normal(), self.standard_normal())
-    }
-
     /// Advances the state exactly as `count` discarded
     /// [`standard_normal`](Self::standard_normal) draws would, without
     /// paying for the sample evaluation.
@@ -190,21 +183,6 @@ impl Rng {
     pub fn normal(&mut self, mean: f64, sd: f64) -> f64 {
         assert!(sd >= 0.0, "standard deviation must be non-negative");
         mean + sd * self.standard_normal()
-    }
-
-    /// Two normal samples with per-channel means and deviations —
-    /// bit-identical to two [`normal`](Self::normal) calls in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either standard deviation is negative.
-    pub fn normal_pair(&mut self, a: (f64, f64), b: (f64, f64)) -> (f64, f64) {
-        assert!(
-            a.1 >= 0.0 && b.1 >= 0.0,
-            "standard deviation must be non-negative"
-        );
-        let (za, zb) = self.standard_normal_pair();
-        (a.0 + a.1 * za, b.0 + b.1 * zb)
     }
 
     /// An exponential sample with the given `mean` (e.g. inter-arrival
@@ -338,22 +316,6 @@ mod tests {
             for _ in 0..16 {
                 assert_eq!(skipped.next_u64(), drawn.next_u64(), "{kernel}");
             }
-        }
-    }
-
-    #[test]
-    fn pair_draws_are_bit_identical_to_sequential_draws() {
-        for kernel in [NoiseKernel::V1, NoiseKernel::V2] {
-            let mut paired = Rng::seed_from(21).with_kernel(kernel);
-            let mut sequential = Rng::seed_from(21).with_kernel(kernel);
-            for _ in 0..256 {
-                let (a, b) = paired.normal_pair((1.0, 0.5), (-2.0, 3.0));
-                let x = sequential.normal(1.0, 0.5);
-                let y = sequential.normal(-2.0, 3.0);
-                assert_eq!(a.to_bits(), x.to_bits(), "{kernel}");
-                assert_eq!(b.to_bits(), y.to_bits(), "{kernel}");
-            }
-            assert_eq!(paired, sequential, "{kernel}");
         }
     }
 

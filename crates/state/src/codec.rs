@@ -146,12 +146,6 @@ impl Writer {
         self.buf.extend_from_slice(v.as_bytes());
     }
 
-    /// Writes a length-prefixed byte slice.
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_len(v.len());
-        self.buf.extend_from_slice(v);
-    }
-
     /// Writes any [`Persist`] value.
     pub fn put<T: Persist>(&mut self, v: &T) {
         v.save(self);
@@ -297,12 +291,6 @@ impl<'a> Reader<'a> {
     /// Reads a length-prefixed UTF-8 string.
     pub fn take_string(&mut self) -> Result<String, StateError> {
         self.take_str().map(str::to_owned)
-    }
-
-    /// Reads a length-prefixed byte vector.
-    pub fn take_bytes(&mut self) -> Result<Vec<u8>, StateError> {
-        let len = self.take_len()?;
-        Ok(self.take_raw("bytes", len)?.to_vec())
     }
 
     /// Reads any [`Persist`] value.
@@ -677,7 +665,7 @@ mod tests {
                     4 => r.take_len().map(drop),
                     5 => r.take_bool().map(drop),
                     6 => r.take_str().map(drop),
-                    7 => r.take_bytes().map(drop),
+                    7 => r.take::<Vec<u8>>().map(drop),
                     8 => r.take::<usize>().map(drop),
                     9 => r.take::<Vec<Option<u8>>>().map(drop),
                     10 => r.take::<VecDeque<String>>().map(drop),

@@ -159,12 +159,6 @@ impl TankChiller {
         self.last_electrical_power
     }
 
-    /// Thermal power extracted during the most recent step.
-    #[must_use]
-    pub fn thermal_power(&self) -> Watts {
-        self.last_thermal_power
-    }
-
     /// Resets the energy meters (e.g. to measure only the steady-state
     /// segment of a trial, as Fig. 11 does).
     pub fn reset_meters(&mut self) {
@@ -255,7 +249,7 @@ mod tests {
         let mut chiller = TankChiller::new(ChillerConfig::radiant_18c());
         chiller.regulate(&mut tank, 1.0);
         assert_eq!(chiller.electrical_power().get(), 0.0);
-        assert_eq!(chiller.thermal_power().get(), 0.0);
+        assert_eq!(chiller.last_thermal_power.get(), 0.0);
     }
 
     #[test]

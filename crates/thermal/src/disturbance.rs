@@ -101,26 +101,33 @@ impl DisturbanceSchedule {
     /// of seeded jitter. Each opening lasts 30–90 s.
     #[must_use]
     pub fn periodic_events(total: SimDuration, rng: &mut Rng) -> Self {
-        let mut events = Vec::new();
-        let mut t = SimTime::ZERO + SimDuration::from_mins(25);
-        let mut flip = false;
-        while (t + SimDuration::from_mins(2)).since(SimTime::ZERO) < total {
-            let jitter = rng.uniform(-180.0, 180.0);
-            let at =
-                SimTime::ZERO + SimDuration::from_secs_f64((t.as_secs_f64() + jitter).max(0.0));
-            events.push(OpeningEvent {
-                at,
-                duration: SimDuration::from_secs_f64(rng.uniform(30.0, 90.0)),
-                kind: if flip {
-                    OpeningKind::Window
-                } else {
-                    OpeningKind::Door
-                },
-            });
-            flip = !flip;
-            t += SimDuration::from_mins(30);
-        }
+        let events = (0..Self::periodic_event_count(total))
+            .map(|k| {
+                let t = SimDuration::from_mins(25 + 30 * k).as_secs_f64();
+                let jitter = rng.uniform(-180.0, 180.0);
+                OpeningEvent {
+                    at: SimTime::ZERO + SimDuration::from_secs_f64((t + jitter).max(0.0)),
+                    duration: SimDuration::from_secs_f64(rng.uniform(30.0, 90.0)),
+                    kind: if k % 2 == 0 {
+                        OpeningKind::Door
+                    } else {
+                        OpeningKind::Window
+                    },
+                }
+            })
+            .collect();
         Self::new(events)
+    }
+
+    /// How many events [`periodic_events`](Self::periodic_events)
+    /// schedules over `total`: one every 30 minutes from minute 25, each
+    /// nominally starting more than 2 minutes before the end.
+    #[must_use]
+    pub fn periodic_event_count(total: SimDuration) -> u64 {
+        total
+            .as_millis()
+            .saturating_sub(27 * 60_000)
+            .div_ceil(30 * 60_000)
     }
 
     /// The scripted events, in time order.
@@ -211,6 +218,17 @@ mod tests {
         // Alternating kinds.
         assert_eq!(s.events()[0].kind, OpeningKind::Door);
         assert!(s.events().windows(2).all(|w| w[1].at >= w[0].at));
+    }
+
+    #[test]
+    fn periodic_event_count_starts_events_before_the_last_two_minutes() {
+        let count = |ms| DisturbanceSchedule::periodic_event_count(SimDuration::from_millis(ms));
+        let min = 60_000;
+        assert_eq!(count(27 * min), 0);
+        assert_eq!(count(27 * min + 1), 1);
+        assert_eq!(count(57 * min), 1);
+        assert_eq!(count(57 * min + 1), 2);
+        assert_eq!(count(u64::MAX), 10_248_191_152_060);
     }
 
     #[test]

@@ -53,12 +53,6 @@ impl Pump {
         Self::new(5.0e-5)
     }
 
-    /// Rated flow at full voltage, m³/s.
-    #[must_use]
-    pub fn max_flow(&self) -> f64 {
-        self.max_flow_m3s
-    }
-
     /// Flow delivered for a control voltage, m³/s. Voltages are clamped
     /// into `[0, 5]`; below the dead band the pump is stopped.
     #[must_use]
@@ -213,9 +207,9 @@ mod tests {
         let p = Pump::radiant_loop();
         assert_eq!(p.flow(Volts::new(0.0)), 0.0);
         assert_eq!(p.flow(Volts::new(0.2)), 0.0);
-        assert!((p.flow(Volts::new(5.0)) - p.max_flow()).abs() < 1e-12);
+        assert!((p.flow(Volts::new(5.0)) - p.max_flow_m3s).abs() < 1e-12);
         // Over-voltage clamps rather than over-delivering.
-        assert!((p.flow(Volts::new(7.0)) - p.max_flow()).abs() < 1e-12);
+        assert!((p.flow(Volts::new(7.0)) - p.max_flow_m3s).abs() < 1e-12);
         assert_eq!(p.flow(Volts::new(-1.0)), 0.0);
     }
 
@@ -234,7 +228,7 @@ mod tests {
     fn pump_voltage_for_inverts_flow() {
         let p = Pump::airbox_coil();
         for frac in [0.1, 0.3, 0.7, 1.0] {
-            let target = p.max_flow() * frac;
+            let target = p.max_flow_m3s * frac;
             let v = p.voltage_for(target);
             assert!((p.flow(v) - target).abs() < 1e-9, "frac {frac}");
         }

@@ -102,15 +102,6 @@ impl OccupancySchedule {
             .map_or(0, |c| c.count)
     }
 
-    /// Total headcount across the laboratory at `now`.
-    #[must_use]
-    pub fn total_headcount(&self, now: SimTime) -> u32 {
-        SubspaceId::ALL
-            .iter()
-            .map(|&s| self.headcount(s, now))
-            .sum()
-    }
-
     /// Convenience: a person moving from one subspace to another at `at`
     /// expressed as two changes.
     #[must_use]
@@ -144,7 +135,6 @@ mod tests {
         for id in SubspaceId::ALL {
             assert_eq!(s.headcount(id, SimTime::from_hours(1)), 0);
         }
-        assert_eq!(s.total_headcount(SimTime::ZERO), 0);
     }
 
     #[test]
@@ -186,7 +176,6 @@ mod tests {
         let s = OccupancySchedule::new(changes.to_vec());
         assert_eq!(s.headcount(SubspaceId::S1, SimTime::from_mins(6)), 0);
         assert_eq!(s.headcount(SubspaceId::S2, SimTime::from_mins(6)), 1);
-        assert_eq!(s.total_headcount(SimTime::from_mins(6)), 1);
     }
 
     #[test]

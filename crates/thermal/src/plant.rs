@@ -107,6 +107,12 @@ pub struct EnergyMeters {
     pub elapsed: Seconds,
 }
 
+/// The most entries a schedule built from a scenario document may hold:
+/// disturbance events, occupancy changes, or occupancy periods walked.
+/// Builders refuse a document past it rather than allocate in proportion
+/// to a number the document chose.
+pub const MAX_SCHEDULE_ENTRIES: u64 = 100_000;
+
 /// Full plant configuration.
 #[derive(Debug, Clone)]
 pub struct PlantConfig {
@@ -641,12 +647,6 @@ impl ThermalPlant {
         self.loops[panel].mixed_temp
     }
 
-    /// True mixed flow through a panel, m³/s.
-    #[must_use]
-    pub fn loop_mixed_flow(&self, panel: usize) -> f64 {
-        self.loops[panel].mixed_flow_m3s
-    }
-
     /// The exogenous inputs applied to each zone on the most recent step
     /// (diagnostics).
     #[must_use]
@@ -709,7 +709,8 @@ impl ThermalPlant {
     pub fn read_room(&mut self, id: SubspaceId) -> (Celsius, Percent) {
         let state = self.zones[id.index()].state();
         let sensor = &mut self.instruments.room[id.index()];
-        let (t, rh) = sensor.read_pair(state.temperature, state.relative_humidity());
+        let t = sensor.read_temp(state.temperature);
+        let rh = sensor.read_rh(state.relative_humidity());
         let target = SensorTarget::Room(id.index());
         (
             Celsius::new(self.faulted(target, 0, t.get())),
@@ -732,18 +733,13 @@ impl ThermalPlant {
         }
     }
 
-    /// The six ceiling sensors under a panel: (temperature, RH) for each,
-    /// read in order through [`ThermalPlant::read_ceiling_sensor`].
-    pub fn read_ceiling(&mut self, panel: usize) -> Vec<(Celsius, Percent)> {
-        (0..6).map(|k| self.read_ceiling_sensor(panel, k)).collect()
-    }
-
     /// A single ceiling sensor (`k` in 0–5) under a panel: (temperature,
     /// RH) of its near-ceiling air.
     pub fn read_ceiling_sensor(&mut self, panel: usize, k: usize) -> (Celsius, Percent) {
         let near = self.near_ceiling_air(panel, k);
         let sensor = &mut self.instruments.ceiling[panel * 6 + k];
-        let (t, rh) = sensor.read_pair(near.temperature, near.relative_humidity());
+        let t = sensor.read_temp(near.temperature);
+        let rh = sensor.read_rh(near.relative_humidity());
         let target = SensorTarget::Ceiling(panel * 6 + k);
         (
             Celsius::new(self.faulted(target, 0, t.get())),
@@ -843,7 +839,8 @@ impl ThermalPlant {
     pub fn read_airbox_outlet(&mut self, airbox: usize) -> (Celsius, Percent) {
         let state = self.outlet_states[airbox];
         let sensor = &mut self.instruments.outlet[airbox];
-        let (t, rh) = sensor.read_pair(state.temperature, state.relative_humidity());
+        let t = sensor.read_temp(state.temperature);
+        let rh = sensor.read_rh(state.relative_humidity());
         let target = SensorTarget::Outlet(airbox);
         (
             Celsius::new(self.faulted(target, 0, t.get())),
@@ -1315,8 +1312,10 @@ mod tests {
         let truth = plant.zone_state(SubspaceId::S1);
         assert!((t.get() - truth.temperature.get()).abs() < 0.5);
         assert!((rh.get() - truth.relative_humidity().get()).abs() < 3.0);
-        let ceiling = plant.read_ceiling(0);
-        assert_eq!(ceiling.len(), 6);
+        for k in 0..6 {
+            let (_, rh) = plant.read_ceiling_sensor(0, k);
+            assert!((0.0..=100.0).contains(&rh.get()));
+        }
         let co2 = plant.read_co2(SubspaceId::S2);
         assert!((co2.get() - truth.co2.get()).abs() < 60.0);
     }
@@ -1339,7 +1338,7 @@ mod tests {
         assert!((mix_reading.get() - truth.get()).abs() < 0.7);
         // Recycle mixing keeps T_mix above the tank temperature.
         assert!(truth.get() > plant.radiant_tank_temperature().get());
-        let flow = plant.loop_mixed_flow(0);
+        let flow = plant.loops[0].mixed_flow_m3s;
         assert!(flow > 0.0);
     }
 

@@ -8,11 +8,11 @@
 //! per-reading noise, then quantizes to the part's resolution.
 
 use bz_psychro::{Celsius, Percent, Ppm};
-use bz_simcore::{fast_floor, fast_round, Rng, SimTime};
+use bz_simcore::{Rng, SimTime};
 
 /// Quantizes `value` to steps of `step`.
 fn quantize(value: f64, step: f64) -> f64 {
-    fast_round(value / step) * step
+    (value / step).round() * step
 }
 
 /// An ADT7410 digital temperature sensor (embedded in water pipes and on
@@ -101,22 +101,6 @@ impl HumiditySensor {
         Celsius::new(quantize(raw, Self::TEMP_RESOLUTION))
     }
 
-    /// Reads both channels in one fused poll — bit-identical to
-    /// [`read_temp`](Self::read_temp) followed by
-    /// [`read_rh`](Self::read_rh), but the sibling noise draws go through
-    /// the sampler together (one `normal_pair` call instead of two
-    /// independent dispatches), which is how the dual-channel SHT75 is
-    /// actually polled.
-    pub fn read_pair(&mut self, t_truth: Celsius, rh_truth: Percent) -> (Celsius, Percent) {
-        let (t_noise, rh_noise) = self.rng.normal_pair((0.0, 0.008), (0.0, 0.25));
-        let t_raw = t_truth.get() + self.temp_bias + t_noise;
-        let rh_raw = rh_truth.get() + self.rh_bias + rh_noise;
-        (
-            Celsius::new(quantize(t_raw, Self::TEMP_RESOLUTION)),
-            Percent::new(quantize(rh_raw, Self::RH_RESOLUTION).clamp(0.0, 100.0)),
-        )
-    }
-
     /// Advances the sensor's noise stream exactly as one discarded
     /// [`read_rh`](Self::read_rh) would, without computing the reading.
     ///
@@ -197,7 +181,7 @@ impl FlowSensor {
         let liters = truth_m3s * 1_000.0 * self.gate_s * self.gain;
         let expected = liters * self.pulses_per_liter;
         // Partial pulses show up probabilistically at the gate edges.
-        let whole = fast_floor(expected);
+        let whole = expected.floor();
         let frac = expected - whole;
         whole as u64 + u64::from(self.rng.chance(frac))
     }
@@ -366,11 +350,30 @@ impl SensorFaultSchedule {
 // so full-value persistence restores both the calibration and the exact
 // noise-stream position.
 
-bz_state::persist_struct!(TemperatureSensor {
-    bias,
-    noise_sd,
-    rng
-});
+impl bz_state::Persist for TemperatureSensor {
+    fn save(&self, w: &mut bz_state::Writer) {
+        w.put(&self.bias);
+        w.put(&self.noise_sd);
+        w.put(&self.rng);
+    }
+
+    /// Refuses a noise σ that is negative or not finite: `read` hands it
+    /// to [`Rng::normal`], which asserts against it.
+    fn load(r: &mut bz_state::Reader<'_>) -> Result<Self, bz_state::StateError> {
+        let sensor = Self {
+            bias: r.take()?,
+            noise_sd: r.take()?,
+            rng: r.take()?,
+        };
+        if !(sensor.noise_sd.is_finite() && sensor.noise_sd >= 0.0) {
+            return Err(bz_state::StateError::Invalid {
+                what: "TemperatureSensor",
+                reason: format!("noise σ {} is not a standard deviation", sensor.noise_sd),
+            });
+        }
+        Ok(sensor)
+    }
+}
 bz_state::persist_struct!(HumiditySensor {
     rh_bias,
     temp_bias,
@@ -604,24 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_read_is_bit_identical_to_sequential_channel_reads() {
-        use bz_simcore::NoiseKernel;
-        for kernel in [NoiseKernel::V1, NoiseKernel::V2] {
-            let mut r1 = Rng::seed_from(12).with_kernel(kernel);
-            let mut r2 = Rng::seed_from(12).with_kernel(kernel);
-            let mut sequential = HumiditySensor::new(&mut r1);
-            let mut paired = HumiditySensor::new(&mut r2);
-            for i in 0..200 {
-                let t = Celsius::new(23.0 + f64::from(i) * 0.01);
-                let rh = Percent::new(55.0 + f64::from(i) * 0.05);
-                let a = (sequential.read_temp(t), sequential.read_rh(rh));
-                let b = paired.read_pair(t, rh);
-                assert_eq!(a, b, "{kernel} poll {i}");
-            }
-        }
-    }
-
-    #[test]
     fn ever_targets_sees_inactive_events() {
         let target = SensorTarget::Room(1);
         let schedule = SensorFaultSchedule::new(vec![SensorFaultEvent {
@@ -633,6 +618,26 @@ mod tests {
         assert!(schedule.ever_targets(target));
         assert!(!schedule.ever_targets(SensorTarget::Room(0)));
         assert!(!SensorFaultSchedule::none().ever_targets(target));
+    }
+
+    #[test]
+    fn restore_refuses_a_negative_or_non_finite_noise_sd() {
+        use bz_state::Persist;
+        for sd in [-0.008, f64::NAN, f64::INFINITY] {
+            let mut sensor = TemperatureSensor::new(&mut Rng::seed_from(12));
+            sensor.noise_sd = sd;
+            let mut w = bz_state::Writer::new();
+            sensor.save(&mut w);
+            let err = match TemperatureSensor::load(&mut bz_state::Reader::new(w.as_bytes())) {
+                Ok(mut restored) => {
+                    // `Rng::normal` asserts a non-negative σ.
+                    let _ = restored.read(Celsius::new(20.0));
+                    panic!("σ {sd} restored");
+                }
+                Err(err) => err.to_string(),
+            };
+            assert!(err.contains(&format!("noise σ {sd}")), "{err}");
+        }
     }
 
     #[test]

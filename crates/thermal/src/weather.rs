@@ -78,12 +78,6 @@ pub struct Weather {
     wander: f64,
     /// Time of the last update, for integrating the wander.
     last_update: SimTime,
-    /// Memo of the last OU step: `dt` bits → (decay, step sd). The
-    /// simulation loop calls with a fixed 1-second `dt`, so this caches
-    /// one `exp` + one `sqrt` per step. Pure function of the key, hence
-    /// derived wiring, not persisted state: a stale entry is still the
-    /// exact value for its key.
-    ou_memo: (u64, f64, f64),
 }
 
 impl Weather {
@@ -95,7 +89,6 @@ impl Weather {
             rng,
             wander: 0.0,
             last_update: SimTime::ZERO,
-            ou_memo: (u64::MAX, 0.0, 0.0),
         }
     }
 
@@ -105,20 +98,10 @@ impl Weather {
         let dt = now.since(self.last_update).as_secs_f64();
         self.last_update = now;
         if self.config.wander_sd > 0.0 && dt > 0.0 {
-            // OU process with a 30-minute relaxation time. The decay and
-            // step deviation depend only on `dt`, which the per-second
-            // loop never varies — memoize on its exact bit pattern so
-            // repeated steps skip the `exp`/`sqrt` without any chance of
-            // a value change.
-            let (decay, step_sd) = if self.ou_memo.0 == dt.to_bits() {
-                (self.ou_memo.1, self.ou_memo.2)
-            } else {
-                let tau = 1_800.0;
-                let decay = (-dt / tau).exp();
-                let step_sd = self.config.wander_sd * (1.0 - decay * decay).sqrt();
-                self.ou_memo = (dt.to_bits(), decay, step_sd);
-                (decay, step_sd)
-            };
+            // OU process with a 30-minute relaxation time.
+            let tau = 1_800.0;
+            let decay = (-dt / tau).exp();
+            let step_sd = self.config.wander_sd * (1.0 - decay * decay).sqrt();
             self.wander = self.wander * decay + self.rng.normal(0.0, step_sd);
         }
 

@@ -9,7 +9,7 @@
 //! bulk air exchange.
 
 use bz_psychro::{
-    dew_point, dry_air_density, humidity_ratio_from_dew_point, latent_heat_of_vaporization,
+    dew_point, dry_air_density, humidity_ratio_from_dew_point,
     relative_humidity_from_humidity_ratio, Celsius, KgPerKg, Percent, Ppm, CP_DRY_AIR,
 };
 
@@ -338,16 +338,6 @@ impl Zone {
             co2: Ppm::new(new_c),
         };
     }
-
-    /// Latent heat associated with condensing the zone down to
-    /// `target_ratio`, J (zero if already drier).
-    #[must_use]
-    pub fn latent_energy_above(&self, target_ratio: KgPerKg) -> f64 {
-        let excess = (self.state.humidity_ratio.get() - target_ratio.get()).max(0.0);
-        excess
-            * self.params.air_mass(self.state.temperature)
-            * latent_heat_of_vaporization(self.state.temperature)
-    }
 }
 
 // --- Checkpoint support --------------------------------------------------
@@ -595,14 +585,5 @@ mod tests {
         let base = p.heat_capacity(Celsius::new(25.0));
         p.thermal_mass_factor *= 2.0;
         assert!((p.heat_capacity(Celsius::new(25.0)) - 2.0 * base).abs() < 1e-6);
-    }
-
-    #[test]
-    fn latent_energy_above_zero_when_drier() {
-        let zone = fresh_zone(25.0, 15.0);
-        let target = humidity_ratio_from_dew_point(Celsius::new(18.0));
-        assert_eq!(zone.latent_energy_above(target), 0.0);
-        let humid = fresh_zone(25.0, 24.0);
-        assert!(humid.latent_energy_above(target) > 0.0);
     }
 }

@@ -44,7 +44,8 @@ fn drive(plant: &mut ThermalPlant) -> Vec<f64> {
         out.push(plant.read_mixed_temp(panel).get());
         out.push(plant.read_return_temp(panel).get());
         out.push(plant.read_mixed_flow(panel));
-        for (t, rh) in plant.read_ceiling(panel) {
+        for k in 0..6 {
+            let (t, rh) = plant.read_ceiling_sensor(panel, k);
             out.extend([t.get(), rh.get()]);
         }
     }

@@ -130,12 +130,6 @@ impl ControlRetrier {
         ready.into_iter().map(|p| p.message).collect()
     }
 
-    /// Resends still waiting for their backoff.
-    #[must_use]
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Serializes the dynamic retry state (pending resends, attempt
     /// table). Configuration and the obs handle are rebuilt on restore.
     pub fn save_state(&self, w: &mut bz_state::Writer) {
@@ -175,7 +169,7 @@ mod tests {
         let mut retrier = ControlRetrier::new(RetryConfig::default());
         let sample = Message::new(NodeId::new(1), DataType::Temperature, 25.0, SimTime::ZERO);
         assert!(!retrier.on_failure(SimTime::ZERO, sample, TxFailure::Collision));
-        assert_eq!(retrier.pending_len(), 0);
+        assert_eq!(retrier.pending.len(), 0);
     }
 
     #[test]
