@@ -531,26 +531,18 @@ fn run_resumable(
 }
 
 /// Executes every run across `jobs` worker threads, work-stealing from a
-/// shared queue. Results come back in spec order — the output is
-/// independent of scheduling because each run records into its own
-/// isolated registry and results are placed by position, not by
-/// completion order.
-#[must_use]
-pub fn execute(specs: &[RunSpec], jobs: usize) -> Vec<Result<RunResult, String>> {
-    execute_resumable(specs, jobs, None)
-        .into_iter()
-        .map(|outcome| outcome.map(|(result, _)| result))
-        .collect()
-}
-
-/// [`execute`] with checkpoints: given `(root, policy)`, each run keeps
-/// its snapshots in `run-NNN/` below `root`, resumes and crashes as
-/// `policy` says, and takes its last snapshot at its end. A snapshot of
-/// another identity (spec, duration or noise kernel) is never restored:
-/// that run starts fresh. Returns, in spec order, each run's result and
-/// the simulated minute it resumed from (0 when fresh), or its error for
-/// invalid grid parameters, checkpoint failures and the injected crash.
-/// A failed run does not stop the others.
+/// shared queue. The output is independent of scheduling: each run
+/// records into its own isolated registry, and results are placed by
+/// position, not by completion order.
+///
+/// With checkpoints, given `(root, policy)`, each run keeps its snapshots
+/// in `run-NNN/` below `root`, resumes and crashes as `policy` says, and
+/// takes its last snapshot at its end. A snapshot of another identity
+/// (spec, duration or noise kernel) is never restored: that run starts
+/// fresh. Returns, in spec order, each run's result and the simulated
+/// minute it resumed from (0 when fresh), or its error for invalid grid
+/// parameters, checkpoint failures and the injected crash. A failed run
+/// does not stop the others.
 #[must_use]
 pub fn execute_resumable(
     specs: &[RunSpec],
@@ -883,8 +875,9 @@ mod tests {
             minutes: 1,
             grid: parse_grid("strategy=reactive,mpc").unwrap(),
         };
-        let results: Vec<RunResult> = execute(&spec.expand(), 2)
+        let results: Vec<RunResult> = execute_resumable(&spec.expand(), 2, None)
             .into_iter()
+            .map(|outcome| outcome.map(|(result, _)| result))
             .collect::<Result<_, _>>()
             .unwrap();
         assert_eq!(results.len(), 2);
@@ -946,8 +939,9 @@ mod tests {
                 params: Vec::new(),
             })
             .collect();
-        let baseline: Vec<RunResult> = execute(&specs, 2)
+        let baseline: Vec<RunResult> = execute_resumable(&specs, 2, None)
             .into_iter()
+            .map(|outcome| outcome.map(|(result, _)| result))
             .collect::<Result<_, _>>()
             .unwrap();
         let root = scratch("crash-resume");

@@ -10,8 +10,8 @@
 //!    the same merged report, since the merge is keyed by run index.
 
 use bz_bench::sweep::{
-    execute, parse_grid, report_csv, report_jsonl, summary_table, RunResult, RunSummary, Scenario,
-    SweepSpec,
+    execute_resumable, parse_grid, report_csv, report_jsonl, summary_table, RunResult, RunSummary,
+    Scenario, SweepSpec,
 };
 use proptest::prelude::*;
 
@@ -26,9 +26,10 @@ fn test_sweep() -> Vec<bz_bench::sweep::RunSpec> {
     .expand()
 }
 
-fn unwrap_all(results: Vec<Result<RunResult, String>>) -> Vec<RunResult> {
+fn unwrap_all(results: Vec<Result<(RunResult, u64), String>>) -> Vec<RunResult> {
     results
         .into_iter()
+        .map(|outcome| outcome.map(|(result, _)| result))
         .collect::<Result<Vec<_>, _>>()
         .expect("sweep runs succeed")
 }
@@ -36,8 +37,8 @@ fn unwrap_all(results: Vec<Result<RunResult, String>>) -> Vec<RunResult> {
 #[test]
 fn serial_and_parallel_sweeps_are_byte_identical() {
     let specs = test_sweep();
-    let serial = unwrap_all(execute(&specs, 1));
-    let parallel = unwrap_all(execute(&specs, 4));
+    let serial = unwrap_all(execute_resumable(&specs, 1, None));
+    let parallel = unwrap_all(execute_resumable(&specs, 4, None));
 
     assert_eq!(serial.len(), 4);
     for (s, p) in serial.iter().zip(&parallel) {
@@ -61,8 +62,8 @@ fn repeated_parallel_sweeps_are_stable() {
     // Same sweep twice under maximum scheduling freedom: results must
     // match run-to-run, not just against a serial reference.
     let specs = test_sweep();
-    let first = unwrap_all(execute(&specs, 4));
-    let second = unwrap_all(execute(&specs, 4));
+    let first = unwrap_all(execute_resumable(&specs, 4, None));
+    let second = unwrap_all(execute_resumable(&specs, 4, None));
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(a.metrics_jsonl, b.metrics_jsonl);
         assert_eq!(a.summary, b.summary);

@@ -12,7 +12,7 @@ use bz_simcore::{Rng, SimDuration, SimTime};
 use bz_thermal::chiller::{ChillerConfig, TankChiller};
 use bz_thermal::hydronics::Tank;
 use bz_thermal::weather::{Weather, WeatherConfig};
-use bz_thermal::zone::{AirState, SubspaceId, Zone, ZoneInputs, ZoneParams};
+use bz_thermal::zone::{AirState, Zone, ZoneInputs, ZoneParams};
 
 use crate::pid::{Pid, PidConfig};
 use crate::targets::ComfortTargets;
@@ -119,25 +119,6 @@ impl AirConSystem {
         Celsius::new(sum / 4.0)
     }
 
-    /// Mean room dew point.
-    #[must_use]
-    pub fn mean_dew_point(&self) -> Celsius {
-        let sum: f64 = self.zones.iter().map(|z| z.state().dew_point().get()).sum();
-        Celsius::new(sum / 4.0)
-    }
-
-    /// State of one zone.
-    #[must_use]
-    pub fn zone_state(&self, id: SubspaceId) -> AirState {
-        self.zones[id.index()].state()
-    }
-
-    /// The supply flow commanded on the last step, m³/s.
-    #[must_use]
-    pub fn supply_flow(&self) -> f64 {
-        self.last_flow_m3s
-    }
-
     /// Advances the baseline one second.
     pub fn step_second(&mut self) {
         let dt_s = 1.0;
@@ -220,12 +201,6 @@ impl AirConSystem {
         self.metered_since = self.now;
     }
 
-    /// Heat removed since the last meter reset, J.
-    #[must_use]
-    pub fn removed_energy_j(&self) -> f64 {
-        self.removed_energy_j
-    }
-
     /// Measured COP over the metering window: removed heat over chiller
     /// electrical energy (the paper's accounting — distribution fans and
     /// pumps are excluded on both sides of the comparison).
@@ -254,7 +229,12 @@ mod tests {
         let t = system.mean_temperature().get();
         assert!((t - 25.0).abs() < 0.6, "settled at {t}");
         // All-air systems over-dry: dew point at or below the target.
-        assert!(system.mean_dew_point().get() < 19.0);
+        let dew: f64 = system
+            .zones
+            .iter()
+            .map(|z| z.state().dew_point().get())
+            .sum();
+        assert!(dew / 4.0 < 19.0);
     }
 
     #[test]
@@ -273,7 +253,7 @@ mod tests {
         let supply = system.last_supply;
         assert!(supply.temperature.get() < 14.0, "{supply:?}");
         assert!(supply.dew_point().get() < 12.0);
-        assert!(system.supply_flow() > 0.0);
+        assert!(system.last_flow_m3s > 0.0);
     }
 
     #[test]
@@ -281,7 +261,7 @@ mod tests {
         let mut system = AirConSystem::new(AirConConfig::for_bubble_zero_lab());
         system.run_seconds(60 * 60);
         // Near the target the flow should not be pinned at maximum.
-        assert!(system.supply_flow() < system.config.max_supply_m3s * 0.98);
+        assert!(system.last_flow_m3s < system.config.max_supply_m3s * 0.98);
     }
 
     #[test]
@@ -291,6 +271,6 @@ mod tests {
         a.run_seconds(600);
         b.run_seconds(600);
         assert_eq!(a.mean_temperature(), b.mean_temperature());
-        assert_eq!(a.removed_energy_j(), b.removed_energy_j());
+        assert_eq!(a.removed_energy_j, b.removed_energy_j);
     }
 }

@@ -34,7 +34,7 @@ use bz_thermal::zone::SubspaceId;
 use bz_wsn::faults::{WsnFault, WsnFaultEvent, WsnFaultSchedule};
 use bz_wsn::message::NodeId;
 
-use crate::json::Json;
+use crate::json::{Json, JsonError, MAX_WHOLE};
 use crate::session::Session;
 use crate::system::{BubbleZeroSystem, SystemConfig};
 use crate::targets::ComfortTargets;
@@ -120,10 +120,10 @@ impl ChaosScenario {
     /// # Errors
     ///
     /// Returns a [`ChaosError`] naming the offending field for malformed
-    /// JSON, unknown layers/kinds/targets, out-of-range indices, or
-    /// non-finite times.
+    /// JSON, unknown layers/kinds/targets, out-of-range indices or seeds,
+    /// a negative noise σ, or times and durations past 10⁹ s.
     pub fn from_json(text: &str) -> Result<Self, ChaosError> {
-        let root = Json::parse(text).map_err(|e| ChaosError::new(e.to_string()))?;
+        let root = Json::parse(text)?;
         let name = match root.field("name") {
             Some(v) => v
                 .as_str()
@@ -132,11 +132,11 @@ impl ChaosScenario {
             None => "unnamed".to_owned(),
         };
         let seed = match root.field("seed") {
-            Some(v) => integer(v, "seed", u64::MAX as f64)? as u64,
+            Some(v) => v.whole("seed", MAX_WHOLE)?,
             None => 0xC0A5,
         };
         let duration_mins = match root.field("duration_mins") {
-            Some(v) => integer(v, "duration_mins", 10_000.0)? as u64,
+            Some(v) => v.whole("duration_mins", 10_000)?,
             None => 110,
         };
         if duration_mins == 0 {
@@ -560,6 +560,12 @@ impl ChaosError {
     }
 }
 
+impl From<JsonError> for ChaosError {
+    fn from(e: JsonError) -> Self {
+        Self(e.to_string())
+    }
+}
+
 impl fmt::Display for ChaosError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
@@ -592,9 +598,13 @@ fn parse_fault(entry: &Json) -> Result<ParsedFault, ChaosError> {
                     per_hour: num_field(entry, "per_hour")?,
                 },
                 "dropout" => SensorFault::Dropout,
-                "noise_burst" => SensorFault::NoiseBurst {
-                    sd: num_field(entry, "sd")?,
-                },
+                "noise_burst" => {
+                    let sd = num_field(entry, "sd")?;
+                    if sd < 0.0 {
+                        return Err(ChaosError::new("'sd' must be ≥ 0"));
+                    }
+                    SensorFault::NoiseBurst { sd }
+                }
                 "calibration_jump" => SensorFault::CalibrationJump {
                     offset: num_field(entry, "offset")?,
                 },
@@ -665,8 +675,10 @@ fn parse_opening(entry: &Json) -> Result<OpeningEvent, ChaosError> {
     };
     let at = time_field(entry, "at_s")?.ok_or_else(|| ChaosError::new("missing field 'at_s'"))?;
     let duration_s = num_field(entry, "duration_s")?;
-    if !duration_s.is_finite() || duration_s <= 0.0 {
-        return Err(ChaosError::new("'duration_s' must be positive"));
+    if !(duration_s > 0.0 && duration_s <= MAX_SCENARIO_S) {
+        return Err(ChaosError::new(format!(
+            "'duration_s' must be in (0, {MAX_SCENARIO_S:e}] seconds"
+        )));
     }
     Ok(OpeningEvent {
         at,
@@ -713,27 +725,18 @@ fn num_field(entry: &Json, name: &str) -> Result<f64, ChaosError> {
         .ok_or_else(|| ChaosError::new(format!("'{name}' must be a number")))
 }
 
-/// A non-negative integer field no larger than `max`.
+/// A whole-number field no larger than `max`.
 fn index_field(entry: &Json, name: &str, max: usize) -> Result<usize, ChaosError> {
     let value = entry
         .field(name)
         .ok_or_else(|| ChaosError::new(format!("missing field '{name}'")))?;
-    let n = integer(value, name, max as f64)?;
-    Ok(n as usize)
+    Ok(value.whole(name, max as u64)? as usize)
 }
 
-/// Validates that `value` is a non-negative integer ≤ `max`.
-fn integer(value: &Json, name: &str, max: f64) -> Result<f64, ChaosError> {
-    let n = value
-        .as_f64()
-        .ok_or_else(|| ChaosError::new(format!("'{name}' must be a number")))?;
-    if !n.is_finite() || n < 0.0 || n.fract() != 0.0 || n > max {
-        return Err(ChaosError::new(format!(
-            "'{name}' must be an integer in [0, {max}]"
-        )));
-    }
-    Ok(n)
-}
+/// Latest time and longest duration a scenario may give, s (about 32
+/// years). Onset plus duration then stays far inside the `u64`
+/// millisecond clock, where a larger value would saturate or overflow.
+const MAX_SCENARIO_S: f64 = 1e9;
 
 /// An optional time-in-seconds field; JSON `null` reads as absent.
 fn time_field(entry: &Json, name: &str) -> Result<Option<SimTime>, ChaosError> {
@@ -743,8 +746,10 @@ fn time_field(entry: &Json, name: &str) -> Result<Option<SimTime>, ChaosError> {
             let s = value
                 .as_f64()
                 .ok_or_else(|| ChaosError::new(format!("'{name}' must be a number")))?;
-            if !s.is_finite() || s < 0.0 {
-                return Err(ChaosError::new(format!("'{name}' must be ≥ 0 seconds")));
+            if !(0.0..=MAX_SCENARIO_S).contains(&s) {
+                return Err(ChaosError::new(format!(
+                    "'{name}' must be in [0, {MAX_SCENARIO_S:e}] seconds"
+                )));
             }
             Ok(Some(SimTime::ZERO + SimDuration::from_secs_f64(s)))
         }
@@ -837,6 +842,19 @@ mod tests {
             r#"{"duration_mins": 0}"#,
             r#"{"disturbances": [{"kind": "hatch", "at_s": 1,
                 "duration_s": 5}]}"#,
+            r#"{"seed": 9007199254740993}"#,
+            r#"{"seed": 18446744073709551616}"#,
+            r#"{"seed": 1e400}"#,
+            r#"{"faults": [{"layer": "sensor", "kind": "noise_burst",
+                "target": "room", "index": 0, "sd": -5, "at_s": 1}]}"#,
+            r#"{"faults": [{"layer": "wsn", "kind": "node_dead", "node": 3,
+                "at_s": 1e300}]}"#,
+            r#"{"faults": [{"layer": "wsn", "kind": "node_dead", "node": 3,
+                "at_s": 1, "repaired_at_s": 1000000001}]}"#,
+            r#"{"disturbances": [{"kind": "door", "at_s": 1e300,
+                "duration_s": 5}]}"#,
+            r#"{"disturbances": [{"kind": "door", "at_s": 1,
+                "duration_s": 1e300}]}"#,
         ];
         for text in cases {
             assert!(ChaosScenario::from_json(text).is_err(), "accepted {text}");

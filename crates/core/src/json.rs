@@ -14,6 +14,11 @@ use std::fmt;
 /// nest 3 deep.
 const MAX_DEPTH: usize = 64;
 
+/// The largest whole number a document may give a field: 2^53 − 1. Every
+/// integer up to 2^53 has an exact `f64`, but the literal 2^53 + 1 parses
+/// to 2^53 too, so 2^53 itself may stand for a rounded value.
+pub const MAX_WHOLE: u64 = (1 << 53) - 1;
+
 /// A JSON parsing error carrying the 1-based line and column where
 /// parsing failed, so a hand-edited scenario file can be fixed without
 /// counting bytes.
@@ -98,6 +103,23 @@ impl Json {
         match self {
             Self::Num(n) => Some(*n),
             _ => None,
+        }
+    }
+
+    /// This value as a whole number in `[0, max]`, `max` being at most
+    /// [`MAX_WHOLE`]; `name` is the field it came from.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] naming the field when the value is not a
+    /// number, or not a whole number in range.
+    pub fn whole(&self, name: &str, max: u64) -> Result<u64, JsonError> {
+        let max = max.min(MAX_WHOLE);
+        match self.as_f64() {
+            Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= max as f64 => Ok(n as u64),
+            _ => Err(JsonError::new(format!(
+                "'{name}' must be a whole number in [0, {max}]"
+            ))),
         }
     }
 
@@ -289,9 +311,11 @@ impl JsonParser<'_> {
             self.pos += 1;
         }
         let text = &self.text[start..self.pos];
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.error(&format!("bad number '{text}'")))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(_) => Err(self.error(&format!("number '{text}' overflows"))),
+            Err(_) => Err(self.error(&format!("bad number '{text}'"))),
+        }
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
@@ -339,6 +363,42 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn json_parser_refuses_numbers_past_f64() {
+        let err = Json::parse("1e400").unwrap_err();
+        assert!(
+            err.to_string().contains("number '1e400' overflows"),
+            "{err}"
+        );
+        assert!(Json::parse("[-1e400]").is_err());
+        assert_eq!(Json::parse("1e308"), Ok(Json::Num(1e308)));
+    }
+
+    #[test]
+    fn whole_reads_only_exact_whole_numbers_in_range() {
+        let whole = |text: &str, max: u64| Json::parse(text).unwrap().whole("n", max);
+        assert_eq!(whole("0", MAX_WHOLE), Ok(0));
+        assert_eq!(whole("9007199254740991", MAX_WHOLE), Ok(MAX_WHOLE));
+        assert_eq!(whole("16", 16), Ok(16));
+        assert_eq!(whole("4", u64::MAX), Ok(4));
+        // 2^53 + 1 parses to 2^53, so neither is read.
+        for bad in [
+            "9007199254740992",
+            "9007199254740993",
+            "1e300",
+            "-1",
+            "0.5",
+            "\"7\"",
+        ] {
+            let err = whole(bad, u64::MAX).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "'n' must be a whole number in [0, 9007199254740991]"
+            );
+        }
+        assert!(whole("17", 16).is_err());
     }
 
     #[test]

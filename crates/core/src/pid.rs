@@ -140,12 +140,6 @@ impl Pid {
         self.last_error = None;
     }
 
-    /// The accumulated integral term (for inspection in tests).
-    #[must_use]
-    pub fn integral(&self) -> f64 {
-        self.integral
-    }
-
     /// Serializes the controller state (integral, derivative memory). The
     /// gains and the obs handle are rebuilt from config on restore.
     pub fn save_state(&self, w: &mut bz_state::Writer) {
@@ -214,11 +208,7 @@ mod tests {
         }
         // Without anti-windup the integral would be ~500 and take ~100
         // negative-error steps to unwind; with it, recovery is immediate.
-        assert!(
-            pid.integral() < 6.0,
-            "integral wound up to {}",
-            pid.integral()
-        );
+        assert!(pid.integral < 6.0, "integral wound up to {}", pid.integral);
         let recovered = pid.step(-1.0, 1.0);
         assert!(
             recovered < 1.0,
@@ -245,7 +235,7 @@ mod tests {
         let mut pid = simple(1.0, 1.0, 1.0);
         pid.step(3.0, 1.0);
         pid.reset();
-        assert_eq!(pid.integral(), 0.0);
+        assert_eq!(pid.integral, 0.0);
         // Derivative history cleared: next step has zero derivative term.
         let out = pid.step(1.0, 1.0);
         assert!((out - 2.0).abs() < 1e-12); // kp·1 + ki·1 + kd·0

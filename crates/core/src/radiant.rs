@@ -97,7 +97,7 @@ struct CeilingReading {
 #[derive(Debug, Clone)]
 pub struct RadiantController {
     config: RadiantConfig,
-    targets: ComfortTargets,
+    pub(crate) targets: ComfortTargets,
     pump: Pump,
     pid: Pid,
     ceiling: [CeilingReading; CEILING_SENSORS],
@@ -140,12 +140,6 @@ impl RadiantController {
         self.pid = self.pid.with_obs(obs.clone());
         self.obs = obs;
         self
-    }
-
-    /// The comfort targets in force.
-    #[must_use]
-    pub fn targets(&self) -> &ComfortTargets {
-        &self.targets
     }
 
     /// Updates the comfort targets (occupant changed the thermostat).
@@ -367,12 +361,6 @@ impl RadiantController {
     #[must_use]
     pub fn config(&self) -> &RadiantConfig {
         &self.config
-    }
-
-    /// The last wired supply-pipe reading, if any.
-    #[must_use]
-    pub fn supply_temp(&self) -> Option<Celsius> {
-        self.supply_temp
     }
 
     /// The last wired measurement of the achieved mixed-water temperature.

@@ -65,13 +65,6 @@ impl AfternoonTrial {
         }
     }
 
-    /// Same trial with a different seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.config = self.config.with_run_seed(seed);
-        self
-    }
-
     /// Access to the underlying system configuration.
     #[must_use]
     pub fn config(&self) -> &SystemConfig {
@@ -402,12 +395,6 @@ impl VarianceReplay {
         }
     }
 
-    /// Total number of observations.
-    #[must_use]
-    pub fn observations(&self) -> usize {
-        self.streams.iter().map(Vec::len).sum()
-    }
-
     /// Mean decision accuracy of an `n`-slot histogram against the oracle,
     /// averaged over all devices (Fig. 12(a)).
     #[must_use]
@@ -573,7 +560,7 @@ mod tests {
         let outcome = short_network_outcome();
         let replay = VarianceReplay::from_decisions(&outcome.decisions, 36, 100);
         assert!(replay.streams.iter().filter(|s| !s.is_empty()).count() > 10);
-        assert!(replay.observations() > 1_000);
+        assert!(replay.streams.iter().map(Vec::len).sum::<usize>() > 1_000);
         let accuracy = replay.accuracy_for_histogram_size(40);
         // This 40-minute window is entirely inside the warm-up regime the
         // paper's Fig. 13 shows at ~87% accuracy; the full 5-hour run

@@ -21,8 +21,8 @@
 //!   strategy's commands.
 //! - **The reactive stack is always present.** [`ControlStrategy::reactive`]
 //!   exposes the wrapped [`ReactiveStrategy`] so diagnostics accessors
-//!   (`radiant_controller`, `ventilation_controller`) keep working no
-//!   matter which strategy is installed.
+//!   (`radiant_controller`) keep working no matter which strategy is
+//!   installed.
 
 use bz_psychro::{Celsius, Percent, Ppm};
 use bz_thermal::hydronics::Pump;
@@ -175,16 +175,6 @@ impl ReactiveStrategy {
     #[must_use]
     pub fn radiant_controller(&self, panel: usize) -> &RadiantController {
         &self.radiant[panel]
-    }
-
-    /// The ventilation controller for `subspace` (0–3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subspace` is out of range.
-    #[must_use]
-    pub fn ventilation_controller(&self, subspace: usize) -> &VentilationController {
-        &self.ventilation[subspace]
     }
 
     /// Ceiling temperature delivery for sensor `k` (0–5) under `panel`.
@@ -366,20 +356,11 @@ mod tests {
             bz_psychro::Ppm::new(700.0),
         );
         ControlStrategy::set_targets(&mut s, new_targets);
-        for panel in 0..2 {
-            assert_eq!(
-                s.radiant_controller(panel).targets().temperature.get(),
-                23.0
-            );
+        for radiant in &s.radiant {
+            assert_eq!(radiant.targets.temperature.get(), 23.0);
         }
-        for subspace in 0..4 {
-            assert_eq!(
-                s.ventilation_controller(subspace)
-                    .targets()
-                    .temperature
-                    .get(),
-                23.0
-            );
+        for ventilation in &s.ventilation {
+            assert_eq!(ventilation.targets.temperature.get(), 23.0);
         }
     }
 }

@@ -34,7 +34,7 @@ use crate::radiant::{RadiantConfig, RadiantController, RadiantDecision};
 use crate::strategy::{ControlStrategy, CycleInputs, ReactiveStrategy};
 use crate::supervisor::{SensorHealthSupervisor, SupervisorConfig};
 use crate::targets::ComfortTargets;
-use crate::ventilation::{VentilationConfig, VentilationController, VentilationDecision};
+use crate::ventilation::{VentilationConfig, VentilationDecision};
 
 /// Transmission policy of the battery devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -553,22 +553,6 @@ impl BubbleZeroSystem {
     #[must_use]
     pub fn strategy_name(&self) -> &'static str {
         self.strategy.name()
-    }
-
-    /// The installed control strategy (diagnostics).
-    #[must_use]
-    pub fn strategy(&self) -> &dyn ControlStrategy {
-        self.strategy.as_ref()
-    }
-
-    /// Read access to a ventilation controller (diagnostics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subspace` is out of range.
-    #[must_use]
-    pub fn ventilation_controller(&self, subspace: usize) -> &VentilationController {
-        self.strategy.reactive().ventilation_controller(subspace)
     }
 
     /// Read access to a radiant controller (diagnostics).

@@ -116,7 +116,7 @@ impl Default for VentilationConfig {
 #[derive(Debug, Clone)]
 pub struct VentilationController {
     config: VentilationConfig,
-    targets: ComfortTargets,
+    pub(crate) targets: ComfortTargets,
     coil_pid: Pid,
     room: Option<(f64, Celsius, Percent)>,
     co2: Option<(f64, Ppm)>,
@@ -155,12 +155,6 @@ impl VentilationController {
         self
     }
 
-    /// The comfort targets in force.
-    #[must_use]
-    pub fn targets(&self) -> &ComfortTargets {
-        &self.targets
-    }
-
     /// Updates the comfort targets.
     pub fn set_targets(&mut self, targets: ComfortTargets) {
         self.targets = targets;
@@ -185,12 +179,6 @@ impl VentilationController {
     /// Ingests the radiant supply temperature broadcast by Control-C-1.
     pub fn observe_supply_temperature(&mut self, now_s: f64, value: Celsius) {
         self.supply_temp = Some((now_s, value));
-    }
-
-    /// The coil PID (diagnostics).
-    #[must_use]
-    pub fn coil_pid(&self) -> &Pid {
-        &self.coil_pid
     }
 
     fn fresh<T: Copy>(&self, entry: Option<(f64, T)>, now_s: f64) -> Option<T> {

@@ -234,12 +234,6 @@ impl Handle {
         self.with_registry(|registry| registry.stream_to(sink));
     }
 
-    /// Whether this handle's registry is streaming events to a sink.
-    #[must_use]
-    pub fn is_streaming(&self) -> bool {
-        self.with_registry(|registry| registry.is_streaming())
-    }
-
     /// Ends streaming and writes the totals tail (see
     /// [`Registry::finish_stream`]).
     ///

@@ -28,12 +28,6 @@ use std::ops::Deref;
 pub struct MetricKey(Cow<'static, str>);
 
 impl MetricKey {
-    /// A key borrowing a static string (no allocation).
-    #[must_use]
-    pub const fn from_static(name: &'static str) -> Self {
-        Self(Cow::Borrowed(name))
-    }
-
     /// The key text.
     #[must_use]
     pub fn as_str(&self) -> &str {
@@ -87,7 +81,7 @@ mod tests {
 
     #[test]
     fn static_and_owned_keys_compare_equal() {
-        let a = MetricKey::from_static("wsn.node.7.sent");
+        let a = MetricKey::from("wsn.node.7.sent");
         let b: MetricKey = format!("wsn.node.{}.sent", 7).into();
         assert_eq!(a, b);
         assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
@@ -104,7 +98,7 @@ mod tests {
 
     #[test]
     fn display_honors_width() {
-        let key = MetricKey::from_static("abc");
+        let key = MetricKey::from("abc");
         assert_eq!(format!("{key:<6}|"), "abc   |");
     }
 }

@@ -454,12 +454,6 @@ impl Registry {
         self.log.stream = Some(stream);
     }
 
-    /// Whether the registry is currently streaming events to a sink.
-    #[must_use]
-    pub fn is_streaming(&self) -> bool {
-        self.log.stream.is_some()
-    }
-
     /// Ends streaming: writes the totals tail (counter/gauge/histogram/
     /// span totals and the meta line), flushes, and drops the sink. The
     /// registry reverts to buffered recording.
@@ -797,8 +791,7 @@ impl Registry {
     /// # Panics
     ///
     /// Panics if the registry is currently streaming (see
-    /// [`Registry::is_streaming`]); callers gate that combination up
-    /// front.
+    /// [`Registry::stream_to`]); callers gate that combination up front.
     pub fn save_state(&self, w: &mut Writer) {
         assert!(
             self.log.stream.is_none(),
@@ -1099,12 +1092,12 @@ mod tests {
         let sink = SharedBuf::default();
         let mut streaming = Registry::new();
         streaming.stream_to(Box::new(sink.clone()));
-        assert!(streaming.is_streaming());
+        assert!(streaming.log.stream.is_some());
         record_sample(&mut streaming);
         // Streamed events are written through, not buffered.
         assert_eq!(streaming.events_len(), 0);
         streaming.finish_stream().unwrap();
-        assert!(!streaming.is_streaming());
+        assert!(streaming.log.stream.is_none());
         assert_eq!(sink.bytes(), expected);
     }
 

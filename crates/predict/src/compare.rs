@@ -11,7 +11,7 @@
 use std::fmt;
 
 use bz_core::chaos::COMFORT_TOLERANCE_K;
-use bz_core::json::Json;
+use bz_core::json::{Json, MAX_WHOLE};
 use bz_core::session::Session;
 use bz_core::system::{BubbleZeroSystem, SystemConfig};
 use bz_simcore::SimDuration;
@@ -38,6 +38,12 @@ impl fmt::Display for CompareError {
 }
 
 impl std::error::Error for CompareError {}
+
+/// Most people one window may put in a subspace: 8× the bundled office's
+/// 2. With every subspace occupied for a whole 10-hour run, 40 per
+/// subspace stepped clean and 50 drove the air's vapor pressure past the
+/// total pressure, a panic in `bz_psychro`.
+const MAX_OCCUPANTS: u64 = 16;
 
 /// One recurring occupancy window within the scenario period.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,8 +114,9 @@ impl MpcScenario {
     ///
     /// # Errors
     ///
-    /// Malformed JSON, missing fields, out-of-range values, or a schedule
-    /// of more than [`MAX_SCHEDULE_ENTRIES`] periods or occupancy changes.
+    /// Malformed JSON, missing fields, out-of-range values (a `count` over
+    /// 16 people among them), or a schedule of more than
+    /// [`MAX_SCHEDULE_ENTRIES`] periods or occupancy changes.
     pub fn from_json(text: &str) -> Result<Self, CompareError> {
         let root = Json::parse(text).map_err(|e| CompareError::new(e.to_string()))?;
         let str_field = |name: &str| -> Result<String, CompareError> {
@@ -123,11 +130,14 @@ impl MpcScenario {
                 .and_then(Json::as_f64)
                 .ok_or_else(|| CompareError::new(format!("missing number field '{name}'")))
         };
+        let whole_field = |node: &Json, name: &str, max: u64| -> Result<u64, CompareError> {
+            node.field(name)
+                .ok_or_else(|| CompareError::new(format!("missing number field '{name}'")))?
+                .whole(name, max)
+                .map_err(|e| CompareError::new(e.to_string()))
+        };
         let name = str_field("name")?;
-        let seed = num_field(&root, "seed")?;
-        if seed < 0.0 || seed.fract() != 0.0 {
-            return Err(CompareError::new("'seed' must be a non-negative integer"));
-        }
+        let seed = whole_field(&root, "seed", MAX_WHOLE)?;
         let duration_min = num_field(&root, "duration_min")?;
         if !(duration_min * 60.0).is_finite() || duration_min <= 0.0 {
             return Err(CompareError::new(
@@ -144,10 +154,7 @@ impl MpcScenario {
             .ok_or_else(|| CompareError::new("missing array field 'windows'"))?;
         let mut windows = Vec::with_capacity(windows_node.len());
         for node in windows_node {
-            let subspace = num_field(node, "subspace")?;
-            if !(0.0..4.0).contains(&subspace) || subspace.fract() != 0.0 {
-                return Err(CompareError::new("'subspace' must be 0..=3"));
-            }
+            let subspace = whole_field(node, "subspace", 3)?;
             let start_s = num_field(node, "start_s")?;
             let end_s = num_field(node, "end_s")?;
             if !(start_s >= 0.0 && end_s > start_s && end_s <= period_s) {
@@ -155,10 +162,7 @@ impl MpcScenario {
                     "window must satisfy 0 <= start_s < end_s <= period_s",
                 ));
             }
-            let count = num_field(node, "count")?;
-            if count < 0.0 || count.fract() != 0.0 {
-                return Err(CompareError::new("'count' must be a non-negative integer"));
-            }
+            let count = whole_field(node, "count", MAX_OCCUPANTS)?;
             windows.push(OccupancyWindow {
                 subspace: subspace as usize,
                 start_s,
@@ -168,7 +172,7 @@ impl MpcScenario {
         }
         let scenario = Self {
             name,
-            seed: seed as u64,
+            seed,
             duration: SimDuration::from_secs_f64(duration_min * 60.0),
             period_s,
             windows,
@@ -607,6 +611,16 @@ mod tests {
                 r#"{"name": "x", "seed": 1, "duration_min": 10, "period_s": 100,
                     "windows": [{"subspace": 0, "start_s": 50, "end_s": 200, "count": 1}]}"#,
                 "window",
+            ),
+            (
+                r#"{"name": "x", "seed": 9007199254740993, "duration_min": 10, "period_s": 100,
+                    "windows": []}"#,
+                "'seed' must be a whole number",
+            ),
+            (
+                r#"{"name": "x", "seed": 1, "duration_min": 10, "period_s": 100,
+                    "windows": [{"subspace": 0, "start_s": 0, "end_s": 10, "count": 5000}]}"#,
+                "'count' must be a whole number in [0, 16]",
             ),
         ] {
             let err = MpcScenario::from_json(text).expect_err(text).to_string();

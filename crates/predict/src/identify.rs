@@ -48,7 +48,7 @@ pub struct ZoneIdentifier {
     theta: [f64; DIM],
     p: [[f64; DIM]; DIM],
     forgetting: f64,
-    samples: u64,
+    pub(crate) samples: u64,
 }
 
 impl ZoneIdentifier {
@@ -100,22 +100,10 @@ impl ZoneIdentifier {
         self.samples += 1;
     }
 
-    /// Predicted rate for regressor `phi`, K/s.
-    #[must_use]
-    pub fn predict(&self, phi: [f64; DIM]) -> f64 {
-        dot(&self.theta, &phi)
-    }
-
     /// Current parameter estimate.
     #[must_use]
     pub fn theta(&self) -> [f64; DIM] {
         self.theta
-    }
-
-    /// Number of accepted updates so far.
-    #[must_use]
-    pub fn samples(&self) -> u64 {
-        self.samples
     }
 }
 
@@ -206,13 +194,7 @@ mod tests {
         let mut rls = ZoneIdentifier::with_prior([1.0; DIM], IdentifyConfig::default());
         rls.update([f64::NAN; DIM], 0.0);
         rls.update([1.0; DIM], f64::INFINITY);
-        assert_eq!(rls.samples(), 0);
+        assert_eq!(rls.samples, 0);
         assert_eq!(rls.theta(), [1.0; DIM]);
-    }
-
-    #[test]
-    fn prediction_is_the_dot_product() {
-        let rls = ZoneIdentifier::with_prior([1.0, 2.0, 3.0, 4.0, 5.0], IdentifyConfig::default());
-        assert!((rls.predict([1.0, 1.0, 1.0, 1.0, 1.0]) - 15.0).abs() < 1e-12);
     }
 }

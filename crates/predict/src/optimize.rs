@@ -50,12 +50,6 @@ impl Plan {
         }
     }
 
-    /// Number of steps.
-    #[must_use]
-    pub fn horizon(&self) -> usize {
-        self.radiant_scale.len()
-    }
-
     /// The step covering simulation time `now_s` (clamped to the last
     /// step; the strategy replans long before a plan runs out).
     #[must_use]
@@ -327,7 +321,7 @@ mod tests {
     #[test]
     fn full_service_plan_reads_back_identity_everywhere() {
         let plan = Plan::full_service(100.0, 60.0, 5);
-        assert_eq!(plan.horizon(), 5);
+        assert_eq!(plan.radiant_scale.len(), 5);
         for t in [0.0, 100.0, 250.0, 10_000.0] {
             for panel in 0..2 {
                 assert_eq!(plan.radiant_scale_at(t, panel), 1.0);

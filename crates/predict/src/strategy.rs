@@ -200,18 +200,6 @@ impl MpcStrategy {
         self.enabled() && self.forecaster.confident()
     }
 
-    /// The current plan (diagnostics).
-    #[must_use]
-    pub fn plan(&self) -> &Plan {
-        &self.plan
-    }
-
-    /// The occupancy forecaster (diagnostics).
-    #[must_use]
-    pub fn forecaster(&self) -> &OccupancyForecaster {
-        &self.forecaster
-    }
-
     /// One RLS update per subspace whose room channel is trusted and has
     /// delivered a fresh sample since the last anchor.
     fn identify(&mut self, inputs: &CycleInputs) {
@@ -624,7 +612,11 @@ mod tests {
         let mut s = harness(MpcConfig::office());
         s.begin_cycle(&inputs(0.0, [2; 4]));
         assert!(!s.planning());
-        assert_eq!(s.plan().horizon(), 0, "plan stays empty (full service)");
+        assert_eq!(
+            s.plan.radiant_scale.len(),
+            0,
+            "plan stays empty (full service)"
+        );
     }
 
     #[test]
@@ -639,10 +631,10 @@ mod tests {
             t += 5.0;
         }
         assert!(s.planning());
-        assert_eq!(s.plan().horizon(), s.config.horizon);
+        assert_eq!(s.plan.radiant_scale.len(), s.config.horizon);
         // Without ceiling dew data every step projects to scale 0: the
         // fail-safe mirrors the reactive controller's.
-        assert!(s.plan().radiant_scale.iter().all(|sc| sc == &[0.0, 0.0]));
+        assert!(s.plan.radiant_scale.iter().all(|sc| sc == &[0.0, 0.0]));
     }
 
     #[test]
@@ -655,12 +647,12 @@ mod tests {
         let mut untrusted = inputs(5.0, [1; 4]);
         untrusted.room_trusted = [false; 4];
         s.begin_cycle(&untrusted);
-        assert_eq!(s.identifiers[0].samples(), 0);
+        assert_eq!(s.identifiers[0].samples, 0);
         assert_eq!(s.identifiers[0].theta(), before);
 
         s.observe_room_temperature(0, 10.0, Celsius::new(26.8));
         s.begin_cycle(&inputs(10.0, [1; 4]));
-        assert_eq!(s.identifiers[0].samples(), 1);
+        assert_eq!(s.identifiers[0].samples, 1);
     }
 
     #[test]

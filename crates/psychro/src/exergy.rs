@@ -85,18 +85,6 @@ impl CarnotChiller {
         }
     }
 
-    /// The second-law efficiency fraction.
-    #[must_use]
-    pub fn efficiency(&self) -> f64 {
-        self.efficiency
-    }
-
-    /// The condenser temperature.
-    #[must_use]
-    pub fn condenser(&self) -> Kelvin {
-        self.condenser
-    }
-
     /// Actual COP when evaporating at `evaporator`.
     ///
     /// # Panics

@@ -30,18 +30,6 @@ macro_rules! scalar_unit {
                 self.0
             }
 
-            /// Returns the absolute value in the same unit.
-            #[must_use]
-            pub fn abs(self) -> Self {
-                Self(self.0.abs())
-            }
-
-            /// Returns `true` if the value is finite (neither NaN nor ±∞).
-            #[must_use]
-            pub fn is_finite(self) -> bool {
-                self.0.is_finite()
-            }
-
             /// Returns the smaller of `self` and `other`.
             #[must_use]
             pub fn min(self, other: Self) -> Self {
@@ -52,17 +40,6 @@ macro_rules! scalar_unit {
             #[must_use]
             pub fn max(self, other: Self) -> Self {
                 Self(self.0.max(other.0))
-            }
-
-            /// Clamps the value into `[lo, hi]`.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `lo > hi`.
-            #[must_use]
-            pub fn clamp(self, lo: Self, hi: Self) -> Self {
-                assert!(lo.0 <= hi.0, "clamp bounds inverted: {} > {}", lo, hi);
-                Self(self.0.clamp(lo.0, hi.0))
             }
         }
 
@@ -357,18 +334,6 @@ mod tests {
     fn joules_over_watts_is_seconds() {
         let t = Joules::new(100.0) / Watts::new(25.0);
         assert!((t.get() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clamp_orders_bounds() {
-        let v = Watts::new(7.0).clamp(Watts::new(0.0), Watts::new(5.0));
-        assert!((v.get() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "clamp bounds inverted")]
-    fn clamp_panics_on_inverted_bounds() {
-        let _ = Watts::new(1.0).clamp(Watts::new(5.0), Watts::new(0.0));
     }
 
     #[test]

@@ -565,16 +565,11 @@ fn body_u64(request: &Request, field: &str, default: u64) -> Result<u64, Box<Res
     let body = String::from_utf8_lossy(&request.body);
     let doc = bz_core::json::Json::parse(&body)
         .map_err(|e| Box::new(Response::error(400, &e.to_string())))?;
-    match doc.field(field) {
-        None => Ok(default),
-        Some(value) => match value.as_f64() {
-            Some(n) if n >= 0.0 && n.fract() == 0.0 => Ok(n as u64),
-            _ => Err(Box::new(Response::error(
-                400,
-                &format!("'{field}' must be a non-negative integer"),
-            ))),
-        },
-    }
+    doc.field(field).map_or(Ok(default), |value| {
+        value
+            .whole(field, bz_core::json::MAX_WHOLE)
+            .map_err(|e| Box::new(Response::error(400, &e.to_string())))
+    })
 }
 
 fn not_found(name: &str) -> Response {

@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use bz_bench::sweep::{self, RunSpec};
 use bz_core::chaos::ChaosScenario;
 use bz_core::checkpoint::{Mismatch, RunIdentity};
-use bz_core::json::Json;
+use bz_core::json::{Json, MAX_WHOLE};
 use bz_core::session::{Session, SetpointReadback, TenantSession};
 use bz_predict::compare::begin_strategy;
 use bz_predict::MpcScenario;
@@ -284,15 +284,10 @@ pub fn build_tenant(body: &str) -> Result<Tenant, CreateError> {
         .unwrap_or("trial");
     let noise = NoiseKernel::from_env();
     let integer = |field: &str, default: u64| -> Result<u64, CreateError> {
-        match root.field(field) {
-            None => Ok(default),
-            Some(v) => match v.as_f64() {
-                Some(n) if n >= 0.0 && n.fract() == 0.0 => Ok(n as u64),
-                _ => Err(CreateError::bad(format!(
-                    "'{field}' must be a non-negative integer"
-                ))),
-            },
-        }
+        root.field(field).map_or(Ok(default), |v| {
+            v.whole(field, MAX_WHOLE)
+                .map_err(|e| CreateError::bad(e.to_string()))
+        })
     };
 
     match scenario {
@@ -546,6 +541,8 @@ mod tests {
             "{\"name\":\"x\",\"scenario\":\"nope\"}",
             "{\"name\":\"x\",\"minutes\":0}",
             "{\"name\":\"x\",\"grid\":\"dew-margin-k=0.1,0.2\"}",
+            "{\"name\":\"x\",\"seed\":9007199254740993}",
+            "{\"name\":\"x\",\"minutes\":1e300}",
         ] {
             let err = build_tenant(bad).unwrap_err();
             assert_eq!(err.status, 400, "{bad}: {}", err.message);

@@ -358,6 +358,40 @@ fn unknown_routes_and_tenants_are_clean_errors() {
 }
 
 #[test]
+fn documents_that_would_panic_or_clamp_are_refused() {
+    // Each used to be accepted: the seed rounded to 2^53, the minutes
+    // clamped to u64::MAX, and the mpc, noise-burst and door tenants
+    // panicked (or, in release, wrapped their clock) on a later step.
+    let server = start(ServeConfig::default());
+    let mut client = server.client();
+    for doc in [
+        r#"{"name":"s","scenario":"trial","seed":9007199254740993,"minutes":5}"#,
+        r#"{"name":"t","scenario":"trial","minutes":1e300}"#,
+        r#"{"name":"m","scenario":"mpc","seed":1,"duration_min":60,"period_s":3600,
+            "windows":[{"subspace":0,"start_s":0,"end_s":1800,"count":5000}]}"#,
+        r#"{"name":"n","scenario":"chaos","faults":[{"layer":"sensor",
+            "kind":"noise_burst","target":"room","index":0,"sd":-5,"at_s":60}]}"#,
+        r#"{"name":"d","scenario":"chaos","disturbances":[{"kind":"door",
+            "at_s":60,"duration_s":1e300}]}"#,
+    ] {
+        let reply = client.request("POST", "/tenants", doc.as_bytes()).unwrap();
+        assert_eq!(reply.status, 400, "{doc}: {}", reply.text());
+    }
+    client
+        .post_ok("/tenants", r#"{"name":"ok","minutes":2}"#)
+        .unwrap();
+    let step = client
+        .request("POST", "/tenants/ok/step", br#"{"minutes":1e300}"#)
+        .unwrap();
+    assert_eq!(step.status, 400, "{}", step.text());
+    assert!(step.text().contains("'minutes' must be a whole number"));
+    client
+        .post_ok("/tenants/ok/step", r#"{"minutes":1}"#)
+        .unwrap();
+    server.stop();
+}
+
+#[test]
 fn deeply_nested_request_body_is_a_clean_400() {
     // Unbounded JSON recursion used to overflow a worker's stack, which
     // aborts the whole server.

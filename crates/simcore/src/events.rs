@@ -176,11 +176,6 @@ impl<E> EventQueue<E> {
     pub fn iter(&self) -> impl Iterator<Item = &E> {
         self.entries.iter().map(|entry| &entry.event)
     }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -315,16 +310,6 @@ mod tests {
         q.schedule(SimTime::from_secs(1), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, 1);
-        q.schedule(SimTime::ZERO, 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

@@ -62,12 +62,6 @@ impl Rng {
         self
     }
 
-    /// The noise kernel this generator samples normals with.
-    #[must_use]
-    pub fn kernel(&self) -> NoiseKernel {
-        self.kernel
-    }
-
     /// Forks an independent generator whose stream is decorrelated from
     /// this one. Use this to give each simulated device its own stream so
     /// adding a device never perturbs the others. The child inherits the
@@ -183,17 +177,6 @@ impl Rng {
     pub fn normal(&mut self, mean: f64, sd: f64) -> f64 {
         assert!(sd >= 0.0, "standard deviation must be non-negative");
         mean + sd * self.standard_normal()
-    }
-
-    /// An exponential sample with the given `mean` (e.g. inter-arrival
-    /// times of disturbance events).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not positive.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        assert!(mean > 0.0, "mean must be positive");
-        -mean * (1.0 - self.next_f64()).ln()
     }
 }
 
@@ -322,9 +305,9 @@ mod tests {
     #[test]
     fn fork_propagates_the_kernel() {
         let mut v1 = Rng::seed_from(9).with_kernel(NoiseKernel::V1);
-        assert_eq!(v1.fork().kernel(), NoiseKernel::V1);
+        assert_eq!(v1.fork().kernel, NoiseKernel::V1);
         let mut v2 = Rng::seed_from(9).with_kernel(NoiseKernel::V2);
-        assert_eq!(v2.fork().kernel(), NoiseKernel::V2);
+        assert_eq!(v2.fork().kernel, NoiseKernel::V2);
     }
 
     #[test]
@@ -418,16 +401,8 @@ mod tests {
             let mut r = bz_state::Reader::new(&bytes);
             let back: Rng = bz_state::Persist::load(&mut r).expect("load");
             assert_eq!(back, rng, "{kernel}");
-            assert_eq!(back.kernel(), kernel);
+            assert_eq!(back.kernel, kernel);
         }
-    }
-
-    #[test]
-    fn exponential_mean_is_plausible() {
-        let mut rng = Rng::seed_from(11);
-        let n = 50_000;
-        let mean = (0..n).map(|_| rng.exponential(30.0)).sum::<f64>() / f64::from(n);
-        assert!((mean - 30.0).abs() < 1.0, "mean {mean}");
     }
 
     #[test]

@@ -116,14 +116,6 @@ impl SlidingWindow {
             Some((self.sum_sq / n - (self.sum / n).powi(2)).max(0.0))
         }
     }
-
-    /// Drops all samples.
-    pub fn clear(&mut self) {
-        self.samples.clear();
-        self.sum = 0.0;
-        self.sum_sq = 0.0;
-        self.pushes_since_rebuild = 0;
-    }
 }
 
 /// An empirical cumulative distribution function built from a finite
@@ -202,16 +194,6 @@ impl Cdf {
     pub fn is_empty(&self) -> bool {
         false
     }
-
-    /// Iterates the CDF as `(value, cumulative_fraction)` steps, suitable
-    /// for plotting or CSV export.
-    pub fn steps(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        let n = self.sorted.len() as f64;
-        self.sorted
-            .iter()
-            .enumerate()
-            .map(move |(i, &v)| (v, (i + 1) as f64 / n))
-    }
 }
 
 bz_state::persist_struct!(SlidingWindow {
@@ -268,15 +250,11 @@ mod tests {
     }
 
     #[test]
-    fn sliding_window_empty_and_clear() {
-        let mut w = SlidingWindow::new(3);
+    fn sliding_window_starts_empty() {
+        let w = SlidingWindow::new(3);
         assert!(w.is_empty());
         assert_eq!(w.variance(), None);
         assert_eq!(w.mean(), None);
-        w.push(1.0);
-        w.clear();
-        assert!(w.is_empty());
-        assert_eq!(w.variance(), None);
     }
 
     #[test]
@@ -324,17 +302,6 @@ mod tests {
         assert_eq!(cdf.quantile(0.0), 1.0);
         assert_eq!(cdf.quantile(0.5), 50.0);
         assert_eq!(cdf.quantile(1.0), 100.0);
-    }
-
-    #[test]
-    fn cdf_steps_are_monotone() {
-        let cdf = Cdf::from_samples([5.0, 1.0, 3.0]);
-        let steps: Vec<(f64, f64)> = cdf.steps().collect();
-        assert_eq!(steps.len(), 3);
-        assert!(steps
-            .windows(2)
-            .all(|w| w[0].0 <= w[1].0 && w[0].1 < w[1].1));
-        assert!((steps.last().unwrap().1 - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -137,11 +137,6 @@ impl TraceRecorder {
         self.series.iter().map(|(n, s)| (n.as_str(), s))
     }
 
-    /// Names of all series in creation order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.series.iter().map(|(n, _)| n.as_str())
-    }
-
     /// Number of series recorded.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -152,29 +147,6 @@ impl TraceRecorder {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.series.is_empty()
-    }
-
-    /// Renders every series as long-format CSV
-    /// (`series,time_s,value` rows) into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any I/O error from `out`.
-    pub fn write_csv<W: Write>(&self, mut out: W) -> io::Result<()> {
-        let mut buffer = String::new();
-        buffer.push_str("series,time_s,value\n");
-        for (name, series) in &self.series {
-            for sample in &series.samples {
-                let _ = writeln!(
-                    buffer,
-                    "{},{:.3},{:.6}",
-                    name,
-                    sample.at.as_secs_f64(),
-                    sample.value
-                );
-            }
-        }
-        out.write_all(buffer.as_bytes())
     }
 
     /// Renders the named series side by side as wide-format CSV with one
@@ -259,7 +231,6 @@ mod tests {
         assert_eq!(trace.series("a").unwrap().len(), 2);
         assert_eq!(trace.series("b").unwrap().last().unwrap().value, 9.0);
         assert!(trace.series("missing").is_none());
-        assert_eq!(trace.names().collect::<Vec<_>>(), vec!["a", "b"]);
     }
 
     #[test]
@@ -299,21 +270,6 @@ mod tests {
         let s = trace.series("a").unwrap();
         let window: Vec<f64> = s.between(t(3), t(5)).map(|x| x.value).collect();
         assert_eq!(window, vec![3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn long_csv_round_trips_structure() {
-        let mut trace = TraceRecorder::new();
-        trace.record("x", t(1), 0.5);
-        trace.record("y", t(2), 1.5);
-        let mut out = Vec::new();
-        trace.write_csv(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "series,time_s,value");
-        assert_eq!(lines.len(), 3);
-        assert!(lines[1].starts_with("x,1.000,"));
-        assert!(lines[2].starts_with("y,2.000,"));
     }
 
     #[test]

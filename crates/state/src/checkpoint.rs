@@ -130,19 +130,6 @@ impl CheckpointError {
             source,
         }
     }
-
-    /// The file the error refers to.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        match self {
-            Self::Io { path, .. }
-            | Self::BadMagic { path, .. }
-            | Self::VersionMismatch { path, .. }
-            | Self::Truncated { path, .. }
-            | Self::ChecksumMismatch { path, .. }
-            | Self::Decode { path, .. } => path,
-        }
-    }
 }
 
 impl fmt::Display for CheckpointError {

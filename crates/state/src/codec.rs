@@ -166,12 +166,6 @@ impl<'a> Reader<'a> {
         Self { data, pos: 0 }
     }
 
-    /// Current byte offset.
-    #[must_use]
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     /// Bytes not yet consumed.
     #[must_use]
     pub fn remaining(&self) -> usize {
@@ -673,7 +667,7 @@ mod tests {
                     12 => r.take::<[u16; 3]>().map(drop),
                     _ => r.take::<(u128, i64)>().map(drop),
                 };
-                proptest::prop_assert!(r.position() <= bytes.len());
+                proptest::prop_assert!(r.pos <= bytes.len());
             }
         }
     }

@@ -163,18 +163,6 @@ impl Airbox {
         }
     }
 
-    /// The parameters in use.
-    #[must_use]
-    pub fn params(&self) -> &AirboxParams {
-        &self.params
-    }
-
-    /// Total condensate drained since start, kg.
-    #[must_use]
-    pub fn total_condensate(&self) -> f64 {
-        self.total_condensate_kg
-    }
-
     /// Coil bypass factor at the given air and water flows: the fraction
     /// of the air stream that leaves at inlet conditions.
     #[must_use]
@@ -333,7 +321,7 @@ mod tests {
         assert!(step.condensate_kg > 0.0);
         assert!(step.heat_to_water_w > 50.0);
         assert!(step.water_return_temp.get() > 8.0);
-        assert!(airbox.total_condensate() > 0.0);
+        assert!(airbox.total_condensate_kg > 0.0);
     }
 
     #[test]

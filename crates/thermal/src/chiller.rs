@@ -104,12 +104,6 @@ impl TankChiller {
         }
     }
 
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &ChillerConfig {
-        &self.config
-    }
-
     /// Evaporator temperature for the current setpoint.
     #[must_use]
     pub fn evaporator(&self) -> Kelvin {
@@ -145,12 +139,6 @@ impl TankChiller {
     #[must_use]
     pub fn electrical_energy(&self) -> Joules {
         self.electrical_energy
-    }
-
-    /// Thermal (cooling) energy delivered since start.
-    #[must_use]
-    pub fn thermal_energy(&self) -> Joules {
-        self.thermal_energy
     }
 
     /// Electrical power drawn during the most recent step.
@@ -239,7 +227,7 @@ mod tests {
         let t = tank.temperature().get();
         assert!((t - 18.0).abs() < 0.5, "tank drifted to {t}");
         // Electrical energy ≈ thermal / COP.
-        let ratio = chiller.thermal_energy().get() / chiller.electrical_energy().get();
+        let ratio = chiller.thermal_energy.get() / chiller.electrical_energy().get();
         assert!((ratio - chiller.cop()).abs() < 0.05, "ratio {ratio}");
     }
 
@@ -268,7 +256,7 @@ mod tests {
         assert!(chiller.electrical_energy().get() > 0.0);
         chiller.reset_meters();
         assert_eq!(chiller.electrical_energy().get(), 0.0);
-        assert_eq!(chiller.thermal_energy().get(), 0.0);
+        assert_eq!(chiller.thermal_energy.get(), 0.0);
     }
 
     #[test]

@@ -149,12 +149,6 @@ impl DisturbanceSchedule {
         }
         flows
     }
-
-    /// True if any opening is active at `now`.
-    #[must_use]
-    pub fn any_active(&self, now: SimTime) -> bool {
-        self.events.iter().any(|e| e.is_active(now))
-    }
 }
 
 #[cfg(test)]
@@ -186,7 +180,6 @@ mod tests {
     fn no_exchange_outside_events() {
         let s = DisturbanceSchedule::figure10_afternoon();
         assert_eq!(s.exchange_at(SimTime::from_mins(30)), [0.0; 4]);
-        assert!(!s.any_active(SimTime::from_mins(30)));
         // Half-open interval: inactive exactly at the end.
         let end = SimTime::from_mins(65) + SimDuration::from_secs(15);
         assert_eq!(s.exchange_at(end), [0.0; 4]);

@@ -117,12 +117,6 @@ impl Tank {
         self.temperature
     }
 
-    /// Tank volume, m³.
-    #[must_use]
-    pub fn volume(&self) -> f64 {
-        self.volume_m3
-    }
-
     /// Heat capacity of the tank contents, J/K.
     #[must_use]
     pub fn heat_capacity(&self) -> f64 {

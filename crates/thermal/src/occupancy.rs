@@ -101,28 +101,6 @@ impl OccupancySchedule {
             .last()
             .map_or(0, |c| c.count)
     }
-
-    /// Convenience: a person moving from one subspace to another at `at`
-    /// expressed as two changes.
-    #[must_use]
-    pub fn transition(
-        at: SimTime,
-        from: (SubspaceId, u32),
-        to: (SubspaceId, u32),
-    ) -> [OccupancyChange; 2] {
-        [
-            OccupancyChange {
-                at,
-                subspace: from.0,
-                count: from.1,
-            },
-            OccupancyChange {
-                at,
-                subspace: to.0,
-                count: to.1,
-            },
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -164,18 +142,6 @@ mod tests {
             count: 1,
         }]);
         assert_eq!(s.headcount(SubspaceId::S2, SimTime::from_mins(10)), 1);
-    }
-
-    #[test]
-    fn transition_moves_a_person() {
-        let changes = OccupancySchedule::transition(
-            SimTime::from_mins(5),
-            (SubspaceId::S1, 0),
-            (SubspaceId::S2, 1),
-        );
-        let s = OccupancySchedule::new(changes.to_vec());
-        assert_eq!(s.headcount(SubspaceId::S1, SimTime::from_mins(6)), 0);
-        assert_eq!(s.headcount(SubspaceId::S2, SimTime::from_mins(6)), 1);
     }
 
     #[test]

@@ -95,12 +95,6 @@ impl RadiantPanel {
         self.total_condensate_kg
     }
 
-    /// The panel parameters.
-    #[must_use]
-    pub fn params(&self) -> &PanelParams {
-        &self.params
-    }
-
     /// Water-side heat-exchange effectiveness at `flow_m3s`: the fraction
     /// of the inlet-to-surface temperature difference that the water picks
     /// up before leaving. NTU-style, with conductance scaling ~flow^0.6

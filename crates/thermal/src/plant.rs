@@ -403,12 +403,6 @@ impl ThermalPlant {
         self.now
     }
 
-    /// The configuration the plant was built with.
-    #[must_use]
-    pub fn config(&self) -> &PlantConfig {
-        &self.config
-    }
-
     /// Advances the plant by `dt` under `commands`.
     ///
     /// # Panics
@@ -645,13 +639,6 @@ impl ThermalPlant {
     #[must_use]
     pub fn loop_mixed_temp(&self, panel: usize) -> Celsius {
         self.loops[panel].mixed_temp
-    }
-
-    /// The exogenous inputs applied to each zone on the most recent step
-    /// (diagnostics).
-    #[must_use]
-    pub fn last_zone_inputs(&self) -> &[ZoneInputs; 4] {
-        &self.last_zone_inputs
     }
 
     /// Telemetry of the most recent step.
@@ -1034,6 +1021,41 @@ mod tests {
         }
         let err = loaded.unwrap_err().to_string();
         assert!(err.contains("humidity ratio -0.01"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_air_outside_the_magnus_range() {
+        let snapshot = |t: f64| {
+            let mut source = lab();
+            let air = AirState {
+                temperature: bz_psychro::Celsius::new(t),
+                ..source.zones[0].state()
+            };
+            source.zones[0] = Zone::new(source.config.zone, air);
+            let mut w = bz_state::Writer::new();
+            source.save_state(&mut w);
+            w.into_bytes()
+        };
+        for t in [1e5, 60.5, -250.0] {
+            let mut restored = lab();
+            let loaded = restored.load_state(&mut bz_state::Reader::new(&snapshot(t)));
+            if loaded.is_ok() {
+                // Such air panics within a minute of steps: its saturation
+                // pressure passes the total pressure, or it has no Magnus
+                // dew point.
+                for _ in 0..60 {
+                    restored.step(second(), &ActuatorCommands::all_off());
+                    let _ = restored.zone_dew_point(SubspaceId::S1);
+                }
+            }
+            let err = loaded.unwrap_err().to_string();
+            assert!(err.contains(&format!("{t} °C")), "{err}");
+        }
+        for t in [60.0, -45.0] {
+            let mut restored = lab();
+            let loaded = restored.load_state(&mut bz_state::Reader::new(&snapshot(t)));
+            assert!(loaded.is_ok(), "{t} °C: {loaded:?}");
+        }
     }
 
     /// The fast path (single-channel sensor reads with sibling skips)
@@ -1472,12 +1494,12 @@ mod tests {
             plant.step(second(), &ActuatorCommands::all_off());
         }
         assert!(
-            plant.last_zone_inputs()[0].ventilation_m3s > 0.0,
+            plant.last_zone_inputs[0].ventilation_m3s > 0.0,
             "the stuck fan must move air regardless of commands"
         );
         assert!(plant.telemetry().fan_power_w > 0.0);
         // The healthy airboxes obey the off command.
-        assert_eq!(plant.last_zone_inputs()[1].ventilation_m3s, 0.0);
+        assert_eq!(plant.last_zone_inputs[1].ventilation_m3s, 0.0);
     }
 
     #[test]

@@ -49,12 +49,6 @@ impl TemperatureSensor {
         let raw = truth.get() + self.bias + self.rng.normal(0.0, self.noise_sd);
         Celsius::new(quantize(raw, Self::RESOLUTION))
     }
-
-    /// The fixed calibration bias of this instance, °C.
-    #[must_use]
-    pub fn bias(&self) -> f64 {
-        self.bias
-    }
 }
 
 /// An SHT75 combined temperature/relative-humidity sensor (airbox outlets
@@ -307,12 +301,6 @@ impl SensorFaultSchedule {
         &self.events
     }
 
-    /// True if any fault is active at `now`.
-    #[must_use]
-    pub fn any_active(&self, now: SimTime) -> bool {
-        self.events.iter().any(|e| e.is_active(now))
-    }
-
     /// The fault governing `target` at `now`. Overlapping windows resolve
     /// to the one scheduled last (greatest `at`); same-instant ties break
     /// by a content-based ordering, so the answer never depends on the
@@ -454,7 +442,7 @@ mod tests {
             .collect();
         let mean = readings.iter().sum::<f64>() / readings.len() as f64;
         // Mean of many readings converges to truth + bias.
-        assert!((mean - 20.0 - sensor.bias()).abs() < 0.03, "mean {mean}");
+        assert!((mean - 20.0 - sensor.bias).abs() < 0.03, "mean {mean}");
     }
 
     #[test]
@@ -462,7 +450,7 @@ mod tests {
         let mut rng = Rng::seed_from(3);
         let a = TemperatureSensor::new(&mut rng);
         let b = TemperatureSensor::new(&mut rng);
-        assert_ne!(a.bias(), b.bias());
+        assert_ne!(a.bias, b.bias);
     }
 
     #[test]

@@ -43,19 +43,6 @@ impl WeatherConfig {
         }
     }
 
-    /// A perfectly constant boundary (for unit tests and calibration runs).
-    #[must_use]
-    pub fn constant(temperature: f64, dew_point: f64) -> Self {
-        Self {
-            mean_temperature: temperature,
-            mean_dew_point: dew_point,
-            diurnal_amplitude: 0.0,
-            start_hour: 13.0,
-            wander_sd: 0.0,
-            co2: 410.0,
-        }
-    }
-
     /// The deterministic (mean + diurnal) outdoor temperature at `now`,
     /// °C — the weather process of [`Weather::sample`] with the
     /// stochastic wander stripped out. This is the read-only forecast
@@ -120,12 +107,6 @@ impl Weather {
         )
     }
 
-    /// The configuration this process was built with.
-    #[must_use]
-    pub fn config(&self) -> &WeatherConfig {
-        &self.config
-    }
-
     /// Serializes the stochastic state (random stream, wander, clock).
     /// The configuration is rebuilt from config on restore, not persisted.
     pub fn save_state(&self, w: &mut bz_state::Writer) {
@@ -156,7 +137,12 @@ mod tests {
 
     #[test]
     fn constant_config_is_constant() {
-        let mut w = Weather::new(WeatherConfig::constant(28.9, 27.4), Rng::seed_from(1));
+        let config = WeatherConfig {
+            diurnal_amplitude: 0.0,
+            wander_sd: 0.0,
+            ..WeatherConfig::singapore_afternoon()
+        };
+        let mut w = Weather::new(config, Rng::seed_from(1));
         let a = w.sample(SimTime::ZERO);
         let b = w.sample(SimTime::from_hours(2));
         assert!((a.temperature.get() - 28.9).abs() < 1e-9);

@@ -257,12 +257,6 @@ impl Zone {
         self.state
     }
 
-    /// Static parameters.
-    #[must_use]
-    pub fn params(&self) -> &ZoneParams {
-        &self.params
-    }
-
     /// Advances the zone by `dt_s` seconds under the given inputs and
     /// boundary conditions. `neighbor_exchange` is a pre-computed list of
     /// `(mix_flow_m3s, neighbor_state)` pairs describing turbulent exchange
@@ -343,6 +337,13 @@ impl Zone {
 // --- Checkpoint support --------------------------------------------------
 
 bz_state::persist_unit_enum!(SubspaceId { S1, S2, S3, S4 });
+
+/// Air temperatures a restore accepts, °C: the range of the Magnus
+/// dew-point formula ([`bz_psychro::dew_point_checked`]). Hotter air has
+/// no dew point there, and from about 99.3 °C its saturation pressure
+/// passes the total pressure; `bz_psychro` asserts against both.
+const RESTORABLE_AIR_C: std::ops::RangeInclusive<f64> = -45.0..=60.0;
+
 impl bz_state::Persist for AirState {
     fn save(&self, w: &mut bz_state::Writer) {
         w.put(&self.temperature);
@@ -350,8 +351,8 @@ impl bz_state::Persist for AirState {
         w.put(&self.co2);
     }
 
-    /// Refuses air no step can produce: a non-finite temperature,
-    /// humidity ratio or CO₂, or a negative humidity ratio or CO₂. The
+    /// Refuses air no step can produce: a temperature outside −45 °C to
+    /// 60 °C, a non-finite humidity ratio or CO₂, or a negative one. The
     /// psychrometric functions that read this air assert against them.
     fn load(r: &mut bz_state::Reader<'_>) -> Result<Self, bz_state::StateError> {
         let state = Self {
@@ -364,7 +365,8 @@ impl bz_state::Persist for AirState {
             state.humidity_ratio.get(),
             state.co2.get(),
         );
-        if !(t.is_finite() && w.is_finite() && c.is_finite()) || w < 0.0 || c < 0.0 {
+        if !(RESTORABLE_AIR_C.contains(&t) && w.is_finite() && c.is_finite()) || w < 0.0 || c < 0.0
+        {
             return Err(bz_state::StateError::Invalid {
                 what: "AirState",
                 reason: format!("{t} °C, humidity ratio {w}, {c} ppm CO₂ is not physical air"),

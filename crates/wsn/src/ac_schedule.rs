@@ -50,24 +50,6 @@ impl AcScheduler {
         self
     }
 
-    /// The transmission period.
-    #[must_use]
-    pub fn period(&self) -> SimDuration {
-        self.period
-    }
-
-    /// The current phase offset within the period.
-    #[must_use]
-    pub fn offset(&self) -> SimDuration {
-        self.offset
-    }
-
-    /// How many times the phase has been re-drawn.
-    #[must_use]
-    pub fn reshuffles(&self) -> u64 {
-        self.reshuffles
-    }
-
     /// The first firing instant at or after `now`.
     #[must_use]
     pub fn next_fire(&self, now: SimTime) -> SimTime {
@@ -141,8 +123,8 @@ mod tests {
     fn reshuffle_moves_offset_within_period() {
         let mut s = AcScheduler::new(SimDuration::from_secs(1), Rng::seed_from(2));
         s.report_failure(TxFailure::Collision);
-        assert!(s.offset() < s.period());
-        assert_eq!(s.reshuffles(), 1);
+        assert!(s.offset < s.period);
+        assert_eq!(s.reshuffles, 1);
     }
 
     #[test]
@@ -150,15 +132,15 @@ mod tests {
         let mut s = AcScheduler::new(SimDuration::from_secs(1), Rng::seed_from(3)).non_adaptive();
         s.report_failure(TxFailure::Collision);
         s.report_failure(TxFailure::ChannelBusy);
-        assert_eq!(s.offset(), SimDuration::ZERO);
-        assert_eq!(s.reshuffles(), 0);
+        assert_eq!(s.offset, SimDuration::ZERO);
+        assert_eq!(s.reshuffles, 0);
     }
 
     #[test]
     fn fading_does_not_reshuffle() {
         let mut s = AcScheduler::new(SimDuration::from_secs(1), Rng::seed_from(4));
         s.report_failure(TxFailure::Fading);
-        assert_eq!(s.reshuffles(), 0);
+        assert_eq!(s.reshuffles, 0);
     }
 
     /// End-to-end: a population of aligned AC devices on a shared channel,

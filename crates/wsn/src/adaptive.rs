@@ -145,28 +145,10 @@ impl BtAdaptive {
         self
     }
 
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.config
-    }
-
     /// Current send period `T_snd = w · T_spl`.
     #[must_use]
     pub fn send_period(&self) -> SimDuration {
         self.config.sampling_period * u64::from(self.w)
-    }
-
-    /// Current multiplier `w`.
-    #[must_use]
-    pub fn w(&self) -> u32 {
-        self.w
-    }
-
-    /// The λ currently in force (None until learned).
-    #[must_use]
-    pub fn lambda(&self) -> Option<f64> {
-        self.lambda
     }
 
     /// Total packets transmitted.
@@ -179,12 +161,6 @@ impl BtAdaptive {
     #[must_use]
     pub fn samples(&self) -> u64 {
         self.samples
-    }
-
-    /// Access to the histogram (for the Fig. 12 accuracy studies).
-    #[must_use]
-    pub fn histogram(&self) -> &VarianceHistogram {
-        &self.histogram
     }
 
     /// Processes one sensor sample taken at `now` (call every `T_spl`).
@@ -364,7 +340,7 @@ mod tests {
         mut signal: impl FnMut(usize, &mut Rng) -> f64,
     ) -> Vec<(SimTime, SampleOutcome)> {
         let mut rng = Rng::seed_from(1234);
-        let period = scheduler.config().sampling_period;
+        let period = scheduler.config.sampling_period;
         let mut out = Vec::with_capacity(steps);
         for i in 0..steps {
             let now = SimTime::ZERO + period * i as u64;
@@ -391,7 +367,7 @@ mod tests {
             }
         });
         drive(&mut s, 600, |_, rng| stable_signal(rng));
-        assert_eq!(s.w(), 32, "w should reach the maximum");
+        assert_eq!(s.w, 32, "w should reach the maximum");
         assert_eq!(s.send_period(), SimDuration::from_secs(64));
     }
 
@@ -406,10 +382,10 @@ mod tests {
             }
         });
         drive(&mut s, 600, |_, rng| stable_signal(rng));
-        assert_eq!(s.w(), 32);
+        assert_eq!(s.w, 32);
         // A door opens: the signal jumps several degrees.
         let outcomes = drive(&mut s, 6, |i, _| 25.0 + 2.0 * f64::from(i as u32 + 1));
-        assert_eq!(s.w(), 1, "transition must reset w");
+        assert_eq!(s.w, 1, "transition must reset w");
         // The snap-back transmits promptly — within a few samples of the
         // onset (the paper measures an average detection delay of 2.7 s
         // at a 2 s sampling period, i.e. one-to-two samples).
@@ -477,7 +453,7 @@ mod tests {
         config.lambda_update_period = SimDuration::from_secs(20);
         let mut s = BtAdaptive::new(config);
         drive(&mut s, 30, |i, _| if i % 7 == 0 { 30.0 } else { 25.0 });
-        let early = s.lambda();
+        let early = s.lambda;
         assert!(early.is_some());
         // Shift the signal regime: much larger excursions dominate the
         // histogram; after the refresh period λ should move.
@@ -492,7 +468,7 @@ mod tests {
                 }
             },
         );
-        assert_ne!(s.lambda(), early, "λ should track the new regime");
+        assert_ne!(s.lambda, early, "λ should track the new regime");
     }
 
     #[test]
@@ -551,14 +527,14 @@ mod tests {
             let value = if i % 9 == 0 { 30.0 } else { 25.0 };
             s.on_sample(now, value);
         }
-        assert!(s.histogram().observed() > 0);
+        assert!(s.histogram.observed() > 0);
         // Cross the reset boundary: counters flush, range survives.
-        let range = (s.histogram().var_min(), s.histogram().var_max());
+        let range = (s.histogram.var_min(), s.histogram.var_max());
         s.on_sample(SimTime::from_secs(200), 25.0);
-        assert!(s.histogram().observed() <= 1);
-        assert_eq!((s.histogram().var_min(), s.histogram().var_max()), range);
+        assert!(s.histogram.observed() <= 1);
+        assert_eq!((s.histogram.var_min(), s.histogram.var_max()), range);
         // λ is still in force (kept from before the flush).
-        assert!(s.lambda().is_some());
+        assert!(s.lambda.is_some());
     }
 
     #[test]

@@ -187,12 +187,6 @@ impl Network {
         &self.faults
     }
 
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &NetworkConfig {
-        &self.config
-    }
-
     /// True while any frame occupies the medium at `at`.
     #[must_use]
     pub fn busy_at(&self, at: SimTime) -> bool {

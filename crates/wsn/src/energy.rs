@@ -124,12 +124,6 @@ impl EnergyLedger {
         }
     }
 
-    /// The model in use.
-    #[must_use]
-    pub fn model(&self) -> &EnergyModel {
-        &self.model
-    }
-
     /// Accounts base load up to `now` (idempotent for non-advancing calls).
     pub fn advance(&mut self, now: SimTime) {
         let dt = now.since(self.base_accounted_until).as_secs_f64();

@@ -45,16 +45,6 @@ impl WsnFault {
             Self::LinkLoss { .. } => "link_loss",
         }
     }
-
-    /// The mote this fault attaches to.
-    #[must_use]
-    pub fn node(&self) -> NodeId {
-        match *self {
-            Self::NodeDead { node }
-            | Self::BatteryExhausted { node }
-            | Self::LinkLoss { node, .. } => node,
-        }
-    }
 }
 
 /// One scheduled network fault window.
@@ -103,12 +93,6 @@ impl WsnFaultSchedule {
     #[must_use]
     pub fn events(&self) -> &[WsnFaultEvent] {
         &self.events
-    }
-
-    /// True if any fault is active at `now`.
-    #[must_use]
-    pub fn any_active(&self, now: SimTime) -> bool {
-        self.events.iter().any(|e| e.is_active(now))
     }
 
     /// True if `node` is silent (dead or battery-exhausted) at `now`.

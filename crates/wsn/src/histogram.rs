@@ -76,12 +76,6 @@ impl VarianceHistogram {
         }
     }
 
-    /// Number of slots `N`.
-    #[must_use]
-    pub fn slots(&self) -> usize {
-        self.n_slots
-    }
-
     /// Number of variances observed since the last reset.
     #[must_use]
     pub fn observed(&self) -> u64 {
@@ -453,7 +447,7 @@ mod tests {
         if h.slot_width() == 0.0 {
             return None;
         }
-        let n = h.slots();
+        let n = h.n_slots;
         let mut best_j = 1;
         let mut best_sum = f64::INFINITY;
         for j in 1..n {

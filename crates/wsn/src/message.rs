@@ -57,18 +57,6 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// All message types.
-    pub const ALL: [DataType; 8] = [
-        Self::Temperature,
-        Self::Humidity,
-        Self::Co2,
-        Self::FlowRate,
-        Self::SupplyTemperature,
-        Self::OutletDewPoint,
-        Self::ControlTarget,
-        Self::Actuation,
-    ];
-
     /// True for control-plane types: computed values and commands the
     /// control loops depend on, as opposed to periodic sensor samples. A
     /// lost sample is replaced by the next one a few seconds later, so
@@ -221,6 +209,17 @@ bz_state::persist_struct!(Message {
 mod tests {
     use super::*;
 
+    const ALL: [DataType; 8] = [
+        DataType::Temperature,
+        DataType::Humidity,
+        DataType::Co2,
+        DataType::FlowRate,
+        DataType::SupplyTemperature,
+        DataType::OutletDewPoint,
+        DataType::ControlTarget,
+        DataType::Actuation,
+    ];
+
     #[test]
     fn node_id_round_trip_and_display() {
         let id = NodeId::new(17);
@@ -230,7 +229,7 @@ mod tests {
 
     #[test]
     fn payload_sizes_fit_an_802154_frame() {
-        for t in DataType::ALL {
+        for t in ALL {
             assert!(t.payload_bytes() <= 102, "{t} too large");
             assert!(t.payload_bytes() >= 8);
         }
@@ -255,9 +254,9 @@ mod tests {
 
     #[test]
     fn display_names_are_distinct() {
-        let mut names: Vec<String> = DataType::ALL.iter().map(ToString::to_string).collect();
+        let mut names: Vec<String> = ALL.iter().map(ToString::to_string).collect();
         names.sort();
         names.dedup();
-        assert_eq!(names.len(), DataType::ALL.len());
+        assert_eq!(names.len(), ALL.len());
     }
 }

@@ -82,12 +82,6 @@ impl Sniffer {
         self.log.is_empty()
     }
 
-    /// The raw capture, in delivery order.
-    #[must_use]
-    pub fn records(&self) -> &[PacketRecord] {
-        &self.log
-    }
-
     /// Packets captured per message type.
     #[must_use]
     pub fn traffic_by_type(&self) -> HashMap<DataType, usize> {
@@ -217,7 +211,6 @@ mod tests {
         let sniffer = captured_traffic();
         assert_eq!(sniffer.len(), 25);
         assert!(!sniffer.is_empty());
-        assert_eq!(sniffer.records().len(), 25);
     }
 
     #[test]
