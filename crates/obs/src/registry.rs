@@ -3,11 +3,13 @@
 //!
 //! Storage is interned. A registry keeps one [`KeyTable`] entry per
 //! distinct key: the key text, its JSON-escaped form, and every aggregate
-//! recorded under it. The event stream is a vector of fixed 24-byte
-//! [`Record`]s that name their key by table id, so a buffered event costs
-//! the same whether its key was a literal, a `format!`-built string, or a
-//! key restored from a checkpoint, and every exporter writes straight
-//! from the records.
+//! recorded under it. The buffered event stream is one byte vector in the
+//! coding of the keyed checkpoint layout: each event names its key by
+//! table id, its time as a delta from the event before, and its value as a
+//! varint, about 6.7 bytes for a trial tenant's mix. A checkpoint copies
+//! those bytes and a restore keeps the bytes it validated. Beside them an
+//! index holds one entry per [`BLOCK`] events, so the tap seeks to a cursor
+//! and decodes forward; every exporter formats transient decoded events.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -53,7 +55,7 @@ pub struct Snapshot {
     pub dropped_events: u64,
 }
 
-/// What a [`Record`] is. The discriminants are the checkpoint tags.
+/// What an event is. The discriminants are the checkpoint tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Counter = 0,
@@ -75,50 +77,59 @@ impl Kind {
     }
 }
 
-/// Key ids take the low 30 bits of [`Record::key_kind`], the [`Kind`] the
-/// top two. An interned key costs more than 64 bytes, so a registry would
-/// hold over 64 GiB of keys before reaching the limit.
-const KIND_SHIFT: u32 = 30;
+/// Most distinct keys one registry can intern, so an event's key id and
+/// kind fit one 5-byte varint. An interned key costs more than 64 bytes,
+/// so a registry would hold over 64 GiB of keys before reaching the limit.
+const MAX_KEYS: usize = 1 << 30;
 
-/// Most distinct keys one registry can intern.
-const MAX_KEYS: usize = 1 << KIND_SHIFT;
-
-/// One buffered event, naming its key by [`KeyTable`] id.
-#[derive(Debug, Clone, Copy)]
-struct Record {
+/// One event, decoded from the log for formatting. The log stores events
+/// only as bytes; nothing keeps an `Event`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Event {
+    kind: Kind,
+    /// Key id in the [`KeyTable`].
+    id: usize,
     /// Simulation time of the event, ms.
     t_ms: u64,
     /// Counter value, gauge bit pattern, or span `sim_ms`.
     value: u64,
-    /// Key id and [`Kind`], packed (see [`KIND_SHIFT`]).
-    key_kind: u32,
     /// Span nesting depth at entry; 0 for counters and gauges.
     depth: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Record>() <= 24);
+/// The longest encoded event: a 5-byte key id and kind, a 10-byte time
+/// delta, then a span's 10-byte `sim_ms` and 5-byte depth.
+const MAX_EVENT_BYTES: usize = 30;
 
-impl Record {
-    fn new(kind: Kind, id: usize, t_ms: u64, value: u64, depth: u32) -> Self {
-        Self {
-            t_ms,
-            value,
-            key_kind: id as u32 | (kind as u32) << KIND_SHIFT,
-            depth,
+/// Events per entry of the log's block index. Each entry costs 16 bytes,
+/// so the index adds under a tenth of a byte per event, and a tap skips
+/// at most `BLOCK - 1` events to reach its cursor.
+const BLOCK: usize = 256;
+
+/// Appends `event` to `out` in the keyed layout, its time a delta from
+/// `base_t_ms`: the one encoder of the event coding.
+fn encode_event(out: &mut Vec<u8>, event: Event, base_t_ms: u64) {
+    let delta = event.t_ms.wrapping_sub(base_t_ms) as i64;
+    encode_varint((event.id as u64) << 2 | event.kind as u64, |b| out.push(b));
+    encode_varint(zigzag(delta), |b| out.push(b));
+    match event.kind {
+        Kind::Counter => encode_varint(event.value, |b| out.push(b)),
+        Kind::Gauge => out.extend_from_slice(&event.value.to_le_bytes()),
+        Kind::Span => {
+            encode_varint(event.value, |b| out.push(b));
+            encode_varint(u64::from(event.depth), |b| out.push(b));
         }
     }
+}
 
-    fn id(self) -> usize {
-        (self.key_kind & (MAX_KEYS as u32 - 1)) as usize
+/// Emits `value` as a LEB128 varint: seven bits a byte, low bits first,
+/// and never a final zero byte after the first.
+fn encode_varint(mut value: u64, mut emit: impl FnMut(u8)) {
+    while value >= 0x80 {
+        emit(value as u8 | 0x80);
+        value >>= 7;
     }
-
-    fn kind(self) -> Kind {
-        match self.key_kind >> KIND_SHIFT {
-            0 => Kind::Counter,
-            1 => Kind::Gauge,
-            _ => Kind::Span,
-        }
-    }
+    emit(value as u8);
 }
 
 /// The first word of a registry checkpoint in the keyed layout. A legacy
@@ -138,17 +149,6 @@ enum Layout {
 }
 
 impl Layout {
-    /// The smallest encoding of one event: legacy tag, empty key, `t_ms`
-    /// and value; or one varint byte each for the key and kind, the time
-    /// delta and the value. Bounds the record capacity reserved for a
-    /// decoded count.
-    fn min_event_bytes(self) -> usize {
-        match self {
-            Self::Legacy => 1 + 8 + 8 + 8,
-            Self::Keyed => 3,
-        }
-    }
-
     /// Reads a map or list length.
     fn take_len(self, r: &mut Reader<'_>) -> Result<u64, StateError> {
         match self {
@@ -158,33 +158,140 @@ impl Layout {
     }
 }
 
-/// Writes `value` as a LEB128 varint: seven bits a byte, low bits first.
-fn put_varint(w: &mut Writer, mut value: u64) {
-    while value >= 0x80 {
-        w.put_u8(value as u8 | 0x80);
-        value >>= 7;
-    }
-    w.put_u8(value as u8);
+/// Writes `value` as a LEB128 varint (see [`encode_varint`]).
+fn put_varint(w: &mut Writer, value: u64) {
+    encode_varint(value, |b| w.put_u8(b));
 }
 
-/// Reads a varint written by [`put_varint`]: at most 10 bytes, the tenth
-/// holding only the top bit of a `u64`.
+/// Reads a varint written by [`put_varint`].
 fn take_varint(r: &mut Reader<'_>) -> Result<u64, StateError> {
-    let mut value = 0;
-    for shift in (0..64).step_by(7) {
-        let byte = r.take_u8()?;
-        if shift == 63 && byte > 1 {
-            return Err(StateError::Invalid {
-                what: "obs varint",
-                reason: "longer than 10 bytes or past u64::MAX".to_owned(),
-            });
-        }
-        value |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            break;
+    take_decoded(r, Decoder::varint)
+}
+
+/// Runs `decode` over the reader's unread bytes and consumes the bytes it
+/// read. A decode cut short fails as the reader's own reads do, with the
+/// reader's offsets.
+fn take_decoded<'a, T>(
+    r: &mut Reader<'a>,
+    decode: impl FnOnce(&mut Decoder<'a>) -> Result<T, StateError>,
+) -> Result<T, StateError> {
+    let mut decoder = Decoder::new(r.unread());
+    match decode(&mut decoder) {
+        Err(StateError::UnexpectedEof {
+            what, at, wanted, ..
+        }) => Err(r
+            .take_raw(what, at + wanted)
+            .expect_err("a read past the unread bytes")),
+        decoded => {
+            r.take_raw("obs", decoder.pos)
+                .expect("the decoder reads only unread bytes");
+            decoded
         }
     }
-    Ok(value)
+}
+
+/// Reads the event coding from a byte slice: the one decoder behind load
+/// validation, the tap and every export.
+struct Decoder<'a> {
+    bytes: &'a [u8],
+    /// Offset of the next byte to read.
+    pos: usize,
+}
+
+impl<'a> Decoder<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes, pos: 0 }
+    }
+
+    #[cold]
+    fn cut_short(&self, what: &'static str, wanted: usize) -> StateError {
+        StateError::UnexpectedEof {
+            what,
+            at: self.pos,
+            wanted,
+            remaining: self.bytes.len() - self.pos,
+        }
+    }
+
+    /// Reads a varint: at most 10 bytes, the tenth holding only the top
+    /// bit of a `u64`, and no final zero byte after the first. So each
+    /// value has one encoding, and event bytes kept as they were read
+    /// re-save to the same bytes.
+    /// Inlined into each caller, it keeps the decoded value in registers.
+    #[inline(always)]
+    fn varint(&mut self) -> Result<u64, StateError> {
+        let mut value = 0;
+        let mut at = self.pos;
+        let mut shift = 0;
+        while let Some(&byte) = self.bytes.get(at) {
+            at += 1;
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                if shift > 0 && byte == 0 {
+                    return Err(bad_varint("overlong: ends in a zero byte"));
+                }
+                if shift == 63 && byte > 1 {
+                    return Err(bad_varint("past u64::MAX"));
+                }
+                self.pos = at;
+                return Ok(value);
+            }
+            shift += 7;
+            if shift > 63 {
+                return Err(bad_varint("longer than 10 bytes"));
+            }
+        }
+        Err(self.cut_short("obs varint", at - self.pos + 1))
+    }
+
+    /// Reads a gauge's 8-byte bit pattern.
+    fn bits(&mut self) -> Result<u64, StateError> {
+        let Some(raw) = self.bytes.get(self.pos..self.pos + 8) else {
+            return Err(self.cut_short("obs gauge bits", 8));
+        };
+        self.pos += 8;
+        Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
+    }
+
+    /// Reads one event, its time a delta from `base_t_ms`. Refuses a kind
+    /// tag past [`Kind::Span`], a key id past the table, and a span depth
+    /// past `u32`. Inlined into each caller for the same reason as
+    /// [`Decoder::varint`].
+    #[inline(always)]
+    fn event(&mut self, keys: &KeyTable, base_t_ms: u64) -> Result<Event, StateError> {
+        let key_kind = self.varint()?;
+        let kind = Kind::from_tag(key_kind & 3)?;
+        let id = keys.checked_id(key_kind >> 2)?;
+        let t_ms = base_t_ms.wrapping_add(unzigzag(self.varint()?) as u64);
+        let (value, depth) = match kind {
+            Kind::Counter => (self.varint()?, 0),
+            Kind::Gauge => (self.bits()?, 0),
+            Kind::Span => (self.varint()?, span_depth(self.varint()?)?),
+        };
+        Ok(Event {
+            kind,
+            id,
+            t_ms,
+            value,
+            depth,
+        })
+    }
+}
+
+/// A span depth, which must fit a `u32`.
+fn span_depth(depth: u64) -> Result<u32, StateError> {
+    u32::try_from(depth).map_err(|_| StateError::Invalid {
+        what: "obs span depth",
+        reason: format!("{depth} does not fit a u32"),
+    })
+}
+
+#[cold]
+fn bad_varint(reason: &str) -> StateError {
+    StateError::Invalid {
+        what: "obs varint",
+        reason: reason.to_owned(),
+    }
 }
 
 /// Maps a signed delta onto the unsigned varints, small magnitudes first.
@@ -384,9 +491,9 @@ struct StreamSink {
 }
 
 impl StreamSink {
-    fn write(&mut self, keys: &KeyTable, record: Record) {
+    fn write(&mut self, keys: &KeyTable, event: Event) {
         if self.error.is_none() {
-            if let Err(e) = write_event_line(&mut self.sink, keys, record) {
+            if let Err(e) = write_event_line(&mut self.sink, keys, event) {
                 self.error = Some(e);
             }
         }
@@ -401,24 +508,153 @@ impl std::fmt::Debug for StreamSink {
     }
 }
 
-/// The event stream: buffered records, or the sink they stream to.
+/// Where one block of [`BLOCK`] events starts in the log.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    /// Byte offset of the block's first event.
+    offset: usize,
+    /// The `t_ms` the first event's delta is relative to.
+    base_t_ms: u64,
+}
+
+/// The event stream: buffered event bytes, or the sink they stream to.
 #[derive(Debug, Default)]
 struct EventLog {
-    records: Vec<Record>,
+    /// The buffered events, encoded as the keyed checkpoint layout stores
+    /// them (see [`Registry::save_state`]).
+    bytes: Vec<u8>,
+    /// One entry for every [`BLOCK`]-th event, the first included.
+    blocks: Vec<Block>,
+    /// Events in `bytes`.
+    len: usize,
+    /// `t_ms` of the last buffered event, the base of the next one's
+    /// delta: 0 while the buffer is empty.
+    last_t_ms: u64,
     /// Events discarded after [`MAX_EVENTS`] was reached.
     dropped: u64,
     stream: Option<StreamSink>,
 }
 
 impl EventLog {
-    fn push(&mut self, keys: &KeyTable, record: Record) {
+    fn push(&mut self, keys: &KeyTable, event: Event) {
         if let Some(stream) = &mut self.stream {
-            stream.write(keys, record);
-        } else if self.records.len() < MAX_EVENTS {
-            self.records.push(record);
+            stream.write(keys, event);
         } else {
-            self.dropped = self.dropped.saturating_add(1);
+            self.append(event);
         }
+    }
+
+    /// Buffers `event`, or counts it as dropped at [`MAX_EVENTS`].
+    fn append(&mut self, event: Event) {
+        if self.len == MAX_EVENTS {
+            self.dropped = self.dropped.saturating_add(1);
+            return;
+        }
+        if self.len.is_multiple_of(BLOCK) {
+            self.blocks.push(Block {
+                offset: self.bytes.len(),
+                base_t_ms: self.last_t_ms,
+            });
+        }
+        if self.bytes.capacity() - self.bytes.len() < MAX_EVENT_BYTES {
+            // Grow by a quarter, not the doubling `Vec` would pick: the
+            // log is most of a stepped tenant's heap, so its slack stays
+            // small. The event then fits without a second growth.
+            self.bytes.reserve_exact((self.bytes.len() / 4).max(1024));
+        }
+        encode_event(&mut self.bytes, event, self.last_t_ms);
+        self.last_t_ms = event.t_ms;
+        self.len += 1;
+    }
+
+    /// The buffered events from index `from` on: the block holding `from`,
+    /// decoded forward past the events before it. Empty when `from` is
+    /// past the end.
+    fn events_from<'a>(&'a self, keys: &'a KeyTable, from: usize) -> Events<'a> {
+        let mut events = Events {
+            decoder: Decoder::new(&[]),
+            keys,
+            t_ms: 0,
+        };
+        if from < self.len {
+            let block = self.blocks[from / BLOCK];
+            events.decoder = Decoder::new(&self.bytes[block.offset..]);
+            events.t_ms = block.base_t_ms;
+            for _ in 0..from % BLOCK {
+                events.next();
+            }
+        }
+        events
+    }
+
+    /// Reads `len` keyed-layout events: each is validated, and the bytes
+    /// they take are kept as they were read.
+    fn load_keyed(r: &mut Reader<'_>, keys: &KeyTable, len: usize) -> Result<Self, StateError> {
+        take_decoded(r, |events| {
+            let mut log = Self::default();
+            for _ in 0..len {
+                if log.len.is_multiple_of(BLOCK) {
+                    log.blocks.push(Block {
+                        offset: events.pos,
+                        base_t_ms: log.last_t_ms,
+                    });
+                }
+                log.last_t_ms = events.event(keys, log.last_t_ms)?.t_ms;
+                log.len += 1;
+            }
+            log.bytes = events.bytes[..events.pos].to_vec();
+            Ok(log)
+        })
+    }
+
+    /// Reads `len` legacy-layout events, each spelling out its key (which
+    /// is interned on first sight), and encodes them once.
+    fn load_legacy(
+        r: &mut Reader<'_>,
+        keys: &mut KeyTable,
+        len: usize,
+    ) -> Result<Self, StateError> {
+        let mut log = Self::default();
+        for _ in 0..len {
+            let kind = Kind::from_tag(u64::from(r.take_u8()?))?;
+            let id = keys.take_key(r, Layout::Legacy)?;
+            let t_ms = r.take_u64()?;
+            let value = r.take_u64()?;
+            let depth = if kind == Kind::Span { r.take_u32()? } else { 0 };
+            log.append(Event {
+                kind,
+                id,
+                t_ms,
+                value,
+                depth,
+            });
+        }
+        log.bytes.shrink_to_fit();
+        Ok(log)
+    }
+}
+
+/// Decodes buffered events in order, to the end of the log.
+struct Events<'a> {
+    decoder: Decoder<'a>,
+    keys: &'a KeyTable,
+    /// `t_ms` of the event decoded last.
+    t_ms: u64,
+}
+
+impl Iterator for Events<'_> {
+    type Item = Event;
+
+    fn next(&mut self) -> Option<Event> {
+        if self.decoder.pos == self.decoder.bytes.len() {
+            return None;
+        }
+        let event = self
+            .decoder
+            .event(self.keys, self.t_ms)
+            .expect("the log holds only events it encoded or validated");
+        self.t_ms = event.t_ms;
+        Some(event)
     }
 }
 
@@ -442,16 +678,20 @@ impl Registry {
     /// from now on is written to `sink` as a JSONL line immediately
     /// instead of being buffered (so long endurance runs are not bounded
     /// by [`MAX_EVENTS`]). Any events already buffered are flushed to the
-    /// sink first, in record order. Close with
+    /// sink first, in recording order. Close with
     /// [`Registry::finish_stream`], which appends the same totals tail
     /// [`Registry::write_jsonl`] produces — a streamed export of a
     /// deterministic run is byte-identical to the buffered one.
     pub fn stream_to(&mut self, sink: Box<dyn Write + Send>) {
         let mut stream = StreamSink { sink, error: None };
-        for record in std::mem::take(&mut self.log.records) {
-            stream.write(&self.keys, record);
+        for event in self.log.events_from(&self.keys, 0) {
+            stream.write(&self.keys, event);
         }
-        self.log.stream = Some(stream);
+        self.log = EventLog {
+            dropped: self.log.dropped,
+            stream: Some(stream),
+            ..EventLog::default()
+        };
     }
 
     /// Ends streaming: writes the totals tail (counter/gauge/histogram/
@@ -491,8 +731,14 @@ impl Registry {
     pub fn gauge_set(&mut self, name: impl Into<MetricKey>, t_ms: u64, value: f64) {
         let id = self.keys.id(&name.into());
         self.keys.slots[id].gauge = Some(value);
-        let record = Record::new(Kind::Gauge, id, t_ms, value.to_bits(), 0);
-        self.log.push(&self.keys, record);
+        let event = Event {
+            kind: Kind::Gauge,
+            id,
+            t_ms,
+            value: value.to_bits(),
+            depth: 0,
+        };
+        self.log.push(&self.keys, event);
     }
 
     /// Observes `value` into histogram `name`, creating it over `buckets`
@@ -520,8 +766,14 @@ impl Registry {
         stats.sim_ms_total = stats.sim_ms_total.saturating_add(sim_ms);
         stats.wall_ns_total = stats.wall_ns_total.saturating_add(wall_ns);
         stats.wall_ns_max = stats.wall_ns_max.max(wall_ns);
-        let record = Record::new(Kind::Span, id, t_ms, sim_ms, depth);
-        self.log.push(&self.keys, record);
+        let event = Event {
+            kind: Kind::Span,
+            id,
+            t_ms,
+            value: sim_ms,
+            depth,
+        };
+        self.log.push(&self.keys, event);
     }
 
     /// Samples every counter as a timestamped event (call this at a fixed
@@ -530,8 +782,14 @@ impl Registry {
         for &id in self.keys.index.values() {
             let id = id as usize;
             if let Some(value) = self.keys.slots[id].counter {
-                let record = Record::new(Kind::Counter, id, t_ms, value, 0);
-                self.log.push(&self.keys, record);
+                let event = Event {
+                    kind: Kind::Counter,
+                    id,
+                    t_ms,
+                    value,
+                    depth: 0,
+                };
+                self.log.push(&self.keys, event);
             }
         }
     }
@@ -542,7 +800,7 @@ impl Registry {
     /// caught up.
     #[must_use]
     pub fn events_len(&self) -> usize {
-        self.log.records.len()
+        self.log.len
     }
 
     /// Writes the buffered events starting at index `from` as JSONL lines
@@ -551,17 +809,17 @@ impl Registry {
     /// written. A `from` beyond the buffer writes nothing and returns the
     /// current length, so a reader can poll with its last cursor
     /// unconditionally. This is the incremental per-tenant telemetry tap
-    /// behind `bzctl serve`.
+    /// behind `bzctl serve`. It seeks to the index block holding `from`
+    /// and decodes forward from there.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from `out`.
     pub fn write_events_from<W: Write>(&self, from: usize, mut out: W) -> io::Result<usize> {
-        let records = &self.log.records;
-        for &record in records.get(from..).unwrap_or_default() {
-            write_event_line(&mut out, &self.keys, record)?;
+        for event in self.log.events_from(&self.keys, from) {
+            write_event_line(&mut out, &self.keys, event)?;
         }
-        Ok(records.len())
+        Ok(self.log.len)
     }
 
     /// An owned copy of the aggregates, as key-sorted maps.
@@ -595,7 +853,7 @@ impl Registry {
     }
 
     /// Writes the JSONL export: one JSON object per line — the event
-    /// stream in record order, then per-key totals in sorted key order.
+    /// stream in recording order, then per-key totals in sorted key order.
     ///
     /// Everything written is deterministic for a seeded run; wall-clock
     /// span timings are deliberately excluded (see
@@ -675,17 +933,17 @@ impl Registry {
     /// Returns any I/O error from `out`.
     pub fn write_csv<W: Write>(&self, mut out: W) -> io::Result<()> {
         writeln!(out, "t_ms,kind,name,value,sim_ms,depth")?;
-        for &record in &self.log.records {
-            let name = self.keys.slots[record.id()].key.as_str();
-            let (t_ms, value) = (record.t_ms, record.value);
-            match record.kind() {
+        for event in self.log.events_from(&self.keys, 0) {
+            let name = self.keys.slots[event.id].key.as_str();
+            let (t_ms, value) = (event.t_ms, event.value);
+            match event.kind {
                 Kind::Counter => writeln!(out, "{t_ms},counter,{name},{value},,")?,
                 Kind::Gauge => writeln!(
                     out,
                     "{t_ms},gauge,{name},{},,",
                     JsonF64(f64::from_bits(value))
                 )?,
-                Kind::Span => writeln!(out, "{t_ms},span,{name},,{value},{}", record.depth)?,
+                Kind::Span => writeln!(out, "{t_ms},span,{name},,{value},{}", event.depth)?,
             }
         }
         Ok(())
@@ -781,12 +1039,14 @@ impl Registry {
     ///
     /// The keyed layout (`docs/CHECKPOINTS.md`): a `u64::MAX` layout tag,
     /// the key table in id order, four key-sorted totals maps (counters,
-    /// gauges, histograms, spans) that name keys by id, the event list,
-    /// and the drop count. Each event is `varint(id << 2 | kind)`, the
-    /// zigzag varint of its `t_ms` minus the previous event's (a parent
-    /// span records after its children, with an earlier `t_ms`), then a
-    /// varint counter value, the gauge's 8-byte bit pattern, or a varint
-    /// span `sim_ms` and depth.
+    /// gauges, histograms, spans) that name keys by id, the event count,
+    /// the event bytes, and the drop count. Each event is
+    /// `varint(id << 2 | kind)`, the zigzag varint of its `t_ms` minus the
+    /// previous event's (a parent span records after its children, with
+    /// an earlier `t_ms`), then a varint counter value, the gauge's 8-byte
+    /// bit pattern, or a varint span `sim_ms` and depth. That is the
+    /// coding the log holds in memory, so its bytes are copied as they
+    /// are.
     ///
     /// # Panics
     ///
@@ -803,29 +1063,16 @@ impl Registry {
         self.keys.save_section(w, |slot| slot.gauge.as_ref());
         self.keys.save_section(w, |slot| slot.histogram.as_deref());
         self.keys.save_section(w, |slot| slot.span.as_deref());
-        put_varint(w, self.log.records.len() as u64);
-        let mut t_ms = 0u64;
-        for &record in &self.log.records {
-            let kind = record.kind();
-            put_varint(w, (record.id() as u64) << 2 | kind as u64);
-            put_varint(w, zigzag(record.t_ms.wrapping_sub(t_ms) as i64));
-            t_ms = record.t_ms;
-            match kind {
-                Kind::Counter => put_varint(w, record.value),
-                Kind::Gauge => w.put_u64(record.value),
-                Kind::Span => {
-                    put_varint(w, record.value);
-                    put_varint(w, u64::from(record.depth));
-                }
-            }
-        }
+        put_varint(w, self.log.len as u64);
+        w.put_raw(&self.log.bytes);
         put_varint(w, self.log.dropped);
     }
 
     /// Replaces this registry's contents with previously saved state, in
     /// the keyed layout or the legacy one of envelope format 2. Any open
     /// stream is dropped unfinished. Each distinct key is interned once,
-    /// however many events name it.
+    /// however many events name it. Keyed events are validated and kept
+    /// as the bytes they were read from; legacy ones are encoded once.
     ///
     /// # Errors
     ///
@@ -841,89 +1088,73 @@ impl Registry {
         };
         keys.load_totals(r, layout, counters)?;
         let len = layout.take_len(r)?;
-        // A registry never buffers more, and a record takes up to 8 times
-        // the bytes of its smallest encoding.
+        // A registry never buffers more.
         if len > MAX_EVENTS as u64 {
             return Err(StateError::Invalid {
                 what: "obs event log",
                 reason: format!("{len} events, over the {MAX_EVENTS}-event cap"),
             });
         }
-        let mut records =
-            Vec::with_capacity((len as usize).min(r.remaining() / layout.min_event_bytes()));
-        let mut t_ms = 0u64;
-        for _ in 0..len {
-            let record = match layout {
-                Layout::Legacy => {
-                    let kind = Kind::from_tag(u64::from(r.take_u8()?))?;
-                    let id = keys.take_key(r, layout)?;
-                    t_ms = r.take_u64()?;
-                    let value = r.take_u64()?;
-                    let depth = if kind == Kind::Span { r.take_u32()? } else { 0 };
-                    Record::new(kind, id, t_ms, value, depth)
-                }
-                Layout::Keyed => {
-                    let key_kind = take_varint(r)?;
-                    let kind = Kind::from_tag(key_kind & 3)?;
-                    let id = keys.checked_id(key_kind >> 2)?;
-                    t_ms = t_ms.wrapping_add(unzigzag(take_varint(r)?) as u64);
-                    let (value, depth) = match kind {
-                        Kind::Counter => (take_varint(r)?, 0),
-                        Kind::Gauge => (r.take_u64()?, 0),
-                        Kind::Span => (take_varint(r)?, take_depth(r)?),
-                    };
-                    Record::new(kind, id, t_ms, value, depth)
-                }
-            };
-            records.push(record);
-        }
-        let dropped = match layout {
-            Layout::Legacy => r.take_u64()?,
-            Layout::Keyed => take_varint(r)?,
+        let (log, dropped) = match layout {
+            Layout::Legacy => (
+                EventLog::load_legacy(r, &mut keys, len as usize)?,
+                r.take_u64()?,
+            ),
+            Layout::Keyed => (
+                EventLog::load_keyed(r, &keys, len as usize)?,
+                take_varint(r)?,
+            ),
         };
         *self = Self {
             keys,
-            log: EventLog {
-                records,
-                dropped,
-                stream: None,
-            },
+            log: EventLog { dropped, ..log },
         };
         Ok(())
     }
 }
 
-/// Reads a keyed-layout span depth, which must fit the record's `u32`.
-fn take_depth(r: &mut Reader<'_>) -> Result<u32, StateError> {
-    let depth = take_varint(r)?;
-    u32::try_from(depth).map_err(|_| StateError::Invalid {
-        what: "obs span depth",
-        reason: format!("{depth} does not fit a u32"),
-    })
+/// Serializes one event as its JSONL line (shared by the buffered
+/// exporter, the tap and the streaming path, so all emit identical
+/// bytes). The fixed text and the integers are written directly, not
+/// through `format_args!`: a tap or export writes one line per event.
+fn write_event_line<W: Write>(out: &mut W, keys: &KeyTable, event: Event) -> io::Result<()> {
+    out.write_all(match event.kind {
+        Kind::Counter => b"{\"kind\":\"counter\",\"name\":\"",
+        Kind::Gauge => b"{\"kind\":\"gauge\",\"name\":\"",
+        Kind::Span => b"{\"kind\":\"span\",\"name\":\"",
+    })?;
+    out.write_all(keys.slots[event.id].json().as_bytes())?;
+    out.write_all(b"\",\"t_ms\":")?;
+    write_decimal(out, event.t_ms)?;
+    match event.kind {
+        Kind::Counter => {
+            out.write_all(b",\"value\":")?;
+            write_decimal(out, event.value)?;
+        }
+        Kind::Gauge => write!(out, ",\"value\":{}", JsonF64(f64::from_bits(event.value)))?,
+        Kind::Span => {
+            out.write_all(b",\"sim_ms\":")?;
+            write_decimal(out, event.value)?;
+            out.write_all(b",\"depth\":")?;
+            write_decimal(out, u64::from(event.depth))?;
+        }
+    }
+    out.write_all(b"}\n")
 }
 
-/// Serializes one record as its JSONL line (shared by the buffered
-/// exporter, the tap and the streaming path, so all emit identical
-/// bytes).
-fn write_event_line<W: Write>(out: &mut W, keys: &KeyTable, record: Record) -> io::Result<()> {
-    let name = keys.slots[record.id()].json();
-    let (t_ms, value) = (record.t_ms, record.value);
-    match record.kind() {
-        Kind::Counter => writeln!(
-            out,
-            "{{\"kind\":\"counter\",\"name\":\"{name}\",\"t_ms\":{t_ms},\"value\":{value}}}"
-        ),
-        Kind::Gauge => writeln!(
-            out,
-            "{{\"kind\":\"gauge\",\"name\":\"{name}\",\"t_ms\":{t_ms},\"value\":{}}}",
-            JsonF64(f64::from_bits(value))
-        ),
-        Kind::Span => writeln!(
-            out,
-            "{{\"kind\":\"span\",\"name\":\"{name}\",\"t_ms\":{t_ms},\"sim_ms\":{value},\"depth\":{}}}",
-            record.depth
-        ),
+/// Writes `n` in decimal, as `{}` formats it.
+fn write_decimal<W: Write>(out: &mut W, mut n: u64) -> io::Result<()> {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
     }
+    out.write_all(&digits[start..])
 }
 
 /// Writes `items` separated by commas.
@@ -1301,6 +1532,47 @@ mod tests {
         w.into_bytes()
     }
 
+    /// Every buffered event, decoded.
+    fn events(registry: &Registry) -> Vec<Event> {
+        registry.log.events_from(&registry.keys, 0).collect()
+    }
+
+    fn jsonl(registry: &Registry) -> Vec<u8> {
+        let mut out = Vec::new();
+        registry.write_jsonl(&mut out).unwrap();
+        out
+    }
+
+    fn csv(registry: &Registry) -> Vec<u8> {
+        let mut out = Vec::new();
+        registry.write_csv(&mut out).unwrap();
+        out
+    }
+
+    /// Records `minutes` minutes of a trial tenant's kind of telemetry,
+    /// from minute `from` on: per simulated second a nested span pair and
+    /// a gauge, per minute a counter sample.
+    fn record_minutes(registry: &mut Registry, from: u64, minutes: u64) {
+        for minute in from..from + minutes {
+            for second in 0..60 {
+                let t_ms = (minute * 60 + second) * 1_000;
+                registry.span_complete("thermal.plant.step", t_ms + 1_000, 1_000, 1, 0);
+                registry.span_complete("core.step_second", t_ms, 1_000, 0, 0);
+                registry.gauge_set("thermal.chiller.radiant_w", t_ms, (t_ms % 977) as f64 / 7.0);
+            }
+            registry.counter_add(format!("wsn.node.{}.sent", minute % 3), minute);
+            registry.record_counters((minute + 1) * 60_000);
+        }
+    }
+
+    /// Five minutes, 912 events: three full index blocks and a partial
+    /// fourth.
+    fn three_and_a_half_blocks() -> Registry {
+        let mut registry = Registry::new();
+        record_minutes(&mut registry, 0, 5);
+        registry
+    }
+
     /// The legacy-layout bytes `tests/pinned_encodings.rs`'s sequence
     /// saved to under envelope format 2.
     const LEGACY_STATE: &[u8] = include_bytes!("../tests/fixtures/pinned_state_v2.bin");
@@ -1323,9 +1595,8 @@ mod tests {
 
     /// Loads `bytes` over a registry that already holds data and checks
     /// the decoder's contract: a failed load leaves the registry as it
-    /// was, and a successful one reserved no more records than the bytes
-    /// could hold (the smallest event takes 3 bytes). Returns whether the
-    /// load succeeded.
+    /// was, and a successful one keeps no more event bytes than the
+    /// section holds. Returns whether the load succeeded.
     fn load_checked(bytes: &[u8]) -> Result<bool, String> {
         let mut registry = Registry::new();
         registry.gauge_set("kept", 5, 1.0);
@@ -1333,10 +1604,10 @@ mod tests {
         let before = saved(&registry);
         match registry.load_state(&mut Reader::new(bytes)) {
             Ok(()) => {
-                let reserved = registry.log.records.capacity();
-                if reserved > bytes.len() / 3 {
+                let kept = registry.log.bytes.capacity();
+                if kept > bytes.len() {
                     return Err(format!(
-                        "reserved {reserved} records for {} bytes",
+                        "kept {kept} event bytes for a {}-byte section",
                         bytes.len()
                     ));
                 }
@@ -1372,19 +1643,78 @@ mod tests {
         let mut restored = Registry::new();
         restored.load_state(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(saved(&restored), bytes);
-        let records = &restored.log.records;
+        let events = events(&restored);
         let child = restored.keys.index["child"] as usize;
-        assert!(records.iter().any(|r| r.id() == child
-            && r.kind() == Kind::Span
-            && (r.t_ms, r.value, r.depth) == (9_000, 5, u32::MAX)));
+        assert!(events.contains(&Event {
+            kind: Kind::Span,
+            id: child,
+            t_ms: 9_000,
+            value: 5,
+            depth: u32::MAX,
+        }));
         let g = restored.keys.index["g"] as usize;
-        let gauge_bits: Vec<u64> = records
+        let gauge_bits: Vec<u64> = events
             .iter()
-            .filter(|r| r.id() == g)
-            .map(|r| r.value)
+            .filter(|event| event.id == g)
+            .map(|event| event.value)
             .collect();
         assert_eq!(gauge_bits, [(-0.0f64).to_bits(), 0x7ff8_dead_beef_0001]);
         assert_eq!(restored.log.dropped, 300);
+    }
+
+    #[test]
+    fn tapping_from_any_cursor_writes_the_tail_of_the_export() {
+        let registry = three_and_a_half_blocks();
+        let len = registry.events_len();
+        assert_eq!((registry.log.blocks.len(), len % BLOCK), (4, 144));
+        let full = jsonl(&registry);
+        let lines: Vec<&[u8]> = full.split_inclusive(|&b| b == b'\n').collect();
+        for from in 0..=len + 1 {
+            let mut page = Vec::new();
+            assert_eq!(registry.write_events_from(from, &mut page).unwrap(), len);
+            let tail = lines[from.min(len)..len].concat();
+            assert_eq!(page, tail, "cursor {from}");
+        }
+    }
+
+    #[test]
+    fn a_restored_log_records_on_like_an_uninterrupted_one() {
+        let mut uninterrupted = three_and_a_half_blocks();
+        let mut restored = Registry::new();
+        restored
+            .load_state(&mut Reader::new(&saved(&uninterrupted)))
+            .unwrap();
+        for registry in [&mut uninterrupted, &mut restored] {
+            record_minutes(registry, 7, 3);
+        }
+        assert!(restored.log.blocks.len() > 4);
+        assert_eq!(jsonl(&restored), jsonl(&uninterrupted));
+        assert_eq!(csv(&restored), csv(&uninterrupted));
+        assert_eq!(saved(&restored), saved(&uninterrupted));
+        let mut tap = Vec::new();
+        restored.write_events_from(5 * BLOCK + 3, &mut tap).unwrap();
+        let mut expected = Vec::new();
+        uninterrupted
+            .write_events_from(5 * BLOCK + 3, &mut expected)
+            .unwrap();
+        assert_eq!(tap, expected);
+    }
+
+    #[test]
+    fn an_overlong_varint_in_an_event_is_refused() {
+        // A counter event of key 0 whose value 7 is padded to two bytes.
+        let padded = keyed_section(1, 1, &[0, 0, 0x87, 0x00]);
+        assert_eq!(load_checked(&padded), Ok(false));
+        let err = Registry::new()
+            .load_state(&mut Reader::new(&padded))
+            .unwrap_err();
+        assert!(err.to_string().contains("overlong"), "{err}");
+        // The same in the time delta, and the canonical event loads.
+        assert_eq!(
+            load_checked(&keyed_section(1, 1, &[0, 0x80, 0, 7])),
+            Ok(false)
+        );
+        assert_eq!(load_checked(&keyed_section(1, 1, &[0, 0, 7])), Ok(true));
     }
 
     #[test]
@@ -1429,6 +1759,30 @@ mod tests {
     }
 
     proptest::proptest! {
+        #[test]
+        fn save_load_save_is_the_identity(
+            steps in proptest::collection::vec((0u8..4, 0u64..6, 0u64..1 << 40, 0u64..1 << 20), 0..600),
+        ) {
+            let mut registry = Registry::new();
+            let mut t_ms = 0u64;
+            for (op, key, value, dt) in steps {
+                // Time mostly moves forward, sometimes back a little.
+                t_ms = t_ms.wrapping_add(dt).wrapping_sub(dt % 3 * 1_000);
+                let name = format!("k{key}");
+                match op {
+                    0 => registry.gauge_set(name, t_ms, f64::from_bits(value.rotate_left(23))),
+                    1 => registry.span_complete(name, t_ms, value, (value % 5) as u32, 0),
+                    2 => registry.counter_add(name, value),
+                    _ => registry.record_counters(t_ms),
+                }
+            }
+            let bytes = saved(&registry);
+            let mut restored = Registry::new();
+            restored.load_state(&mut Reader::new(&bytes)).unwrap();
+            proptest::prop_assert_eq!(saved(&restored), bytes);
+            proptest::prop_assert_eq!(jsonl(&restored), jsonl(&registry));
+        }
+
         #[test]
         fn varints_and_zigzag_round_trip(value in 0u64..u64::MAX, shift in 0u64..64, delta in 0u64..u64::MAX) {
             let value = value >> shift;

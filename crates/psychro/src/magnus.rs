@@ -40,8 +40,9 @@ fn gamma(temperature: Celsius, relative_humidity: Percent) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if `relative_humidity` is not in `(0, 100]` — use
-/// [`dew_point_checked`] to handle untrusted input.
+/// Panics with the [`PsychroError`] text if `relative_humidity` is not in
+/// `(0, 100]` or `temperature` is outside the Magnus validity range of
+/// −45 °C to +60 °C — use [`dew_point_checked`] to handle untrusted input.
 ///
 /// # Example
 ///
@@ -54,8 +55,10 @@ fn gamma(temperature: Celsius, relative_humidity: Percent) -> f64 {
 /// ```
 #[must_use]
 pub fn dew_point(temperature: Celsius, relative_humidity: Percent) -> Celsius {
-    dew_point_checked(temperature, relative_humidity)
-        .expect("relative humidity must be in (0, 100]")
+    match dew_point_checked(temperature, relative_humidity) {
+        Ok(dew) => dew,
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// Fallible variant of [`dew_point`].
@@ -195,6 +198,12 @@ mod tests {
     #[should_panic(expected = "relative humidity")]
     fn panicking_variant_panics() {
         let _ = dew_point(Celsius::new(25.0), Percent::new(0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "Magnus validity range")]
+    fn panicking_variant_names_a_temperature_out_of_range() {
+        let _ = dew_point(Celsius::new(99.0), Percent::new(50.0));
     }
 
     #[test]

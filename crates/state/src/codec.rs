@@ -3,10 +3,11 @@
 //! Encoding rules: all integers are little-endian fixed width, `usize`
 //! travels as `u64`, `f64` travels as its IEEE-754 bit pattern (restored
 //! values are bit-identical, including negative zero and NaN payloads),
-//! strings and byte slices are length-prefixed, `Option` is a one-byte
-//! tag, and collections are a length followed by their elements in
-//! iteration order. There is no alignment and no padding, so the bytes a
-//! given value produces are a pure function of the value.
+//! strings are length-prefixed, a raw byte slice carries no prefix (its
+//! reader finds the end), `Option` is a one-byte tag, and collections are
+//! a length followed by their elements in iteration order. There is no
+//! alignment and no padding, so the bytes a given value produces are a
+//! pure function of the value.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -146,6 +147,12 @@ impl Writer {
         self.buf.extend_from_slice(v.as_bytes());
     }
 
+    /// Writes `bytes` as they are, with no length prefix: the reader must
+    /// know where they end.
+    pub fn put_raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Writes any [`Persist`] value.
     pub fn put<T: Persist>(&mut self, v: &T) {
         v.save(self);
@@ -195,7 +202,22 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn take_raw(&mut self, what: &'static str, n: usize) -> Result<&'a [u8], StateError> {
+    /// The bytes not yet consumed, without consuming them: a decoder that
+    /// finds its own end reads them and then takes what it used with
+    /// [`Reader::take_raw`].
+    #[must_use]
+    pub fn unread(&self) -> &'a [u8] {
+        &self.data[self.pos..]
+    }
+
+    /// Consumes the next `n` bytes and returns them, borrowed from the
+    /// buffer.
+    ///
+    /// # Errors
+    ///
+    /// [`StateError::UnexpectedEof`] naming `what` if fewer than `n` bytes
+    /// remain.
+    pub fn take_raw(&mut self, what: &'static str, n: usize) -> Result<&'a [u8], StateError> {
         if self.remaining() < n {
             return Err(StateError::UnexpectedEof {
                 what,

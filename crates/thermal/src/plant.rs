@@ -1024,6 +1024,17 @@ mod tests {
     }
 
     #[test]
+    fn bone_dry_air_dews_at_the_magnus_limit() {
+        let mut plant = lab();
+        let dry = AirState {
+            humidity_ratio: bz_psychro::KgPerKg::new(0.0),
+            ..plant.zones[0].state()
+        };
+        plant.zones[0] = Zone::new(plant.config.zone, dry);
+        assert_eq!(plant.zone_dew_point(SubspaceId::S1).get(), -243.12);
+    }
+
+    #[test]
     fn restore_rejects_air_outside_the_magnus_range() {
         let snapshot = |t: f64| {
             let mut source = lab();

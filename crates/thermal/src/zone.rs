@@ -10,7 +10,7 @@
 
 use bz_psychro::{
     dew_point, dry_air_density, humidity_ratio_from_dew_point,
-    relative_humidity_from_humidity_ratio, Celsius, KgPerKg, Percent, Ppm, CP_DRY_AIR,
+    relative_humidity_from_humidity_ratio, Celsius, KgPerKg, Percent, Ppm, CP_DRY_AIR, MAGNUS_A,
 };
 
 /// Identifier of one of the four equal subspaces of the laboratory.
@@ -109,7 +109,9 @@ impl AirState {
             .expect("zone humidity ratio is non-negative")
     }
 
-    /// Dew point implied by this state.
+    /// Dew point implied by this state. Bone-dry air, which a zone step
+    /// can produce by clamping its humidity ratio at 0, dews at −243.12 °C
+    /// (−[`MAGNUS_A`]): the Magnus formula's limit as RH falls to 0.
     #[must_use]
     pub fn dew_point(&self) -> Celsius {
         let rh = self.relative_humidity();
@@ -117,6 +119,8 @@ impl AirState {
         // temperature.
         if rh.get() >= 100.0 {
             self.temperature
+        } else if rh.get() <= 0.0 {
+            Celsius::new(-MAGNUS_A)
         } else {
             dew_point(self.temperature, rh)
         }
