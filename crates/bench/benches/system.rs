@@ -69,19 +69,24 @@ fn bench_closed_loop_minute(c: &mut Criterion) {
     });
     // The minute a trial tenant steps per request: an isolated, enabled
     // handle, a system past its pull-down, and the per-minute counter
-    // sample.
-    group.bench_function("telemetry_on", |b| {
-        let obs = bz_obs::Handle::isolated();
-        let mut system = BubbleZeroSystem::with_obs(
-            SystemConfig::paper_deployment(PlantConfig::bubble_zero_lab()),
-            obs.clone(),
-        );
-        system.run_seconds(10 * 60);
-        b.iter(|| {
-            system.run_seconds(60);
-            obs.record_counters(system.now().as_millis());
+    // sample. Its `telemetry_off` twin steps the same aged system with a
+    // disabled handle; the two means give the telemetry on/off ratio.
+    for (name, obs) in [
+        ("telemetry_on", bz_obs::Handle::isolated()),
+        ("telemetry_off", bz_obs::Handle::new()),
+    ] {
+        group.bench_function(name, |b| {
+            let mut system = BubbleZeroSystem::with_obs(
+                SystemConfig::paper_deployment(PlantConfig::bubble_zero_lab()),
+                obs.clone(),
+            );
+            system.run_seconds(10 * 60);
+            b.iter(|| {
+                system.run_seconds(60);
+                obs.record_counters(system.now().as_millis());
+            });
         });
-    });
+    }
     group.finish();
 }
 

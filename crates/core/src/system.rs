@@ -36,6 +36,10 @@ use crate::supervisor::{SensorHealthSupervisor, SupervisorConfig};
 use crate::targets::ComfortTargets;
 use crate::ventilation::{VentilationConfig, VentilationDecision};
 
+/// The per-panel safe-mode gauge keys, one per radiant panel, spelled out
+/// so a control tick builds no key text.
+const SAFE_MODE_KEYS: [&str; 2] = ["supervisor.safe_mode.panel0", "supervisor.safe_mode.panel1"];
+
 /// Transmission policy of the battery devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BtMode {
@@ -665,8 +669,11 @@ impl BubbleZeroSystem {
     /// last publish reaches the registry once per call, by the rules in
     /// `docs/OBSERVABILITY.md`.
     pub fn run_seconds(&mut self, steps: u64) {
+        // The spans of a second borrow this clone, not `self.obs`, so the
+        // second can mutate the system while they are open.
+        let obs = self.obs.clone();
         for _ in 0..steps {
-            self.advance_second();
+            self.advance_second(&obs);
         }
         self.publish_counters();
     }
@@ -700,9 +707,9 @@ impl BubbleZeroSystem {
     }
 
     /// One simulated second: device events, deliveries, the control
-    /// cycle and the plant.
-    fn advance_second(&mut self) {
-        let step_span = self.obs.span("core.step_second", self.now.as_millis());
+    /// cycle and the plant. `obs` is the system's own handle.
+    fn advance_second(&mut self, obs: &bz_obs::Handle) {
+        let step_span = obs.span("core.step_second", self.now.as_millis());
         let next = self.now + SimDuration::from_secs(1);
 
         // --- Device events (battery sampling, AC broadcasts) ---------------
@@ -769,10 +776,10 @@ impl BubbleZeroSystem {
 
         // --- Control cycle ----------------------------------------------------
         if self.now >= self.next_control {
-            let tick_span = self.obs.span("core.control_tick", self.now.as_millis());
+            let tick_span = obs.span("core.control_tick", self.now.as_millis());
             self.run_control_cycle();
             self.next_control = self.now + self.config.control_period;
-            self.obs.gauge_set(
+            obs.gauge_set(
                 "simcore.event_queue.depth",
                 self.now.as_millis(),
                 self.events.len() as f64,
@@ -1081,7 +1088,7 @@ impl BubbleZeroSystem {
             room_trusted,
         });
 
-        for panel in 0..2 {
+        for (panel, safe_mode_key) in SAFE_MODE_KEYS.into_iter().enumerate() {
             // Pipe sensors are wired straight into Control-C-1.
             let supply = self.plant.read_supply_temp();
             let ret = self.plant.read_return_temp(panel);
@@ -1108,13 +1115,11 @@ impl BubbleZeroSystem {
             self.commands.radiant[panel] = command;
             self.supervisor
                 .observe_applied_flow(panel, now_s, applied_flow);
-            if self.obs.is_enabled() {
-                self.obs.gauge_set(
-                    format!("supervisor.safe_mode.panel{panel}"),
-                    self.now.as_millis(),
-                    f64::from(u8::from(safe_mode)),
-                );
-            }
+            self.obs.gauge_set(
+                safe_mode_key,
+                self.now.as_millis(),
+                f64::from(u8::from(safe_mode)),
+            );
             self.last_radiant[panel] = Some(decision);
         }
         for s in 0..4 {

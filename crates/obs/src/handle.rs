@@ -46,38 +46,56 @@ pub struct Handle {
 #[derive(Debug)]
 struct Inner {
     enabled: AtomicBool,
+    /// Whether spans read the wall clock: true only for a handle whose
+    /// [`Handle::summary_table`] gets printed, the one consumer of wall
+    /// time.
+    wall_clock: bool,
     registry: Mutex<Registry>,
 }
 
 impl Handle {
-    fn with_enabled(enabled: bool) -> Self {
+    fn build(enabled: bool, wall_clock: bool) -> Self {
         Self {
             inner: Arc::new(Inner {
                 enabled: AtomicBool::new(enabled),
+                wall_clock,
                 registry: Mutex::new(Registry::new()),
             }),
         }
     }
 
     /// A fresh, empty, **disabled** handle (recording calls are no-ops
-    /// until [`Handle::enable`]).
+    /// until [`Handle::enable`]). Its spans record no wall time.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_enabled(false)
+        Self::build(false, false)
     }
 
     /// A fresh, empty, **enabled** handle — the per-run isolation
-    /// constructor used by the sweep runner and by tests.
+    /// constructor used by the sweep runner, serve tenants and tests. Its
+    /// spans record no wall time: nothing prints its summary table.
     #[must_use]
     pub fn isolated() -> Self {
-        Self::with_enabled(true)
+        Self::build(true, false)
     }
 
-    /// The process-global handle (created disabled on first use).
-    /// Components built without an explicit handle feed its registry.
+    /// A fresh, empty, **disabled** handle whose spans also time
+    /// themselves on the wall clock, for a registry whose
+    /// [`summary_table`](Self::summary_table) is printed. Every span then
+    /// pays two clock reads; the deterministic exports are the same
+    /// bytes either way.
+    #[must_use]
+    pub fn with_wall_clock() -> Self {
+        Self::build(false, true)
+    }
+
+    /// The process-global handle (created disabled on first use, with
+    /// the wall clock: `--metrics-out` and `BZ_METRICS_OUT` print its
+    /// summary table). Components built without an explicit handle feed
+    /// its registry.
     #[must_use]
     pub fn global() -> Self {
-        GLOBAL.get_or_init(Self::new).clone()
+        GLOBAL.get_or_init(Self::with_wall_clock).clone()
     }
 
     /// True if `self` and `other` share the same registry.
@@ -173,6 +191,23 @@ impl Handle {
         }
     }
 
+    /// Observes each `(value, times)` of `counted` `times` times into
+    /// histogram `name` over [`DEFAULT_BUCKETS`](crate::DEFAULT_BUCKETS),
+    /// under one lock: how an owner that counts its observations publishes
+    /// them. The histogram ends as one-at-a-time observes would leave it
+    /// only for whole-number values below 2^53, whose sums are exact.
+    pub fn observe_counted(
+        &self,
+        name: impl Into<MetricKey>,
+        counted: impl IntoIterator<Item = (f64, u64)>,
+    ) {
+        if self.is_enabled() {
+            self.with_registry(|registry| {
+                registry.observe_counted(name.into(), DEFAULT_BUCKETS, counted);
+            });
+        }
+    }
+
     /// Samples every counter as a timestamped event at simulation time
     /// `t_ms`. Call at a fixed simulated cadence (e.g. once per simulated
     /// minute) to put counter trajectories, not just totals, in the
@@ -187,9 +222,14 @@ impl Handle {
     /// recording into this handle's registry. Close it with
     /// [`SpanGuard::exit`]; see [`SpanGuard`] for drop semantics.
     #[must_use]
-    pub fn span(&self, name: impl Into<MetricKey>, sim_now_ms: u64) -> SpanGuard {
-        let sink = self.is_enabled().then(|| self.clone());
-        SpanGuard::enter(name.into(), sim_now_ms, sink)
+    pub fn span(&self, name: impl Into<MetricKey>, sim_now_ms: u64) -> SpanGuard<'_> {
+        SpanGuard::enter(name.into(), sim_now_ms, self.is_enabled().then_some(self))
+    }
+
+    /// Whether this handle's spans read the wall clock (see
+    /// [`Handle::with_wall_clock`]).
+    pub(crate) fn reads_wall_clock(&self) -> bool {
+        self.inner.wall_clock
     }
 
     /// An owned copy of the registry state.
@@ -212,6 +252,20 @@ impl Handle {
     #[must_use]
     pub fn events_len(&self) -> usize {
         self.with_registry(|registry| registry.events_len())
+    }
+
+    /// Whether the registry holds the key spelled `key` (see
+    /// [`Registry::has_key`]).
+    #[must_use]
+    pub fn has_key(&self, key: &str) -> bool {
+        self.with_registry(|registry| registry.has_key(key))
+    }
+
+    /// Number of distinct keys whose text starts with `prefix` (see
+    /// [`Registry::keys_with_prefix`]).
+    #[must_use]
+    pub fn keys_with_prefix(&self, prefix: &str) -> usize {
+        self.with_registry(|registry| registry.keys_with_prefix(prefix))
     }
 
     /// Writes buffered events from index `from` onward as JSONL lines and
@@ -355,6 +409,36 @@ mod tests {
         span.exit(250);
         assert_eq!(a.snapshot().spans["s"].sim_ms_total, 150);
         assert!(b.snapshot().spans.is_empty());
+    }
+
+    #[test]
+    fn only_a_handle_with_a_wall_clock_consumer_times_its_spans() {
+        let record = |handle: &Handle| {
+            let span = handle.span("core.step_second", 0);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            handle.gauge_set("thermal.chiller.radiant_w", 1_000, 2.5);
+            span.exit(1_000);
+            handle.counter_add("wsn.packets.sent", 3);
+            handle.record_counters(1_000);
+            handle.snapshot().spans["core.step_second"]
+        };
+        let untimed = Handle::isolated();
+        let timed = Handle::with_wall_clock();
+        timed.enable();
+        let (plain, clocked) = (record(&untimed), record(&timed));
+        assert_eq!((plain.wall_ns_total, plain.wall_ns_max), (0, 0));
+        assert!(clocked.wall_ns_total >= 1_000_000, "{clocked:?}");
+        assert!(clocked.wall_ns_max > 0);
+        assert_eq!(plain.count, clocked.count);
+        let bytes = |handle: &Handle| {
+            let (mut jsonl, mut csv) = (Vec::new(), Vec::new());
+            handle.write_jsonl(&mut jsonl).unwrap();
+            handle.write_csv(&mut csv).unwrap();
+            let mut w = bz_state::Writer::new();
+            handle.save_state(&mut w);
+            (jsonl, csv, w.into_bytes())
+        };
+        assert_eq!(bytes(&untimed), bytes(&timed));
     }
 
     #[test]

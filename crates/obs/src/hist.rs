@@ -113,9 +113,17 @@ impl FixedHistogram {
     /// Records one observation. Non-finite values are counted in the
     /// overflow bucket but excluded from `sum`/`min`/`max`.
     pub fn observe(&mut self, value: f64) {
-        self.count = self.count.saturating_add(1);
+        self.observe_times(value, 1);
+    }
+
+    /// Records `times` observations of `value`. The sum grows by
+    /// `value * times`, which equals `times` additions of `value` only
+    /// when every partial sum is exact in `f64`, as it is for whole
+    /// numbers below 2^53.
+    pub(crate) fn observe_times(&mut self, value: f64, times: u64) {
+        self.count = self.count.saturating_add(times);
         let slot = if value.is_finite() {
-            self.sum += value;
+            self.sum += value * times as f64;
             self.min = self.min.min(value);
             self.max = self.max.max(value);
             self.edges
@@ -125,7 +133,7 @@ impl FixedHistogram {
         } else {
             self.edges.len()
         };
-        self.counts[slot] = self.counts[slot].saturating_add(1);
+        self.counts[slot] = self.counts[slot].saturating_add(times);
     }
 }
 

@@ -33,6 +33,12 @@ impl MetricKey {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+
+    /// Whether the key is a `&'static str`, whose text never moves (see
+    /// the registry's key cache).
+    pub(crate) fn is_static(&self) -> bool {
+        matches!(self.0, Cow::Borrowed(_))
+    }
 }
 
 impl From<&'static str> for MetricKey {

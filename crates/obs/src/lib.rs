@@ -5,10 +5,12 @@
 //! `String` for per-entity keys like `wsn.node.21.sent` — and all keyed to
 //! the deterministic millisecond simulation clock rather than wall time:
 //!
-//! 1. **Spans** — [`Handle::span`] returns a guard; closing it with
-//!    [`SpanGuard::exit`] records both the simulated duration (exported,
-//!    deterministic) and the wall-clock duration (summary table only).
-//!    Spans nest; each records its depth at entry.
+//! 1. **Spans** — [`Handle::span`] returns a guard borrowing the handle;
+//!    closing it with [`SpanGuard::exit`] records the simulated duration
+//!    (exported, deterministic) and, on a handle made with
+//!    [`Handle::with_wall_clock`] such as [`Handle::global`], the
+//!    wall-clock duration (summary table only). Spans nest; each records
+//!    its depth at entry.
 //! 2. **Metrics registry** — saturating [counters](Handle::counter_add),
 //!    last-value [gauges](Handle::gauge_set), and fixed-bucket
 //!    [histograms](Handle::observe) borrowing the `bz-wsn` bucketing
@@ -29,7 +31,9 @@
 //!
 //! Collection is off by default and gated behind one relaxed atomic load,
 //! so fully instrumented hot paths cost nothing measurable when telemetry
-//! is disabled.
+//! is disabled. When it is on, a `'static` key resolves to its id by the
+//! address of its text, and only handles whose summary table is printed
+//! read the wall clock (`docs/OBSERVABILITY.md`, "What a record costs").
 //!
 //! # Example
 //!

@@ -3,7 +3,8 @@
 //!
 //! Storage is interned. A registry keeps one [`KeyTable`] entry per
 //! distinct key: the key text, its JSON-escaped form, and every aggregate
-//! recorded under it. The buffered event stream is one byte vector in the
+//! recorded under it. A hot key, `'static` or held by its caller, is found
+//! by the address of its text before the text index is walked. The buffered event stream is one byte vector in the
 //! coding of the keyed checkpoint layout: each event names its key by
 //! table id, its time as a delta from the event before, and its value as a
 //! varint, about 6.7 bytes for a trial tenant's mix. A checkpoint copies
@@ -14,6 +15,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Write};
+use std::ops::Bound;
 
 use bz_state::{Persist, Reader, StateError, Writer};
 
@@ -106,20 +108,28 @@ const MAX_EVENT_BYTES: usize = 30;
 /// at most `BLOCK - 1` events to reach its cursor.
 const BLOCK: usize = 256;
 
-/// Appends `event` to `out` in the keyed layout, its time a delta from
-/// `base_t_ms`: the one encoder of the event coding.
-fn encode_event(out: &mut Vec<u8>, event: Event, base_t_ms: u64) {
+/// Writes `event` to the front of `out` in the keyed layout, its time a
+/// delta from `base_t_ms`, and returns its length: the one encoder of the
+/// event coding. A fixed-size slice, not a `Vec`, so no byte pays a
+/// capacity check.
+fn encode_event(out: &mut [u8; MAX_EVENT_BYTES], event: Event, base_t_ms: u64) -> usize {
+    let mut len = 0;
+    let mut emit = |byte| {
+        out[len] = byte;
+        len += 1;
+    };
     let delta = event.t_ms.wrapping_sub(base_t_ms) as i64;
-    encode_varint((event.id as u64) << 2 | event.kind as u64, |b| out.push(b));
-    encode_varint(zigzag(delta), |b| out.push(b));
+    encode_varint((event.id as u64) << 2 | event.kind as u64, &mut emit);
+    encode_varint(zigzag(delta), &mut emit);
     match event.kind {
-        Kind::Counter => encode_varint(event.value, |b| out.push(b)),
-        Kind::Gauge => out.extend_from_slice(&event.value.to_le_bytes()),
+        Kind::Counter => encode_varint(event.value, &mut emit),
+        Kind::Gauge => event.value.to_le_bytes().into_iter().for_each(&mut emit),
         Kind::Span => {
-            encode_varint(event.value, |b| out.push(b));
-            encode_varint(u64::from(event.depth), |b| out.push(b));
+            encode_varint(event.value, &mut emit);
+            encode_varint(u64::from(event.depth), &mut emit);
         }
     }
+    len
 }
 
 /// Emits `value` as a LEB128 varint: seven bits a byte, low bits first,
@@ -332,11 +342,67 @@ struct KeyTable {
     index: BTreeMap<MetricKey, u32>,
     /// Keys and aggregates by id.
     slots: Vec<Slot>,
+    /// Ids, plus one (0 is an empty entry), of `'static` keys and of keys
+    /// their callers hold across records (see
+    /// [`Registry::counter_add_ref`]), at a hash of the address of their
+    /// text: a hot key resolves with one probe and one text comparison,
+    /// not a walk of `index`. One fixed block, made at the first such
+    /// lookup, so it never regrows. It belongs to the table, so a load or
+    /// reset that replaces the table drops it too.
+    by_addr: Option<Box<[u32; ADDR_ENTRIES]>>,
 }
 
+/// Entries of [`KeyTable::by_addr`], a power of two: room for a tenant's
+/// few dozen hot keys at under half load.
+const ADDR_ENTRIES: usize = 128;
+
+/// Entries a lookup reads, from the one its address hashes to; a key
+/// that finds none free overwrites the first.
+const ADDR_PROBES: usize = 4;
+
 impl KeyTable {
-    /// The id of `key`, interning a clone of it on first use.
+    /// The id of `key`, interning a clone of it on first use. A `'static`
+    /// key is looked up by address first, as a held one is.
     fn id(&mut self, key: &MetricKey) -> usize {
+        if key.is_static() {
+            self.id_by_addr(key)
+        } else {
+            self.id_by_text(key)
+        }
+    }
+
+    /// The id of `key`, whose text stays at one address across records:
+    /// looked up in [`KeyTable::by_addr`], and a hit is checked against
+    /// the text, since another key may hash to the entry or, once this
+    /// one is dropped, come back at its address.
+    fn id_by_addr(&mut self, key: &MetricKey) -> usize {
+        let addr = key.as_ptr() as u64;
+        let home = (addr.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 57) as usize;
+        let probes = (home..home + ADDR_PROBES).map(|at| at % ADDR_ENTRIES);
+        let entries = self
+            .by_addr
+            .get_or_insert_with(|| Box::new([0; ADDR_ENTRIES]));
+        let mut free = home;
+        for at in probes {
+            match entries[at].checked_sub(1) {
+                Some(id) if self.slots[id as usize].key.as_str() == key.as_str() => {
+                    return id as usize;
+                }
+                Some(_) => {}
+                None => {
+                    free = at;
+                    break;
+                }
+            }
+        }
+        let id = self.id_by_text(key);
+        if let Some(entries) = &mut self.by_addr {
+            entries[free] = id as u32 + 1;
+        }
+        id
+    }
+
+    fn id_by_text(&mut self, key: &MetricKey) -> usize {
         match self.index.get(key) {
             Some(&id) => id as usize,
             None => self.insert(key.clone()),
@@ -562,7 +628,13 @@ impl EventLog {
             // small. The event then fits without a second growth.
             self.bytes.reserve_exact((self.bytes.len() / 4).max(1024));
         }
-        encode_event(&mut self.bytes, event, self.last_t_ms);
+        let start = self.bytes.len();
+        self.bytes.resize(start + MAX_EVENT_BYTES, 0);
+        let tail = (&mut self.bytes[start..])
+            .try_into()
+            .expect("the tail is MAX_EVENT_BYTES long");
+        let len = encode_event(tail, event, self.last_t_ms);
+        self.bytes.truncate(start + len);
         self.last_t_ms = event.t_ms;
         self.len += 1;
     }
@@ -715,14 +787,20 @@ impl Registry {
 
     /// Adds `delta` to the counter `name`, saturating at `u64::MAX`.
     pub fn counter_add(&mut self, name: impl Into<MetricKey>, delta: u64) {
-        self.counter_add_ref(&name.into(), delta);
+        let id = self.keys.id(&name.into());
+        self.add_to_counter(id, delta);
     }
 
     /// [`counter_add`](Self::counter_add) by reference: the key is cloned
     /// only if the registry has never seen it, so repeated updates against
-    /// a caller-held per-entity key never allocate.
+    /// a caller-held per-entity key never allocate, and its id is cached
+    /// by the key's address.
     pub fn counter_add_ref(&mut self, name: &MetricKey, delta: u64) {
-        let id = self.keys.id(name);
+        let id = self.keys.id_by_addr(name);
+        self.add_to_counter(id, delta);
+    }
+
+    fn add_to_counter(&mut self, id: usize, delta: u64) {
         let slot = self.keys.slots[id].counter.get_or_insert(0);
         *slot = slot.saturating_add(delta);
     }
@@ -749,6 +827,27 @@ impl Registry {
             .histogram
             .get_or_insert_with(|| Box::new(FixedHistogram::new(buckets)))
             .observe(value);
+    }
+
+    /// Observes `value` `times` times into histogram `name` for each
+    /// `(value, times)` of `counted`, creating it over `buckets` on first
+    /// use: one key lookup for a batch its owner counted. The sum equals
+    /// that of one-at-a-time observes, in any order, only when every
+    /// partial sum is exact in `f64`, as it is for whole numbers below
+    /// 2^53.
+    pub fn observe_counted(
+        &mut self,
+        name: impl Into<MetricKey>,
+        buckets: &'static [f64],
+        counted: impl IntoIterator<Item = (f64, u64)>,
+    ) {
+        let id = self.keys.id(&name.into());
+        let histogram = self.keys.slots[id]
+            .histogram
+            .get_or_insert_with(|| Box::new(FixedHistogram::new(buckets)));
+        for (value, times) in counted {
+            histogram.observe_times(value, times);
+        }
     }
 
     /// Records a completed span occurrence.
@@ -820,6 +919,22 @@ impl Registry {
             write_event_line(&mut out, &self.keys, event)?;
         }
         Ok(self.log.len)
+    }
+
+    /// Whether the registry holds the key spelled `key`.
+    #[must_use]
+    pub fn has_key(&self, key: &str) -> bool {
+        self.keys.index.contains_key(key)
+    }
+
+    /// Number of distinct keys whose text starts with `prefix`.
+    #[must_use]
+    pub fn keys_with_prefix(&self, prefix: &str) -> usize {
+        self.keys
+            .index
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(key, _)| key.starts_with(prefix))
+            .count()
     }
 
     /// An owned copy of the aggregates, as key-sorted maps.
@@ -1698,6 +1813,46 @@ mod tests {
             .write_events_from(5 * BLOCK + 3, &mut expected)
             .unwrap();
         assert_eq!(tap, expected);
+    }
+
+    #[test]
+    fn a_load_or_reset_drops_the_cached_ids_of_static_keys() {
+        // Keys of one length, so an id cached for one key would pass for
+        // another's.
+        let record = |registry: &mut Registry, order: [&'static str; 3], t_ms: u64| {
+            for key in order {
+                registry.gauge_set(key, t_ms, t_ms as f64);
+                registry.span_complete(key, t_ms, 5, 0, 0);
+                registry.counter_add(key, 1);
+            }
+            registry.record_counters(t_ms);
+        };
+        let check = |cached: &Registry, fresh: &Registry| {
+            assert_eq!(jsonl(cached), jsonl(fresh));
+            assert_eq!(csv(cached), csv(fresh));
+            assert_eq!(saved(cached), saved(fresh));
+        };
+        // A checkpoint whose key table gives the keys other ids.
+        let mut other = Registry::new();
+        record(&mut other, ["k.c", "k.b", "k.a"], 500);
+        let checkpoint = saved(&other);
+
+        let mut cached = Registry::new();
+        record(&mut cached, ["k.a", "k.b", "k.c"], 1_000);
+        cached.load_state(&mut Reader::new(&checkpoint)).unwrap();
+        let mut fresh = Registry::new();
+        fresh.load_state(&mut Reader::new(&checkpoint)).unwrap();
+        for registry in [&mut cached, &mut fresh] {
+            record(registry, ["k.a", "k.b", "k.c"], 2_000);
+        }
+        check(&cached, &fresh);
+
+        cached.reset();
+        let mut fresh = Registry::new();
+        for registry in [&mut cached, &mut fresh] {
+            record(registry, ["k.b", "k.c", "k.a"], 3_000);
+        }
+        check(&cached, &fresh);
     }
 
     #[test]

@@ -16,27 +16,32 @@ thread_local! {
 
 /// RAII guard for one span occurrence, created by [`Handle::span`].
 ///
-/// Call [`SpanGuard::exit`] with the current simulation time to record both
-/// the wall-clock and simulated durations. If the guard is instead dropped
-/// (early return, panic unwinding), the span is still recorded with a
-/// simulated duration of zero, so span counts stay truthful even on error
-/// paths.
+/// Call [`SpanGuard::exit`] with the current simulation time to record the
+/// simulated duration, and the wall-clock one on a handle that reads the
+/// wall clock (see [`Handle::with_wall_clock`]). If the guard is instead
+/// dropped (early return, panic unwinding), the span is still recorded
+/// with a simulated duration of zero, so span counts stay truthful even on
+/// error paths.
+///
+/// The guard borrows the handle it records into, so opening a span
+/// clones nothing; a caller whose span must outlive a `&mut self` call
+/// opens it on a handle clone taken once outside the hot loop.
 #[derive(Debug)]
-pub struct SpanGuard {
+pub struct SpanGuard<'a> {
     name: MetricKey,
-    /// Wall-clock entry instant; `None` for disabled guards, which skip
-    /// the clock read entirely — a disabled span must cost nothing on
-    /// the simulation hot path.
+    /// Wall-clock entry instant; `None` for disabled guards and for
+    /// handles without a wall-clock consumer, which skip the clock reads
+    /// (about 40 ns each) and record a wall time of zero.
     wall_start: Option<Instant>,
     sim_start_ms: u64,
     depth: u32,
-    /// The registry to record into; `None` for guards minted while
+    /// The handle to record into; `None` for guards minted while
     /// telemetry was disabled, whose exits are no-ops.
-    sink: Option<Handle>,
+    sink: Option<&'a Handle>,
 }
 
-impl SpanGuard {
-    pub(crate) fn enter(name: MetricKey, sim_now_ms: u64, sink: Option<Handle>) -> Self {
+impl<'a> SpanGuard<'a> {
+    pub(crate) fn enter(name: MetricKey, sim_now_ms: u64, sink: Option<&'a Handle>) -> Self {
         let depth = if sink.is_some() {
             DEPTH.with(|d| {
                 let depth = d.get();
@@ -48,7 +53,9 @@ impl SpanGuard {
         };
         Self {
             name,
-            wall_start: sink.is_some().then(Instant::now),
+            wall_start: sink
+                .is_some_and(Handle::reads_wall_clock)
+                .then(Instant::now),
             sim_start_ms: sim_now_ms,
             depth,
             sink,
@@ -76,7 +83,7 @@ impl SpanGuard {
     }
 }
 
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         // Fallback for guards not closed with `exit`: the simulated
         // duration is unknown at drop time, so record it as zero.

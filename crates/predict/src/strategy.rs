@@ -367,7 +367,9 @@ impl ControlStrategy for MpcStrategy {
                 .observe(s, inputs.now_s, inputs.occupancy[s]);
         }
 
-        let identify_span = self.obs.span("mpc.identify", now_ms);
+        // The span borrows a clone: `identify` takes `&mut self`.
+        let obs = self.obs.clone();
+        let identify_span = obs.span("mpc.identify", now_ms);
         self.identify(inputs);
         identify_span.exit(now_ms);
 

@@ -411,11 +411,23 @@ fn tenant_action(method: &str, action: &str, request: &Request, tenant: &Tenant)
             let Some(name) = doc.field("name").and_then(bz_core::json::Json::as_str) else {
                 return Response::error(400, "missing string field 'name'");
             };
+            if !crate::tenants::valid_name(name) {
+                return Response::error(400, "'name' must be 1-128 chars of [A-Za-z0-9._-]");
+            }
             let Some(value) = doc.field("value").and_then(bz_core::json::Json::as_f64) else {
                 return Response::error(400, "missing number field 'value'");
             };
-            let now_ms = tenant.ingest(name, value);
-            Response::json(200, format!("{{\"ok\":true,\"now_ms\":{now_ms}}}"))
+            match tenant.ingest(name, value) {
+                Some(now_ms) => Response::json(200, format!("{{\"ok\":true,\"now_ms\":{now_ms}}}")),
+                None => Response::error(
+                    409,
+                    &format!(
+                        "tenant '{}' already records {} ingest names; '{name}' is not one",
+                        tenant.name,
+                        crate::tenants::MAX_INGEST_NAMES
+                    ),
+                ),
+            }
         }
         ("GET", "setpoints") => match tenant.readback() {
             Some(readback) => Response::json(200, readback_json(&readback)),

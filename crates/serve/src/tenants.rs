@@ -38,6 +38,21 @@ pub const CHECKPOINT_KIND: &str = "serve";
 /// on their shard's read lock, never on one global map lock.
 const SHARD_COUNT: usize = 64;
 
+/// Most distinct `ingest.<name>` gauges one tenant records: above the 38
+/// sensors of the paper's deployment, and small enough that ingest cannot
+/// grow a tenant's registry and snapshot without bound.
+pub const MAX_INGEST_NAMES: usize = 64;
+
+/// Whether `name` is 1-128 characters of `[A-Za-z0-9._-]`: the rule for
+/// tenant names and ingest names.
+#[must_use]
+pub fn valid_name(name: &str) -> bool {
+    (1..=128).contains(&name.len())
+        && name
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
+}
+
 /// A failed tenant-create request, with the HTTP status it maps to.
 #[derive(Debug)]
 pub struct CreateError {
@@ -147,11 +162,18 @@ impl Tenant {
     /// returns that time. Ingest is telemetry-only: it never perturbs the
     /// control loop, so the tenant stays byte-identical to the offline
     /// run given the same observations at the same simulated instants.
-    pub fn ingest(&self, name: &str, value: f64) -> u64 {
+    /// Returns `None`, recording nothing, for a new name once the tenant
+    /// holds [`MAX_INGEST_NAMES`] of them. Callers check `name` with
+    /// [`valid_name`] first.
+    pub fn ingest(&self, name: &str, value: f64) -> Option<u64> {
         self.with_session(|s| {
+            let key = format!("ingest.{name}");
+            if !self.obs.has_key(&key) && self.obs.keys_with_prefix("ingest.") >= MAX_INGEST_NAMES {
+                return None;
+            }
             let now_ms = s.now_ms();
-            self.obs.gauge_set(format!("ingest.{name}"), now_ms, value);
-            now_ms
+            self.obs.gauge_set(key, now_ms, value);
+            Some(now_ms)
         })
     }
 
@@ -268,12 +290,7 @@ pub fn build_tenant(body: &str) -> Result<Tenant, CreateError> {
         .and_then(Json::as_str)
         .ok_or_else(|| CreateError::bad("missing string field 'name'"))?
         .to_owned();
-    if name.is_empty()
-        || name.len() > 128
-        || !name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
-    {
+    if !valid_name(&name) {
         return Err(CreateError::bad(
             "'name' must be 1-128 chars of [A-Za-z0-9._-]",
         ));
@@ -730,7 +747,7 @@ mod tests {
     fn ingest_is_telemetry_only() {
         let tenant = trial_tenant("t", 7, 2);
         tenant.step_minutes(1);
-        assert_eq!(tenant.ingest("room.temp_c", 24.0), 60_000);
+        assert_eq!(tenant.ingest("room.temp_c", 24.0), Some(60_000));
         assert_eq!(tenant.obs.snapshot().gauges["ingest.room.temp_c"], 24.0);
     }
 }

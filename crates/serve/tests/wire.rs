@@ -357,6 +357,87 @@ fn unknown_routes_and_tenants_are_clean_errors() {
     server.stop();
 }
 
+/// Posts one reading named `name` to tenant `tenant`'s observe route.
+fn observe(client: &mut Client, tenant: &str, name: &str, value: f64) -> (u16, String) {
+    let body = format!("{{\"name\":\"{name}\",\"value\":{value}}}");
+    let reply = client
+        .request(
+            "POST",
+            &format!("/tenants/{tenant}/observe"),
+            body.as_bytes(),
+        )
+        .unwrap();
+    (reply.status, reply.text())
+}
+
+#[test]
+fn an_ingested_reading_is_a_gauge_at_the_tenant_clock() {
+    let server = start(ServeConfig::default());
+    let mut client = server.client();
+    client
+        .post_ok("/tenants", r#"{"name":"i","minutes":3}"#)
+        .unwrap();
+    client
+        .post_ok("/tenants/i/step", r#"{"minutes":1}"#)
+        .unwrap();
+    let (status, body) = observe(&mut client, "i", "room.temp_c", 24.5);
+    assert_eq!(
+        (status, body.as_str()),
+        (200, r#"{"ok":true,"now_ms":60000}"#)
+    );
+    let metrics = client.get_ok("/tenants/i/metrics").unwrap().text();
+    assert!(
+        metrics.contains(
+            "{\"kind\":\"gauge\",\"name\":\"ingest.room.temp_c\",\"t_ms\":60000,\"value\":24.5}\n"
+        ),
+        "{metrics}"
+    );
+    server.stop();
+}
+
+#[test]
+fn an_ingest_name_outside_the_tenant_name_rule_is_refused() {
+    let server = start(ServeConfig::default());
+    let mut client = server.client();
+    client
+        .post_ok("/tenants", r#"{"name":"i","minutes":3}"#)
+        .unwrap();
+    let too_long = "n".repeat(129);
+    for name in ["", "room temp", "room/temp", "t\\u00e9", too_long.as_str()] {
+        let (status, body) = observe(&mut client, "i", name, 1.0);
+        assert_eq!(status, 400, "{name:?}: {body}");
+        assert!(body.contains("1-128 chars"), "{body}");
+    }
+    let metrics = client.get_ok("/tenants/i/metrics").unwrap().text();
+    assert!(!metrics.contains("ingest."), "{metrics}");
+    let longest = "n".repeat(128);
+    assert_eq!(observe(&mut client, "i", &longest, 1.0).0, 200);
+    server.stop();
+}
+
+#[test]
+fn a_new_ingest_name_past_the_cap_is_refused() {
+    let server = start(ServeConfig::default());
+    let mut client = server.client();
+    client
+        .post_ok("/tenants", r#"{"name":"i","minutes":3}"#)
+        .unwrap();
+    for n in 0..bz_serve::tenants::MAX_INGEST_NAMES {
+        assert_eq!(observe(&mut client, "i", &format!("s{n}"), 1.0).0, 200);
+    }
+    let (status, body) = observe(&mut client, "i", "one.more", 1.0);
+    assert_eq!(status, 409, "{body}");
+    // A name the tenant already records is still accepted.
+    assert_eq!(observe(&mut client, "i", "s7", 2.0).0, 200);
+    let metrics = client.get_ok("/tenants/i/metrics").unwrap().text();
+    assert!(!metrics.contains("one.more"), "{metrics}");
+    assert_eq!(
+        metrics.matches("\"kind\":\"gauge_last\"").count(),
+        bz_serve::tenants::MAX_INGEST_NAMES
+    );
+    server.stop();
+}
+
 #[test]
 fn documents_that_would_panic_or_clamp_are_refused() {
     // Each used to be accepted: the seed rounded to 2^53, the minutes

@@ -129,6 +129,61 @@ struct Flight {
     faded: bool,
 }
 
+/// Delays below this many milliseconds are counted in
+/// [`PendingDelays::per_ms`]; the channel's delays stay under 40 ms.
+const TALLIED_DELAY_MS: usize = 48;
+
+/// Delivery delays not yet in the `wsn.delivery_delay_ms` histogram,
+/// counted per whole millisecond, so a delivery costs an increment and
+/// [`Network::publish_counters`] adds them under one registry lock. The
+/// first delay after each publish is recorded at once, so the histogram's
+/// key still gets its id at the first delivery; so is a delay past the
+/// tally. Whole milliseconds keep the histogram's sum exact in any order.
+#[derive(Debug, Clone)]
+struct PendingDelays {
+    /// Deliveries per delay in ms, since the last publish.
+    per_ms: [u16; TALLIED_DELAY_MS],
+    /// Whether a delay was recorded since the last publish.
+    any: bool,
+}
+
+impl PendingDelays {
+    const KEY: &'static str = "wsn.delivery_delay_ms";
+
+    fn new() -> Self {
+        Self {
+            per_ms: [0; TALLIED_DELAY_MS],
+            any: false,
+        }
+    }
+
+    fn record(&mut self, obs: &bz_obs::Handle, delay_ms: u64) {
+        if !obs.is_enabled() {
+            return;
+        }
+        if self.any {
+            let tally = usize::try_from(delay_ms)
+                .ok()
+                .and_then(|ms| self.per_ms.get_mut(ms));
+            if let Some(count) = tally.filter(|count| **count < u16::MAX) {
+                *count += 1;
+                return;
+            }
+        }
+        self.any = true;
+        obs.observe(Self::KEY, delay_ms as f64);
+    }
+
+    fn publish(&mut self, obs: &bz_obs::Handle) {
+        if !std::mem::take(&mut self.any) {
+            return;
+        }
+        let counted = self.per_ms.iter().enumerate().filter(|(_, &n)| n > 0);
+        obs.observe_counted(Self::KEY, counted.map(|(ms, &n)| (ms as f64, u64::from(n))));
+        self.per_ms = [0; TALLIED_DELAY_MS];
+    }
+}
+
 /// The broadcast network.
 ///
 /// Use [`Network::send`] to offer frames and [`Network::advance`] to move
@@ -144,6 +199,8 @@ pub struct Network {
     failures: Vec<(Message, TxFailure)>,
     faults: WsnFaultSchedule,
     obs: bz_obs::Handle,
+    /// Delivery delays since the last [`Network::publish_counters`].
+    delays: PendingDelays,
     /// Reused scratch for the frames completing in one `advance` call,
     /// so steady-state advancing allocates nothing.
     done_buf: Vec<Flight>,
@@ -163,6 +220,7 @@ impl Network {
             failures: Vec::new(),
             faults: WsnFaultSchedule::none(),
             obs: bz_obs::Handle::global(),
+            delays: PendingDelays::new(),
             done_buf: Vec::new(),
         }
     }
@@ -306,8 +364,7 @@ impl Network {
             } else {
                 let delay = f.end.since(f.requested);
                 self.stats.delivered += 1;
-                self.obs
-                    .observe("wsn.delivery_delay_ms", delay.as_millis() as f64);
+                self.delays.record(&self.obs, delay.as_millis());
                 self.stats.total_delay_ms += delay.as_millis();
                 self.stats.max_delay_ms = self.stats.max_delay_ms.max(delay.as_millis());
                 out.push(Delivery {
@@ -327,11 +384,13 @@ impl Network {
     }
 
     /// Adds the growth of the packet statistics since the last publish to
-    /// the `wsn.packets.*` and `wsn.backoffs` counters. The statistics are
-    /// the counts, so sending and resolving a frame never touches the
-    /// registry. A count that has not grown is not published, so a counter
-    /// still appears only after its first frame.
+    /// the `wsn.packets.*` and `wsn.backoffs` counters, and the delivery
+    /// delays counted since to the `wsn.delivery_delay_ms` histogram. The
+    /// statistics are the counts, so sending and resolving a frame never
+    /// touches the registry. A count that has not grown is not published,
+    /// so a counter still appears only after its first frame.
     pub fn publish_counters(&mut self) {
+        self.delays.publish(&self.obs);
         let (now, was) = (&self.stats, &self.published);
         for (key, now, was) in [
             ("wsn.packets.sent", now.offered, was.offered),
@@ -382,6 +441,7 @@ impl Network {
         self.stats = Persist::load(r)?;
         self.published = self.stats;
         self.failures = Persist::load(r)?;
+        self.delays = PendingDelays::new();
         self.done_buf.clear();
         Ok(())
     }
