@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use bz_core::system::{BubbleZeroSystem, SystemConfig};
 use bz_psychro::Volts;
@@ -69,25 +70,50 @@ fn bench_closed_loop_minute(c: &mut Criterion) {
     });
     // The minute a trial tenant steps per request: an isolated, enabled
     // handle, a system past its pull-down, and the per-minute counter
-    // sample. Its `telemetry_off` twin steps the same aged system with a
-    // disabled handle; the two means give the telemetry on/off ratio.
-    for (name, obs) in [
-        ("telemetry_on", bz_obs::Handle::isolated()),
-        ("telemetry_off", bz_obs::Handle::new()),
-    ] {
+    // sample. Its `telemetry_off` twin is the same system with a disabled
+    // handle. Each twin steps both systems a minute in turn, so the two
+    // stay the same age, and reports its own minutes. Their Criterion
+    // means come from different stretches of host time; the on/off ratio
+    // printed after them sums every minute of both, each run next to its
+    // twin, so it is the one to read.
+    let aged = |obs: bz_obs::Handle| {
+        let mut system = BubbleZeroSystem::with_obs(
+            SystemConfig::paper_deployment(PlantConfig::bubble_zero_lab()),
+            obs,
+        );
+        system.run_seconds(10 * 60);
+        system
+    };
+    let mut systems = [
+        aged(bz_obs::Handle::isolated()),
+        aged(bz_obs::Handle::new()),
+    ];
+    let mut totals = [Duration::ZERO; 2];
+    for (reported, name) in ["telemetry_on", "telemetry_off"].into_iter().enumerate() {
         group.bench_function(name, |b| {
-            let mut system = BubbleZeroSystem::with_obs(
-                SystemConfig::paper_deployment(PlantConfig::bubble_zero_lab()),
-                obs.clone(),
-            );
-            system.run_seconds(10 * 60);
-            b.iter(|| {
-                system.run_seconds(60);
-                obs.record_counters(system.now().as_millis());
+            b.iter_custom(|iters| {
+                let mut spent = [Duration::ZERO; 2];
+                for i in 0..iters {
+                    let first = (i % 2) as usize;
+                    for variant in [first, 1 - first] {
+                        let system = &mut systems[variant];
+                        let start = Instant::now();
+                        system.run_seconds(60);
+                        system.obs().record_counters(system.now().as_millis());
+                        spent[variant] += start.elapsed();
+                    }
+                }
+                totals[0] += spent[0];
+                totals[1] += spent[1];
+                spent[reported]
             });
         });
     }
     group.finish();
+    println!(
+        "system/closed_loop_minute: telemetry on/off {:.3}x over interleaved minutes",
+        totals[0].as_secs_f64() / totals[1].as_secs_f64()
+    );
 }
 
 criterion_group!(

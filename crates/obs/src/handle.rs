@@ -46,9 +46,9 @@ pub struct Handle {
 #[derive(Debug)]
 struct Inner {
     enabled: AtomicBool,
-    /// Whether spans read the wall clock: true only for a handle whose
-    /// [`Handle::summary_table`] gets printed, the one consumer of wall
-    /// time.
+    /// Whether spans read the wall clock: true only for
+    /// [`Handle::global`], whose [`Handle::summary_table`] gets printed,
+    /// the one consumer of wall time.
     wall_clock: bool,
     registry: Mutex<Registry>,
 }
@@ -79,23 +79,15 @@ impl Handle {
         Self::build(true, false)
     }
 
-    /// A fresh, empty, **disabled** handle whose spans also time
-    /// themselves on the wall clock, for a registry whose
-    /// [`summary_table`](Self::summary_table) is printed. Every span then
-    /// pays two clock reads; the deterministic exports are the same
-    /// bytes either way.
-    #[must_use]
-    pub fn with_wall_clock() -> Self {
-        Self::build(false, true)
-    }
-
-    /// The process-global handle (created disabled on first use, with
-    /// the wall clock: `--metrics-out` and `BZ_METRICS_OUT` print its
-    /// summary table). Components built without an explicit handle feed
-    /// its registry.
+    /// The process-global handle (created disabled on first use).
+    /// Components built without an explicit handle feed its registry.
+    /// It is the one handle whose spans also time themselves on the wall
+    /// clock: `--metrics-out` and `BZ_METRICS_OUT` print its
+    /// [`summary_table`](Self::summary_table), the one consumer of wall
+    /// time. The deterministic exports are the same bytes either way.
     #[must_use]
     pub fn global() -> Self {
-        GLOBAL.get_or_init(Self::with_wall_clock).clone()
+        GLOBAL.get_or_init(|| Self::build(false, true)).clone()
     }
 
     /// True if `self` and `other` share the same registry.
@@ -226,8 +218,8 @@ impl Handle {
         SpanGuard::enter(name.into(), sim_now_ms, self.is_enabled().then_some(self))
     }
 
-    /// Whether this handle's spans read the wall clock (see
-    /// [`Handle::with_wall_clock`]).
+    /// Whether this handle's spans read the wall clock: only
+    /// [`Handle::global`]'s do.
     pub(crate) fn reads_wall_clock(&self) -> bool {
         self.inner.wall_clock
     }
@@ -422,9 +414,9 @@ mod tests {
             handle.record_counters(1_000);
             handle.snapshot().spans["core.step_second"]
         };
+        // Built apart from `Handle::global()`, which other tests share.
         let untimed = Handle::isolated();
-        let timed = Handle::with_wall_clock();
-        timed.enable();
+        let timed = Handle::build(true, true);
         let (plain, clocked) = (record(&untimed), record(&timed));
         assert_eq!((plain.wall_ns_total, plain.wall_ns_max), (0, 0));
         assert!(clocked.wall_ns_total >= 1_000_000, "{clocked:?}");

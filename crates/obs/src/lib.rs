@@ -7,8 +7,7 @@
 //!
 //! 1. **Spans** — [`Handle::span`] returns a guard borrowing the handle;
 //!    closing it with [`SpanGuard::exit`] records the simulated duration
-//!    (exported, deterministic) and, on a handle made with
-//!    [`Handle::with_wall_clock`] such as [`Handle::global`], the
+//!    (exported, deterministic) and, on [`Handle::global`], the
 //!    wall-clock duration (summary table only). Spans nest; each records
 //!    its depth at entry.
 //! 2. **Metrics registry** — saturating [counters](Handle::counter_add),
@@ -32,8 +31,9 @@
 //! Collection is off by default and gated behind one relaxed atomic load,
 //! so fully instrumented hot paths cost nothing measurable when telemetry
 //! is disabled. When it is on, a `'static` key resolves to its id by the
-//! address of its text, and only handles whose summary table is printed
-//! read the wall clock (`docs/OBSERVABILITY.md`, "What a record costs").
+//! address of its text, and only the global handle, whose summary table
+//! is printed, reads the wall clock (`docs/OBSERVABILITY.md`, "What a
+//! record costs").
 //!
 //! # Example
 //!

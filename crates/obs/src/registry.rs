@@ -3,14 +3,15 @@
 //!
 //! Storage is interned. A registry keeps one [`KeyTable`] entry per
 //! distinct key: the key text, its JSON-escaped form, and every aggregate
-//! recorded under it. A hot key, `'static` or held by its caller, is found
-//! by the address of its text before the text index is walked. The buffered event stream is one byte vector in the
+//! recorded under it. The buffered event stream is one byte vector in the
 //! coding of the keyed checkpoint layout: each event names its key by
 //! table id, its time as a delta from the event before, and its value as a
 //! varint, about 6.7 bytes for a trial tenant's mix. A checkpoint copies
 //! those bytes and a restore keeps the bytes it validated. Beside them an
 //! index holds one entry per [`BLOCK`] events, so the tap seeks to a cursor
 //! and decodes forward; every exporter formats transient decoded events.
+//! A `'static` key is found by the address of its text before the text
+//! index is walked.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -342,18 +343,17 @@ struct KeyTable {
     index: BTreeMap<MetricKey, u32>,
     /// Keys and aggregates by id.
     slots: Vec<Slot>,
-    /// Ids, plus one (0 is an empty entry), of `'static` keys and of keys
-    /// their callers hold across records (see
-    /// [`Registry::counter_add_ref`]), at a hash of the address of their
-    /// text: a hot key resolves with one probe and one text comparison,
-    /// not a walk of `index`. One fixed block, made at the first such
-    /// lookup, so it never regrows. It belongs to the table, so a load or
-    /// reset that replaces the table drops it too.
+    /// Ids, plus one (0 is an empty entry), of `'static` keys at a hash
+    /// of the address of their text: a hot key resolves with one probe
+    /// and one text comparison, not a walk of `index`. One fixed block,
+    /// made at the first such lookup, so it never regrows. It belongs to
+    /// the table, so a load or reset that replaces the table drops it too.
     by_addr: Option<Box<[u32; ADDR_ENTRIES]>>,
 }
 
-/// Entries of [`KeyTable::by_addr`], a power of two: room for a tenant's
-/// few dozen hot keys at under half load.
+/// Entries of [`KeyTable::by_addr`], a power of two. A trial, chaos or
+/// mpc tenant records 21–28 `'static` keys, so the table stays under a
+/// quarter full and a key's probe window is almost never full.
 const ADDR_ENTRIES: usize = 128;
 
 /// Entries a lookup reads, from the one its address hashes to; a key
@@ -362,7 +362,7 @@ const ADDR_PROBES: usize = 4;
 
 impl KeyTable {
     /// The id of `key`, interning a clone of it on first use. A `'static`
-    /// key is looked up by address first, as a held one is.
+    /// key is looked up by address first.
     fn id(&mut self, key: &MetricKey) -> usize {
         if key.is_static() {
             self.id_by_addr(key)
@@ -371,13 +371,13 @@ impl KeyTable {
         }
     }
 
-    /// The id of `key`, whose text stays at one address across records:
-    /// looked up in [`KeyTable::by_addr`], and a hit is checked against
-    /// the text, since another key may hash to the entry or, once this
-    /// one is dropped, come back at its address.
+    /// The id of the `'static` key `key`, looked up in
+    /// [`KeyTable::by_addr`]; a hit is checked against the text, since
+    /// another key may hash to the entry.
     fn id_by_addr(&mut self, key: &MetricKey) -> usize {
         let addr = key.as_ptr() as u64;
-        let home = (addr.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 57) as usize;
+        let home = (addr.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            >> (u64::BITS - ADDR_ENTRIES.trailing_zeros())) as usize;
         let probes = (home..home + ADDR_PROBES).map(|at| at % ADDR_ENTRIES);
         let entries = self
             .by_addr
@@ -787,20 +787,14 @@ impl Registry {
 
     /// Adds `delta` to the counter `name`, saturating at `u64::MAX`.
     pub fn counter_add(&mut self, name: impl Into<MetricKey>, delta: u64) {
-        let id = self.keys.id(&name.into());
-        self.add_to_counter(id, delta);
+        self.counter_add_ref(&name.into(), delta);
     }
 
     /// [`counter_add`](Self::counter_add) by reference: the key is cloned
     /// only if the registry has never seen it, so repeated updates against
-    /// a caller-held per-entity key never allocate, and its id is cached
-    /// by the key's address.
+    /// a caller-held per-entity key never allocate.
     pub fn counter_add_ref(&mut self, name: &MetricKey, delta: u64) {
-        let id = self.keys.id_by_addr(name);
-        self.add_to_counter(id, delta);
-    }
-
-    fn add_to_counter(&mut self, id: usize, delta: u64) {
+        let id = self.keys.id(name);
         let slot = self.keys.slots[id].counter.get_or_insert(0);
         *slot = slot.saturating_add(delta);
     }
@@ -1817,8 +1811,12 @@ mod tests {
 
     #[test]
     fn a_load_or_reset_drops_the_cached_ids_of_static_keys() {
-        // Keys of one length, so an id cached for one key would pass for
-        // another's.
+        // A hit in `by_addr` is checked against the key text, so an id
+        // kept across a load would still resolve to its key; one kept
+        // across a reset would index the emptied table. Neither may
+        // outlive its table: the asserts check that the cache is gone,
+        // the exports that recording on matches a registry that never
+        // cached an id.
         let record = |registry: &mut Registry, order: [&'static str; 3], t_ms: u64| {
             for key in order {
                 registry.gauge_set(key, t_ms, t_ms as f64);
@@ -1839,7 +1837,9 @@ mod tests {
 
         let mut cached = Registry::new();
         record(&mut cached, ["k.a", "k.b", "k.c"], 1_000);
+        assert!(cached.keys.by_addr.is_some());
         cached.load_state(&mut Reader::new(&checkpoint)).unwrap();
+        assert!(cached.keys.by_addr.is_none());
         let mut fresh = Registry::new();
         fresh.load_state(&mut Reader::new(&checkpoint)).unwrap();
         for registry in [&mut cached, &mut fresh] {
@@ -1847,7 +1847,9 @@ mod tests {
         }
         check(&cached, &fresh);
 
+        assert!(cached.keys.by_addr.is_some());
         cached.reset();
+        assert!(cached.keys.by_addr.is_none());
         let mut fresh = Registry::new();
         for registry in [&mut cached, &mut fresh] {
             record(registry, ["k.b", "k.c", "k.a"], 3_000);

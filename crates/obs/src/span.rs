@@ -17,8 +17,8 @@ thread_local! {
 /// RAII guard for one span occurrence, created by [`Handle::span`].
 ///
 /// Call [`SpanGuard::exit`] with the current simulation time to record the
-/// simulated duration, and the wall-clock one on a handle that reads the
-/// wall clock (see [`Handle::with_wall_clock`]). If the guard is instead
+/// simulated duration, and on [`Handle::global`], the one handle that
+/// reads the wall clock, the wall-clock one too. If the guard is instead
 /// dropped (early return, panic unwinding), the span is still recorded
 /// with a simulated duration of zero, so span counts stay truthful even on
 /// error paths.

@@ -139,7 +139,9 @@ const TALLIED_DELAY_MS: usize = 48;
 /// first delay after each publish is recorded at once, so the histogram's
 /// key still gets its id at the first delivery; so is a delay past the
 /// tally. Whole milliseconds keep the histogram's sum exact in any order.
-#[derive(Debug, Clone)]
+/// A network dropped with delays pending adds them then, so one that no
+/// system publishes still records every delivered frame's delay.
+#[derive(Debug)]
 struct PendingDelays {
     /// Deliveries per delay in ms, since the last publish.
     per_ms: [u16; TALLIED_DELAY_MS],
@@ -181,6 +183,14 @@ impl PendingDelays {
         let counted = self.per_ms.iter().enumerate().filter(|(_, &n)| n > 0);
         obs.observe_counted(Self::KEY, counted.map(|(ms, &n)| (ms as f64, u64::from(n))));
         self.per_ms = [0; TALLIED_DELAY_MS];
+    }
+}
+
+impl Clone for PendingDelays {
+    /// Nothing pending: the delays counted so far stay with the original,
+    /// which records them, so a clone never records them twice.
+    fn clone(&self) -> Self {
+        Self::new()
     }
 }
 
@@ -447,6 +457,16 @@ impl Network {
     }
 }
 
+impl Drop for Network {
+    /// Records the delays counted since the last publish, so a network
+    /// no system publishes, such as a standalone channel experiment's,
+    /// still records every delivered frame's delay. Its counters still
+    /// wait for [`Network::publish_counters`].
+    fn drop(&mut self) {
+        self.delays.publish(&self.obs);
+    }
+}
+
 // --- Checkpoint support --------------------------------------------------
 
 bz_state::persist_unit_enum!(TxFailure {
@@ -584,6 +604,25 @@ mod tests {
         net.send(SimTime::ZERO, msg(1, SimTime::ZERO));
         assert!(net.busy_at(SimTime::ZERO + SimDuration::from_millis(1)));
         assert!(!net.busy_at(SimTime::from_millis(50)));
+    }
+
+    #[test]
+    fn a_network_records_every_delay_it_counted_by_the_time_it_is_dropped() {
+        let obs = bz_obs::Handle::isolated();
+        let mut net = Network::new(lossless(), Rng::seed_from(15)).with_obs(obs.clone());
+        for node in 0..40u64 {
+            let t = SimTime::from_millis(node * 3);
+            net.send(t, msg(node as u16, t));
+        }
+        let out = net.advance(SimTime::from_secs(1));
+        let total_ms: u64 = out.iter().map(|d| d.delay.as_millis()).sum();
+        assert!(out.len() > 1);
+        // A clone starts with nothing pending, so dropping it adds nothing.
+        drop(net.clone());
+        drop(net);
+        let delays = &obs.snapshot().histograms["wsn.delivery_delay_ms"];
+        assert_eq!(delays.count(), out.len() as u64);
+        assert_eq!(delays.sum(), total_ms as f64);
     }
 
     #[test]
