@@ -7,6 +7,7 @@
 //! door event, and the ~15-minute recovery from the long one.
 
 use std::fs::File;
+use std::io::{BufWriter, Write as _};
 
 use bz_bench::{compare, header, output_dir, row};
 use bz_core::metrics::{comfort_fraction, convergence_minutes, recovery_minutes};
@@ -189,9 +190,11 @@ fn main() {
             ])
             .collect();
         let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut file = BufWriter::new(File::create(&path).expect("create csv"));
         outcome
             .trace
-            .write_wide_csv(&name_refs, File::create(&path).expect("create csv"))
+            .write_wide_csv(&name_refs, &mut file)
+            .and_then(|()| file.flush())
             .expect("write csv");
         println!("\nseries written to {}", path.display());
     });

@@ -6,7 +6,7 @@
 //! laboratory physics (the paper takes its 2.8 from the literature).
 
 use std::fs::File;
-use std::io::Write as _;
+use std::io::{BufWriter, Write as _};
 
 use bz_bench::{compare, header, output_dir, row};
 use bz_core::baseline::{AirConConfig, AirConSystem};
@@ -103,12 +103,13 @@ fn main() {
         }
 
         let path = output_dir().join("fig11.csv");
-        let mut file = File::create(&path).expect("create csv");
+        let mut file = BufWriter::new(File::create(&path).expect("create csv"));
         writeln!(file, "system,cop").expect("write");
         writeln!(file, "AirCon,{aircon_cop:.4}").expect("write");
         writeln!(file, "Bubble-C,{:.4}", cop.cop_radiant()).expect("write");
         writeln!(file, "Bubble-V,{:.4}", cop.cop_ventilation()).expect("write");
         writeln!(file, "BubbleZERO,{:.4}", cop.cop_overall()).expect("write");
+        file.flush().expect("write");
         println!("\nbars written to {}", path.display());
 
         row(

@@ -7,7 +7,7 @@
 //! Algorithm 1 pass.
 
 use std::fs::File;
-use std::io::Write as _;
+use std::io::{BufWriter, Write as _};
 
 use bz_bench::{compare, header, output_dir};
 use bz_core::scenario::{NetworkTrial, VarianceReplay};
@@ -33,7 +33,7 @@ fn main() {
             "N", "accuracy (%)", "RAM (bytes)", "CPU time (ms)"
         );
         let path = output_dir().join("fig12.csv");
-        let mut file = File::create(&path).expect("create csv");
+        let mut file = BufWriter::new(File::create(&path).expect("create csv"));
         writeln!(file, "n,accuracy,ram_bytes,cpu_ms").expect("write");
         let mut acc_40 = 0.0;
         let mut acc_70 = 0.0;
@@ -50,6 +50,7 @@ fn main() {
             println!("  {n:>4} {:>14.1} {ram:>12} {cpu:>14.0}", accuracy * 100.0);
             writeln!(file, "{n},{accuracy:.6},{ram},{cpu:.3}").expect("write");
         }
+        file.flush().expect("write");
         println!("  sweep written to {}", path.display());
 
         header("Paper claims vs measured");

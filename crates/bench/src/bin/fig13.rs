@@ -6,7 +6,7 @@
 //! trial and reports the accuracy in 10-minute bins.
 
 use std::fs::File;
-use std::io::Write as _;
+use std::io::{BufWriter, Write as _};
 
 use bz_bench::{compare, header, output_dir};
 use bz_core::scenario::{NetworkTrial, VarianceReplay};
@@ -23,12 +23,13 @@ fn main() {
 
         println!("  {:>10} {:>14}", "time (s)", "accuracy (%)");
         let path = output_dir().join("fig13.csv");
-        let mut file = File::create(&path).expect("create csv");
+        let mut file = BufWriter::new(File::create(&path).expect("create csv"));
         writeln!(file, "time_s,accuracy").expect("write");
         for (at, accuracy) in &series {
             println!("  {:>10.0} {:>14.1}", at.as_secs_f64(), accuracy * 100.0);
             writeln!(file, "{:.0},{accuracy:.6}", at.as_secs_f64()).expect("write");
         }
+        file.flush().expect("write");
         println!("  series written to {}", path.display());
 
         header("Paper claims vs measured");

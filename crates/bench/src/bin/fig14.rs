@@ -6,7 +6,7 @@
 //! the detection delay stays within a few seconds.
 
 use std::fs::File;
-use std::io::Write as _;
+use std::io::{BufWriter, Write as _};
 
 use bz_bench::{compare, header, output_dir, row};
 use bz_core::scenario::NetworkTrial;
@@ -29,7 +29,7 @@ fn main() {
         let snapshot_end = SimDuration::from_hours(2);
         header("snapshot series (send period + room dew point)");
         let path = output_dir().join("fig14.csv");
-        let mut file = File::create(&path).expect("create csv");
+        let mut file = BufWriter::new(File::create(&path).expect("create csv"));
         writeln!(file, "time_s,send_period_s,dew_point_c").expect("write");
         let dew = outcome
             .dew_trace
@@ -59,6 +59,7 @@ fn main() {
                 last_printed = t;
             }
         }
+        file.flush().expect("write");
         println!("  series written to {}", path.display());
 
         header("Paper claims vs measured");

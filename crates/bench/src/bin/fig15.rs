@@ -8,7 +8,7 @@
 //! (3.2 years vs 0.7 years on 2×AA).
 
 use std::fs::File;
-use std::io::Write as _;
+use std::io::{BufWriter, Write as _};
 
 use bz_bench::{compare, header, output_dir, row};
 use bz_core::scenario::NetworkTrial;
@@ -32,13 +32,14 @@ fn main() {
         header("BT-ADPT send-period CDF (temperature streams)");
         println!("  {:>12} {:>10}", "period (s)", "CDF");
         let path = output_dir().join("fig15.csv");
-        let mut file = File::create(&path).expect("create csv");
+        let mut file = BufWriter::new(File::create(&path).expect("create csv"));
         writeln!(file, "scheme,period_s,cdf").expect("write");
         for p in [2.0, 4.0, 8.0, 16.0, 24.0, 32.0, 40.0, 48.0, 56.0, 64.0] {
             println!("  {p:>12.0} {:>10.3}", cdf.at(p));
             writeln!(file, "BT-ADPT,{p:.0},{:.6}", cdf.at(p)).expect("write");
         }
         writeln!(file, "Fixed,2,1.0").expect("write");
+        file.flush().expect("write");
         println!("  CDF written to {}", path.display());
 
         header("Paper claims vs measured");

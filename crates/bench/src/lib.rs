@@ -12,7 +12,8 @@ pub mod sweep;
 pub mod throughput;
 
 use std::fs;
-use std::path::PathBuf;
+use std::io::{self, BufWriter, Write as _};
+use std::path::{Path, PathBuf};
 
 /// Directory figure CSVs are written to: `$BZ_FIG_OUT` or
 /// `target/figures`. Created on first use.
@@ -64,15 +65,33 @@ pub fn harness(body: impl FnOnce()) {
     obs.reset();
     body();
     obs.disable();
-    let file = fs::File::create(&path).expect("create metrics output file");
-    if path.extension().is_some_and(|e| e == "csv") {
-        obs.write_csv(file).expect("write metrics CSV");
-    } else {
-        obs.write_jsonl(file).expect("write metrics JSONL");
+    if let Err(e) = export_metrics(&obs, &path) {
+        panic!("{e}");
     }
     header("profiling metrics");
     println!("{}", obs.summary_table());
     println!("  metrics written to {}", path.display());
+}
+
+/// Writes `obs`'s export to `path` through a buffer: CSV when the path
+/// ends in `.csv`, JSONL otherwise. The buffer is flushed here, so a
+/// failed last write is reported, not lost on drop.
+///
+/// # Errors
+///
+/// Names the path and whether creating or writing it failed.
+pub fn export_metrics(obs: &bz_obs::Handle, path: &Path) -> Result<(), String> {
+    let shown = path.display();
+    let file = fs::File::create(path).map_err(|e| format!("cannot create {shown}: {e}"))?;
+    let mut out = BufWriter::new(file);
+    let written: io::Result<()> = if path.extension().is_some_and(|e| e == "csv") {
+        obs.write_csv(&mut out)
+    } else {
+        obs.write_jsonl(&mut out)
+    };
+    written
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("cannot write {shown}: {e}"))
 }
 
 #[cfg(test)]
@@ -83,5 +102,17 @@ mod tests {
     fn output_dir_is_created() {
         let dir = output_dir();
         assert!(dir.is_dir());
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn an_export_whose_writes_fail_reports_the_error() {
+        let obs = bz_obs::Handle::isolated();
+        obs.enable();
+        obs.gauge_set("probe", 0, 1.0);
+        // The export fits the buffer, so only the flush meets the full
+        // device.
+        let err = export_metrics(&obs, Path::new("/dev/full")).unwrap_err();
+        assert!(err.starts_with("cannot write /dev/full"), "{err}");
     }
 }

@@ -11,7 +11,9 @@
 //! index, and every report function sorts by index before rendering, so
 //! job completion order cannot leak into the output.
 //!
-//! A sweep crashes and resumes like every other resumable run: given a
+//! Each run is a [`TenantSession`], the closed loop a `bz-serve` trial
+//! tenant steps, driven to its end by [`checkpoint::drive`]. A sweep
+//! crashes and resumes like every other resumable run: given a
 //! checkpoint root, [`execute_resumable`] keeps each run's snapshots in
 //! its own `run-NNN/` directory under the shared [`bz_core::checkpoint`]
 //! policy (cadence, `--resume`, `--crash-at`) and takes its last snapshot
@@ -36,7 +38,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use bz_core::checkpoint::{Checkpointer, CheckpointerError, Policy, RunIdentity};
+use bz_core::checkpoint::{self, Checkpointer, CheckpointerError, Policy, RunIdentity};
+use bz_core::session::{Session, TenantSession};
 use bz_core::system::{BtMode, BubbleZeroSystem, SystemConfig};
 use bz_predict::strategy::{MpcConfig, MpcStrategy};
 use bz_simcore::{NoiseKernel, Rng, SimDuration, SimTime};
@@ -445,39 +448,26 @@ fn run_resumable(
     checkpoints: Option<(&Path, Policy)>,
 ) -> Result<(RunResult, u64), String> {
     let obs = bz_obs::Handle::isolated();
-    let mut system = build_system(spec, obs.clone())?;
-    let mut start_minute = 0;
+    let mut run = TenantSession::new(build_system(spec, obs.clone())?, obs.clone(), spec.minutes);
     let mut checkpointer = match checkpoints {
         Some((root, policy)) => {
-            let label = format!("{} minutes={}", spec.label(), spec.minutes);
+            let label = format!("{} minutes={} payload=session", spec.label(), spec.minutes);
             let id = RunIdentity::new("sweep-run", &label, NoiseKernel::from_env());
             let dir = root.join(format!("run-{:03}", spec.index));
-            let mut checkpointer =
-                Checkpointer::create(dir, id, policy).map_err(|e| e.to_string())?;
-            let tick_ms = match checkpointer.resume(|r| system.load_state(r)) {
-                Ok(resumed) => resumed.tick_ms,
-                Err(CheckpointerError::Foreign(..)) => None,
-                Err(e) => return Err(e.to_string()),
-            };
-            start_minute = tick_ms.map_or(0, |tick_ms| tick_ms / 60_000);
-            Some(checkpointer)
+            Some(Checkpointer::create(dir, id, policy).map_err(|e| e.to_string())?)
         }
         None => None,
     };
-    for _ in start_minute..spec.minutes {
-        system.run_seconds(60);
-        obs.record_counters(system.now().as_millis());
-        if let Some(checkpointer) = &mut checkpointer {
-            checkpointer
-                .after_step(system.now().as_millis(), |w| system.save_state(w))
-                .map_err(|e| e.to_string())?;
-        }
-    }
-    if let Some(checkpointer) = &mut checkpointer {
-        checkpointer
-            .finish(system.now().as_millis(), |w| system.save_state(w))
-            .map_err(|e| e.to_string())?;
-    }
+    let tick_ms = match checkpointer
+        .as_mut()
+        .map(|c| c.resume(|r| run.load_state(r)))
+    {
+        Some(Ok(resumed)) => resumed.tick_ms,
+        Some(Err(CheckpointerError::Foreign(..))) | None => None,
+        Some(Err(e)) => return Err(e.to_string()),
+    };
+    checkpoint::drive(&mut run, checkpointer.as_mut()).map_err(|e| e.to_string())?;
+    let system = run.system();
     obs.disable();
     let mut metrics_jsonl = Vec::new();
     obs.write_jsonl(&mut metrics_jsonl)
@@ -527,7 +517,7 @@ fn run_resumable(
         summary,
         metrics_jsonl,
     };
-    Ok((result, start_minute))
+    Ok((result, tick_ms.map_or(0, |tick_ms| tick_ms / 60_000)))
 }
 
 /// Executes every run across `jobs` worker threads, work-stealing from a
@@ -922,6 +912,43 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn snapshots_of_the_earlier_payload_layout_start_fresh() {
+        let spec = RunSpec {
+            index: 0,
+            scenario: Scenario::Trial,
+            seed: 5,
+            minutes: 3,
+            params: Vec::new(),
+        };
+        // Before sweep runs were tenant sessions, a run sealed its system
+        // alone under this label.
+        let root = scratch("earlier-layout");
+        let label = format!("{} minutes=3", spec.label());
+        let id = RunIdentity::new("sweep-run", &label, NoiseKernel::from_env());
+        let mut system = build_system(&spec, bz_obs::Handle::isolated()).unwrap();
+        system.run_seconds(60);
+        Checkpointer::create(root.join("run-000"), id, Policy::default())
+            .unwrap()
+            .finish(60_000, |w| system.save_state(w))
+            .unwrap();
+        let resume = Policy {
+            resume: true,
+            ..Policy::default()
+        };
+        let [Ok((resumed, 0))] =
+            &execute_resumable(std::slice::from_ref(&spec), 1, Some((&root, resume)))[..]
+        else {
+            panic!("the run must start fresh");
+        };
+        let fresh = run_one(&spec).unwrap();
+        assert_eq!(resumed.metrics_jsonl, fresh.metrics_jsonl);
+        assert_eq!(
+            report_jsonl(std::slice::from_ref(resumed)),
+            report_jsonl(&[fresh])
+        );
     }
 
     #[test]

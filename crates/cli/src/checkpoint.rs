@@ -9,18 +9,20 @@
 //! * `--resume` — restore from the newest *good* snapshot in the dir
 //! * `--crash-at SECS` — deterministic crash injection for recovery tests
 //!
-//! The module parses the flags and renders `inspect`; what they do (run
-//! identities, the resume scan, the cadence, the injected crash, atomic
-//! writes and retention) is the shared [`bz_core::checkpoint`] policy.
+//! The module parses the flags, runs a command's session to its end, and
+//! renders `inspect`; what the flags do (run identities, the resume scan,
+//! the cadence, the injected crash, atomic writes and retention) is the
+//! shared [`bz_core::checkpoint`] policy, and its [`drive`] steps the run.
 //! See `docs/CHECKPOINTS.md` for the on-disk format and guarantees.
 
 use std::fs;
 use std::path::PathBuf;
 
 use crate::args::{ArgError, Args};
-use bz_core::checkpoint::{Checkpointer, CheckpointerError, Policy, RunIdentity};
+use bz_core::checkpoint::{drive, Checkpointer, CheckpointerError, Policy, RunIdentity};
+use bz_core::session::Session;
 use bz_simcore::NoiseKernel;
-use bz_state::{Checkpoint, CheckpointDir, Reader, StateError, Writer};
+use bz_state::{Checkpoint, CheckpointDir};
 
 /// The flags this module parses; commands splice them into their
 /// `expect_only` lists.
@@ -76,71 +78,44 @@ impl CheckpointOpts {
     /// ("trial", "chaos", ...); `label` describes everything that shapes
     /// the simulation (seed, duration, scenario). The run's identity is
     /// the label plus the effective noise kernel, and a checkpoint of any
-    /// other identity is never restored into this run. Without
-    /// `--checkpoint-dir` the result does nothing.
+    /// other identity is never restored into this run. `None` without
+    /// `--checkpoint-dir`.
     ///
     /// # Errors
     ///
     /// Fails when the checkpoint directory cannot be created.
-    pub fn session(&self, kind: &str, label: &str) -> Result<RunCheckpoints, ArgError> {
+    pub fn checkpointer(&self, kind: &str, label: &str) -> Result<Option<Checkpointer>, ArgError> {
         let id = RunIdentity::new(kind, label, NoiseKernel::from_env());
-        let checkpointer = self
-            .dir
+        self.dir
             .as_ref()
             .map(|root| Checkpointer::create(root, id, self.policy))
             .transpose()
-            .map_err(arg_error)?;
-        Ok(RunCheckpoints(checkpointer))
+            .map_err(arg_error)
     }
 }
 
-/// One command run's [`Checkpointer`], when `--checkpoint-dir` asked for
-/// one; its errors become usage errors and its resume notes part of the
-/// command's output.
-#[derive(Debug)]
-pub struct RunCheckpoints(Option<Checkpointer>);
-
-impl RunCheckpoints {
-    /// Resumes the run through `restore` as the policy says, appends the
-    /// scan's notes to `out`, and returns the restored simulated time
-    /// (`None` for a fresh start).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the directory cannot be scanned, when the newest good
-    /// snapshot belongs to a different command or configuration, or when
-    /// its payload does not decode.
-    pub fn resume(
-        &mut self,
-        out: &mut String,
-        restore: impl FnOnce(&mut Reader<'_>) -> Result<(), StateError>,
-    ) -> Result<Option<u64>, ArgError> {
-        let Some(checkpointer) = &mut self.0 else {
-            return Ok(None);
-        };
-        let resumed = checkpointer.resume(restore).map_err(arg_error)?;
+/// Runs a command's session to its end: resumes it first as the policy
+/// says, appending the scan's notes to `out`, then [`drive`]s it.
+///
+/// # Errors
+///
+/// Every checkpoint failure as a usage error: a scan or restore failure,
+/// a snapshot of another command or configuration, a failed write, and
+/// by design the injected crash at `--crash-at`.
+pub fn run_to_end(
+    run: &mut dyn Session,
+    mut checkpoints: Option<Checkpointer>,
+    out: &mut String,
+) -> Result<(), ArgError> {
+    if let Some(checkpoints) = &mut checkpoints {
+        let resumed = checkpoints
+            .resume(|r| run.load_state(r))
+            .map_err(arg_error)?;
         for note in &resumed.notes {
             *out += &format!("{note}\n");
         }
-        Ok(resumed.tick_ms)
     }
-
-    /// Called after every simulation step; see [`Checkpointer::after_step`].
-    ///
-    /// # Errors
-    ///
-    /// Fails when a snapshot cannot be written, or — by design — with
-    /// the injected-crash error once `now_ms` reaches `--crash-at`.
-    pub fn after_step(
-        &mut self,
-        now_ms: u64,
-        save: impl FnOnce(&mut Writer),
-    ) -> Result<(), ArgError> {
-        match &mut self.0 {
-            Some(checkpointer) => checkpointer.after_step(now_ms, save).map_err(arg_error),
-            None => Ok(()),
-        }
-    }
+    drive(run, checkpoints.as_mut()).map_err(arg_error)
 }
 
 fn arg_error(e: CheckpointerError) -> ArgError {
@@ -261,8 +236,11 @@ mod tests {
                 ..Policy::default()
             },
         };
-        let mut session = opts.session("trial", "trial seed=9 minutes=5").unwrap();
-        session.after_step(60_000, |w| w.put_u64(1)).unwrap();
+        let mut checkpoints = opts
+            .checkpointer("trial", "trial seed=9 minutes=5")
+            .unwrap();
+        let checkpoints = checkpoints.as_mut().unwrap();
+        checkpoints.after_step(60_000, |w| w.put_u64(1)).unwrap();
         let report = inspect(root.to_str().unwrap()).unwrap();
         let noise = format!("noise={}", NoiseKernel::from_env());
         assert!(report.contains(&noise), "{report}");
@@ -297,9 +275,10 @@ mod tests {
                 ..Policy::default()
             },
         };
-        let mut session = opts.session("trial", "seed=9").unwrap();
-        session.after_step(60_000, |w| w.put_u64(1)).unwrap();
-        session.after_step(120_000, |w| w.put_u64(2)).unwrap();
+        let mut checkpoints = opts.checkpointer("trial", "seed=9").unwrap();
+        let checkpoints = checkpoints.as_mut().unwrap();
+        checkpoints.after_step(60_000, |w| w.put_u64(1)).unwrap();
+        checkpoints.after_step(120_000, |w| w.put_u64(2)).unwrap();
         let newest = CheckpointDir::open(&root).file_for_tick(120_000);
         let bytes = std::fs::read(&newest).unwrap();
         std::fs::write(&newest, &bytes[..bytes.len() - 4]).unwrap();

@@ -1,6 +1,8 @@
 //! `bzctl` subcommand implementations.
 
 use std::fs::File;
+use std::io::{self, BufWriter, Write as _};
+use std::path::Path;
 
 use bz_core::baseline::{AirConConfig, AirConSystem};
 use bz_core::chaos::ChaosScenario;
@@ -10,6 +12,7 @@ use bz_core::session::Session;
 use bz_core::system::{BtMode, BubbleZeroSystem, SystemConfig};
 use bz_psychro::{Celsius, Ppm};
 use bz_simcore::{SimDuration, TraceRecorder};
+use bz_state::{Persist, Reader, StateError, Writer};
 use bz_thermal::comfort::{pmv, ppd, ComfortInputs};
 use bz_thermal::disturbance::DisturbanceSchedule;
 use bz_thermal::plant::PlantConfig;
@@ -20,7 +23,7 @@ use bz_wsn::multihop::MultihopNetwork;
 use bz_bench::sweep;
 
 use crate::args::{ArgError, Args};
-use crate::checkpoint::{CheckpointOpts, RunCheckpoints};
+use crate::checkpoint::{run_to_end, CheckpointOpts};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -179,34 +182,24 @@ fn metrics_finish(path: Option<&str>, streamed: bool, out: &mut String) -> Resul
             .map_err(|e| ArgError::new(format!("cannot finish stream to {path}: {e}")))?;
         *out += &format!("\nmetrics streamed to {path}\n{}", obs.summary_table());
     } else {
-        let file =
-            File::create(path).map_err(|e| ArgError::new(format!("cannot create {path}: {e}")))?;
-        let written = if path.ends_with(".csv") {
-            obs.write_csv(file)
-        } else {
-            obs.write_jsonl(file)
-        };
-        written.map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
+        bz_bench::export_metrics(&obs, Path::new(path)).map_err(ArgError::new)?;
         *out += &format!("\nmetrics written to {path}\n{}", obs.summary_table());
     }
     Ok(())
 }
 
-/// Runs `run` to its end: first resumes it from the newest good
-/// checkpoint when `--resume` asked for one, then steps it a minute at a
-/// time, writing each due snapshot and firing `--crash-at` after every
-/// minute. Resume notes are appended to `out`.
-fn drive(
-    run: &mut dyn Session,
-    checkpoints: &mut RunCheckpoints,
-    out: &mut String,
+/// Creates `path` and writes it through a buffer with `write`, flushing
+/// at the end so a failed last write is reported.
+fn write_file(
+    path: &str,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
 ) -> Result<(), ArgError> {
-    checkpoints.resume(out, |r| run.load_state(r))?;
-    while !run.is_done() {
-        run.step_minute();
-        checkpoints.after_step(run.now_ms(), |w| run.save_state(w))?;
-    }
-    Ok(())
+    let file =
+        File::create(path).map_err(|e| ArgError::new(format!("cannot create {path}: {e}")))?;
+    let mut out = BufWriter::new(file);
+    write(&mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))
 }
 
 /// Splices the shared checkpoint flag family into a command's known
@@ -217,14 +210,80 @@ fn expect_only_with_checkpoints(args: &Args, base: &[&str]) -> Result<(), ArgErr
     args.expect_only(&known)
 }
 
+/// `bzctl trial`: the closed loop plus the zone series `--csv` writes,
+/// with a progress line every 10 minutes unless `--quiet`.
+struct TrialRun {
+    system: BubbleZeroSystem,
+    trace: TraceRecorder,
+    minutes: u64,
+    quiet: bool,
+    progress: String,
+}
+
+impl Session for TrialRun {
+    fn now_ms(&self) -> u64 {
+        self.system.now().as_millis()
+    }
+
+    fn is_done(&self) -> bool {
+        self.now_ms() / 60_000 >= self.minutes
+    }
+
+    fn step_minute(&mut self) {
+        if self.is_done() {
+            return;
+        }
+        let system = &mut self.system;
+        system.run_seconds(60);
+        // Per-minute counter samples give the export trajectories, not
+        // just end-of-run totals.
+        system.obs().record_counters(system.now().as_millis());
+        let plant = system.plant();
+        for id in SubspaceId::ALL {
+            self.trace.record(
+                &format!("{}.temperature", id.label()),
+                system.now(),
+                plant.zone_temperature(id).get(),
+            );
+            self.trace.record(
+                &format!("{}.dew_point", id.label()),
+                system.now(),
+                plant.zone_dew_point(id).get(),
+            );
+        }
+        if !self.quiet && (system.now().as_millis() / 60_000).is_multiple_of(10) {
+            self.progress += &format!(
+                "{}  T1={:.2} °C  dew1={:.2} °C  radiant={:.0} W  vent={:.0} W\n",
+                system.now().as_clock_label(TRIAL_START_HOUR),
+                plant.zone_temperature(SubspaceId::S1).get(),
+                plant.zone_dew_point(SubspaceId::S1).get(),
+                plant.telemetry().radiant_heat_removed_w,
+                plant.telemetry().vent_heat_removed_w,
+            );
+        }
+    }
+
+    /// The system, then the series.
+    fn save_state(&self, w: &mut Writer) {
+        self.system.save_state(w);
+        self.trace.save(w);
+    }
+
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), StateError> {
+        self.system.load_state(r)?;
+        self.trace = Persist::load(r)?;
+        Ok(())
+    }
+}
+
 fn trial(args: &Args) -> Result<String, ArgError> {
     expect_only_with_checkpoints(args, &["minutes", "seed", "csv", "quiet", "metrics-out"])?;
     let minutes: u64 = args.get_or("minutes", 105)?;
     let seed: u64 = args.get_or("seed", 0x5EED_0001)?;
-    let quiet = args.flag("quiet");
     let csv = args.get("csv")?;
     let opts = CheckpointOpts::from_args(args)?;
-    let mut checkpoints = opts.session("trial", &format!("trial seed={seed} minutes={minutes}"))?;
+    let checkpoints =
+        opts.checkpointer("trial", &format!("trial seed={seed} minutes={minutes}"))?;
     let metrics = metrics_begin(args)?;
 
     let spec = sweep::RunSpec {
@@ -234,48 +293,17 @@ fn trial(args: &Args) -> Result<String, ArgError> {
         minutes,
         params: Vec::new(),
     };
-    let mut system = sweep::build_system(&spec, bz_obs::Handle::global()).map_err(ArgError::new)?;
-    let mut trace = TraceRecorder::new();
+    let mut run = TrialRun {
+        system: sweep::build_system(&spec, bz_obs::Handle::global()).map_err(ArgError::new)?,
+        trace: TraceRecorder::new(),
+        minutes,
+        quiet: args.flag("quiet"),
+        progress: String::new(),
+    };
     let mut out = String::new();
-    let resumed = checkpoints.resume(&mut out, |r| {
-        system.load_state(r)?;
-        trace = bz_state::Persist::load(r)?;
-        Ok(())
-    })?;
-    let start_minute = resumed.map_or(0, |tick_ms| tick_ms / 60_000);
-    for minute in start_minute + 1..=minutes {
-        system.run_seconds(60);
-        // Per-minute counter samples give the export trajectories, not
-        // just end-of-run totals.
-        system.obs().record_counters(system.now().as_millis());
-        let plant = system.plant();
-        for id in SubspaceId::ALL {
-            trace.record(
-                &format!("{}.temperature", id.label()),
-                system.now(),
-                plant.zone_temperature(id).get(),
-            );
-            trace.record(
-                &format!("{}.dew_point", id.label()),
-                system.now(),
-                plant.zone_dew_point(id).get(),
-            );
-        }
-        if !quiet && minute % 10 == 0 {
-            out += &format!(
-                "{}  T1={:.2} °C  dew1={:.2} °C  radiant={:.0} W  vent={:.0} W\n",
-                system.now().as_clock_label(TRIAL_START_HOUR),
-                plant.zone_temperature(SubspaceId::S1).get(),
-                plant.zone_dew_point(SubspaceId::S1).get(),
-                plant.telemetry().radiant_heat_removed_w,
-                plant.telemetry().vent_heat_removed_w,
-            );
-        }
-        checkpoints.after_step(system.now().as_millis(), |w| {
-            system.save_state(w);
-            bz_state::Persist::save(&trace, w);
-        })?;
-    }
+    run_to_end(&mut run, checkpoints, &mut out)?;
+    out += &run.progress;
+    let (system, trace) = (&run.system, &run.trace);
     let plant = system.plant();
     out += &format!(
         "\nfinal: T1 {:.2} °C, dew1 {:.2} °C, condensate {:.6} kg, delivery {:.1}%\n",
@@ -295,11 +323,7 @@ fn trial(args: &Args) -> Result<String, ArgError> {
             })
             .collect();
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        let file =
-            File::create(path).map_err(|e| ArgError::new(format!("cannot create {path}: {e}")))?;
-        trace
-            .write_wide_csv(&refs, file)
-            .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
+        write_file(path, |file| trace.write_wide_csv(&refs, file))?;
         out += &format!("series written to {path}\n");
     }
     metrics_finish(metrics.as_deref(), false, &mut out)?;
@@ -508,11 +532,7 @@ traffic by type:
     );
 
     if let Some(path) = csv {
-        let file =
-            File::create(path).map_err(|e| ArgError::new(format!("cannot create {path}: {e}")))?;
-        sniffer
-            .write_csv(file)
-            .map_err(|e| ArgError::new(format!("cannot write {path}: {e}")))?;
+        write_file(path, |file| sniffer.write_csv(file))?;
         out += &format!(
             "capture written to {path}
 "
@@ -520,6 +540,55 @@ traffic by type:
     }
     metrics_finish(metrics.as_deref(), false, &mut out)?;
     Ok(out)
+}
+
+/// Simulated milliseconds in a day.
+const DAY_MS: u64 = 24 * 3_600_000;
+
+/// `bzctl endurance`: the closed loop stepped a minute at a time, with a
+/// counter sample and a report line at each whole simulated day.
+struct EnduranceRun {
+    system: BubbleZeroSystem,
+    days: u64,
+    report: String,
+}
+
+impl Session for EnduranceRun {
+    fn now_ms(&self) -> u64 {
+        self.system.now().as_millis()
+    }
+
+    fn is_done(&self) -> bool {
+        self.now_ms() >= self.days * DAY_MS
+    }
+
+    fn step_minute(&mut self) {
+        if self.is_done() {
+            return;
+        }
+        self.system.run_seconds(60);
+        let now_ms = self.now_ms();
+        if !now_ms.is_multiple_of(DAY_MS) {
+            return;
+        }
+        self.system.obs().record_counters(now_ms);
+        let plant = self.system.plant();
+        self.report += &format!(
+            "day {}: T1 {:.2} °C, dew1 {:.2} °C, condensate {:.4} kg\n",
+            now_ms / DAY_MS,
+            plant.zone_temperature(SubspaceId::S1).get(),
+            plant.zone_dew_point(SubspaceId::S1).get(),
+            plant.panel_condensate_total(),
+        );
+    }
+
+    fn save_state(&self, w: &mut Writer) {
+        self.system.save_state(w);
+    }
+
+    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), StateError> {
+        self.system.load_state(r)
+    }
 }
 
 fn endurance(args: &Args) -> Result<String, ArgError> {
@@ -536,7 +605,7 @@ fn endurance(args: &Args) -> Result<String, ArgError> {
             "--stream cannot be combined with checkpointing flags",
         ));
     }
-    let mut checkpoints = opts.session("endurance", &format!("endurance days={days}"))?;
+    let checkpoints = opts.checkpointer("endurance", &format!("endurance days={days}"))?;
     let metrics = metrics_begin(args)?;
     let stream = args.flag("stream");
     if stream {
@@ -550,28 +619,21 @@ fn endurance(args: &Args) -> Result<String, ArgError> {
         }
         let file =
             File::create(path).map_err(|e| ArgError::new(format!("cannot create {path}: {e}")))?;
-        bz_obs::Handle::global().stream_to(Box::new(file));
+        bz_obs::Handle::global().stream_to(Box::new(BufWriter::new(file)));
     }
     let duration = SimDuration::from_hours(days * 24);
     let mut rng = bz_simcore::Rng::seed_from(0x7DA7);
     let plant = PlantConfig::bubble_zero_lab()
         .with_disturbances(DisturbanceSchedule::periodic_events(duration, &mut rng));
-    let mut system = BubbleZeroSystem::new(SystemConfig::paper_deployment(plant));
+    let mut run = EnduranceRun {
+        system: BubbleZeroSystem::new(SystemConfig::paper_deployment(plant)),
+        days,
+        report: String::new(),
+    };
     let mut out = String::new();
-    let resumed = checkpoints.resume(&mut out, |r| system.load_state(r))?;
-    let start_day = resumed.map_or(0, |tick_ms| tick_ms / (24 * 3_600_000));
-    for day in start_day + 1..=days {
-        system.run_seconds(24 * 3_600);
-        system.obs().record_counters(system.now().as_millis());
-        out += &format!(
-            "day {day}: T1 {:.2} °C, dew1 {:.2} °C, condensate {:.4} kg
-",
-            system.plant().zone_temperature(SubspaceId::S1).get(),
-            system.plant().zone_dew_point(SubspaceId::S1).get(),
-            system.plant().panel_condensate_total(),
-        );
-        checkpoints.after_step(system.now().as_millis(), |w| system.save_state(w))?;
-    }
+    run_to_end(&mut run, checkpoints, &mut out)?;
+    out += &run.report;
+    let system = &run.system;
     let reports = system.bt_device_reports();
     let mean_life =
         reports.iter().filter_map(|r| r.lifetime_years).sum::<f64>() / reports.len().max(1) as f64;
@@ -934,7 +996,7 @@ fn chaos(args: &Args) -> Result<String, ArgError> {
     scenario.duration = SimDuration::from_mins(minutes);
     scenario.seed = args.get_or("seed", scenario.seed)?;
     let opts = CheckpointOpts::from_args(args)?;
-    let mut checkpoints = opts.session(
+    let checkpoints = opts.checkpointer(
         "chaos",
         &format!(
             "chaos scenario={} seed={} minutes={minutes}",
@@ -945,7 +1007,7 @@ fn chaos(args: &Args) -> Result<String, ArgError> {
 
     let mut chaos_run = scenario.begin_with_obs(bz_obs::Handle::global());
     let mut out = String::new();
-    drive(&mut chaos_run, &mut checkpoints, &mut out)?;
+    run_to_end(&mut chaos_run, checkpoints, &mut out)?;
     let report = chaos_run.finish();
     out += &report.render();
     out += "\n";
@@ -1013,7 +1075,7 @@ fn mpc(args: &Args) -> Result<String, ArgError> {
              (checkpoint the strategies as separate runs instead)",
         ));
     }
-    let mut checkpoints = opts.session(
+    let checkpoints = opts.checkpointer(
         "mpc",
         &format!(
             "mpc scenario={} seed={} minutes={minutes} horizon={}",
@@ -1033,7 +1095,7 @@ fn mpc(args: &Args) -> Result<String, ArgError> {
         report.mpc
     } else {
         let mut strategy_run = bz_predict::compare::begin_strategy(&scenario, Some(config));
-        drive(&mut strategy_run, &mut checkpoints, &mut out)?;
+        run_to_end(&mut strategy_run, checkpoints, &mut out)?;
         let run = strategy_run.finish();
         out += &format!(
             "mpc run: scenario {} ({minutes} min, seed {})\n\
@@ -1063,13 +1125,25 @@ fn mpc(args: &Args) -> Result<String, ArgError> {
 mod tests {
     use super::*;
 
-    fn run_ok(command: &str, flags: &[&str]) -> String {
-        run(command, flags.iter().map(|s| (*s).to_owned()).collect()).unwrap()
+    /// Runs `command` with the whitespace-separated `flags`.
+    fn run_line(command: &str, flags: &str) -> Result<String, ArgError> {
+        run(
+            command,
+            flags.split_whitespace().map(str::to_owned).collect(),
+        )
+    }
+
+    fn run_ok(command: &str, flags: &str) -> String {
+        run_line(command, flags).unwrap()
+    }
+
+    fn run_err(command: &str, flags: &str) -> String {
+        run_line(command, flags).unwrap_err().to_string()
     }
 
     #[test]
     fn help_prints_usage() {
-        assert!(run_ok("help", &[]).contains("bzctl"));
+        assert!(run_ok("help", "").contains("bzctl"));
     }
 
     #[test]
@@ -1080,31 +1154,26 @@ mod tests {
 
     #[test]
     fn comfort_reports_radiant_advantage() {
-        let out = run_ok("comfort", &["--temp", "25", "--dew", "18", "--panel", "21"]);
+        let out = run_ok("comfort", "--temp 25 --dew 18 --panel 21");
         assert!(out.contains("radiant advantage"));
         assert!(out.contains("PMV"));
     }
 
     #[test]
     fn comfort_rejects_supersaturated_input() {
-        let err = run(
-            "comfort",
-            vec!["--temp".into(), "20".into(), "--dew".into(), "25".into()],
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("below"));
+        assert!(run_err("comfort", "--temp 20 --dew 25").contains("below"));
     }
 
     #[test]
     fn multihop_plans_a_building() {
-        let out = run_ok("multihop", &["--wings", "2"]);
+        let out = run_ok("multihop", "--wings 2");
         assert!(out.contains("connected = true"));
         assert!(out.contains("flooding baseline"));
     }
 
     #[test]
     fn trial_runs_short() {
-        let out = run_ok("trial", &["--minutes", "3", "--quiet"]);
+        let out = run_ok("trial", "--minutes 3 --quiet");
         assert!(out.contains("final:"));
     }
 
@@ -1123,23 +1192,10 @@ mod tests {
         let dir = std::env::temp_dir().join("bzctl-loadgen");
         std::fs::create_dir_all(&dir).unwrap();
         let json = dir.join("BENCH_0010.json");
+        let flags = "--tenants 6 --connections 2 --minutes 1 --check --min-rps 1";
         let out = run_ok(
             "loadgen",
-            &[
-                "--addr",
-                &addr,
-                "--tenants",
-                "6",
-                "--connections",
-                "2",
-                "--minutes",
-                "1",
-                "--json-out",
-                json.to_str().unwrap(),
-                "--check",
-                "--min-rps",
-                "1",
-            ],
+            &format!("--addr {addr} {flags} --json-out {}", json.display()),
         );
         assert!(out.contains("req/s"), "{out}");
         assert!(out.contains("check passed"), "{out}");
@@ -1149,19 +1205,10 @@ mod tests {
 
         // Mirror mode: the wire-paced export equals the offline bytes.
         let wire = dir.join("wire.jsonl");
+        let mirror = format!("--addr {addr} --mirror --seed 7 --minutes 3");
         let out = run_ok(
             "loadgen",
-            &[
-                "--addr",
-                &addr,
-                "--mirror",
-                "--seed",
-                "7",
-                "--minutes",
-                "3",
-                "--metrics-out",
-                wire.to_str().unwrap(),
-            ],
+            &format!("{mirror} --metrics-out {}", wire.display()),
         );
         assert!(out.contains("wire export written"), "{out}");
         let offline = bz_bench::sweep::run_one(&bz_bench::sweep::RunSpec {
@@ -1182,45 +1229,36 @@ mod tests {
     #[test]
     fn loadgen_rejects_bad_inputs() {
         for flags in [
-            vec!["--tenants", "0"],
-            vec!["--mirror"],
-            vec!["--check", "--tenants", "1"],
-            vec![
-                "--addr",
-                "127.0.0.1:1",
-                "--tenants",
-                "1",
-                "--connections",
-                "1",
-            ],
+            "--tenants 0",
+            "--mirror",
+            "--check --tenants 1",
+            "--addr 127.0.0.1:1 --tenants 1 --connections 1",
         ] {
-            let raw: Vec<String> = flags.iter().map(|s| (*s).to_owned()).collect();
-            assert!(run("loadgen", raw).is_err(), "{flags:?} should fail");
+            assert!(run_line("loadgen", flags).is_err(), "{flags} should fail");
         }
     }
 
     #[test]
     fn trial_rejects_typoed_flag() {
-        let err = run("trial", vec!["--mintues".into(), "3".into()]).unwrap_err();
-        assert!(err.to_string().contains("unknown flag"));
+        assert!(run_err("trial", "--mintues 3").contains("unknown flag"));
     }
 
     #[test]
     fn sniff_runs_short() {
-        let out = run_ok("sniff", &["--minutes", "1"]);
+        let out = run_ok("sniff", "--minutes 1");
         assert!(out.contains("sniffer capture"));
         assert!(out.contains("temperature"));
     }
 
     #[test]
     fn endurance_rejects_silly_day_counts() {
-        assert!(run("endurance", vec!["--days".into(), "0".into()]).is_err());
-        assert!(run("endurance", vec!["--days".into(), "99".into()]).is_err());
+        assert!(run_line("endurance", "--days 0").is_err());
+        assert!(run_line("endurance", "--days 99").is_err());
     }
 
     #[test]
     fn network_runs_short() {
-        let out = run_ok("network", &["--minutes", "2"]);
+        let out = run_ok("network", "--minutes 2");
         assert!(out.contains("networking trial"));
         assert!(out.contains("delivery"));
     }
@@ -1228,16 +1266,7 @@ mod tests {
     fn sweep_runs_a_small_grid() {
         let out = run_ok(
             "sweep",
-            &[
-                "--runs",
-                "2",
-                "--minutes",
-                "1",
-                "--grid",
-                "bt-fixed=true,false",
-                "--jobs",
-                "2",
-            ],
+            "--runs 2 --minutes 1 --grid bt-fixed=true,false --jobs 2",
         );
         assert!(out.contains("sweep: 4 run(s)"));
         assert!(out.contains("mean delivery"));
@@ -1245,36 +1274,29 @@ mod tests {
 
     #[test]
     fn sweep_strategy_axis_reports_energy_delta() {
-        let out = run_ok(
-            "sweep",
-            &[
-                "--runs",
-                "1",
-                "--minutes",
-                "1",
-                "--grid",
-                "strategy=reactive,mpc;occupancy-rate=0.5",
-                "--jobs",
-                "2",
-            ],
-        );
+        let grid = "--grid strategy=reactive,mpc;occupancy-rate=0.5";
+        let out = run_ok("sweep", &format!("--runs 1 --minutes 1 {grid} --jobs 2"));
         assert!(out.contains("sweep: 2 run(s)"));
         assert!(out.contains("energy delta mpc vs reactive"));
     }
 
     #[test]
     fn sweep_rejects_bad_inputs() {
-        assert!(run("sweep", vec!["--runs".into(), "0".into()]).is_err());
-        assert!(run("sweep", vec!["--jobs".into(), "0".into()]).is_err());
-        assert!(run("sweep", vec!["--grid".into(), "frobnicate=1".into()]).is_err());
-        assert!(run("sweep", vec!["--scenario".into(), "nope".into()]).is_err());
-        assert!(run("sweep", vec!["--metrics-out".into()]).is_err());
+        for flags in [
+            "--runs 0",
+            "--jobs 0",
+            "--grid frobnicate=1",
+            "--scenario nope",
+            "--metrics-out",
+        ] {
+            assert!(run_line("sweep", flags).is_err(), "{flags} should fail");
+        }
         for (flag, value) in [
             ("--kill", "0:2"),
             ("--retries", "2"),
             ("--backoff-ms", "50"),
         ] {
-            let err = run_err("sweep", &[flag, value]);
+            let err = run_err("sweep", &format!("{flag} {value}"));
             assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
         }
     }
@@ -1284,18 +1306,11 @@ mod tests {
         let dir = std::env::temp_dir().join("bzctl-bench-throughput");
         std::fs::create_dir_all(&dir).unwrap();
         let json = dir.join("BENCH_test.json");
-        let out = run_ok(
-            "bench",
-            &[
-                "throughput",
-                "--minutes",
-                "1",
-                "--json-out",
-                json.to_str().unwrap(),
-                "--baseline",
-                "1",
-            ],
+        let flags = format!(
+            "throughput --minutes 1 --baseline 1 --json-out {}",
+            json.display()
         );
+        let out = run_ok("bench", &flags);
         assert!(out.contains("throughput: 60 sim-seconds"));
         assert!(out.contains("speedup"));
         let record = std::fs::read_to_string(&json).unwrap();
@@ -1309,48 +1324,39 @@ mod tests {
         let dir = std::env::temp_dir().join("bzctl-bench-floor");
         std::fs::create_dir_all(&dir).unwrap();
         let json = dir.join("BENCH_test.json");
-        let err = run(
-            "bench",
-            vec![
-                "throughput".into(),
-                "--minutes".into(),
-                "1".into(),
-                "--json-out".into(),
-                json.to_str().unwrap().into(),
-                "--check".into(),
-                "--min-sim-per-wall".into(),
-                "1e18".into(),
-            ],
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("throughput regression"));
+        let check = "--check --min-sim-per-wall 1e18";
+        let flags = format!(
+            "throughput --minutes 1 {check} --json-out {}",
+            json.display()
+        );
+        assert!(run_err("bench", &flags).contains("throughput regression"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn bench_rejects_bad_inputs() {
-        assert!(run("bench", vec![]).is_err());
-        assert!(run("bench", vec!["frobnicate".into()]).is_err());
-        assert!(run(
-            "bench",
-            vec!["throughput".into(), "--minutes".into(), "0".into()]
-        )
-        .is_err());
-        assert!(run("bench", vec!["throughput".into(), "--check".into()]).is_err());
+        for flags in [
+            "",
+            "frobnicate",
+            "throughput --minutes 0",
+            "throughput --check",
+        ] {
+            assert!(run_line("bench", flags).is_err(), "{flags} should fail");
+        }
         for (flag, value) in [
             ("--ab", "1"),
             ("--noise", "v1"),
             ("--checkpoint-dir", "d"),
             ("--checkpoint-every", "60"),
         ] {
-            let err = run_err("bench", &["throughput", flag, value]);
+            let err = run_err("bench", &format!("throughput {flag} {value}"));
             assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
         }
     }
 
     #[test]
     fn chaos_runs_bundled_short() {
-        let out = run_ok("chaos", &["--minutes", "5"]);
+        let out = run_ok("chaos", "--minutes 5");
         assert!(out.contains("chaos scenario 'bundled-basic'"));
         assert!(out.contains("chaos-result: scenario=bundled-basic"));
     }
@@ -1361,43 +1367,37 @@ mod tests {
             env!("CARGO_MANIFEST_DIR"),
             "/../../scenarios/chaos_basic.json"
         );
-        let out = run_ok("chaos", &["--scenario", path, "--minutes", "3"]);
+        let out = run_ok("chaos", &format!("--scenario {path} --minutes 3"));
         assert!(out.contains("chaos-result: scenario=bundled-basic"));
     }
 
     #[test]
     fn chaos_rejects_bad_inputs() {
-        assert!(run("chaos", vec!["--scenario".into()]).is_err());
-        assert!(run("chaos", vec!["--minutes".into(), "0".into()]).is_err());
-        let err = run(
-            "chaos",
-            vec!["--scenario".into(), "/nonexistent.json".into()],
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("cannot read"));
+        assert!(run_line("chaos", "--scenario").is_err());
+        assert!(run_line("chaos", "--minutes 0").is_err());
+        let err = run_err("chaos", "--scenario /nonexistent.json");
+        assert!(err.contains("cannot read"));
     }
 
     #[test]
     fn cop_metrics_out_requires_a_value() {
-        let err = run("cop", vec!["--metrics-out".into()]).unwrap_err();
-        assert!(err.to_string().contains("needs a value"));
+        assert!(run_err("cop", "--metrics-out").contains("needs a value"));
     }
 
     #[test]
     fn sniff_metrics_out_requires_a_value() {
-        let err = run("sniff", vec!["--metrics-out".into()]).unwrap_err();
-        assert!(err.to_string().contains("needs a value"));
+        assert!(run_err("sniff", "--metrics-out").contains("needs a value"));
     }
 
     #[test]
     fn mpc_compare_runs_short() {
-        let out = run_ok("mpc", &["--minutes", "4", "--compare", "--quiet"]);
+        let out = run_ok("mpc", "--minutes 4 --compare --quiet");
         assert!(out.contains("mpc-result: scenario=office"));
     }
 
     #[test]
     fn mpc_single_run_reports_energy() {
-        let out = run_ok("mpc", &["--minutes", "3", "--horizon", "4"]);
+        let out = run_ok("mpc", "--minutes 3 --horizon 4");
         assert!(out.contains("mpc run: scenario office"));
         assert!(out.contains("energy"));
         assert!(out.contains("condensate"));
@@ -1409,19 +1409,23 @@ mod tests {
             env!("CARGO_MANIFEST_DIR"),
             "/../../scenarios/mpc_office.json"
         );
-        let out = run_ok("mpc", &["--scenario", path, "--minutes", "3"]);
+        let out = run_ok("mpc", &format!("--scenario {path} --minutes 3"));
         assert!(out.contains("scenario office"));
     }
 
     #[test]
     fn mpc_rejects_bad_inputs() {
-        assert!(run("mpc", vec!["--scenario".into()]).is_err());
-        assert!(run("mpc", vec!["--minutes".into(), "0".into()]).is_err());
-        assert!(run("mpc", vec!["--jobs".into(), "0".into()]).is_err());
-        assert!(run("mpc", vec!["--frobnicate".into()]).is_err());
-        assert!(run("mpc", vec!["--metrics-out".into(), "/tmp/mpc.csv".into()]).is_err());
-        let err = run("mpc", vec!["--scenario".into(), "/nonexistent.json".into()]).unwrap_err();
-        assert!(err.to_string().contains("cannot read"));
+        for flags in [
+            "--scenario",
+            "--minutes 0",
+            "--jobs 0",
+            "--frobnicate",
+            "--metrics-out /tmp/mpc.csv",
+        ] {
+            assert!(run_line("mpc", flags).is_err(), "{flags} should fail");
+        }
+        let err = run_err("mpc", "--scenario /nonexistent.json");
+        assert!(err.contains("cannot read"));
     }
 
     #[test]
@@ -1431,7 +1435,7 @@ mod tests {
         let metrics = dir.join("mpc.jsonl");
         let out = run_ok(
             "mpc",
-            &["--minutes", "3", "--metrics-out", metrics.to_str().unwrap()],
+            &format!("--minutes 3 --metrics-out {}", metrics.display()),
         );
         assert!(out.contains("metrics written to"));
         let export = std::fs::read_to_string(&metrics).unwrap();
@@ -1445,18 +1449,12 @@ mod tests {
     #[test]
     fn flamegraph_out_is_an_unknown_flag() {
         for command in "trial cop network sniff endurance chaos mpc".split(' ') {
-            let err = run_err(command, &["--flamegraph-out", "run.folded"]);
+            let err = run_err(command, "--flamegraph-out run.folded");
             assert!(
                 err.contains("unknown flag --flamegraph-out"),
                 "{command}: {err}"
             );
         }
-    }
-
-    fn run_err(command: &str, flags: &[&str]) -> String {
-        run(command, flags.iter().map(|s| (*s).to_owned()).collect())
-            .unwrap_err()
-            .to_string()
     }
 
     fn scratch(name: &str) -> std::path::PathBuf {
@@ -1468,179 +1466,118 @@ mod tests {
 
     #[test]
     fn value_flags_without_a_value_are_errors() {
-        let err = run_err("trial", &["--minutes", "1", "--quiet", "--csv"]);
+        let err = run_err("trial", "--minutes 1 --quiet --csv");
         assert!(err.contains("flag --csv needs a value"), "{err}");
         // Fails before binding: this address can never bind (the port is
         // out of range, so no lookup is tried), so only the flag check can
         // produce this error.
-        let err = run_err("serve", &["--addr", "127.0.0.1:99999", "--checkpoint-dir"]);
+        let err = run_err("serve", "--addr 127.0.0.1:99999 --checkpoint-dir");
         assert!(err.contains("flag --checkpoint-dir needs a value"), "{err}");
     }
 
     #[test]
     fn checkpoint_flags_validate_across_commands() {
-        let err = run_err("trial", &["--resume", "--minutes", "1", "--quiet"]);
+        let err = run_err("trial", "--resume --minutes 1 --quiet");
         assert!(err.contains("--checkpoint-dir"), "{err}");
-        let err = run_err(
-            "endurance",
-            &["--stream", "--checkpoint-dir", "/tmp/x", "--days", "1"],
-        );
+        let err = run_err("endurance", "--stream --checkpoint-dir /tmp/x --days 1");
         assert!(err.contains("--stream cannot be combined"), "{err}");
-        let err = run_err(
-            "mpc",
-            &["--compare", "--checkpoint-dir", "/tmp/x", "--minutes", "3"],
-        );
+        let err = run_err("mpc", "--compare --checkpoint-dir /tmp/x --minutes 3");
         assert!(err.contains("--compare"), "{err}");
-        assert!(run_err("checkpoint", &[]).contains("usage"));
-        assert!(run_err("checkpoint", &["frobnicate"]).contains("usage"));
+        assert!(run_err("checkpoint", "").contains("usage"));
+        assert!(run_err("checkpoint", "frobnicate").contains("usage"));
     }
 
     #[test]
     fn trial_crash_resume_reproduces_the_uninterrupted_csv() {
         let dir = scratch("trial-resume");
-        let ckpt = dir.join("ckpt");
-        let baseline_csv = dir.join("baseline.csv");
-        let resumed_csv = dir.join("resumed.csv");
-        run_ok(
+        let (ckpt, dir) = (dir.join("ckpt"), dir.display());
+        let ckpt = ckpt.display();
+        run_line(
             "trial",
-            &[
-                "--minutes",
-                "4",
-                "--quiet",
-                "--csv",
-                baseline_csv.to_str().unwrap(),
-            ],
-        );
+            &format!("--minutes 4 --quiet --csv {dir}/baseline.csv"),
+        )
+        .unwrap();
         // First attempt: checkpoints every simulated minute, dies at 2.
-        let err = run_err(
-            "trial",
-            &[
-                "--minutes",
-                "4",
-                "--quiet",
-                "--checkpoint-dir",
-                ckpt.to_str().unwrap(),
-                "--checkpoint-every",
-                "60",
-                "--crash-at",
-                "120",
-            ],
-        );
-        assert!(err.contains("crash injected"), "{err}");
+        let crash = format!("--checkpoint-every 60 --crash-at 120 --checkpoint-dir {ckpt}");
+        let err = run_line("trial", &format!("--minutes 4 --quiet {crash}")).unwrap_err();
+        assert!(err.to_string().contains("crash injected"), "{err}");
         // Second attempt resumes from the t=120s snapshot and finishes.
-        let out = run_ok(
-            "trial",
-            &[
-                "--minutes",
-                "4",
-                "--quiet",
-                "--checkpoint-dir",
-                ckpt.to_str().unwrap(),
-                "--resume",
-                "--csv",
-                resumed_csv.to_str().unwrap(),
-            ],
-        );
+        let resume = format!("--checkpoint-dir {ckpt} --resume --csv {dir}/resumed.csv");
+        let out = run_line("trial", &format!("--minutes 4 --quiet {resume}")).unwrap();
         assert!(out.contains("resumed from"), "{out}");
         assert_eq!(
-            std::fs::read(&baseline_csv).unwrap(),
-            std::fs::read(&resumed_csv).unwrap(),
+            std::fs::read(format!("{dir}/baseline.csv")).unwrap(),
+            std::fs::read(format!("{dir}/resumed.csv")).unwrap(),
             "resumed trial must reproduce the uninterrupted series byte-for-byte"
         );
-        let inspect = run_ok("checkpoint", &["inspect", ckpt.to_str().unwrap()]);
+        let inspect = run_ok("checkpoint", &format!("inspect {ckpt}"));
         assert!(inspect.contains("kind=trial"), "{inspect}");
+        std::fs::remove_dir_all(dir.to_string()).ok();
+    }
+
+    #[test]
+    fn a_finished_trial_resumes_at_its_end_and_steps_nothing() {
+        let dir = scratch("trial-end");
+        let trial = format!(
+            "--minutes 3 --quiet --checkpoint-dir {} --checkpoint-every 120",
+            dir.display()
+        );
+        run_line("trial", &trial).unwrap();
+        // The end of the run is snapshotted, so the resume restores it,
+        // not the t=120 s snapshot of the cadence.
+        let out = run_line("trial", &format!("{trial} --resume")).unwrap();
+        assert!(out.contains("at t=180s"), "{out}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn trial_resume_skips_a_corrupted_snapshot_for_the_previous_good_one() {
         let dir = scratch("trial-corrupt");
-        let ckpt = dir.join("ckpt");
-        let baseline_csv = dir.join("baseline.csv");
-        let resumed_csv = dir.join("resumed.csv");
-        run_ok(
+        let (ckpt, dir) = (dir.join("ckpt"), dir.display());
+        run_line(
             "trial",
-            &[
-                "--minutes",
-                "3",
-                "--quiet",
-                "--csv",
-                baseline_csv.to_str().unwrap(),
-            ],
+            &format!("--minutes 3 --quiet --csv {dir}/baseline.csv"),
+        )
+        .unwrap();
+        let crash = format!(
+            "--checkpoint-every 60 --crash-at 120 --checkpoint-dir {}",
+            ckpt.display()
         );
-        let err = run_err(
-            "trial",
-            &[
-                "--minutes",
-                "3",
-                "--quiet",
-                "--checkpoint-dir",
-                ckpt.to_str().unwrap(),
-                "--checkpoint-every",
-                "60",
-                "--crash-at",
-                "120",
-            ],
-        );
-        assert!(err.contains("crash injected"), "{err}");
+        let err = run_line("trial", &format!("--minutes 3 --quiet {crash}")).unwrap_err();
+        assert!(err.to_string().contains("crash injected"), "{err}");
         // Tear the newest snapshot mid-write: truncate to half its size.
         let newest = bz_state::CheckpointDir::open(&ckpt).file_for_tick(120_000);
         let bytes = std::fs::read(&newest).unwrap();
         std::fs::write(&newest, &bytes[..bytes.len() / 2]).unwrap();
-        let inspect = run_ok("checkpoint", &["inspect", ckpt.to_str().unwrap()]);
+        let inspect = run_ok("checkpoint", &format!("inspect {}", ckpt.display()));
         assert!(inspect.contains("BAD"), "{inspect}");
-        let out = run_ok(
-            "trial",
-            &[
-                "--minutes",
-                "3",
-                "--quiet",
-                "--checkpoint-dir",
-                ckpt.to_str().unwrap(),
-                "--resume",
-                "--csv",
-                resumed_csv.to_str().unwrap(),
-            ],
+        let resume = format!(
+            "--checkpoint-dir {} --resume --csv {dir}/resumed.csv",
+            ckpt.display()
         );
+        let out = run_line("trial", &format!("--minutes 3 --quiet {resume}")).unwrap();
         assert!(out.contains("skipping corrupt checkpoint"), "{out}");
         assert!(out.contains("resumed from"), "{out}");
         assert!(out.contains("t=60s"), "{out}");
         assert_eq!(
-            std::fs::read(&baseline_csv).unwrap(),
-            std::fs::read(&resumed_csv).unwrap(),
+            std::fs::read(format!("{dir}/baseline.csv")).unwrap(),
+            std::fs::read(format!("{dir}/resumed.csv")).unwrap(),
         );
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(dir.to_string()).ok();
     }
 
     #[test]
     fn chaos_crash_resume_reproduces_the_uninterrupted_report() {
         let dir = scratch("chaos-resume");
-        let ckpt = dir.join("ckpt");
-        let baseline = run_ok("chaos", &["--minutes", "6"]);
-        let err = run_err(
-            "chaos",
-            &[
-                "--minutes",
-                "6",
-                "--checkpoint-dir",
-                ckpt.to_str().unwrap(),
-                "--checkpoint-every",
-                "60",
-                "--crash-at",
-                "180",
-            ],
+        let ckpt = format!(
+            "--minutes 6 --checkpoint-dir {}",
+            dir.join("ckpt").display()
         );
-        assert!(err.contains("crash injected"), "{err}");
-        let resumed = run_ok(
-            "chaos",
-            &[
-                "--minutes",
-                "6",
-                "--checkpoint-dir",
-                ckpt.to_str().unwrap(),
-                "--resume",
-            ],
-        );
+        let baseline = run_ok("chaos", "--minutes 6");
+        let crash = format!("{ckpt} --checkpoint-every 60 --crash-at 180");
+        let err = run_line("chaos", &crash).unwrap_err();
+        assert!(err.to_string().contains("crash injected"), "{err}");
+        let resumed = run_line("chaos", &format!("{ckpt} --resume")).unwrap();
         assert!(resumed.contains("resumed from"), "{resumed}");
         assert!(
             resumed.ends_with(&baseline),
@@ -1652,68 +1589,39 @@ mod tests {
     #[test]
     fn mpc_crash_resume_reproduces_the_uninterrupted_export() {
         let dir = scratch("mpc-resume");
-        let ckpt = dir.join("ckpt");
-        let baseline_jsonl = dir.join("baseline.jsonl");
-        let resumed_jsonl = dir.join("resumed.jsonl");
-        run_ok(
-            "mpc",
-            &[
-                "--minutes",
-                "4",
-                "--metrics-out",
-                baseline_jsonl.to_str().unwrap(),
-            ],
+        let ckpt = format!(
+            "--minutes 4 --checkpoint-dir {}",
+            dir.join("ckpt").display()
         );
-        let err = run_err(
+        let dir = dir.display();
+        run_line(
             "mpc",
-            &[
-                "--minutes",
-                "4",
-                "--checkpoint-dir",
-                ckpt.to_str().unwrap(),
-                "--checkpoint-every",
-                "60",
-                "--crash-at",
-                "120",
-            ],
-        );
-        assert!(err.contains("crash injected"), "{err}");
-        let out = run_ok(
+            &format!("--minutes 4 --metrics-out {dir}/baseline.jsonl"),
+        )
+        .unwrap();
+        let err = run_line(
             "mpc",
-            &[
-                "--minutes",
-                "4",
-                "--checkpoint-dir",
-                ckpt.to_str().unwrap(),
-                "--resume",
-                "--metrics-out",
-                resumed_jsonl.to_str().unwrap(),
-            ],
+            &format!("{ckpt} --checkpoint-every 60 --crash-at 120"),
         );
+        assert!(err.unwrap_err().to_string().contains("crash injected"));
+        let resume = format!("{ckpt} --resume --metrics-out {dir}/resumed.jsonl");
+        let out = run_line("mpc", &resume).unwrap();
         assert!(out.contains("resumed from"), "{out}");
         assert_eq!(
-            std::fs::read(&baseline_jsonl).unwrap(),
-            std::fs::read(&resumed_jsonl).unwrap(),
+            std::fs::read(format!("{dir}/baseline.jsonl")).unwrap(),
+            std::fs::read(format!("{dir}/resumed.jsonl")).unwrap(),
             "resumed mpc metrics export must be byte-identical"
         );
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(dir.to_string()).ok();
     }
 
     #[test]
     fn sweep_crash_at_then_resume_matches_an_uninterrupted_sweep() {
         let dir = scratch("sweep-resume");
-        let sweep = |name: &str, extra: &[&str]| {
-            let mut argv: Vec<String> = ["--runs", "3", "--minutes", "3", "--quiet"]
-                .iter()
-                .chain(extra)
-                .map(|s| (*s).to_owned())
-                .collect();
-            let report = dir.join(format!("{name}.jsonl"));
-            let runs = dir.join(name);
-            for (flag, path) in [("--metrics-out", &report), ("--out-dir", &runs)] {
-                argv.extend([flag.to_owned(), path.to_str().unwrap().to_owned()]);
-            }
-            run("sweep", argv)
+        let sweep = |name: &str, extra: &str| {
+            let (dir, quiet) = (dir.display(), "--runs 3 --minutes 3 --quiet");
+            let outputs = format!("--metrics-out {dir}/{name}.jsonl --out-dir {dir}/{name}");
+            run_line("sweep", &format!("{quiet} {outputs} {extra}"))
         };
         let read = |name: &str| {
             let mut files = vec![std::fs::read(dir.join(format!("{name}.jsonl"))).unwrap()];
@@ -1723,17 +1631,19 @@ mod tests {
             }
             files
         };
-        sweep("reference", &[]).unwrap();
+        sweep("reference", "").unwrap();
         for jobs in ["1", "2"] {
             let ckpt = dir.join(format!("ckpt-{jobs}"));
-            let checkpointed = ["--jobs", jobs, "--checkpoint-dir", ckpt.to_str().unwrap()];
-            let checkpointed = [checkpointed.as_slice(), &["--checkpoint-every", "60"]].concat();
-            let crashed = [checkpointed.as_slice(), &["--crash-at", "120"]].concat();
+            let checkpointed = format!(
+                "--jobs {jobs} --checkpoint-dir {} --checkpoint-every 60",
+                ckpt.display()
+            );
+            let crashed = format!("{checkpointed} --crash-at 120");
             let err = sweep("crashed", &crashed).unwrap_err().to_string();
             assert!(err.contains("3 of 3 run(s) failed"), "{err}");
             assert!(err.contains("crash injected at t=120s"), "{err}");
 
-            let resume = [checkpointed.as_slice(), &["--resume"]].concat();
+            let resume = format!("{checkpointed} --resume");
             let out = sweep("resumed", &resume).unwrap();
             assert!(
                 out.contains("3 of 3 run(s) resumed, 3 of 9 simulated minute(s) stepped"),

@@ -1,0 +1,61 @@
+//! `bzctl endurance` steps a minute at a time through the one checkpoint
+//! loop, so its snapshots and its injected crash fall at the minute the
+//! flags name, not at the end of a simulated day.
+//!
+//! Each run is its own `bzctl` process under the default noise kernel,
+//! so no two runs share the global telemetry registry.
+
+use std::process::{Command, Output};
+
+/// Runs `bzctl` with the whitespace-separated `line`.
+fn bzctl(line: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_bzctl"))
+        .args(line.split_whitespace())
+        .env_remove("BZ_NOISE")
+        .output()
+        .expect("bzctl starts")
+}
+
+/// Runs `bzctl`, expects success, and returns its stdout.
+fn ok(line: &str) -> String {
+    let out = bzctl(line);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{line} failed: {stderr}");
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+#[test]
+fn endurance_checkpoints_and_crashes_at_the_minute_its_flags_name() {
+    let dir = std::env::temp_dir().join(format!("bzctl-endurance-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let dir = dir.display();
+    ok(&format!(
+        "endurance --days 1 --metrics-out {dir}/reference.jsonl"
+    ));
+
+    // The crashed run records telemetry too: its snapshots carry it.
+    let hourly = format!("endurance --days 1 --checkpoint-dir {dir}/ckpt --checkpoint-every 3600");
+    let crashed = bzctl(&format!(
+        "{hourly} --crash-at 7200 --metrics-out {dir}/crashed.jsonl"
+    ));
+    let stderr = String::from_utf8_lossy(&crashed.stderr);
+    assert!(!crashed.status.success());
+    assert!(stderr.contains("crash injected at t=7200s"), "{stderr}");
+    let listed = ok(&format!("checkpoint inspect {dir}/ckpt"));
+    assert!(
+        listed.contains("t=3600s") && listed.contains("t=7200s"),
+        "{listed}"
+    );
+
+    let out = ok(&format!(
+        "{hourly} --resume --metrics-out {dir}/resumed.jsonl"
+    ));
+    assert!(out.contains("at t=7200s"), "{out}");
+    let read = |name: &str| std::fs::read(format!("{dir}/{name}.jsonl")).unwrap();
+    assert!(
+        read("resumed") == read("reference"),
+        "a resumed endurance run must export the uninterrupted bytes"
+    );
+    std::fs::remove_dir_all(dir.to_string()).ok();
+}

@@ -106,12 +106,6 @@ impl AirConSystem {
         }
     }
 
-    /// Current simulation time.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Mean room temperature.
     #[must_use]
     pub fn mean_temperature(&self) -> Celsius {

@@ -237,25 +237,12 @@ impl ChaosScenario {
             .and_then(|repairs| repairs.into_iter().max())
     }
 
-    /// Runs the scenario against the global telemetry handle.
-    #[must_use]
-    pub fn run(&self) -> ResilienceReport {
-        self.run_with_obs(bz_obs::Handle::global())
-    }
-
-    /// Runs the scenario against an explicit telemetry handle (tests use
-    /// [`bz_obs::Handle::isolated`] for reproducible exports).
-    #[must_use]
-    pub fn run_with_obs(&self, obs: bz_obs::Handle) -> ResilienceReport {
-        let mut run = self.begin_with_obs(obs);
-        run.step_minutes(u64::MAX);
-        run.finish()
-    }
-
-    /// Starts the scenario as a resumable [`Session`]: step it a minute at
-    /// a time, checkpoint it with [`Session::save_state`], and restore it
-    /// in a fresh process with [`Session::load_state`]. The whole-run
-    /// [`ChaosScenario::run_with_obs`] is a thin loop over this.
+    /// Starts the scenario as a resumable [`Session`] recording into `obs`:
+    /// step it a minute at a time (or to its end with
+    /// [`crate::checkpoint::drive`]), checkpoint it with
+    /// [`Session::save_state`], restore it in a fresh process with
+    /// [`Session::load_state`], and take its report with
+    /// [`ChaosRun::finish`].
     #[must_use]
     pub fn begin_with_obs(&self, obs: bz_obs::Handle) -> ChaosRun {
         let system = BubbleZeroSystem::with_obs(self.system_config(), obs.clone());
@@ -277,7 +264,6 @@ impl ChaosScenario {
             system,
             violation_secs: [0; 4],
             recovered_since: None,
-            second: 0,
         }
     }
 }
@@ -299,71 +285,78 @@ pub struct ChaosRun {
     system: BubbleZeroSystem,
     violation_secs: [u64; 4],
     recovered_since: Option<f64>,
-    second: u64,
 }
 
 impl Session for ChaosRun {
     fn now_ms(&self) -> u64 {
-        self.second * 1_000
+        self.system.now().as_millis()
     }
 
     fn is_done(&self) -> bool {
-        self.second >= self.total_s
+        self.now_ms() >= self.total_s * 1_000
     }
 
     fn step_minute(&mut self) {
-        let batch_end = (self.second + 60).min(self.total_s);
-        while self.second < batch_end {
-            self.second += 1;
-            self.system.step_second();
-            let now = self.system.now();
-            let in_fault_window = self.onset.is_some_and(|o| now >= o);
+        if self.is_done() {
+            return;
+        }
+        let steps = (self.total_s - self.now_ms() / 1_000).min(60);
+        let Self {
+            onset,
+            repair,
+            targets,
+            system,
+            violation_secs,
+            recovered_since,
+            ..
+        } = self;
+        system.run_seconds_with(steps, |system| {
+            let now = system.now();
+            let in_fault_window = onset.is_some_and(|o| now >= o);
             let mut all_in_band = true;
-            {
-                let plant = self.system.plant();
-                for (i, id) in SubspaceId::ALL.iter().enumerate() {
-                    let deviation =
-                        (plant.zone_temperature(*id).get() - self.targets.temperature.get()).abs();
-                    if deviation > COMFORT_TOLERANCE_K {
-                        all_in_band = false;
-                        if in_fault_window {
-                            self.violation_secs[i] += 1;
-                        }
+            let plant = system.plant();
+            for (i, id) in SubspaceId::ALL.iter().enumerate() {
+                let deviation =
+                    (plant.zone_temperature(*id).get() - targets.temperature.get()).abs();
+                if deviation > COMFORT_TOLERANCE_K {
+                    all_in_band = false;
+                    if in_fault_window {
+                        violation_secs[i] += 1;
                     }
                 }
             }
-            if let Some(repair_at) = self.repair {
-                if now >= repair_at {
-                    if all_in_band && !self.system.supervisor().anything_flagged() {
-                        self.recovered_since.get_or_insert(now.as_secs_f64());
-                    } else {
-                        self.recovered_since = None;
-                    }
+            if repair.is_some_and(|repair_at| now >= repair_at) {
+                if all_in_band && !system.supervisor().anything_flagged() {
+                    recovered_since.get_or_insert(now.as_secs_f64());
+                } else {
+                    *recovered_since = None;
                 }
             }
-            if self.second.is_multiple_of(60) && self.obs.is_enabled() {
-                for kind in &self.kinds {
-                    let active = self.windows.iter().any(|(at, repaired_at, k)| {
-                        k == kind && now >= *at && repaired_at.is_none_or(|r| now < r)
-                    });
-                    self.obs.gauge_set(
-                        format!("fault.{kind}.active"),
-                        now.as_millis(),
-                        f64::from(u8::from(active)),
-                    );
-                }
-                self.obs.record_counters(now.as_millis());
+        });
+        let now = self.system.now();
+        if now.as_millis().is_multiple_of(60_000) && self.obs.is_enabled() {
+            for kind in &self.kinds {
+                let active = self.windows.iter().any(|(at, repaired_at, k)| {
+                    k == kind && now >= *at && repaired_at.is_none_or(|r| now < r)
+                });
+                self.obs.gauge_set(
+                    format!("fault.{kind}.active"),
+                    now.as_millis(),
+                    f64::from(u8::from(active)),
+                );
             }
+            self.obs.record_counters(now.as_millis());
         }
     }
 
-    /// The full system plus the resilience accumulators.
+    /// The full system plus the resilience accumulators, then the run's
+    /// second (the system clock, checked again at load).
     fn save_state(&self, w: &mut bz_state::Writer) {
         use bz_state::Persist;
         self.system.save_state(w);
         self.violation_secs.save(w);
         self.recovered_since.save(w);
-        w.put_u64(self.second);
+        w.put_u64(self.now_ms() / 1_000);
     }
 
     fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
@@ -371,25 +364,7 @@ impl Session for ChaosRun {
         self.system.load_state(r)?;
         self.violation_secs = Persist::load(r)?;
         self.recovered_since = Persist::load(r)?;
-        let second = r.take_u64()?;
-        if second > self.total_s {
-            return Err(bz_state::StateError::Invalid {
-                what: "ChaosRun",
-                reason: format!(
-                    "checkpoint is {second}s into a run of only {}s",
-                    self.total_s
-                ),
-            });
-        }
-        let system_ms = self.system.now().as_millis();
-        if second * 1_000 != system_ms {
-            return Err(bz_state::StateError::Invalid {
-                what: "ChaosRun",
-                reason: format!("session clock {second}s, system clock {system_ms}ms"),
-            });
-        }
-        self.second = second;
-        Ok(())
+        crate::session::load_run_second(r, "ChaosRun", &self.system, self.total_s)
     }
 }
 
@@ -986,7 +961,9 @@ mod tests {
             wsn: WsnFaultSchedule::none(),
             disturbances: DisturbanceSchedule::none(),
         };
-        let report = scenario.run_with_obs(bz_obs::Handle::isolated());
+        let mut run = scenario.begin_with_obs(bz_obs::Handle::isolated());
+        run.step_minutes(u64::MAX);
+        let report = run.finish();
         assert_eq!(report.onset_s, None);
         assert_eq!(report.time_to_detect_s, None);
         assert_eq!(report.time_to_recover_s, None);

@@ -2,8 +2,9 @@
 //! says what a checkpoint belongs to, and its label always ends in the
 //! noise kernel. [`Checkpointer`] decides when a snapshot is due, how many
 //! are kept, whether and from which snapshot a run resumes, and when an
-//! injected crash fails the run ([`Policy`]). `bzctl`'s resumable
-//! commands and its sweep runner go through both types, `bz-serve`
+//! injected crash fails the run ([`Policy`]). [`drive`] is the one loop
+//! that steps a checkpointed run to its end. `bzctl`'s resumable
+//! commands and its sweep runner go through all three, `bz-serve`
 //! through [`RunIdentity`]; see `docs/CHECKPOINTS.md` for the guarantees.
 
 use std::fmt;
@@ -13,6 +14,8 @@ use std::path::PathBuf;
 use bz_simcore::NoiseKernel;
 use bz_state::{Checkpoint, CheckpointDir, CheckpointError, CheckpointMeta};
 use bz_state::{Reader, StateError, Writer};
+
+use crate::session::Session;
 
 /// Checkpoints retained per run directory.
 pub const KEEP: usize = 3;
@@ -344,6 +347,32 @@ impl Checkpointer {
         self.next_due_ms = now_ms.saturating_add(self.every_ms);
         self.newest_ms = Some(now_ms);
         Ok(())
+    }
+}
+
+/// Steps `run` a minute at a time until it is done. With `checkpoints`,
+/// each minute ends in [`Checkpointer::after_step`] (the snapshot due
+/// then, and the policy's crash) and the run in [`Checkpointer::finish`],
+/// so a resumed finished run steps nothing. Resuming is the caller's:
+/// restore `run` through [`Checkpointer::resume`] first.
+///
+/// # Errors
+///
+/// Fails as [`Checkpointer::after_step`] and [`Checkpointer::finish`] do,
+/// the injected crash included; the run stops at the failing minute.
+pub fn drive(
+    run: &mut dyn Session,
+    mut checkpoints: Option<&mut Checkpointer>,
+) -> Result<(), CheckpointerError> {
+    while !run.is_done() {
+        run.step_minute();
+        if let Some(checkpoints) = checkpoints.as_deref_mut() {
+            checkpoints.after_step(run.now_ms(), |w| run.save_state(w))?;
+        }
+    }
+    match checkpoints {
+        Some(checkpoints) => checkpoints.finish(run.now_ms(), |w| run.save_state(w)),
+        None => Ok(()),
     }
 }
 

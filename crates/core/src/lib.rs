@@ -34,7 +34,8 @@
 //!   paper's "one subspace, not the whole room" degradation property;
 //! - [`checkpoint`] — the one checkpoint policy every resumable run
 //!   shares: run identities that always record the noise kernel, the
-//!   resume scan, the snapshot cadence and the retention window.
+//!   resume scan, the snapshot cadence and the retention window, and
+//!   [`checkpoint::drive`], the one loop that steps such a run to its end.
 //!
 //! # Example
 //!
@@ -64,3 +65,8 @@ pub mod supervisor;
 pub mod system;
 pub mod targets;
 pub mod ventilation;
+
+/// Maximum age of a sensor reading, s. Past it the radiant and
+/// ventilation controllers no longer use the reading (and fail safe
+/// without one), and the supervisor no longer counts it as fresh.
+pub const MAX_STALENESS_S: f64 = 120.0;

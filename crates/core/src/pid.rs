@@ -89,12 +89,6 @@ impl Pid {
         self
     }
 
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &PidConfig {
-        &self.config
-    }
-
     /// Advances the controller with the current `error` (setpoint −
     /// measurement convention is the caller's) over `dt_s` seconds and
     /// returns the clamped output.

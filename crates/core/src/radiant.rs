@@ -19,6 +19,7 @@ use bz_thermal::plant::RadiantLoopCommand;
 
 use crate::pid::{Pid, PidConfig};
 use crate::targets::ComfortTargets;
+use crate::MAX_STALENESS_S;
 
 /// Number of ceiling sensors per panel.
 pub const CEILING_SENSORS: usize = 6;
@@ -43,8 +44,6 @@ pub struct RadiantConfig {
     pub dew_margin_k: f64,
     /// PID for `ΔT → F_t_mix` (output in m³/s).
     pub flow_pid: PidConfig,
-    /// Maximum age of sensor data before the controller fails safe, s.
-    pub max_staleness_s: f64,
 }
 
 impl Default for RadiantConfig {
@@ -53,7 +52,6 @@ impl Default for RadiantConfig {
             dew_margin_k: 0.5,
             // Full loop flow (~2e-4 m³/s with both pumps) at ~4 K error.
             flow_pid: PidConfig::new(5.0e-5, 2.5e-7, 0.0, 0.0, 2.2e-4),
-            max_staleness_s: 120.0,
         }
     }
 }
@@ -195,7 +193,7 @@ impl RadiantController {
     /// `None` when no sensor pair is fresh.
     #[must_use]
     pub fn ceiling_dew_point(&self, now_s: f64) -> Option<Celsius> {
-        let max_age = self.config.max_staleness_s;
+        let max_age = MAX_STALENESS_S;
         let mut worst: Option<Celsius> = None;
         for reading in &self.ceiling {
             let (Some((t_at, t)), Some((h_at, h))) = (reading.temperature, reading.humidity) else {
@@ -221,7 +219,7 @@ impl RadiantController {
             .room_temps
             .iter()
             .filter_map(|r| *r)
-            .filter(|(at, _)| now_s - at <= self.config.max_staleness_s)
+            .filter(|(at, _)| now_s - at <= MAX_STALENESS_S)
             .map(|(_, v)| v.get())
             .collect();
         if fresh.is_empty() {

@@ -65,12 +65,6 @@ impl AfternoonTrial {
         }
     }
 
-    /// Access to the underlying system configuration.
-    #[must_use]
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
-    }
-
     /// Runs the trial to completion.
     #[must_use]
     pub fn run(self) -> TrialOutcome {
@@ -223,12 +217,6 @@ impl NetworkTrial {
             .clone()
             .with_disturbances(DisturbanceSchedule::periodic_events(duration, &mut rng));
         self
-    }
-
-    /// Access to the underlying system configuration.
-    #[must_use]
-    pub fn config(&self) -> &SystemConfig {
-        &self.config
     }
 
     /// Runs the trial to completion.
@@ -502,7 +490,7 @@ mod tests {
     fn afternoon_trial_is_configured_like_the_paper() {
         let trial = AfternoonTrial::paper_setup();
         assert_eq!(trial.duration, SimDuration::from_mins(105));
-        let events = trial.config().plant.disturbances.events();
+        let events = trial.config.plant.disturbances.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].at, SimTime::from_mins(65));
     }

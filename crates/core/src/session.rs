@@ -1,22 +1,21 @@
 //! Externally-paced driving of a simulation run.
 //!
-//! The batch runners (`bzctl trial`, the sweep executor) own their step
-//! loop: they advance the system minute by minute until the scenario
-//! duration is spent. A control-plane service cannot — each tenant is
-//! stepped on demand by whatever requests arrive over the wire. The
-//! [`Session`] trait is that externally-paced contract, shared by every
-//! resumable run: the plain closed loop ([`TenantSession`]), the chaos
-//! run ([`crate::chaos::ChaosRun`]) and the bz-predict strategy run.
-//! `bz-serve` hosts any of them behind one `dyn Session`, and `bzctl
-//! chaos` / `bzctl mpc` drive them through one checkpointing loop.
+//! The [`Session`] trait is the contract of every resumable run: step a
+//! minute, report the clock, checkpoint on demand. The plain closed loop
+//! ([`TenantSession`]), the chaos run ([`crate::chaos::ChaosRun`]), the
+//! bz-predict strategy run and `bzctl`'s trial and endurance runs
+//! implement it. `bz-serve` steps any of them behind one `dyn Session`,
+//! one request at a time; the batch runners (`bzctl`'s resumable
+//! commands, every sweep run) step them to their end through
+//! [`crate::checkpoint::drive`].
 //!
-//! A [`TenantSession`] packages the exact per-minute cadence the batch
-//! runners use (60 simulated seconds, then a counter sample into the
-//! session's isolated `bz_obs` registry), so a tenant driven one request
-//! at a time exports **byte-identical** JSONL to the same scenario run
-//! offline. Every session is checkpointable through the same `bz-state`
-//! seam as the system itself: [`Session::save_state`] round-trips
-//! through [`Session::load_state`] into a byte-identical continuation.
+//! A [`TenantSession`] packages the per-minute cadence of the closed loop
+//! (60 simulated seconds, then a counter sample into the session's
+//! `bz_obs` registry), so a tenant driven one request at a time exports
+//! **byte-identical** JSONL to the same sweep run offline. Every session
+//! is checkpointable through the same `bz-state` seam as the system
+//! itself: [`Session::save_state`] round-trips through
+//! [`Session::load_state`] into a byte-identical continuation.
 
 use bz_thermal::airbox::FanLevel;
 use bz_thermal::zone::SubspaceId;
@@ -127,9 +126,15 @@ impl TenantSession {
         &self.obs
     }
 
+    /// The closed-loop system, for end-of-run summaries.
+    #[must_use]
+    pub fn system(&self) -> &BubbleZeroSystem {
+        &self.system
+    }
+
     /// Advances one simulated minute — 60 one-second steps, then the
     /// per-minute counter sample that puts trajectories (not just totals)
-    /// in the export, exactly as `bzctl trial` and the sweep runner do.
+    /// in the export, exactly as `bzctl trial` does.
     /// A no-op once the session [`is_done`](Session::is_done). Inherent,
     /// so callers can step a `TenantSession` without importing [`Session`].
     pub fn step_minute(&mut self) {
@@ -219,6 +224,30 @@ impl Session for TenantSession {
             strategy: self.system.strategy_name(),
         })
     }
+}
+
+/// Reads the run second a chaos or strategy payload ends with, and
+/// checks it against the restored `system`'s clock and the run's length.
+///
+/// # Errors
+///
+/// A second past `total_s`, or one the system clock disagrees with.
+pub fn load_run_second(
+    r: &mut bz_state::Reader<'_>,
+    what: &'static str,
+    system: &BubbleZeroSystem,
+    total_s: u64,
+) -> Result<(), bz_state::StateError> {
+    let second = r.take_u64()?;
+    let system_ms = system.now().as_millis();
+    let reason = if second > total_s {
+        format!("checkpoint is {second}s into a run of only {total_s}s")
+    } else if second * 1_000 != system_ms {
+        format!("session clock {second}s, system clock {system_ms}ms")
+    } else {
+        return Ok(());
+    };
+    Err(bz_state::StateError::Invalid { what, reason })
 }
 
 /// The wire label of a fan level.

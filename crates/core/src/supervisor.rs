@@ -30,13 +30,11 @@ use bz_wsn::message::DataType;
 
 use crate::devices::channels;
 use crate::radiant::CEILING_SENSORS;
+use crate::MAX_STALENESS_S;
 
 /// Supervisor tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisorConfig {
-    /// Maximum age of an accepted reading before it no longer counts as
-    /// fresh for trust purposes, s (matches the controllers' staleness).
-    pub staleness_s: f64,
     /// Consecutive bit-identical raw readings before a channel is
     /// declared stuck. Healthy parts quantize at roughly their noise
     /// level, so short identical runs do occur by chance; only a long
@@ -75,7 +73,6 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> Self {
         Self {
-            staleness_s: 120.0,
             stuck_min_repeats: 12,
             stuck_window_s: 600.0,
             rebaseline_rejects: 5,
@@ -337,12 +334,6 @@ impl SensorHealthSupervisor {
         self
     }
 
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> &SupervisorConfig {
-        &self.config
-    }
-
     /// The detection/recovery log so far.
     #[must_use]
     pub fn detections(&self) -> &[Detection] {
@@ -471,7 +462,7 @@ impl SensorHealthSupervisor {
             // meaningless: accept the next in-range reading as the new
             // baseline rather than rejecting forever.
             let rebaseline = state.rejects_in_row >= config.rebaseline_rejects;
-            if dt > 0.0 && dt <= config.staleness_s && !rebaseline {
+            if dt > 0.0 && dt <= MAX_STALENESS_S && !rebaseline {
                 let allowed = bounds.slack + bounds.max_rate * dt;
                 if (value - prev_v).abs() > allowed {
                     return Err(RejectReason::RateSpike);
@@ -495,7 +486,7 @@ impl SensorHealthSupervisor {
                 !state.unhealthy
                     && state
                         .last_accepted
-                        .is_some_and(|(at, _)| now_s - at <= self.config.staleness_s)
+                        .is_some_and(|(at, _)| now_s - at <= MAX_STALENESS_S)
             }
             None => false,
         }
@@ -569,9 +560,7 @@ impl SensorHealthSupervisor {
         if applied_flow < self.config.pump_min_flow {
             return;
         }
-        let sensed_fresh = pump
-            .sensed
-            .filter(|(at, _)| now_s - at <= self.config.staleness_s);
+        let sensed_fresh = pump.sensed.filter(|(at, _)| now_s - at <= MAX_STALENESS_S);
         let Some((_, sensed_flow)) = sensed_fresh else {
             return;
         };

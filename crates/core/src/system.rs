@@ -30,7 +30,7 @@ use bz_wsn::retry::{ControlRetrier, RetryConfig};
 use bz_wsn::sniffer::Sniffer;
 
 use crate::devices::{channels, DeviceRole};
-use crate::radiant::{RadiantConfig, RadiantController, RadiantDecision};
+use crate::radiant::{RadiantConfig, RadiantDecision};
 use crate::strategy::{ControlStrategy, CycleInputs, ReactiveStrategy};
 use crate::supervisor::{SensorHealthSupervisor, SupervisorConfig};
 use crate::targets::ComfortTargets;
@@ -559,16 +559,6 @@ impl BubbleZeroSystem {
         self.strategy.name()
     }
 
-    /// Read access to a radiant controller (diagnostics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `panel` is out of range.
-    #[must_use]
-    pub fn radiant_controller(&self, panel: usize) -> &RadiantController {
-        self.strategy.reactive().radiant_controller(panel)
-    }
-
     /// The sniffer capture, if `enable_sniffer` was set.
     #[must_use]
     pub fn sniffer(&self) -> Option<&Sniffer> {
@@ -669,11 +659,19 @@ impl BubbleZeroSystem {
     /// last publish reaches the registry once per call, by the rules in
     /// `docs/OBSERVABILITY.md`.
     pub fn run_seconds(&mut self, steps: u64) {
+        self.run_seconds_with(steps, |_| {});
+    }
+
+    /// [`Self::run_seconds`], calling `each_second` with the system after
+    /// every second; the hot counters are still published once, at the
+    /// end of the call.
+    pub fn run_seconds_with(&mut self, steps: u64, mut each_second: impl FnMut(&Self)) {
         // The spans of a second borrow this clone, not `self.obs`, so the
         // second can mutate the system while they are open.
         let obs = self.obs.clone();
         for _ in 0..steps {
             self.advance_second(&obs);
+            each_second(self);
         }
         self.publish_counters();
     }
@@ -1566,8 +1564,8 @@ mod tests {
 
     #[test]
     fn run_seconds_exports_what_single_steps_export() {
-        // Chaos and MPC sessions step one second at a time; the trial
-        // runs a minute per call. Both must publish the same counters.
+        // One call per minute and one per second must publish the same
+        // counters.
         let (by_minute, by_second) = (bz_obs::Handle::isolated(), bz_obs::Handle::isolated());
         let mut a = seeded(3, &by_minute);
         let mut b = seeded(3, &by_second);

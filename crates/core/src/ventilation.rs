@@ -20,6 +20,7 @@ use bz_thermal::plant::AirboxActuation;
 
 use crate::pid::{Pid, PidConfig};
 use crate::targets::ComfortTargets;
+use crate::MAX_STALENESS_S;
 
 /// Diagnostics from one ventilation control decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,8 +67,6 @@ pub struct VentilationConfig {
     pub outdoor_co2: Ppm,
     /// Subspace air volume, m³.
     pub zone_volume_m3: f64,
-    /// Maximum age of sensor data before the controller fails safe, s.
-    pub max_staleness_s: f64,
 }
 
 impl Default for VentilationConfig {
@@ -85,7 +84,6 @@ impl Default for VentilationConfig {
             pull_down_enter_k: 1.2,
             outdoor_co2: Ppm::new(410.0),
             zone_volume_m3: 15.0,
-            max_staleness_s: 120.0,
         }
     }
 }
@@ -183,7 +181,7 @@ impl VentilationController {
 
     fn fresh<T: Copy>(&self, entry: Option<(f64, T)>, now_s: f64) -> Option<T> {
         entry
-            .filter(|(at, _)| now_s - at <= self.config.max_staleness_s)
+            .filter(|(at, _)| now_s - at <= MAX_STALENESS_S)
             .map(|(_, v)| v)
     }
 
@@ -204,9 +202,7 @@ impl VentilationController {
     pub fn decide(&mut self, now_s: f64, dt_s: f64) -> VentilationDecision {
         let room_dew_target = self.room_dew_target(now_s);
 
-        let room = self
-            .room
-            .filter(|(at, _, _)| now_s - at <= self.config.max_staleness_s);
+        let room = self.room.filter(|(at, _, _)| now_s - at <= MAX_STALENESS_S);
         let Some((_, room_t, room_rh)) = room else {
             // Fail safe: no room data, no ventilation.
             return VentilationDecision {
@@ -243,7 +239,7 @@ impl VentilationController {
         // Coil PID: drive the measured outlet dew point to its target.
         let outlet_dew = self
             .outlet
-            .filter(|(at, _, _)| now_s - at <= self.config.max_staleness_s)
+            .filter(|(at, _, _)| now_s - at <= MAX_STALENESS_S)
             .and_then(|(_, t, h)| dew_point_checked(t, h).ok());
         let coil_voltage = match outlet_dew {
             Some(measured) => {

@@ -4,11 +4,14 @@
 //! and export byte-identical metrics for the same seed.
 
 use bz_core::chaos::{ChaosScenario, AFFECTED_THRESHOLD_MIN};
+use bz_core::session::Session;
 
 fn run_once() -> (bz_core::chaos::ResilienceReport, Vec<u8>) {
     let obs = bz_obs::Handle::isolated();
     obs.enable();
-    let report = ChaosScenario::bundled_basic().run_with_obs(obs.clone());
+    let mut run = ChaosScenario::bundled_basic().begin_with_obs(obs.clone());
+    run.step_minutes(u64::MAX);
+    let report = run.finish();
     let mut jsonl = Vec::new();
     obs.write_jsonl(&mut jsonl).expect("export never fails");
     (report, jsonl)

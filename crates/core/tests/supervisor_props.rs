@@ -64,7 +64,7 @@ proptest! {
         let end_t = (readings.len() as u64 * step_s) as f64;
         if supervisor.channel_trusted(data_type, channel, end_t) {
             let at = last_accept_t.expect("trusted channel must have accepted a reading");
-            prop_assert!(end_t - at <= supervisor.config().staleness_s);
+            prop_assert!(end_t - at <= bz_core::MAX_STALENESS_S);
         }
     }
 }

@@ -12,7 +12,7 @@ use std::fmt;
 
 use bz_core::chaos::COMFORT_TOLERANCE_K;
 use bz_core::json::{Json, MAX_WHOLE};
-use bz_core::session::Session;
+use bz_core::session::{load_run_second, Session};
 use bz_core::system::{BubbleZeroSystem, SystemConfig};
 use bz_simcore::SimDuration;
 use bz_thermal::occupancy::{OccupancyChange, OccupancySchedule};
@@ -286,7 +286,6 @@ pub fn begin_strategy(scenario: &MpcScenario, mpc: Option<MpcConfig>) -> Strateg
         schedule,
         targets,
         total_s: scenario.duration.as_millis() / 1_000,
-        second: 0,
         violation_secs: 0,
     }
 }
@@ -302,74 +301,63 @@ pub struct StrategySession {
     schedule: OccupancySchedule,
     targets: bz_core::targets::ComfortTargets,
     total_s: u64,
-    second: u64,
     violation_secs: u64,
 }
 
 impl Session for StrategySession {
     fn now_ms(&self) -> u64 {
-        self.second * 1_000
+        self.system.now().as_millis()
     }
 
     fn is_done(&self) -> bool {
-        self.second >= self.total_s
+        self.now_ms() >= self.total_s * 1_000
     }
 
     fn step_minute(&mut self) {
-        let batch_end = (self.second + 60).min(self.total_s);
-        while self.second < batch_end {
-            self.second += 1;
-            self.system.step_second();
-            let now = self.system.now();
-            {
-                let plant = self.system.plant();
-                for id in SubspaceId::ALL {
-                    if self.schedule.headcount(id, now) == 0 {
-                        continue;
-                    }
-                    let deviation =
-                        (plant.zone_temperature(id).get() - self.targets.temperature.get()).abs();
-                    if deviation > COMFORT_TOLERANCE_K {
-                        self.violation_secs += 1;
-                    }
+        if self.is_done() {
+            return;
+        }
+        let steps = (self.total_s - self.now_ms() / 1_000).min(60);
+        let Self {
+            system,
+            schedule,
+            targets,
+            violation_secs,
+            ..
+        } = self;
+        system.run_seconds_with(steps, |system| {
+            let now = system.now();
+            let plant = system.plant();
+            for id in SubspaceId::ALL {
+                if schedule.headcount(id, now) == 0 {
+                    continue;
+                }
+                let deviation =
+                    (plant.zone_temperature(id).get() - targets.temperature.get()).abs();
+                if deviation > COMFORT_TOLERANCE_K {
+                    *violation_secs += 1;
                 }
             }
-            if self.second.is_multiple_of(60) {
-                self.obs.record_counters(now.as_millis());
-            }
+        });
+        let now_ms = self.now_ms();
+        if now_ms.is_multiple_of(60_000) {
+            self.obs.record_counters(now_ms);
         }
     }
 
     /// The full system (which carries the MPC layer through the strategy
-    /// seam) plus the violation accumulator.
+    /// seam) plus the violation accumulator, then the run's second (the
+    /// system clock, checked again at load).
     fn save_state(&self, w: &mut bz_state::Writer) {
         self.system.save_state(w);
         w.put_u64(self.violation_secs);
-        w.put_u64(self.second);
+        w.put_u64(self.now_ms() / 1_000);
     }
 
     fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
         self.system.load_state(r)?;
         self.violation_secs = r.take_u64()?;
-        let second = r.take_u64()?;
-        if second > self.total_s {
-            return Err(bz_state::StateError::Invalid {
-                what: "StrategySession",
-                reason: format!(
-                    "checkpoint is {second}s into a run of only {}s",
-                    self.total_s
-                ),
-            });
-        }
-        let system_ms = self.system.now().as_millis();
-        if second * 1_000 != system_ms {
-            return Err(bz_state::StateError::Invalid {
-                what: "StrategySession",
-                reason: format!("session clock {second}s, system clock {system_ms}ms"),
-            });
-        }
-        self.second = second;
-        Ok(())
+        load_run_second(r, "StrategySession", &self.system, self.total_s)
     }
 }
 

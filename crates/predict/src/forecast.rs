@@ -152,12 +152,6 @@ impl OccupancyForecaster {
         self.predict(subspace, t_s) >= 0.5
     }
 
-    /// The configuration this forecaster was built with.
-    #[must_use]
-    pub fn config(&self) -> &ForecastConfig {
-        &self.config
-    }
-
     /// Serializes the learned profiles. The configuration is rebuilt on
     /// restore; a checkpoint only holds what observation taught us.
     pub fn save_state(&self, w: &mut bz_state::Writer) {
@@ -217,7 +211,7 @@ mod tests {
     /// Feeds a square-wave schedule (occupied the first half of each
     /// period) for `periods` full periods at a 5 s cadence.
     fn feed(forecaster: &mut OccupancyForecaster, periods: u32) {
-        let config = *forecaster.config();
+        let config = forecaster.config;
         let steps = (config.period_s / 5.0) as u32 * periods;
         for i in 0..steps {
             let t = f64::from(i) * 5.0;

@@ -95,16 +95,6 @@ impl SlidingWindow {
         self.samples.is_empty()
     }
 
-    /// Mean of the samples currently in the window, or `None` when empty.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.sum / self.samples.len() as f64)
-        }
-    }
-
     /// The paper's population variance `E[X²] − (E[X])²` over the window,
     /// or `None` when empty. Clamped at zero against rounding.
     #[must_use]
@@ -182,18 +172,6 @@ impl Cdf {
     pub fn max(&self) -> f64 {
         *self.sorted.last().expect("non-empty")
     }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Always false — construction rejects empty sample sets.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
 }
 
 bz_state::persist_struct!(SlidingWindow {
@@ -203,18 +181,6 @@ bz_state::persist_struct!(SlidingWindow {
     sum_sq,
     pushes_since_rebuild,
 });
-
-/// Mean of a slice; `None` when empty. Convenience for sensor fusion code
-/// ("T_room is computed by averaging temperature readings from a set of
-/// sensors" — §III-B).
-#[must_use]
-pub fn mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        None
-    } else {
-        Some(values.iter().sum::<f64>() / values.len() as f64)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -245,7 +211,7 @@ mod tests {
         w.push(1.0);
         w.push(2.0);
         w.push(3.0); // evicts 1.0
-        assert!((w.mean().unwrap() - 2.5).abs() < 1e-12);
+        assert!((w.sum / w.len() as f64 - 2.5).abs() < 1e-12);
         assert_eq!(w.len(), 2);
     }
 
@@ -254,7 +220,6 @@ mod tests {
         let w = SlidingWindow::new(3);
         assert!(w.is_empty());
         assert_eq!(w.variance(), None);
-        assert_eq!(w.mean(), None);
     }
 
     #[test]
@@ -293,7 +258,7 @@ mod tests {
         assert!((cdf.mean() - 17.5).abs() < 1e-12);
         assert_eq!(cdf.min(), 2.0);
         assert_eq!(cdf.max(), 64.0);
-        assert_eq!(cdf.len(), 4);
+        assert_eq!(cdf.sorted.len(), 4);
     }
 
     #[test]
@@ -314,11 +279,5 @@ mod tests {
     #[should_panic(expected = "must be finite")]
     fn cdf_rejects_nan() {
         let _ = Cdf::from_samples([1.0, f64::NAN]);
-    }
-
-    #[test]
-    fn mean_helper() {
-        assert_eq!(mean(&[]), None);
-        assert!((mean(&[24.0, 26.0]).unwrap() - 25.0).abs() < 1e-12);
     }
 }

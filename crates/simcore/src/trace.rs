@@ -132,23 +132,6 @@ impl TraceRecorder {
             .find_map(|(n, s)| (n == name).then_some(s))
     }
 
-    /// Iterates `(name, series)` pairs in creation order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Series)> {
-        self.series.iter().map(|(n, s)| (n.as_str(), s))
-    }
-
-    /// Number of series recorded.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.series.len()
-    }
-
-    /// True when nothing has been recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
-    }
-
     /// Renders the named series side by side as wide-format CSV with one
     /// row per distinct timestamp (`time_s,<name1>,<name2>,…`), using step
     /// interpolation for series that lack a sample at a given timestamp.
@@ -227,7 +210,7 @@ mod tests {
         trace.record("a", t(0), 1.0);
         trace.record("a", t(1), 2.0);
         trace.record("b", t(0), 9.0);
-        assert_eq!(trace.len(), 2);
+        assert_eq!(trace.series.len(), 2);
         assert_eq!(trace.series("a").unwrap().len(), 2);
         assert_eq!(trace.series("b").unwrap().last().unwrap().value, 9.0);
         assert!(trace.series("missing").is_none());

@@ -149,7 +149,7 @@ pub struct AirboxStep {
 /// One airbox unit.
 #[derive(Debug, Clone)]
 pub struct Airbox {
-    params: AirboxParams,
+    pub(crate) params: AirboxParams,
     total_condensate_kg: f64,
 }
 

@@ -91,7 +91,7 @@ impl Pump {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tank {
     /// Water volume, m³.
-    volume_m3: f64,
+    pub(crate) volume_m3: f64,
     /// Current water temperature.
     temperature: Celsius,
 }

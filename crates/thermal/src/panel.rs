@@ -65,7 +65,7 @@ pub struct PanelStep {
 /// One radiant ceiling panel with its surface-temperature state.
 #[derive(Debug, Clone)]
 pub struct RadiantPanel {
-    params: PanelParams,
+    pub(crate) params: PanelParams,
     surface_temp: Celsius,
     total_condensate_kg: f64,
 }

@@ -26,7 +26,7 @@ use crate::sensors::{
     TemperatureSensor,
 };
 use crate::weather::{Weather, WeatherConfig};
-use crate::zone::{AirState, SubspaceId, Zone, ZoneInputs, ZoneParams};
+use crate::zone::{AirState, SubspaceId, Zone, ZoneInputs, ZoneParams, RESTORABLE_AIR_C};
 
 /// Pump voltages for one radiant mixing loop (Figure 3's two pumps).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -938,17 +938,40 @@ impl ThermalPlant {
         self.stuck_latch.save(w);
     }
 
+    /// The parameter blocks a checkpoint repeats: zones, panels, tank
+    /// volumes and airboxes. The configuration fixes them.
+    fn parameters(
+        &self,
+    ) -> (
+        [ZoneParams; 4],
+        [PanelParams; 2],
+        [f64; 2],
+        [AirboxParams; 4],
+    ) {
+        (
+            self.zones.each_ref().map(|z| z.params),
+            self.panels.each_ref().map(|p| p.params),
+            [self.radiant_tank.volume_m3, self.vent_tank.volume_m3],
+            self.airboxes.each_ref().map(|a| a.params),
+        )
+    }
+
     /// Restores the dynamic state saved by [`Self::save_state`] into a
     /// plant freshly built from the same configuration.
     ///
     /// # Errors
     ///
-    /// Returns a decode error if the bytes do not parse.
+    /// Returns a decode error if the bytes do not parse, and refuses
+    /// parameter blocks (zones, panels, tanks, airboxes) other than this
+    /// plant's and a panel surface that is not finite or lies outside
+    /// −45 °C to 60 °C: a step divides by those parameters, and the
+    /// near-ceiling air blends in the panel surface.
     pub fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
         use bz_state::Persist;
         self.now = Persist::load(r)?;
         self.weather.load_state(r)?;
         self.outdoor = Persist::load(r)?;
+        let own = self.parameters();
         self.zones = Persist::load(r)?;
         self.panels = Persist::load(r)?;
         self.loops = Persist::load(r)?;
@@ -957,6 +980,20 @@ impl ThermalPlant {
         self.radiant_chiller.load_state(r)?;
         self.vent_chiller.load_state(r)?;
         self.airboxes = Persist::load(r)?;
+        let surface = self
+            .panels
+            .each_ref()
+            .map(|p| p.surface_temperature().get());
+        if self.parameters() != own || !surface.iter().all(|t| RESTORABLE_AIR_C.contains(t)) {
+            return Err(bz_state::StateError::Invalid {
+                what: "ThermalPlant",
+                reason: format!(
+                    "restored parameters {:?} are not this plant's, or a panel surface of \
+                     {surface:?} °C lies outside −45 °C to 60 °C",
+                    self.parameters()
+                ),
+            });
+        }
         self.outlet_states = Persist::load(r)?;
         self.coil_flows = Persist::load(r)?;
         let sensors = (self.instruments.ceiling.len(), self.instruments.flow.len());
@@ -1066,6 +1103,52 @@ mod tests {
             let mut restored = lab();
             let loaded = restored.load_state(&mut bz_state::Reader::new(&snapshot(t)));
             assert!(loaded.is_ok(), "{t} °C: {loaded:?}");
+        }
+    }
+
+    /// Saves a lab plant changed by `change`, restores the bytes into a
+    /// fresh lab plant, and returns the refusal. Should the restore load,
+    /// a minute of idle steps shows what the restored state does.
+    fn refusal(change: impl FnOnce(&mut ThermalPlant)) -> String {
+        let mut source = lab();
+        change(&mut source);
+        let mut w = bz_state::Writer::new();
+        source.save_state(&mut w);
+        let mut restored = lab();
+        let loaded = restored.load_state(&mut bz_state::Reader::new(w.as_bytes()));
+        if loaded.is_ok() {
+            for _ in 0..60 {
+                restored.step(second(), &ActuatorCommands::all_off());
+                let _ = restored.zone_dew_point(SubspaceId::S1);
+            }
+        }
+        loaded.unwrap_err().to_string()
+    }
+
+    #[test]
+    fn restore_refuses_panels_that_cannot_step() {
+        let changes: [fn(&mut ThermalPlant); 5] = [
+            |p| p.panels[0] = RadiantPanel::new(p.config.panel, Celsius::new(200.0)),
+            |p| p.panels[0] = RadiantPanel::new(p.config.panel, Celsius::new(f64::NAN)),
+            |p| p.panels[1].params.capacitance_j_k = 0.0,
+            |p| p.panels[1].params.capacitance_j_k = -1.0,
+            |p| p.panels[1].params.area_m2 = f64::NAN,
+        ];
+        for change in changes {
+            assert!(refusal(change).contains("are not this plant's"));
+        }
+    }
+
+    #[test]
+    fn restore_refuses_zones_tanks_and_airboxes_of_other_parameters() {
+        let changes: [fn(&mut ThermalPlant); 4] = [
+            |p| p.zones[2].params.volume_m3 = 0.0,
+            |p| p.zones[2].params.volume_m3 = -1.0,
+            |p| p.vent_tank.volume_m3 = 0.3,
+            |p| p.airboxes[3].params.coil_ua *= 2.0,
+        ];
+        for change in changes {
+            assert!(refusal(change).contains("are not this plant's"));
         }
     }
 

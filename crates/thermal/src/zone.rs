@@ -240,7 +240,7 @@ pub struct ZoneInputs {
 #[derive(Debug, Clone)]
 pub struct Zone {
     /// Static parameters.
-    params: ZoneParams,
+    pub(crate) params: ZoneParams,
     /// Current air state.
     state: AirState,
 }
@@ -345,8 +345,10 @@ bz_state::persist_unit_enum!(SubspaceId { S1, S2, S3, S4 });
 /// Air temperatures a restore accepts, °C: the range of the Magnus
 /// dew-point formula ([`bz_psychro::dew_point_checked`]). Hotter air has
 /// no dew point there, and from about 99.3 °C its saturation pressure
-/// passes the total pressure; `bz_psychro` asserts against both.
-const RESTORABLE_AIR_C: std::ops::RangeInclusive<f64> = -45.0..=60.0;
+/// passes the total pressure; `bz_psychro` asserts against both. A
+/// restored panel surface is held to it too: the near-ceiling air takes
+/// 30 % of its temperature from the surface.
+pub(crate) const RESTORABLE_AIR_C: std::ops::RangeInclusive<f64> = -45.0..=60.0;
 
 impl bz_state::Persist for AirState {
     fn save(&self, w: &mut bz_state::Writer) {

@@ -151,18 +151,6 @@ impl BtAdaptive {
         self.config.sampling_period * u64::from(self.w)
     }
 
-    /// Total packets transmitted.
-    #[must_use]
-    pub fn transmissions(&self) -> u64 {
-        self.transmissions
-    }
-
-    /// Total samples taken.
-    #[must_use]
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
     /// Processes one sensor sample taken at `now` (call every `T_spl`).
     pub fn on_sample(&mut self, now: SimTime, value: f64) -> SampleOutcome {
         self.samples += 1;
@@ -273,12 +261,6 @@ impl FixedSchedule {
     pub fn on_sample(&mut self) -> bool {
         self.transmissions += 1;
         true
-    }
-
-    /// Total packets transmitted.
-    #[must_use]
-    pub fn transmissions(&self) -> u64 {
-        self.transmissions
     }
 }
 
@@ -400,7 +382,7 @@ mod tests {
         let mut s = BtAdaptive::new(AdaptiveConfig::with_sampling(SimDuration::from_secs(2)));
         let outcome = s.on_sample(SimTime::ZERO, 25.0);
         assert!(outcome.transmit);
-        assert_eq!(s.transmissions(), 1);
+        assert_eq!(s.transmissions, 1);
     }
 
     #[test]
@@ -419,13 +401,13 @@ mod tests {
         for _ in 0..steps {
             fixed.on_sample();
         }
-        assert_eq!(fixed.transmissions(), steps as u64);
-        let ratio = adaptive.transmissions() as f64 / fixed.transmissions() as f64;
+        assert_eq!(fixed.transmissions, steps as u64);
+        let ratio = adaptive.transmissions as f64 / fixed.transmissions as f64;
         assert!(
             ratio < 0.25,
             "adaptive sent {} of {} packets (ratio {ratio})",
-            adaptive.transmissions(),
-            fixed.transmissions()
+            adaptive.transmissions,
+            fixed.transmissions
         );
     }
 
@@ -543,7 +525,7 @@ mod tests {
         for _ in 0..10 {
             assert!(f.on_sample());
         }
-        assert_eq!(f.transmissions(), 10);
+        assert_eq!(f.transmissions, 10);
         assert_eq!(f.send_period(), SimDuration::from_secs(2));
     }
 }

@@ -291,18 +291,6 @@ impl ExactClusterer {
         self.values.push(variance);
     }
 
-    /// Number of stored variances.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when nothing has been observed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// The optimal threshold, or `None` until two distinct values exist.
     /// λ is placed midway between the two clusters' boundary members.
     ///
@@ -652,8 +640,7 @@ mod tests {
         assert_eq!(o.threshold(), None);
         o.observe(3.0);
         assert!(o.threshold().is_some());
-        assert_eq!(o.len(), 3);
-        assert!(!o.is_empty());
+        assert_eq!(o.values.len(), 3);
     }
 
     #[test]
