@@ -49,7 +49,6 @@ fn ablate_dew_margin() {
         let config = SystemConfig {
             radiant: RadiantConfig {
                 dew_margin_k: margin,
-                ..RadiantConfig::default()
             },
             ..SystemConfig::paper_deployment(
                 PlantConfig::bubble_zero_lab().with_disturbances(aggressive_disturbances()),

@@ -9,7 +9,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write as _};
 
 use bz_bench::{compare, header, output_dir, row};
-use bz_core::baseline::{AirConConfig, AirConSystem};
+use bz_core::baseline::AirConSystem;
 use bz_core::metrics::ExergySummary;
 use bz_core::scenario::AfternoonTrial;
 use bz_psychro::Celsius;
@@ -23,7 +23,7 @@ fn main() {
         let cop = outcome.cop;
 
         // AirCon baseline: settle, then meter 20 minutes.
-        let mut aircon = AirConSystem::new(AirConConfig::for_bubble_zero_lab());
+        let mut aircon = AirConSystem::for_bubble_zero_lab();
         aircon.run_seconds(40 * 60);
         aircon.reset_meters();
         aircon.run_seconds(20 * 60);

@@ -1,11 +1,10 @@
 //! Simulation-throughput benchmark: sim-seconds per wall-second.
 //!
-//! ROADMAP item 3 targets ≥10k× real time per core; this module is the
-//! measuring stick. It runs the bundled closed-loop afternoon trial
-//! (the same construction `bzctl trial` uses) with telemetry disabled —
-//! the configuration campus-scale batch studies would run in — times it
-//! against the wall clock, and renders the result as a `BENCH_*.json`
-//! record so CI can hold a regression floor.
+//! This module is what `bzctl bench throughput` measures with. It runs
+//! the bundled closed-loop afternoon trial (the same construction `bzctl
+//! trial` uses) with telemetry disabled — the configuration batch studies
+//! run in — times it against the wall clock, and renders the result as a
+//! `BENCH_*.json` record so CI can hold a regression floor.
 //!
 //! The measured simulation is bit-identical to the metered one: the
 //! speed knobs this crate benchmarks (sibling-skip sensor reads,

@@ -4,7 +4,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
 use std::path::Path;
 
-use bz_core::baseline::{AirConConfig, AirConSystem};
+use bz_core::baseline::AirConSystem;
 use bz_core::chaos::ChaosScenario;
 use bz_core::metrics::CopSummary;
 use bz_core::scenario::{NetworkTrial, TRIAL_START_HOUR};
@@ -167,6 +167,17 @@ fn metrics_begin(args: &Args) -> Result<Option<String>, ArgError> {
     Ok(path)
 }
 
+/// The run-label token of a command whose snapshots carry the global
+/// telemetry registry: ` metrics=off` without `--metrics-out`. Such a
+/// snapshot holds no events, so a resume that exports refuses it as
+/// another configuration instead of exporting only what followed it.
+fn metrics_token(args: &Args) -> Result<&'static str, ArgError> {
+    Ok(match args.get("metrics-out")? {
+        Some(_) => "",
+        None => " metrics=off",
+    })
+}
+
 /// Disables telemetry and writes the metric export to `path` (CSV when
 /// the path ends in `.csv`, JSONL otherwise; skipped when `streamed` —
 /// the bytes are already on disk and only the totals tail is flushed).
@@ -282,8 +293,13 @@ fn trial(args: &Args) -> Result<String, ArgError> {
     let seed: u64 = args.get_or("seed", 0x5EED_0001)?;
     let csv = args.get("csv")?;
     let opts = CheckpointOpts::from_args(args)?;
-    let checkpoints =
-        opts.checkpointer("trial", &format!("trial seed={seed} minutes={minutes}"))?;
+    let checkpoints = opts.checkpointer(
+        "trial",
+        &format!(
+            "trial seed={seed} minutes={minutes}{}",
+            metrics_token(args)?
+        ),
+    )?;
     let metrics = metrics_begin(args)?;
 
     let spec = sweep::RunSpec {
@@ -346,11 +362,7 @@ fn cop(args: &Args) -> Result<String, ArgError> {
     system.obs().record_counters(system.now().as_millis());
     let summary = CopSummary::from_meters(system.plant().meters());
 
-    let mut aircon = AirConSystem::new(AirConConfig::for_bubble_zero_lab());
-    aircon.run_seconds(settle * 60);
-    aircon.reset_meters();
-    aircon.run_seconds(meter * 60);
-    let aircon_cop = aircon.measured_cop().unwrap_or(f64::NAN);
+    let aircon_cop = aircon_cop(settle, meter);
 
     let mut out = format!(
         "COP over a {meter}-minute window after {settle} minutes of settling:\n\
@@ -367,6 +379,16 @@ fn cop(args: &Args) -> Result<String, ArgError> {
     );
     metrics_finish(metrics.as_deref(), false, &mut out)?;
     Ok(out)
+}
+
+/// The AirCon baseline's COP over `meter` minutes after `settle` minutes
+/// of settling (NaN if the chiller drew nothing).
+fn aircon_cop(settle: u64, meter: u64) -> f64 {
+    let mut aircon = AirConSystem::for_bubble_zero_lab();
+    aircon.run_seconds(settle * 60);
+    aircon.reset_meters();
+    aircon.run_seconds(meter * 60);
+    aircon.measured_cop().unwrap_or(f64::NAN)
 }
 
 fn network(args: &Args) -> Result<String, ArgError> {
@@ -605,7 +627,10 @@ fn endurance(args: &Args) -> Result<String, ArgError> {
             "--stream cannot be combined with checkpointing flags",
         ));
     }
-    let checkpoints = opts.checkpointer("endurance", &format!("endurance days={days}"))?;
+    let checkpoints = opts.checkpointer(
+        "endurance",
+        &format!("endurance days={days}{}", metrics_token(args)?),
+    )?;
     let metrics = metrics_begin(args)?;
     let stream = args.flag("stream");
     if stream {
@@ -999,8 +1024,10 @@ fn chaos(args: &Args) -> Result<String, ArgError> {
     let checkpoints = opts.checkpointer(
         "chaos",
         &format!(
-            "chaos scenario={} seed={} minutes={minutes}",
-            scenario.name, scenario.seed
+            "chaos scenario={} seed={} minutes={minutes}{}",
+            scenario.name,
+            scenario.seed,
+            metrics_token(args)?
         ),
     )?;
     let metrics = metrics_begin(args)?;
@@ -1377,6 +1404,19 @@ mod tests {
         assert!(run_line("chaos", "--minutes 0").is_err());
         let err = run_err("chaos", "--scenario /nonexistent.json");
         assert!(err.contains("cannot read"));
+    }
+
+    /// The AirCon baseline COP `bzctl cop` prints, to the bit, per noise
+    /// kernel: a drift in the baseline's sizing or plant constants fails
+    /// here.
+    #[test]
+    fn aircon_cop_is_pinned() {
+        let expected = match bz_simcore::NoiseKernel::from_env() {
+            bz_simcore::NoiseKernel::V1 => 0x4005_e18f_b8cf_eec3,
+            bz_simcore::NoiseKernel::V2 => 0x4005_e18f_b8cf_eec3,
+        };
+        let bits = aircon_cop(40, 20).to_bits();
+        assert_eq!(bits, expected, "AirCon COP bits {bits:#018x}");
     }
 
     #[test]

@@ -59,3 +59,39 @@ fn endurance_checkpoints_and_crashes_at_the_minute_its_flags_name() {
     );
     std::fs::remove_dir_all(dir.to_string()).ok();
 }
+
+#[test]
+fn a_run_without_telemetry_does_not_resume_into_an_export() {
+    let dir = std::env::temp_dir().join(format!("bzctl-metrics-off-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let dir = dir.display();
+    let chaos = "chaos --minutes 6";
+    let reference = ok(chaos);
+    ok(&format!("{chaos} --metrics-out {dir}/reference.jsonl"));
+
+    // Its snapshots carry a registry that recorded nothing, so a resume
+    // that exports must refuse them, naming both labels.
+    let run = format!("{chaos} --checkpoint-dir {dir}/off --checkpoint-every 60");
+    assert!(!bzctl(&format!("{run} --crash-at 180")).status.success());
+    let refused = bzctl(&format!("{run} --resume --metrics-out {dir}/x.jsonl"));
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(!refused.status.success(), "resumed into an export");
+    assert!(
+        stderr.contains("minutes=6 metrics=off noise=v2") && stderr.contains("minutes=6 noise=v2"),
+        "{stderr}"
+    );
+    // With the flags it crashed with, it finishes as if uninterrupted.
+    let resumed = ok(&format!("{run} --resume"));
+    assert!(resumed.contains("at t=180s"), "{resumed}");
+    assert!(resumed.ends_with(&reference), "{resumed}");
+
+    // A run that records resumes to the uninterrupted export.
+    let run = format!("{chaos} --checkpoint-dir {dir}/on --checkpoint-every 60");
+    let crashed = bzctl(&format!("{run} --crash-at 180 --metrics-out {dir}/y.jsonl"));
+    assert!(!crashed.status.success());
+    ok(&format!("{run} --resume --metrics-out {dir}/resumed.jsonl"));
+    let read = |name: &str| std::fs::read(format!("{dir}/{name}.jsonl")).unwrap();
+    assert!(read("resumed") == read("reference"));
+    std::fs::remove_dir_all(dir.to_string()).ok();
+}

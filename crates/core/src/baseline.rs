@@ -17,48 +17,23 @@ use bz_thermal::zone::{AirState, Zone, ZoneInputs, ZoneParams};
 use crate::pid::{Pid, PidConfig};
 use crate::targets::ComfortTargets;
 
-/// Configuration of the baseline all-air system.
-#[derive(Debug, Clone)]
-pub struct AirConConfig {
-    /// Comfort targets (same as the BubbleZERO trial).
-    pub targets: ComfortTargets,
-    /// Zone physics (same laboratory).
-    pub zone: ZoneParams,
-    /// Weather boundary.
-    pub weather: WeatherConfig,
-    /// Chiller (the low-temperature all-air machine).
-    pub chiller: ChillerConfig,
-    /// Maximum air-handler supply flow, m³/s.
-    pub max_supply_m3s: f64,
-    /// Fresh-air fraction of the supply stream.
-    pub fresh_air_fraction: f64,
-    /// Coil bypass factor at full flow (large coil: mostly contacted).
-    pub coil_bypass: f64,
-    /// Seed for the weather process.
-    pub seed: u64,
-}
+/// Maximum air-handler supply flow, m³/s (sized for the laboratory).
+const MAX_SUPPLY_M3S: f64 = 0.30;
 
-impl AirConConfig {
-    /// The baseline sized for the BubbleZERO laboratory.
-    #[must_use]
-    pub fn for_bubble_zero_lab() -> Self {
-        Self {
-            targets: ComfortTargets::paper_trial(),
-            zone: ZoneParams::bubble_zero_subspace(),
-            weather: WeatherConfig::singapore_afternoon(),
-            chiller: ChillerConfig::aircon_baseline(),
-            max_supply_m3s: 0.30,
-            fresh_air_fraction: 0.12,
-            coil_bypass: 0.12,
-            seed: 0xA12C_0001,
-        }
-    }
-}
+/// Fresh-air fraction of the supply stream.
+const FRESH_AIR_FRACTION: f64 = 0.12;
 
-/// The simulated all-air system.
+/// Coil bypass factor at full flow (large coil: mostly contacted).
+const COIL_BYPASS: f64 = 0.12;
+
+/// Seed for the weather process.
+const SEED: u64 = 0xA12C_0001;
+
+/// The simulated all-air system, sized for the BubbleZERO laboratory and
+/// held to the paper's trial targets.
 #[derive(Debug)]
 pub struct AirConSystem {
-    config: AirConConfig,
+    target: Celsius,
     zones: [Zone; 4],
     weather: Weather,
     tank: Tank,
@@ -75,29 +50,30 @@ impl AirConSystem {
     /// Builds the baseline starting from the same initial condition as the
     /// paper's trial (indoor ≈ outdoor).
     #[must_use]
-    pub fn new(config: AirConConfig) -> Self {
-        let mut rng = Rng::seed_from(config.seed);
-        let mut weather = Weather::new(config.weather, rng.fork());
+    pub fn for_bubble_zero_lab() -> Self {
+        let mut rng = Rng::seed_from(SEED);
+        let mut weather = Weather::new(WeatherConfig::singapore_afternoon(), rng.fork());
         let outdoor = weather.sample(SimTime::ZERO);
         let initial = AirState::from_dew_point(
             Celsius::new(28.9),
             Celsius::new(27.4),
             bz_psychro::Ppm::new(520.0),
         );
+        let chiller = ChillerConfig::aircon_baseline();
         Self {
-            zones: std::array::from_fn(|_| Zone::new(config.zone, initial)),
+            target: ComfortTargets::paper_trial().temperature,
+            zones: std::array::from_fn(|_| Zone::new(ZoneParams::bubble_zero_subspace(), initial)),
             weather,
-            tank: Tank::new(0.25, config.chiller.setpoint),
-            chiller: TankChiller::new(config.chiller),
+            tank: Tank::new(0.25, chiller.setpoint),
+            chiller: TankChiller::new(chiller),
             // Thermostat PID: full flow at ~2.5 K of error.
             thermostat: Pid::new(PidConfig::new(
-                config.max_supply_m3s / 2.5,
-                config.max_supply_m3s / 600.0,
+                MAX_SUPPLY_M3S / 2.5,
+                MAX_SUPPLY_M3S / 600.0,
                 0.0,
                 0.0,
-                config.max_supply_m3s,
+                MAX_SUPPLY_M3S,
             )),
-            config,
             now: SimTime::ZERO,
             removed_energy_j: 0.0,
             metered_since: SimTime::ZERO,
@@ -120,13 +96,13 @@ impl AirConSystem {
         let outdoor = self.weather.sample(self.now);
 
         // Thermostat: supply-flow demand from the mean-temperature error.
-        let error = self.mean_temperature().get() - self.config.targets.temperature.get();
+        let error = self.mean_temperature().get() - self.target.get();
         let flow = self.thermostat.step(error, dt_s);
         self.last_flow_m3s = flow;
 
         let supply = if flow > 1.0e-6 {
             // Mixed return + fresh air into the coil.
-            let fresh = self.config.fresh_air_fraction;
+            let fresh = FRESH_AIR_FRACTION;
             let mean_t = self.mean_temperature().get();
             let mean_w: f64 = self
                 .zones
@@ -140,7 +116,7 @@ impl AirConSystem {
             // Deep coil: most air contacts the ~9 °C apparatus dew point.
             let adp = Celsius::new(self.tank.temperature().get() + 2.0);
             let w_adp = bz_psychro::humidity_ratio_from_dew_point(adp).get();
-            let bypass = self.config.coil_bypass;
+            let bypass = COIL_BYPASS;
             let out_t = bypass * mix_t + (1.0 - bypass) * adp.get();
             let out_w = bypass * mix_w + (1.0 - bypass) * mix_w.min(w_adp);
 
@@ -210,7 +186,7 @@ mod tests {
     use super::*;
 
     fn settled_system() -> AirConSystem {
-        let mut system = AirConSystem::new(AirConConfig::for_bubble_zero_lab());
+        let mut system = AirConSystem::for_bubble_zero_lab();
         system.run_seconds(40 * 60);
         system.reset_meters();
         system.run_seconds(20 * 60);
@@ -252,16 +228,16 @@ mod tests {
 
     #[test]
     fn thermostat_throttles_when_cold() {
-        let mut system = AirConSystem::new(AirConConfig::for_bubble_zero_lab());
+        let mut system = AirConSystem::for_bubble_zero_lab();
         system.run_seconds(60 * 60);
         // Near the target the flow should not be pinned at maximum.
-        assert!(system.last_flow_m3s < system.config.max_supply_m3s * 0.98);
+        assert!(system.last_flow_m3s < MAX_SUPPLY_M3S * 0.98);
     }
 
     #[test]
     fn aircon_is_deterministic() {
-        let mut a = AirConSystem::new(AirConConfig::for_bubble_zero_lab());
-        let mut b = AirConSystem::new(AirConConfig::for_bubble_zero_lab());
+        let mut a = AirConSystem::for_bubble_zero_lab();
+        let mut b = AirConSystem::for_bubble_zero_lab();
         a.run_seconds(600);
         b.run_seconds(600);
         assert_eq!(a.mean_temperature(), b.mean_temperature());

@@ -29,7 +29,7 @@ impl PidConfig {
     /// Panics if any gain is negative, a gain is non-finite, or
     /// `output_min > output_max`.
     #[must_use]
-    pub fn new(kp: f64, ki: f64, kd: f64, output_min: f64, output_max: f64) -> Self {
+    pub const fn new(kp: f64, ki: f64, kd: f64, output_min: f64, output_max: f64) -> Self {
         assert!(
             kp >= 0.0 && ki >= 0.0 && kd >= 0.0,
             "gains must be non-negative"

@@ -37,22 +37,20 @@ pub struct RadiantDecision {
     pub flow_target: f64,
 }
 
+/// PID for `ΔT → F_t_mix` (output in m³/s): full loop flow (~2e-4 m³/s
+/// with both pumps) at ~4 K error.
+const FLOW_PID: PidConfig = PidConfig::new(5.0e-5, 2.5e-7, 0.0, 0.0, 2.2e-4);
+
 /// Tuning of the radiant controller.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadiantConfig {
     /// Safety margin added above the measured ceiling dew point, K.
     pub dew_margin_k: f64,
-    /// PID for `ΔT → F_t_mix` (output in m³/s).
-    pub flow_pid: PidConfig,
 }
 
 impl Default for RadiantConfig {
     fn default() -> Self {
-        Self {
-            dew_margin_k: 0.5,
-            // Full loop flow (~2e-4 m³/s with both pumps) at ~4 K error.
-            flow_pid: PidConfig::new(5.0e-5, 2.5e-7, 0.0, 0.0, 2.2e-4),
-        }
+        Self { dew_margin_k: 0.5 }
     }
 }
 
@@ -117,7 +115,7 @@ impl RadiantController {
     #[must_use]
     pub fn new(config: RadiantConfig, targets: ComfortTargets, pump: Pump) -> Self {
         Self {
-            pid: Pid::new(config.flow_pid),
+            pid: Pid::new(FLOW_PID),
             config,
             targets,
             pump,

@@ -159,7 +159,7 @@ impl ReactiveStrategy {
             RadiantController::new(config.radiant, config.targets, pump).with_obs(obs.clone())
         });
         let ventilation = std::array::from_fn(|_| {
-            VentilationController::new(config.ventilation, config.targets).with_obs(obs.clone())
+            VentilationController::new(config.targets).with_obs(obs.clone())
         });
         Self {
             radiant,

@@ -34,7 +34,7 @@ use crate::radiant::{RadiantConfig, RadiantDecision};
 use crate::strategy::{ControlStrategy, CycleInputs, ReactiveStrategy};
 use crate::supervisor::{SensorHealthSupervisor, SupervisorConfig};
 use crate::targets::ComfortTargets;
-use crate::ventilation::{VentilationConfig, VentilationDecision};
+use crate::ventilation::VentilationDecision;
 
 /// The per-panel safe-mode gauge keys, one per radiant panel, spelled out
 /// so a control tick builds no key text.
@@ -60,16 +60,12 @@ pub struct SystemConfig {
     pub network: NetworkConfig,
     /// Radiant controller tuning.
     pub radiant: RadiantConfig,
-    /// Ventilation controller tuning.
-    pub ventilation: VentilationConfig,
     /// Control-cycle period of both modules.
     pub control_period: SimDuration,
     /// Broadcast period of the AC boards.
     pub ac_period: SimDuration,
     /// Battery transmission policy.
     pub bt_mode: BtMode,
-    /// Battery energy model.
-    pub energy: EnergyModel,
     /// Whether to log every BT-ADPT variance decision (Fig. 12–14).
     pub record_decisions: bool,
     /// Whether to run a sniffer node capturing every delivered packet
@@ -81,10 +77,6 @@ pub struct SystemConfig {
     pub sampling_overrides: Vec<(DataType, SimDuration)>,
     /// Scripted network faults (dead motes, degraded links).
     pub wsn_faults: WsnFaultSchedule,
-    /// Sensor-health supervisor tuning.
-    pub supervisor: SupervisorConfig,
-    /// Bounded retry policy for failed control-plane sends.
-    pub retry: RetryConfig,
     /// Seed for the network and scheduler randomness (the plant has its
     /// own seed inside `plant`).
     pub seed: u64,
@@ -99,17 +91,13 @@ impl SystemConfig {
             plant,
             network: NetworkConfig::telosb(),
             radiant: RadiantConfig::default(),
-            ventilation: VentilationConfig::default(),
             control_period: SimDuration::from_secs(5),
             ac_period: SimDuration::from_secs(2),
             bt_mode: BtMode::Adaptive,
-            energy: EnergyModel::telosb_2aa(),
             record_decisions: false,
             enable_sniffer: false,
             sampling_overrides: Vec::new(),
             wsn_faults: WsnFaultSchedule::none(),
-            supervisor: SupervisorConfig::default(),
-            retry: RetryConfig::default(),
             seed: 0x5EED_0001,
         }
     }
@@ -337,7 +325,7 @@ impl BubbleZeroSystem {
                           ledgers: &mut Vec<EnergyLedger>,
                           streams: &mut Vec<BtStream>| {
             let device_index = ledgers.len();
-            ledgers.push(EnergyLedger::new(config.energy));
+            ledgers.push(EnergyLedger::new(EnergyModel::telosb_2aa()));
             for (binding, data_type, channel) in bindings {
                 let sampling = overrides
                     .iter()
@@ -464,8 +452,9 @@ impl BubbleZeroSystem {
         }
 
         let config2_sniffer = config.enable_sniffer.then(Sniffer::new);
-        let supervisor = SensorHealthSupervisor::new(config.supervisor).with_obs(obs.clone());
-        let retrier = ControlRetrier::new(config.retry).with_obs(obs.clone());
+        let supervisor =
+            SensorHealthSupervisor::new(SupervisorConfig::default()).with_obs(obs.clone());
+        let retrier = ControlRetrier::new(RetryConfig::default()).with_obs(obs.clone());
         let mut system = Self {
             config,
             plant,

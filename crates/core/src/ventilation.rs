@@ -37,56 +37,43 @@ pub struct VentilationDecision {
     pub required_flow_m3s: f64,
 }
 
-/// Tuning of the ventilation controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VentilationConfig {
-    /// Pull-down offset below the room target (the paper's 2 °C).
-    pub pull_down_offset_k: f64,
-    /// Hold-mode offset below the room target, K. Supply air exactly at
-    /// the room target can never offset infiltration moisture; a small
-    /// negative margin keeps the hold flow finite.
-    pub hold_offset_k: f64,
-    /// Time horizon `T` for approaching the targets when clearly outside
-    /// the comfort band, s (the paper's 60 s).
-    pub approach_time_s: f64,
-    /// Relaxed horizon used while inside the comfort band — topping up
-    /// against slow infiltration is not urgent, s.
-    pub hold_approach_time_s: f64,
-    /// PID from outlet-dew error (measured − target, K) to coil pump
-    /// voltage.
-    pub coil_pid: PidConfig,
-    /// Dew-point deadband around the room target within which the fans
-    /// may rest, K.
-    pub deadband_k: f64,
-    /// Excess dew point above the target at which the controller enters
-    /// pull-down mode (urgent horizon, unconstrained fan levels), K.
-    /// Between the deadband and this threshold the controller tops up
-    /// calmly at low fan levels.
-    pub pull_down_enter_k: f64,
-    /// Assumed outdoor CO₂ level for the dilution sizing, ppm.
-    pub outdoor_co2: Ppm,
-    /// Subspace air volume, m³.
-    pub zone_volume_m3: f64,
-}
+/// Pull-down offset below the room target, K (the paper's 2 °C).
+const PULL_DOWN_OFFSET_K: f64 = 2.0;
 
-impl Default for VentilationConfig {
-    fn default() -> Self {
-        Self {
-            pull_down_offset_k: 2.0,
-            hold_offset_k: 0.5,
-            approach_time_s: 60.0,
-            hold_approach_time_s: 600.0,
-            // The coil is nearly a static map from voltage to outlet dew
-            // (≈3 K/V), so the loop must be integral-dominant; a large Kp
-            // bang-bangs the valve against the 5 s control period.
-            coil_pid: PidConfig::new(0.25, 0.03, 0.0, 0.0, 5.0),
-            deadband_k: 0.75,
-            pull_down_enter_k: 1.2,
-            outdoor_co2: Ppm::new(410.0),
-            zone_volume_m3: 15.0,
-        }
-    }
-}
+/// Hold-mode offset below the room target, K. Supply air exactly at the
+/// room target can never offset infiltration moisture; a small negative
+/// margin keeps the hold flow finite.
+const HOLD_OFFSET_K: f64 = 0.5;
+
+/// Time horizon `T` for approaching the targets when clearly outside the
+/// comfort band, s (the paper's 60 s).
+const APPROACH_TIME_S: f64 = 60.0;
+
+/// Relaxed horizon used while inside the comfort band — topping up
+/// against slow infiltration is not urgent, s.
+const HOLD_APPROACH_TIME_S: f64 = 600.0;
+
+/// PID from outlet-dew error (measured − target, K) to coil pump voltage.
+/// The coil is nearly a static map from voltage to outlet dew (≈3 K/V),
+/// so the loop must be integral-dominant; a large Kp bang-bangs the valve
+/// against the 5 s control period.
+const COIL_PID: PidConfig = PidConfig::new(0.25, 0.03, 0.0, 0.0, 5.0);
+
+/// Dew-point deadband around the room target within which the fans may
+/// rest, K.
+const DEADBAND_K: f64 = 0.75;
+
+/// Excess dew point above the target at which the controller enters
+/// pull-down mode (urgent horizon, unconstrained fan levels), K. Between
+/// the deadband and this threshold the controller tops up calmly at low
+/// fan levels.
+const PULL_DOWN_ENTER_K: f64 = 1.2;
+
+/// Assumed outdoor CO₂ level for the dilution sizing, ppm.
+const OUTDOOR_CO2_PPM: f64 = 410.0;
+
+/// Subspace air volume, m³.
+const ZONE_VOLUME_M3: f64 = 15.0;
 
 /// The ventilation controller for one subspace.
 ///
@@ -96,14 +83,11 @@ impl Default for VentilationConfig {
 ///
 /// ```
 /// use bz_core::targets::ComfortTargets;
-/// use bz_core::ventilation::{VentilationConfig, VentilationController};
+/// use bz_core::ventilation::VentilationController;
 /// use bz_psychro::{relative_humidity_from_dew_point, Celsius};
 /// use bz_thermal::airbox::FanLevel;
 ///
-/// let mut controller = VentilationController::new(
-///     VentilationConfig::default(),
-///     ComfortTargets::paper_trial(),
-/// );
+/// let mut controller = VentilationController::new(ComfortTargets::paper_trial());
 /// let rh = relative_humidity_from_dew_point(Celsius::new(28.9), Celsius::new(27.4));
 /// controller.observe_room(0.0, Celsius::new(28.9), rh);
 /// controller.observe_supply_temperature(0.0, Celsius::new(18.0));
@@ -113,7 +97,6 @@ impl Default for VentilationConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct VentilationController {
-    config: VentilationConfig,
     pub(crate) targets: ComfortTargets,
     coil_pid: Pid,
     room: Option<(f64, Celsius, Percent)>,
@@ -131,10 +114,9 @@ pub struct VentilationController {
 impl VentilationController {
     /// Creates a controller for one subspace.
     #[must_use]
-    pub fn new(config: VentilationConfig, targets: ComfortTargets) -> Self {
+    pub fn new(targets: ComfortTargets) -> Self {
         Self {
-            coil_pid: Pid::new(config.coil_pid),
-            config,
+            coil_pid: Pid::new(COIL_PID),
             targets,
             room: None,
             co2: None,
@@ -231,9 +213,9 @@ impl VentilationController {
         }
         let pulling_down = self.pulling_down;
         let outlet_dew_target = if pulling_down {
-            Celsius::new(room_dew_target.get() - self.config.pull_down_offset_k)
+            Celsius::new(room_dew_target.get() - PULL_DOWN_OFFSET_K)
         } else {
-            Celsius::new(room_dew_target.get() - self.config.hold_offset_k)
+            Celsius::new(room_dew_target.get() - HOLD_OFFSET_K)
         };
 
         // Coil PID: drive the measured outlet dew point to its target.
@@ -264,8 +246,7 @@ impl VentilationController {
         };
 
         // Ventilation sizing (§III-C): air volumes to approach targets in
-        // `approach_time_s`.
-        let volume = self.config.zone_volume_m3;
+        // `APPROACH_TIME_S`.
         let w_room = room_dew
             .map(|d| humidity_ratio_from_dew_point(d).get())
             .unwrap_or(0.0);
@@ -274,14 +255,14 @@ impl VentilationController {
 
         let humidity_excess = w_room - w_target;
         let v_humd = if humidity_excess > 0.0 && w_room - w_supply > 1.0e-6 {
-            volume * humidity_excess / (w_room - w_supply)
+            ZONE_VOLUME_M3 * humidity_excess / (w_room - w_supply)
         } else if humidity_excess > 0.0 {
             // The supply is not (yet) drier than the room — e.g. the fans
             // are off and the outlet sensor reads stagnant air. Size from
             // the achievable target instead so ventilation can start.
             let w_achievable = humidity_ratio_from_dew_point(outlet_dew_target).get();
             if w_room - w_achievable > 1.0e-6 {
-                volume * humidity_excess / (w_room - w_achievable)
+                ZONE_VOLUME_M3 * humidity_excess / (w_room - w_achievable)
             } else {
                 0.0
             }
@@ -292,9 +273,9 @@ impl VentilationController {
         let v_co2 = match self.fresh(self.co2, now_s) {
             Some(c) => {
                 let excess = c.get() - self.targets.co2_limit.get();
-                let dilution = c.get() - self.config.outdoor_co2.get();
+                let dilution = c.get() - OUTDOOR_CO2_PPM;
                 if excess > 0.0 && dilution > 1.0 {
-                    volume * excess / dilution
+                    ZONE_VOLUME_M3 * excess / dilution
                 } else {
                     0.0
                 }
@@ -306,20 +287,19 @@ impl VentilationController {
         // above the comfort band, a relaxed top-up horizon inside it
         // (topping up against slow infiltration does not warrant full
         // fans, whose cold supply would fight the radiant module).
-        let band = self.config.deadband_k;
         let dew_error = room_dew.map(|d| d.get() - room_dew_target.get());
         // Urgency is a separate question from supply dryness: the 60 s
         // horizon and unconstrained fan levels are reserved for real
         // excursions (boot, door events), while routine top-ups against
         // infiltration run on the relaxed horizon at low levels.
-        let urgent = dew_error.is_some_and(|e| e > self.config.pull_down_enter_k);
+        let urgent = dew_error.is_some_and(|e| e > PULL_DOWN_ENTER_K);
         let humidity_horizon = if urgent {
-            self.config.approach_time_s
+            APPROACH_TIME_S
         } else {
-            self.config.hold_approach_time_s
+            HOLD_APPROACH_TIME_S
         };
         let f_humd = v_humd / humidity_horizon;
-        let f_co2 = v_co2 / self.config.approach_time_s;
+        let f_co2 = v_co2 / APPROACH_TIME_S;
         let required = f_humd.max(f_co2);
 
         // Guard against counterproductive ventilation: if the fans are
@@ -336,7 +316,7 @@ impl VentilationController {
         let humidity_fan = match dew_error {
             _ if supply_counterproductive => FanLevel::Off,
             // Dry enough: rest.
-            Some(e) if e < -band => FanLevel::Off,
+            Some(e) if e < -DEADBAND_K => FanLevel::Off,
             // Demands below half the lowest fan speed are served by duty
             // cycling: rest now, run L1 once the demand accumulates. This
             // keeps the steady-state ventilation duty at the paper's
@@ -376,7 +356,7 @@ impl VentilationController {
 
     /// Serializes the controller's dynamic state: targets, the coil PID,
     /// the latest-value caches, the fan memory, and the pull-down mode
-    /// latch. Tuning and the obs handle are rebuilt on restore.
+    /// latch. The obs handle is rebuilt on restore.
     pub fn save_state(&self, w: &mut bz_state::Writer) {
         use bz_state::Persist;
         self.targets.save(w);
@@ -424,7 +404,7 @@ mod tests {
     use bz_psychro::relative_humidity_from_dew_point;
 
     fn controller() -> VentilationController {
-        VentilationController::new(VentilationConfig::default(), ComfortTargets::paper_trial())
+        VentilationController::new(ComfortTargets::paper_trial())
     }
 
     fn rh_at(t: f64, dew: f64) -> Percent {

@@ -60,3 +60,18 @@ fn same_seed_exports_are_byte_identical() {
     assert_eq!(report_a, report_b);
     assert_eq!(jsonl_a, jsonl_b);
 }
+
+/// CRC-64/XZ of the bundled scenario's JSONL export, per noise kernel.
+/// The run exercises the ventilation, radiant and supervisor constants
+/// under faults, so a constant that drifts from the value the exports
+/// were written with fails here.
+#[test]
+fn bundled_export_is_pinned() {
+    let (_, jsonl) = run_once();
+    let expected = match bz_simcore::NoiseKernel::from_env() {
+        bz_simcore::NoiseKernel::V1 => 0x78be_1e25_3dca_ff12,
+        bz_simcore::NoiseKernel::V2 => 0xe25e_fc59_e17a_0110,
+    };
+    let crc = bz_state::crc64::checksum(&jsonl);
+    assert_eq!(crc, expected, "chaos export CRC {crc:#018x}");
+}

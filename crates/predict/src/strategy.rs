@@ -7,9 +7,9 @@
 //! - every control cycle it tees the sensed streams into its estimators
 //!   (occupancy → [`OccupancyForecaster`], supervisor-trusted room
 //!   temperatures → per-subspace [`ZoneIdentifier`]s);
-//! - every `replan_period_s` it assembles a [`HorizonProblem`] from the
-//!   identified models, the occupancy forecast, and the deterministic
-//!   nominal weather, optimizes a [`Plan`], and projects it dew-safe;
+//! - every minute it assembles a [`HorizonProblem`] from the identified
+//!   models, the occupancy forecast, and the deterministic nominal
+//!   weather, optimizes a [`Plan`], and projects it dew-safe;
 //! - at decision time it *relaxes* the reactive commands toward the plan:
 //!   the radiant flow target is scaled and re-blended through
 //!   [`bz_core::radiant::RadiantController::command_for_flow`]
@@ -34,47 +34,64 @@ use bz_thermal::weather::WeatherConfig;
 use bz_thermal::zone::ZoneParams;
 
 use crate::forecast::{ForecastConfig, OccupancyForecaster};
-use crate::identify::{IdentifyConfig, ZoneIdentifier, DIM};
+use crate::identify::{IdentifyConfig, ZoneIdentifier};
 use crate::optimize::{cost, optimize, project_dew_safe, HorizonProblem, Plan};
 
-/// Tuning of the MPC layer.
+/// Width of one plan step, s.
+const STEP_S: f64 = 120.0;
+
+/// How often the plan is re-optimized, s.
+const REPLAN_PERIOD_S: f64 = 60.0;
+
+/// Coordinate-descent sweeps per replan.
+const SWEEPS: usize = 2;
+
+/// Occupancy-profile learner tuning: the office's 90-minute occupancy
+/// period in 5-minute bins.
+const FORECAST: ForecastConfig = ForecastConfig {
+    period_s: 5_400.0,
+    bin_s: 300.0,
+    alpha: 0.4,
+};
+
+/// Comfort penalty weight, W/K² (see [`HorizonProblem`]).
+const COMFORT_WEIGHT: f64 = 5_000.0;
+
+/// Free comfort band around the target, K.
+const COMFORT_BAND_K: f64 = 0.5;
+
+/// Sensible extraction one subspace sees at full radiant scale, W.
+const RADIANT_UNIT_W: f64 = 240.0;
+
+/// Sensible heat per occupant for the model prior, W.
+const OCCUPANT_SENSIBLE_W: f64 = 70.0;
+
+/// Chiller COP priced against radiant extraction.
+const RADIANT_COP: f64 = 6.0;
+
+/// Chiller COP priced against ventilation cooling.
+const VENT_COP: f64 = 3.0;
+
+/// Nominal supply-to-room delta priced for ventilation cooling, K.
+const VENT_DELTA_K: f64 = 5.0;
+
+/// Loop pump electrical power per panel at full scale, W.
+const PUMP_W: f64 = 6.0;
+
+/// Recovery lead time before a forecast arrival, s. Horizon steps within
+/// this window of a predicted-occupied time are planned at full service,
+/// so a zone shed while empty is pulled back to the comfort band *before*
+/// people walk in rather than after.
+const ARRIVAL_GUARD_S: f64 = 1_200.0;
+
+/// What a run chooses of the MPC layer: its horizon. The rest of its
+/// tuning is fixed (see `docs/PREDICTIVE.md`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MpcConfig {
-    /// Horizon length in steps. **0 disables the layer entirely** — the
-    /// strategy then delegates every call and a run is byte-identical to
-    /// the reactive baseline.
+    /// Horizon length in 2-minute plan steps. **0 disables the layer
+    /// entirely** — the strategy then delegates every call and a run is
+    /// byte-identical to the reactive baseline.
     pub horizon: usize,
-    /// Width of one plan step, s.
-    pub step_s: f64,
-    /// How often the plan is re-optimized, s.
-    pub replan_period_s: f64,
-    /// Coordinate-descent sweeps per replan.
-    pub sweeps: usize,
-    /// Occupancy-profile learner tuning.
-    pub forecast: ForecastConfig,
-    /// RLS identifier tuning.
-    pub identify: IdentifyConfig,
-    /// Comfort penalty weight, W/K² (see [`HorizonProblem`]).
-    pub comfort_weight: f64,
-    /// Free comfort band around the target, K.
-    pub comfort_band_k: f64,
-    /// Sensible extraction one subspace sees at full radiant scale, W.
-    pub radiant_unit_w: f64,
-    /// Sensible heat per occupant for the model prior, W.
-    pub occupant_sensible_w: f64,
-    /// Chiller COP priced against radiant extraction.
-    pub radiant_cop: f64,
-    /// Chiller COP priced against ventilation cooling.
-    pub vent_cop: f64,
-    /// Nominal supply-to-room delta priced for ventilation cooling, K.
-    pub vent_delta_k: f64,
-    /// Loop pump electrical power per panel at full scale, W.
-    pub pump_w: f64,
-    /// Recovery lead time before a forecast arrival, s. Horizon steps
-    /// within this window of a predicted-occupied time are planned at
-    /// full service, so a zone shed while empty is pulled back to the
-    /// comfort band *before* people walk in rather than after.
-    pub arrival_guard_s: f64,
 }
 
 impl MpcConfig {
@@ -82,37 +99,14 @@ impl MpcConfig {
     /// period planned over a 30-minute lookahead.
     #[must_use]
     pub fn office() -> Self {
-        Self {
-            horizon: 15,
-            step_s: 120.0,
-            replan_period_s: 60.0,
-            sweeps: 2,
-            forecast: ForecastConfig {
-                period_s: 5_400.0,
-                bin_s: 300.0,
-                alpha: 0.4,
-            },
-            identify: IdentifyConfig::default(),
-            comfort_weight: 5_000.0,
-            comfort_band_k: 0.5,
-            radiant_unit_w: 240.0,
-            occupant_sensible_w: 70.0,
-            radiant_cop: 6.0,
-            vent_cop: 3.0,
-            vent_delta_k: 5.0,
-            pump_w: 6.0,
-            arrival_guard_s: 1_200.0,
-        }
+        Self { horizon: 15 }
     }
 
-    /// The same preset with the horizon forced to 0 (the inert layer used
-    /// by the byte-identity regression test).
+    /// The inert layer, horizon 0 (used by the byte-identity regression
+    /// test).
     #[must_use]
     pub fn disabled() -> Self {
-        Self {
-            horizon: 0,
-            ..Self::office()
-        }
+        Self { horizon: 0 }
     }
 }
 
@@ -164,17 +158,18 @@ impl MpcStrategy {
         system: &SystemConfig,
         obs: bz_obs::Handle,
     ) -> Self {
-        let prior = Self::prior(&system.plant.zone, &config);
+        let prior =
+            ZoneParams::bubble_zero_subspace().surrogate_prior(RADIANT_UNIT_W, OCCUPANT_SENSIBLE_W);
         Self {
             inner,
             obs,
             targets: system.targets,
-            weather: system.plant.weather,
-            forecaster: OccupancyForecaster::new(config.forecast),
+            weather: WeatherConfig::singapore_afternoon(),
+            forecaster: OccupancyForecaster::new(FORECAST),
             identifiers: std::array::from_fn(|_| {
-                ZoneIdentifier::with_prior(prior, config.identify)
+                ZoneIdentifier::with_prior(prior, IdentifyConfig::default())
             }),
-            plan: Plan::full_service(0.0, config.step_s.max(1.0), 0),
+            plan: Plan::full_service(0.0, STEP_S, 0),
             next_replan_s: 0.0,
             sensed_room: [None; 4],
             sensed_co2: [None; 4],
@@ -184,10 +179,6 @@ impl MpcStrategy {
             cycle_fan: [FanLevel::L4; 4],
             config,
         }
-    }
-
-    fn prior(zone: &ZoneParams, config: &MpcConfig) -> [f64; DIM] {
-        zone.surrogate_prior(config.radiant_unit_w, config.occupant_sensible_w)
     }
 
     /// Whether the layer is doing anything at all.
@@ -245,46 +236,43 @@ impl MpcStrategy {
             std::array::from_fn(|s| self.sensed_room[s].map_or(target_c, |(_, t)| t));
         let theta = std::array::from_fn(|s| self.identifiers[s].theta());
         let horizon = self.config.horizon;
-        let step_s = self.config.step_s;
         let mut outdoor_c = Vec::with_capacity(horizon);
         let mut occupied = Vec::with_capacity(horizon);
         // Probe the forecast at bin granularity through the arrival
         // guard: a step counts as occupied if anyone is predicted within
-        // `arrival_guard_s` of it, so service is restored before the
+        // `ARRIVAL_GUARD_S` of it, so service is restored before the
         // arrival instead of after.
-        let guard_s = self.config.arrival_guard_s.max(0.0);
-        let probe_s = self.config.forecast.bin_s.max(1.0);
-        let probes = (guard_s / probe_s).ceil() as usize;
+        let probes = (ARRIVAL_GUARD_S / FORECAST.bin_s).ceil() as usize;
         for j in 0..horizon {
-            let mid = inputs.now_s + (j as f64 + 0.5) * step_s;
+            let mid = inputs.now_s + (j as f64 + 0.5) * STEP_S;
             outdoor_c.push(self.outdoor_nominal(mid));
             occupied.push(std::array::from_fn(|s| {
                 (0..=probes).any(|k| {
-                    let t = (mid + k as f64 * probe_s).min(mid + guard_s);
+                    let t = (mid + k as f64 * FORECAST.bin_s).min(mid + ARRIVAL_GUARD_S);
                     self.forecaster.predict_occupied(s, t)
                 })
             }));
         }
         let problem = HorizonProblem {
             start_s: inputs.now_s,
-            step_s,
+            step_s: STEP_S,
             horizon,
             initial_temp_c,
             theta,
             outdoor_c,
             occupied,
             target_c,
-            comfort_band_k: self.config.comfort_band_k,
-            comfort_weight: self.config.comfort_weight,
-            radiant_unit_w: self.config.radiant_unit_w,
-            radiant_cop: self.config.radiant_cop,
-            vent_cop: self.config.vent_cop,
-            vent_delta_k: self.config.vent_delta_k,
-            pump_w: self.config.pump_w,
+            comfort_band_k: COMFORT_BAND_K,
+            comfort_weight: COMFORT_WEIGHT,
+            radiant_unit_w: RADIANT_UNIT_W,
+            radiant_cop: RADIANT_COP,
+            vent_cop: VENT_COP,
+            vent_delta_k: VENT_DELTA_K,
+            pump_w: PUMP_W,
         };
 
         let optimize_span = self.obs.span("mpc.optimize", now_ms);
-        let mut plan = optimize(&problem, self.config.sweeps);
+        let mut plan = optimize(&problem, SWEEPS);
         optimize_span.exit(now_ms);
 
         // Hard condensation constraint, always last: persistence forecasts
@@ -378,7 +366,7 @@ impl ControlStrategy for MpcStrategy {
             .gauge_set("mpc.active", now_ms, f64::from(u8::from(planning)));
         if planning && inputs.now_s >= self.next_replan_s {
             self.replan(inputs);
-            self.next_replan_s = inputs.now_s + self.config.replan_period_s;
+            self.next_replan_s = inputs.now_s + REPLAN_PERIOD_S;
         }
 
         // Stage the regressor for the *next* cycle's rate observation:
@@ -625,7 +613,7 @@ mod tests {
     fn a_confident_forecaster_triggers_replanning() {
         let mut s = harness(MpcConfig::office());
         // Teach the forecaster a square wave over one full period.
-        let period = s.config.forecast.period_s;
+        let period = FORECAST.period_s;
         let mut t = 0.0;
         while t <= period + 5.0 {
             let occupied = t.rem_euclid(period) < period / 2.0;

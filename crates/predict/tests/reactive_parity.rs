@@ -67,3 +67,18 @@ fn repeated_runs_export_identical_bytes() {
     );
     assert_eq!(first.energy_kj, second.energy_kj);
 }
+
+/// CRC-64/XZ of the MPC strategy's JSONL export over the bundled office
+/// scenario, per noise kernel. The occupancy profile is learned after the
+/// first 90-minute period and the next two are planned, so the forecast,
+/// identification and horizon constants all reach the export.
+#[test]
+fn bundled_office_mpc_export_is_pinned() {
+    let run = run_strategy(&MpcScenario::bundled_office(), Some(MpcConfig::office()));
+    let expected = match bz_simcore::NoiseKernel::from_env() {
+        bz_simcore::NoiseKernel::V1 => 0x8b70_9687_ab09_6fc9,
+        bz_simcore::NoiseKernel::V2 => 0xd3e2_898f_3438_78e8,
+    };
+    let crc = bz_state::crc64::checksum(&run.export);
+    assert_eq!(crc, expected, "mpc export CRC {crc:#018x}");
+}

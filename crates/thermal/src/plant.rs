@@ -113,21 +113,21 @@ pub struct EnergyMeters {
 /// to a number the document chose.
 pub const MAX_SCHEDULE_ENTRIES: u64 = 100_000;
 
-/// Full plant configuration.
+/// Turbulent mixing flow between adjacent subspaces, m³/s.
+const INTERZONE_MIXING_M3S: f64 = 0.04;
+
+/// Indoor dry bulb and dew point at the start of a run: the paper's
+/// trial starts with indoor ≈ outdoor.
+const INITIAL_INDOOR: (Celsius, Celsius) = (Celsius::new(28.9), Celsius::new(27.4));
+
+/// Indoor CO₂ at the start of a run, ppm.
+const INITIAL_CO2_PPM: f64 = 520.0;
+
+/// What a run scripts and seeds in the laboratory. The laboratory itself
+/// (zones, panels, airboxes, chillers, weather, mixing and the initial
+/// indoor air) is the paper's, built by [`ThermalPlant::new`].
 #[derive(Debug, Clone)]
 pub struct PlantConfig {
-    /// Parameters shared by the four subspaces.
-    pub zone: ZoneParams,
-    /// Parameters shared by the two ceiling panels.
-    pub panel: PanelParams,
-    /// Parameters shared by the four airboxes.
-    pub airbox: AirboxParams,
-    /// Radiant (18 °C) chiller configuration.
-    pub radiant_chiller: ChillerConfig,
-    /// Ventilation (8 °C) chiller configuration.
-    pub vent_chiller: ChillerConfig,
-    /// Weather boundary.
-    pub weather: WeatherConfig,
     /// Scripted door/window events.
     pub disturbances: DisturbanceSchedule,
     /// Scripted actuator faults.
@@ -136,13 +136,6 @@ pub struct PlantConfig {
     pub sensor_faults: SensorFaultSchedule,
     /// Scripted occupancy.
     pub occupancy: OccupancySchedule,
-    /// Turbulent mixing flow between adjacent subspaces, m³/s.
-    pub interzone_mixing_m3s: f64,
-    /// Initial indoor state (the paper's trial starts with indoor ≈
-    /// outdoor).
-    pub initial_indoor: (Celsius, Celsius),
-    /// Initial indoor CO₂, ppm.
-    pub initial_co2: f64,
     /// RNG seed for weather wander and sensor noise.
     pub seed: u64,
     /// Which versioned normal sampler every plant RNG (weather wander,
@@ -167,19 +160,10 @@ impl PlantConfig {
     #[must_use]
     pub fn bubble_zero_lab() -> Self {
         Self {
-            zone: ZoneParams::bubble_zero_subspace(),
-            panel: PanelParams::bubble_zero_panel(),
-            airbox: AirboxParams::bubble_zero_airbox(),
-            radiant_chiller: ChillerConfig::radiant_18c(),
-            vent_chiller: ChillerConfig::ventilation_8c(),
-            weather: WeatherConfig::singapore_afternoon(),
             disturbances: DisturbanceSchedule::none(),
             faults: FaultSchedule::none(),
             sensor_faults: SensorFaultSchedule::none(),
             occupancy: OccupancySchedule::empty(),
-            interzone_mixing_m3s: 0.04,
-            initial_indoor: (Celsius::new(28.9), Celsius::new(27.4)),
-            initial_co2: 520.0,
             seed: 0xB0BB_1E2E,
             noise: NoiseKernel::from_env(),
             scalar_reference: scalar_reference_default(),
@@ -340,21 +324,25 @@ pub struct ThermalPlant {
 const NEIGHBORS: [[usize; 2]; 4] = [[1, 2], [0, 3], [3, 0], [2, 1]];
 
 impl ThermalPlant {
-    /// Builds the plant in its initial condition.
+    /// Builds the BubbleZERO laboratory in its initial condition, with
+    /// the scripts and seed of `config`.
     #[must_use]
     pub fn new(config: PlantConfig) -> Self {
         let mut rng = Rng::seed_from(config.seed).with_kernel(config.noise);
-        let mut weather = Weather::new(config.weather, rng.fork());
+        let mut weather = Weather::new(WeatherConfig::singapore_afternoon(), rng.fork());
         let outdoor = weather.sample(SimTime::ZERO);
-        let (t0, dew0) = config.initial_indoor;
-        let indoor = AirState::from_dew_point(t0, dew0, Ppm::new(config.initial_co2));
-        let zones = std::array::from_fn(|_| Zone::new(config.zone, indoor));
-        let panels = std::array::from_fn(|_| RadiantPanel::new(config.panel, t0));
-        let radiant_tank = Tank::new(0.2, config.radiant_chiller.setpoint);
-        let vent_tank = Tank::new(0.15, config.vent_chiller.setpoint);
+        let (t0, dew0) = INITIAL_INDOOR;
+        let indoor = AirState::from_dew_point(t0, dew0, Ppm::new(INITIAL_CO2_PPM));
+        let zones = std::array::from_fn(|_| Zone::new(ZoneParams::bubble_zero_subspace(), indoor));
+        let panels =
+            std::array::from_fn(|_| RadiantPanel::new(PanelParams::bubble_zero_panel(), t0));
+        let radiant_chiller = ChillerConfig::radiant_18c();
+        let vent_chiller = ChillerConfig::ventilation_8c();
+        let radiant_tank = Tank::new(0.2, radiant_chiller.setpoint);
+        let vent_tank = Tank::new(0.15, vent_chiller.setpoint);
         let loops = [LoopState {
-            return_temp: config.radiant_chiller.setpoint,
-            mixed_temp: config.radiant_chiller.setpoint,
+            return_temp: radiant_chiller.setpoint,
+            mixed_temp: radiant_chiller.setpoint,
             mixed_flow_m3s: 0.0,
             supply_flow_m3s: 0.0,
             recycle_flow_m3s: 0.0,
@@ -362,8 +350,8 @@ impl ThermalPlant {
         let instruments = Instruments::new(&mut rng);
         let sensor_fault_rng = rng.fork();
         Self {
-            radiant_chiller: TankChiller::new(config.radiant_chiller),
-            vent_chiller: TankChiller::new(config.vent_chiller),
+            radiant_chiller: TankChiller::new(radiant_chiller),
+            vent_chiller: TankChiller::new(vent_chiller),
             config,
             now: SimTime::ZERO,
             weather,
@@ -537,10 +525,12 @@ impl ThermalPlant {
         let zone_span = self.obs.span("thermal.zones.step", self.now.as_millis());
         self.last_zone_inputs = zone_inputs;
         let pre_states: [AirState; 4] = std::array::from_fn(|i| self.zones[i].state());
-        let mixing = self.config.interzone_mixing_m3s;
         for (i, zone) in self.zones.iter_mut().enumerate() {
             let [a, b] = NEIGHBORS[i];
-            let neighbors = [(mixing, pre_states[a]), (mixing, pre_states[b])];
+            let neighbors = [
+                (INTERZONE_MIXING_M3S, pre_states[a]),
+                (INTERZONE_MIXING_M3S, pre_states[b]),
+            ];
             zone.step(dt_s, &zone_inputs[i], self.outdoor, &neighbors);
         }
 
@@ -963,9 +953,10 @@ impl ThermalPlant {
     ///
     /// Returns a decode error if the bytes do not parse, and refuses
     /// parameter blocks (zones, panels, tanks, airboxes) other than this
-    /// plant's and a panel surface that is not finite or lies outside
-    /// −45 °C to 60 °C: a step divides by those parameters, and the
-    /// near-ceiling air blends in the panel surface.
+    /// plant's and a panel surface or tank water temperature that is not
+    /// finite or lies outside −45 °C to 60 °C: a step divides by those
+    /// parameters, the near-ceiling air blends in the panel surface, and
+    /// the panels and airbox coils carry the tank water into the air.
     pub fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
         use bz_state::Persist;
         self.now = Persist::load(r)?;
@@ -980,16 +971,19 @@ impl ThermalPlant {
         self.radiant_chiller.load_state(r)?;
         self.vent_chiller.load_state(r)?;
         self.airboxes = Persist::load(r)?;
-        let surface = self
-            .panels
-            .each_ref()
-            .map(|p| p.surface_temperature().get());
-        if self.parameters() != own || !surface.iter().all(|t| RESTORABLE_AIR_C.contains(t)) {
+        let temps = [
+            self.panels[0].surface_temperature(),
+            self.panels[1].surface_temperature(),
+            self.radiant_tank.temperature(),
+            self.vent_tank.temperature(),
+        ]
+        .map(Celsius::get);
+        if self.parameters() != own || !temps.iter().all(|t| RESTORABLE_AIR_C.contains(t)) {
             return Err(bz_state::StateError::Invalid {
                 what: "ThermalPlant",
                 reason: format!(
-                    "restored parameters {:?} are not this plant's, or a panel surface of \
-                     {surface:?} °C lies outside −45 °C to 60 °C",
+                    "restored parameters {:?} are not this plant's, or a panel surface or \
+                     tank of {temps:?} °C lies outside −45 °C to 60 °C",
                     self.parameters()
                 ),
             });
@@ -1047,7 +1041,7 @@ mod tests {
             humidity_ratio: bz_psychro::KgPerKg::new(-0.01),
             ..source.zones[1].state()
         };
-        source.zones[1] = Zone::new(source.config.zone, dry);
+        source.zones[1] = Zone::new(source.zones[1].params, dry);
         let mut w = bz_state::Writer::new();
         source.save_state(&mut w);
         let mut restored = lab();
@@ -1067,7 +1061,7 @@ mod tests {
             humidity_ratio: bz_psychro::KgPerKg::new(0.0),
             ..plant.zones[0].state()
         };
-        plant.zones[0] = Zone::new(plant.config.zone, dry);
+        plant.zones[0] = Zone::new(plant.zones[0].params, dry);
         assert_eq!(plant.zone_dew_point(SubspaceId::S1).get(), -243.12);
     }
 
@@ -1079,7 +1073,7 @@ mod tests {
                 temperature: bz_psychro::Celsius::new(t),
                 ..source.zones[0].state()
             };
-            source.zones[0] = Zone::new(source.config.zone, air);
+            source.zones[0] = Zone::new(source.zones[0].params, air);
             let mut w = bz_state::Writer::new();
             source.save_state(&mut w);
             w.into_bytes()
@@ -1128,14 +1122,71 @@ mod tests {
     #[test]
     fn restore_refuses_panels_that_cannot_step() {
         let changes: [fn(&mut ThermalPlant); 5] = [
-            |p| p.panels[0] = RadiantPanel::new(p.config.panel, Celsius::new(200.0)),
-            |p| p.panels[0] = RadiantPanel::new(p.config.panel, Celsius::new(f64::NAN)),
+            |p| p.panels[0] = RadiantPanel::new(p.panels[0].params, Celsius::new(200.0)),
+            |p| p.panels[0] = RadiantPanel::new(p.panels[0].params, Celsius::new(f64::NAN)),
             |p| p.panels[1].params.capacitance_j_k = 0.0,
             |p| p.panels[1].params.capacitance_j_k = -1.0,
             |p| p.panels[1].params.area_m2 = f64::NAN,
         ];
         for change in changes {
             assert!(refusal(change).contains("are not this plant's"));
+        }
+    }
+
+    /// A lab plant warmed 60 s with every pump on, its `tank` water set
+    /// to `celsius`, saved and restored into a fresh lab plant. Should the
+    /// restore load, the plant steps 1,800 s with every pump on: the panels
+    /// and coils then carry the tank water into the air.
+    fn restore_tank(tank: fn(&mut ThermalPlant) -> &mut Tank, celsius: f64) -> Result<(), String> {
+        let on = {
+            let full = Volts::new(5.0);
+            let radiant = RadiantLoopCommand {
+                supply_voltage: full,
+                recycle_voltage: full,
+            };
+            let airbox = AirboxActuation {
+                coil_pump_voltage: full,
+                fan: FanLevel::L4,
+                flap_open: true,
+            };
+            ActuatorCommands {
+                radiant: [radiant; 2],
+                airboxes: [airbox; 4],
+            }
+        };
+        let mut source = lab();
+        for _ in 0..60 {
+            source.step(second(), &on);
+        }
+        let water = tank(&mut source);
+        *water = Tank::new(water.volume_m3, Celsius::new(celsius));
+        let mut w = bz_state::Writer::new();
+        source.save_state(&mut w);
+        let mut restored = lab();
+        restored
+            .load_state(&mut bz_state::Reader::new(w.as_bytes()))
+            .map_err(|e| e.to_string())?;
+        for _ in 0..1_800 {
+            restored.step(second(), &on);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn restore_refuses_tank_water_that_cannot_step() {
+        let radiant: fn(&mut ThermalPlant) -> &mut Tank = |p| &mut p.radiant_tank;
+        let vent: fn(&mut ThermalPlant) -> &mut Tank = |p| &mut p.vent_tank;
+        for (tank, celsius) in [
+            (radiant, f64::NAN),
+            (radiant, 1e4),
+            (radiant, -300.0),
+            (vent, 100.0),
+        ] {
+            let err = restore_tank(tank, celsius).unwrap_err();
+            assert!(err.contains("lies outside −45 °C to 60 °C"), "{err}");
+        }
+        for (tank, celsius) in [(radiant, 60.0), (vent, -45.0)] {
+            assert_eq!(restore_tank(tank, celsius), Ok(()), "{celsius} °C");
         }
     }
 

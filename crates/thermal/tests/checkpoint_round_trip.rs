@@ -3,7 +3,7 @@
 //! loops, weather wander, every sensor's noise stream, and the stuck-at
 //! fault latches all resume exactly where they left off.
 
-use bz_psychro::{Celsius, Volts};
+use bz_psychro::Volts;
 use bz_simcore::SimDuration;
 use bz_simcore::SimTime;
 use bz_state::{Reader, Writer};
@@ -163,10 +163,9 @@ fn corrupted_plant_state_errors_cleanly() {
 #[test]
 fn restore_carries_initial_indoor_changes() {
     // Guard against a restore that silently keeps constructor state: a
-    // checkpoint taken after warm-up must overwrite a fresh plant's
-    // initial condition.
-    let mut config = PlantConfig::bubble_zero_lab();
-    config.initial_indoor = (Celsius::new(31.0), Celsius::new(27.9));
+    // checkpoint taken after 600 s of warm-up, when the room has already
+    // moved from the initial condition, must overwrite a fresh plant's.
+    let config = PlantConfig::bubble_zero_lab();
     let mut warm = ThermalPlant::new(config.clone()).with_obs(bz_obs::Handle::isolated());
     for _ in 0..600 {
         warm.step(SimDuration::from_secs(1), &live_commands());

@@ -13,20 +13,22 @@ use bz_simcore::{SimDuration, SimTime};
 use crate::histogram::{classify, Stability, VarianceHistogram};
 use crate::message::DataType;
 
+/// Maximum send-period multiplier (the paper's `w ≤ 32`).
+const MAX_W: u32 = 32;
+
+/// Histogram size `N` for the λ clustering (the paper's 40 slots).
+const HISTOGRAM_SLOTS: usize = 40;
+
 /// Tuning of one BT-ADPT instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
     /// Sampling period `T_spl`.
     pub sampling_period: SimDuration,
-    /// Maximum send-period multiplier (the paper's `w ≤ 32`).
-    pub max_w: u32,
     /// Number of successive stable samples required before doubling `w`
     /// (the paper: "after 10 successive T_spls").
     pub stable_runs_to_double: u32,
     /// Sliding-window length for the variance, samples.
     pub window_len: usize,
-    /// Histogram size `N` for the λ clustering.
-    pub histogram_slots: usize,
     /// How often λ is recomputed (the paper: every 20 minutes).
     pub lambda_update_period: SimDuration,
     /// How often the histogram counters are zeroed to flush accumulated
@@ -55,10 +57,8 @@ impl AdaptiveConfig {
     pub fn with_sampling(sampling_period: SimDuration) -> Self {
         Self {
             sampling_period,
-            max_w: 32,
             stable_runs_to_double: 10,
             window_len: 10,
-            histogram_slots: 40,
             lambda_update_period: SimDuration::from_mins(20),
             counter_reset_period: SimDuration::from_hours(7 * 24),
         }
@@ -124,7 +124,7 @@ impl BtAdaptive {
     pub fn new(config: AdaptiveConfig) -> Self {
         Self {
             window: SlidingWindow::new(config.window_len),
-            histogram: VarianceHistogram::new(config.histogram_slots),
+            histogram: VarianceHistogram::new(HISTOGRAM_SLOTS),
             lambda: None,
             lambda_refreshed_at: SimTime::ZERO,
             counters_reset_at: SimTime::ZERO,
@@ -202,10 +202,8 @@ impl BtAdaptive {
                     }
                     Stability::Stable => {
                         self.stable_run += 1;
-                        if self.stable_run >= self.config.stable_runs_to_double
-                            && self.w < self.config.max_w
-                        {
-                            self.w = (self.w * 2).min(self.config.max_w);
+                        if self.stable_run >= self.config.stable_runs_to_double && self.w < MAX_W {
+                            self.w = (self.w * 2).min(MAX_W);
                             self.stable_run = 0;
                         }
                     }

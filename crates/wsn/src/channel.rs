@@ -13,21 +13,24 @@ use bz_simcore::{Rng, SimDuration, SimTime};
 use crate::faults::WsnFaultSchedule;
 use crate::message::Message;
 
+/// PHY bit rate, bits/s (802.15.4: 250 kbps).
+const BITRATE_BPS: u64 = 250_000;
+
+/// PHY + MAC framing overhead added to every payload, bytes (preamble,
+/// SFD, length, MAC header, FCS).
+const OVERHEAD_BYTES: usize = 23;
+
+/// One backoff unit, ms (the 802.15.4 unit period quantized to the
+/// simulation clock).
+const BACKOFF_UNIT_MS: u64 = 1;
+
 /// Channel and MAC parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkConfig {
-    /// PHY bit rate, bits/s (802.15.4: 250 kbps).
-    pub bitrate_bps: u64,
-    /// PHY + MAC framing overhead added to every payload, bytes
-    /// (preamble, SFD, length, MAC header, FCS).
-    pub overhead_bytes: usize,
     /// Probability that an uncollided frame is still lost (fading, ...).
     pub residual_loss: f64,
     /// Maximum CSMA backoff attempts before the frame is dropped.
     pub max_backoffs: u32,
-    /// One backoff unit, ms (the 802.15.4 unit period quantized to the
-    /// simulation clock).
-    pub backoff_unit_ms: u64,
 }
 
 impl NetworkConfig {
@@ -35,22 +38,18 @@ impl NetworkConfig {
     #[must_use]
     pub fn telosb() -> Self {
         Self {
-            bitrate_bps: 250_000,
-            overhead_bytes: 23,
             residual_loss: 0.02,
             max_backoffs: 4,
-            backoff_unit_ms: 1,
         }
     }
+}
 
-    /// Airtime of a frame carrying `payload_bytes`.
-    #[must_use]
-    pub fn airtime(&self, payload_bytes: usize) -> SimDuration {
-        let bits = ((payload_bytes + self.overhead_bytes) * 8) as u64;
-        // Ceiling division so sub-millisecond frames still occupy a tick.
-        let micros = bits * 1_000_000 / self.bitrate_bps;
-        SimDuration::from_millis(micros.div_ceil(1_000).max(1))
-    }
+/// Airtime of a frame carrying `payload_bytes`.
+fn airtime(payload_bytes: usize) -> SimDuration {
+    let bits = ((payload_bytes + OVERHEAD_BYTES) * 8) as u64;
+    // Ceiling division so sub-millisecond frames still occupy a tick.
+    let micros = bits * 1_000_000 / BITRATE_BPS;
+    SimDuration::from_millis(micros.div_ceil(1_000).max(1))
 }
 
 /// Why a frame failed to arrive.
@@ -275,7 +274,7 @@ impl Network {
             return false;
         }
         self.stats.offered += 1;
-        let airtime = self.config.airtime(message.payload_bytes());
+        let airtime = airtime(message.payload_bytes());
 
         // CSMA: find a start instant at which the channel is clear, with
         // binary-exponential backoff on each busy assessment.
@@ -299,7 +298,7 @@ impl Network {
                     .unwrap_or(candidate);
                 let window = 1u64 << (attempt + 2).min(6);
                 let slots = 1 + self.rng.below(window);
-                candidate = horizon + SimDuration::from_millis(slots * self.config.backoff_unit_ms);
+                candidate = horizon + SimDuration::from_millis(slots * BACKOFF_UNIT_MS);
                 attempt += 1;
                 self.stats.backoffs += 1;
             } else {
@@ -511,12 +510,11 @@ mod tests {
 
     #[test]
     fn airtime_is_plausible() {
-        let cfg = NetworkConfig::telosb();
         // 10-byte payload + 23 overhead = 33 bytes = 264 bits ≈ 1.06 ms.
-        let t = cfg.airtime(10);
+        let t = airtime(10);
         assert_eq!(t.as_millis(), 2); // ceil to the ms clock
                                       // A max-length frame (~127 bytes) is ~4 ms.
-        let t_max = cfg.airtime(104);
+        let t_max = airtime(104);
         assert!(t_max.as_millis() >= 4 && t_max.as_millis() <= 5);
     }
 
@@ -651,7 +649,6 @@ mod tests {
         let cfg = NetworkConfig {
             residual_loss: 0.0,
             max_backoffs: 0,
-            ..NetworkConfig::telosb()
         };
         let mut net = Network::new(cfg, Rng::seed_from(9));
         assert!(net.send(SimTime::ZERO, msg(1, SimTime::ZERO)));

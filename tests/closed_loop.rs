@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full BubbleZERO closed loop against
 //! the calibrated laboratory, checked against the paper's headline claims.
 
-use bubblezero::core::baseline::{AirConConfig, AirConSystem};
+use bubblezero::core::baseline::AirConSystem;
 use bubblezero::core::metrics::CopSummary;
 use bubblezero::core::system::{BubbleZeroSystem, SystemConfig};
 use bubblezero::simcore::{SimDuration, SimTime};
@@ -126,7 +126,7 @@ fn bubble_zero_beats_the_aircon_baseline() {
     let cop = CopSummary::from_meters(system.plant().meters());
 
     // AirCon on the same physics.
-    let mut aircon = AirConSystem::new(AirConConfig::for_bubble_zero_lab());
+    let mut aircon = AirConSystem::for_bubble_zero_lab();
     aircon.run_seconds(40 * 60);
     aircon.reset_meters();
     aircon.run_seconds(20 * 60);
