@@ -16,8 +16,10 @@
 use bz_psychro::{dew_point_checked, Celsius, Percent};
 use bz_thermal::hydronics::Pump;
 use bz_thermal::plant::RadiantLoopCommand;
+use bz_wsn::message::DataType;
 
 use crate::pid::{Pid, PidConfig};
+use crate::supervisor::in_range;
 use crate::targets::ComfortTargets;
 use crate::MAX_STALENESS_S;
 
@@ -384,13 +386,30 @@ impl RadiantController {
     ///
     /// # Errors
     ///
-    /// Returns a decode error if the bytes do not parse.
+    /// Returns a decode error if the bytes do not parse, and refuses a
+    /// cached room temperature outside the range the sensor supervisor
+    /// accepts: only accepted readings reach the cache, and the PID
+    /// asserts against a non-finite error.
     pub fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
         use bz_state::Persist;
         self.targets = Persist::load(r)?;
         self.pid.load_state(r)?;
         self.ceiling = Persist::load(r)?;
-        self.room_temps = Persist::load(r)?;
+        let room_temps: [Option<(f64, Celsius)>; 2] = Persist::load(r)?;
+        if let Some((_, t)) = room_temps
+            .iter()
+            .flatten()
+            .find(|(_, t)| !in_range(DataType::Temperature, t.get()))
+        {
+            return Err(bz_state::StateError::Invalid {
+                what: "RadiantController",
+                reason: format!(
+                    "cached room temperature of {} °C lies outside the supervisor's range",
+                    t.get()
+                ),
+            });
+        }
+        self.room_temps = room_temps;
         self.supply_temp = Persist::load(r)?;
         self.return_temp = Persist::load(r)?;
         self.mixed_temp = Persist::load(r)?;
@@ -583,5 +602,23 @@ mod tests {
         c.observe_room_temperature(1, 100.0, Celsius::new(27.2));
         let d = c.decide(100.0, 1.0);
         assert!(d.flow_target < 5.0e-5, "{d:?}");
+    }
+
+    #[test]
+    fn restore_refuses_a_room_temperature_the_supervisor_would_reject() {
+        let restore = |t: f64| {
+            let mut source = controller();
+            source.observe_room_temperature(1, 0.0, Celsius::new(t));
+            let mut w = bz_state::Writer::new();
+            source.save_state(&mut w);
+            controller()
+                .load_state(&mut bz_state::Reader::new(w.as_bytes()))
+                .map_err(|e| e.to_string())
+        };
+        for t in [f64::NAN, 6400.0, -40.0] {
+            let err = restore(t).unwrap_err();
+            assert!(err.contains("outside the supervisor's range"), "{err}");
+        }
+        assert_eq!(restore(27.0), Ok(()));
     }
 }

@@ -158,6 +158,12 @@ fn bounds_for(data_type: DataType, channel: u16) -> Option<Bounds> {
     bounds
 }
 
+/// Whether the range check accepts `value` as a reading of `data_type`.
+/// Quantities without a range accept every value.
+pub(crate) fn in_range(data_type: DataType, value: f64) -> bool {
+    bounds_for(data_type, 0).is_none_or(|b| (b.lo..=b.hi).contains(&value))
+}
+
 /// Plausibility envelope of one quantity.
 #[derive(Debug, Clone, Copy)]
 struct Bounds {

@@ -856,27 +856,28 @@ impl BubbleZeroSystem {
 
         self.bt_ledgers[device].record_sample(at);
 
-        let (transmit, record) = match &mut self.bt_streams[index].scheduler {
+        let transmit = match &mut self.bt_streams[index].scheduler {
             StreamScheduler::Adaptive(scheduler) => {
                 let outcome = scheduler.on_sample(at, value);
-                let record = outcome.variance.map(|variance| DecisionRecord {
-                    at,
-                    stream: index,
-                    variance,
-                    lambda: outcome.lambda,
-                    classified: outcome.classified,
-                    send_period: outcome.send_period,
-                    transmitted: outcome.transmit,
-                });
-                (outcome.transmit, record)
+                // Only a record reads λ: left unread, a pending λ is
+                // never computed.
+                if self.config.record_decisions {
+                    if let Some(variance) = outcome.variance {
+                        self.decision_log.push(DecisionRecord {
+                            at,
+                            stream: index,
+                            variance,
+                            lambda: scheduler.lambda(),
+                            classified: outcome.classified,
+                            send_period: outcome.send_period,
+                            transmitted: outcome.transmit,
+                        });
+                    }
+                }
+                outcome.transmit
             }
-            StreamScheduler::Fixed(scheduler) => (scheduler.on_sample(), None),
+            StreamScheduler::Fixed(scheduler) => scheduler.on_sample(),
         };
-        if self.config.record_decisions {
-            if let Some(record) = record {
-                self.decision_log.push(record);
-            }
-        }
 
         if transmit {
             self.bt_ledgers[device].record_transmission(at);

@@ -17,8 +17,10 @@
 use bz_psychro::{dew_point_checked, humidity_ratio_from_dew_point, Celsius, Percent, Ppm, Volts};
 use bz_thermal::airbox::FanLevel;
 use bz_thermal::plant::AirboxActuation;
+use bz_wsn::message::DataType;
 
 use crate::pid::{Pid, PidConfig};
+use crate::supervisor::in_range;
 use crate::targets::ComfortTargets;
 use crate::MAX_STALENESS_S;
 
@@ -373,12 +375,27 @@ impl VentilationController {
     ///
     /// # Errors
     ///
-    /// Returns a decode error if the bytes do not parse.
+    /// Returns a decode error if the bytes do not parse, and refuses a
+    /// cached room reading outside the range the sensor supervisor
+    /// accepts: only accepted readings reach the cache.
     pub fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
         use bz_state::Persist;
         self.targets = Persist::load(r)?;
         self.coil_pid.load_state(r)?;
-        self.room = Persist::load(r)?;
+        let room: Option<(f64, Celsius, Percent)> = Persist::load(r)?;
+        if let Some((_, t, h)) = room {
+            let (t, h) = (t.get(), h.get());
+            if !(in_range(DataType::Temperature, t) && in_range(DataType::Humidity, h)) {
+                return Err(bz_state::StateError::Invalid {
+                    what: "VentilationController",
+                    reason: format!(
+                        "cached room reading of {t} °C and {h} % RH lies outside the \
+                         supervisor's range"
+                    ),
+                });
+            }
+        }
+        self.room = room;
         self.co2 = Persist::load(r)?;
         self.outlet = Persist::load(r)?;
         self.supply_temp = Persist::load(r)?;
@@ -513,5 +530,26 @@ mod tests {
         c.observe_room(0.0, Celsius::new(28.0), rh_at(28.0, 26.0));
         let d = c.decide(500.0, 5.0);
         assert_eq!(d.actuation, AirboxActuation::default());
+    }
+
+    #[test]
+    fn restore_refuses_a_room_reading_the_supervisor_would_reject() {
+        let restore = |t: f64, h: f64| {
+            let mut source = controller();
+            source.observe_room(0.0, Celsius::new(t), Percent::new(h));
+            let mut w = bz_state::Writer::new();
+            source.save_state(&mut w);
+            let mut restored = controller();
+            restored
+                .load_state(&mut bz_state::Reader::new(w.as_bytes()))
+                .map_err(|e| e.to_string())
+        };
+        for (t, h) in [(6400.0, 60.0), (-40.0, 60.0), (25.0, -65.0), (25.0, 4.3e6)] {
+            let err = restore(t, h).unwrap_err();
+            assert!(err.contains("outside the supervisor's range"), "{err}");
+        }
+        for (t, h) in [(25.0, 60.0), (-5.0, 0.0), (55.0, 100.0)] {
+            assert_eq!(restore(t, h), Ok(()), "{t} °C, {h} %");
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! End-to-end tests over a real TCP socket: the determinism contract
 //! (wire-driven tenants export the offline bytes), snapshot/restore
-//! across server instances and from a format-2 build, backpressure
-//! shedding, the 400/413/500 paths, idle connections yielding to
-//! waiting ones, and graceful shutdown with final checkpoints.
+//! across server instances and from a format-2 build, a restore refused
+//! for its plant parameters, backpressure shedding, the 400/413/500
+//! paths, idle connections yielding to waiting ones, and graceful
+//! shutdown with final checkpoints.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -201,6 +202,43 @@ fn restore_refuses_a_snapshot_of_a_different_config() {
         .unwrap();
     assert_eq!(refused.status, 409, "{}", refused.text());
     assert!(refused.text().contains("different configuration"));
+    server.stop();
+}
+
+#[test]
+fn a_restore_with_a_flipped_zone_parameter_answers_409_and_keeps_the_tenant() {
+    let server = start(ServeConfig::default());
+    let mut client = server.client();
+    for name in ["z", "twin"] {
+        let spec =
+            format!("{{\"name\":\"{name}\",\"scenario\":\"trial\",\"seed\":7,\"minutes\":30}}");
+        client.post_ok("/tenants", &spec).unwrap();
+        client
+            .post_ok(&format!("/tenants/{name}/step"), "{\"minutes\":5}")
+            .unwrap();
+    }
+    let envelope = client.get_ok("/tenants/z/snapshot").unwrap().body;
+    // Byte 121 of this payload opens the first zone's parameter block;
+    // re-sealing keeps the CRC valid, so only the plant can refuse it.
+    let mut flipped = bz_state::Checkpoint::from_wire_bytes(&envelope).unwrap();
+    flipped.payload[121] ^= 0x01;
+    let refused = client
+        .request("POST", "/tenants/z/restore", &flipped.to_wire_bytes())
+        .unwrap();
+    assert_eq!(refused.status, 409, "{}", refused.text());
+    assert!(
+        refused.text().contains("are not this plant's"),
+        "{}",
+        refused.text()
+    );
+    for name in ["z", "twin"] {
+        client
+            .post_ok(&format!("/tenants/{name}/step"), "{\"minutes\":3}")
+            .unwrap();
+    }
+    let tenant = client.get_ok("/tenants/z/metrics").unwrap().body;
+    let twin = client.get_ok("/tenants/twin/metrics").unwrap().body;
+    assert!(tenant == twin, "the refused restore changed the tenant");
     server.stop();
 }
 
@@ -546,7 +584,9 @@ fn panicking_requests_get_500_and_the_workers_live_on() {
         .unwrap();
     let snapshot = client.get_ok("/tenants/ok/snapshot").unwrap().body;
     let mut broken = bz_state::Checkpoint::from_wire_bytes(&snapshot).unwrap();
-    broken.payload[88] ^= 0xFF;
+    // Bytes 489-496 hold the first radiant loop's water state, which a
+    // load does not check: NaN there loads, and the next step panics.
+    broken.payload[489..497].copy_from_slice(&f64::NAN.to_le_bytes());
     let broken = broken.to_wire_bytes();
     for i in 0..3 {
         let name = format!("p{i}");

@@ -931,7 +931,10 @@ impl ThermalPlant {
     /// The parameter blocks a checkpoint repeats: zones, panels, tank
     /// volumes and airboxes. The configuration fixes them.
     fn parameters(
-        &self,
+        zones: &[Zone; 4],
+        panels: &[RadiantPanel; 2],
+        tanks: [&Tank; 2],
+        airboxes: &[Airbox; 4],
     ) -> (
         [ZoneParams; 4],
         [PanelParams; 2],
@@ -939,10 +942,10 @@ impl ThermalPlant {
         [AirboxParams; 4],
     ) {
         (
-            self.zones.each_ref().map(|z| z.params),
-            self.panels.each_ref().map(|p| p.params),
-            [self.radiant_tank.volume_m3, self.vent_tank.volume_m3],
-            self.airboxes.each_ref().map(|a| a.params),
+            zones.each_ref().map(|z| z.params),
+            panels.each_ref().map(|p| p.params),
+            tanks.map(|t| t.volume_m3),
+            airboxes.each_ref().map(|a| a.params),
         )
     }
 
@@ -957,37 +960,50 @@ impl ThermalPlant {
     /// finite or lies outside −45 °C to 60 °C: a step divides by those
     /// parameters, the near-ceiling air blends in the panel surface, and
     /// the panels and airbox coils carry the tank water into the air.
+    /// Those blocks are checked before they are assigned, so a refused
+    /// load keeps this plant's parameters and its own save reloads.
     pub fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
         use bz_state::Persist;
         self.now = Persist::load(r)?;
         self.weather.load_state(r)?;
         self.outdoor = Persist::load(r)?;
-        let own = self.parameters();
-        self.zones = Persist::load(r)?;
-        self.panels = Persist::load(r)?;
-        self.loops = Persist::load(r)?;
-        self.radiant_tank = Persist::load(r)?;
-        self.vent_tank = Persist::load(r)?;
+        let zones: [Zone; 4] = Persist::load(r)?;
+        let panels: [RadiantPanel; 2] = Persist::load(r)?;
+        let loops = Persist::load(r)?;
+        let radiant_tank: Tank = Persist::load(r)?;
+        let vent_tank: Tank = Persist::load(r)?;
         self.radiant_chiller.load_state(r)?;
         self.vent_chiller.load_state(r)?;
-        self.airboxes = Persist::load(r)?;
+        let airboxes: [Airbox; 4] = Persist::load(r)?;
+        let restored = Self::parameters(&zones, &panels, [&radiant_tank, &vent_tank], &airboxes);
+        let own = Self::parameters(
+            &self.zones,
+            &self.panels,
+            [&self.radiant_tank, &self.vent_tank],
+            &self.airboxes,
+        );
         let temps = [
-            self.panels[0].surface_temperature(),
-            self.panels[1].surface_temperature(),
-            self.radiant_tank.temperature(),
-            self.vent_tank.temperature(),
+            panels[0].surface_temperature(),
+            panels[1].surface_temperature(),
+            radiant_tank.temperature(),
+            vent_tank.temperature(),
         ]
         .map(Celsius::get);
-        if self.parameters() != own || !temps.iter().all(|t| RESTORABLE_AIR_C.contains(t)) {
+        if restored != own || !temps.iter().all(|t| RESTORABLE_AIR_C.contains(t)) {
             return Err(bz_state::StateError::Invalid {
                 what: "ThermalPlant",
                 reason: format!(
-                    "restored parameters {:?} are not this plant's, or a panel surface or \
-                     tank of {temps:?} °C lies outside −45 °C to 60 °C",
-                    self.parameters()
+                    "restored parameters {restored:?} are not this plant's, or a panel surface \
+                     or tank of {temps:?} °C lies outside −45 °C to 60 °C"
                 ),
             });
         }
+        self.zones = zones;
+        self.panels = panels;
+        self.loops = loops;
+        self.radiant_tank = radiant_tank;
+        self.vent_tank = vent_tank;
+        self.airboxes = airboxes;
         self.outlet_states = Persist::load(r)?;
         self.coil_flows = Persist::load(r)?;
         let sensors = (self.instruments.ceiling.len(), self.instruments.flow.len());
@@ -1188,6 +1204,25 @@ mod tests {
         for (tank, celsius) in [(radiant, 60.0), (vent, -45.0)] {
             assert_eq!(restore_tank(tank, celsius), Ok(()), "{celsius} °C");
         }
+    }
+
+    #[test]
+    fn a_refused_load_keeps_the_plant_parameters() {
+        let mut plant = lab();
+        let mut own = bz_state::Writer::new();
+        plant.save_state(&mut own);
+        let mut source = lab();
+        source.zones[1].params.volume_m3 *= 2.0;
+        let mut w = bz_state::Writer::new();
+        source.save_state(&mut w);
+        assert!(plant
+            .load_state(&mut bz_state::Reader::new(w.as_bytes()))
+            .is_err());
+        assert_eq!(
+            plant.load_state(&mut bz_state::Reader::new(own.as_bytes())),
+            Ok(()),
+            "the plant reloads its own save"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use bz_psychro::{Celsius, Ppm};
 use bz_simcore::{Rng, SimTime};
 
-use crate::zone::AirState;
+use crate::zone::{AirState, RESTORABLE_AIR_C};
 
 /// Configuration for the synthetic Singapore weather driver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,11 +120,26 @@ impl Weather {
     ///
     /// # Errors
     ///
-    /// Returns a decode error if the bytes do not parse.
+    /// Returns a decode error if the bytes do not parse, and refuses a
+    /// wander that puts the outdoor air outside −45 °C to 60 °C at some
+    /// hour of the day: the outdoor dew point follows the wander, and
+    /// `bz_psychro` asserts against air that far out.
     pub fn load_state(&mut self, r: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
         use bz_state::Persist;
         self.rng = Persist::load(r)?;
-        self.wander = r.take_f64()?;
+        let wander = r.take_f64()?;
+        let swing = self.config.diurnal_amplitude.abs();
+        let extremes = [-swing, swing].map(|d| self.config.mean_temperature + d + wander);
+        if !extremes.iter().all(|t| RESTORABLE_AIR_C.contains(t)) {
+            return Err(bz_state::StateError::Invalid {
+                what: "Weather",
+                reason: format!(
+                    "a wander of {wander} K puts the outdoor air at {extremes:?} °C, outside \
+                     −45 °C to 60 °C"
+                ),
+            });
+        }
+        self.wander = wander;
         self.last_update = Persist::load(r)?;
         Ok(())
     }
@@ -200,6 +215,31 @@ mod tests {
             let t = SimTime::from_mins(i * 30);
             let sampled = w.sample(t).temperature.get();
             assert!((sampled - config.nominal_temperature(t)).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_wander_that_puts_the_outdoor_air_out_of_range() {
+        let restore = |wander: f64| {
+            let mut source = Weather::new(WeatherConfig::singapore_afternoon(), Rng::seed_from(6));
+            source.wander = wander;
+            let mut w = bz_state::Writer::new();
+            source.save_state(&mut w);
+            let mut restored =
+                Weather::new(WeatherConfig::singapore_afternoon(), Rng::seed_from(6));
+            let loaded = restored.load_state(&mut bz_state::Reader::new(w.as_bytes()));
+            if loaded.is_ok() {
+                // The outdoor humidity ratio comes from the dew point.
+                restored.sample(SimTime::from_secs(60));
+            }
+            loaded.map_err(|e| e.to_string())
+        };
+        for wander in [1e9, 40.0, -80.0, f64::NAN, f64::INFINITY] {
+            let err = restore(wander).unwrap_err();
+            assert!(err.contains("outside −45 °C to 60 °C"), "{err}");
+        }
+        for wander in [0.0, 29.0, -70.0] {
+            assert_eq!(restore(wander), Ok(()), "{wander} K");
         }
     }
 

@@ -6,6 +6,20 @@
 //! is stable and snaps back to `w = 1` the instant the sliding-window
 //! variance crosses the learned threshold λ. Sampling costs 0.3 mW while
 //! transmitting costs 54 mW, so every stretched period is battery life.
+//!
+//! λ is refreshed by Algorithm 1 every 20 minutes and whenever an observed
+//! variance widens the histogram's range, which happens on most samples
+//! while a stream is new. A widening variance is the new minimum or
+//! maximum, and every λ the clustering can return lies within
+//! `[var_min + w, var_min + (N − 1)·w]` for slot width `w`, so these
+//! bounds alone usually classify it. λ itself is then left pending and computed only when
+//! something reads it: the next sample, unless that sample refreshes λ
+//! again (it is computed before that sample's weekly reset or observation
+//! changes the histogram), [`BtAdaptive::save_state`] or
+//! [`BtAdaptive::lambda`]. Where the bounds do not decide (a slot width
+//! below `var_min`'s rounding step), λ is computed at once. Either way
+//! every decision, log and checkpoint is bit-identical to computing λ at
+//! every refresh.
 
 use bz_simcore::stats::SlidingWindow;
 use bz_simcore::{SimDuration, SimTime};
@@ -75,10 +89,29 @@ pub struct SampleOutcome {
     pub variance: Option<f64>,
     /// The classification against the current λ (None until λ exists).
     pub classified: Option<Stability>,
-    /// The λ in force when the decision was made.
-    pub lambda: Option<f64>,
     /// The send period in force *after* this sample.
     pub send_period: SimDuration,
+}
+
+/// λ as a scheduler holds it: the size of `Option<f64>`, with a third
+/// state for a λ that is due from the histogram as it stands.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Lambda {
+    /// Not learnable yet: the histogram's range is still degenerate.
+    Unlearned,
+    /// Computed.
+    Known(f64),
+    /// [`VarianceHistogram::threshold`] of the histogram, which has not
+    /// changed since the refresh.
+    Pending,
+}
+
+const _: () = assert!(std::mem::size_of::<Lambda>() == std::mem::size_of::<Option<f64>>());
+
+impl From<Option<f64>> for Lambda {
+    fn from(lambda: Option<f64>) -> Self {
+        lambda.map_or(Self::Unlearned, Self::Known)
+    }
 }
 
 /// The adaptive scheduler state for one (device, data type) stream.
@@ -106,7 +139,7 @@ pub struct BtAdaptive {
     config: AdaptiveConfig,
     window: SlidingWindow,
     histogram: VarianceHistogram,
-    lambda: Option<f64>,
+    lambda: Lambda,
     lambda_refreshed_at: SimTime,
     counters_reset_at: SimTime,
     w: u32,
@@ -125,7 +158,7 @@ impl BtAdaptive {
         Self {
             window: SlidingWindow::new(config.window_len),
             histogram: VarianceHistogram::new(HISTOGRAM_SLOTS),
-            lambda: None,
+            lambda: Lambda::Unlearned,
             lambda_refreshed_at: SimTime::ZERO,
             counters_reset_at: SimTime::ZERO,
             w: 1,
@@ -151,6 +184,23 @@ impl BtAdaptive {
         self.config.sampling_period * u64::from(self.w)
     }
 
+    /// The λ in force: `None` until the histogram has seen two distinct
+    /// variances. A pending λ is computed here and kept.
+    pub fn lambda(&mut self) -> Option<f64> {
+        let lambda = self.current_lambda();
+        self.lambda = lambda.into();
+        lambda
+    }
+
+    /// The λ in force, a pending one computed but not kept.
+    fn current_lambda(&self) -> Option<f64> {
+        match self.lambda {
+            Lambda::Unlearned => None,
+            Lambda::Known(lambda) => Some(lambda),
+            Lambda::Pending => self.histogram.threshold(),
+        }
+    }
+
     /// Processes one sensor sample taken at `now` (call every `T_spl`).
     pub fn on_sample(&mut self, now: SimTime, value: f64) -> SampleOutcome {
         self.samples += 1;
@@ -160,6 +210,24 @@ impl BtAdaptive {
         } else {
             None
         };
+
+        // Periodic λ refresh; also refresh when the variance widens the
+        // histogram's range (re-binning invalidates the old clustering)
+        // and bootstrap as soon as λ is learnable. Range changes are rare
+        // after warm-up, so this stays within the paper's energy budget
+        // for λ updates.
+        let due = now.since(self.lambda_refreshed_at) >= self.config.lambda_update_period;
+        let refresh = variance.is_some_and(|var| {
+            self.lambda == Lambda::Unlearned
+                || due
+                || var < self.histogram.var_min()
+                || var > self.histogram.var_max()
+        });
+        if !refresh {
+            // No refresh replaces λ here: compute a pending one while the
+            // histogram is still the one it belongs to.
+            self.lambda();
+        }
 
         // Weekly counter flush (§IV-B): zero the histogram counters while
         // keeping the learned range, discarding accumulated re-binning
@@ -171,27 +239,14 @@ impl BtAdaptive {
 
         let mut classified = None;
         if let Some(var) = variance {
-            let range_before = (self.histogram.var_min(), self.histogram.var_max());
             self.histogram.observe(var);
-            let range_changed =
-                (self.histogram.var_min(), self.histogram.var_max()) != range_before;
-
-            // Periodic λ refresh; also refresh on a range change (the
-            // histogram was re-binned, invalidating the old clustering)
-            // and bootstrap as soon as λ is learnable. Range changes are
-            // rare after warm-up, so this stays within the paper's energy
-            // budget for λ updates.
-            let due = now.since(self.lambda_refreshed_at) >= self.config.lambda_update_period;
-            if self.lambda.is_none() || due || range_changed {
-                if let Some(lambda) = self.histogram.threshold() {
-                    self.lambda = Some(lambda);
-                    self.lambda_refreshed_at = now;
-                }
-            }
-
-            if let Some(lambda) = self.lambda {
-                let state = classify(var, lambda);
-                classified = Some(state);
+            let decided = if refresh {
+                self.refresh_lambda(now, var)
+            } else {
+                None
+            };
+            classified = decided.or_else(|| self.lambda().map(|lambda| classify(var, lambda)));
+            if let Some(state) = classified {
                 let w_before = self.w;
                 match state {
                     Stability::Transition => {
@@ -226,9 +281,31 @@ impl BtAdaptive {
             transmit,
             variance,
             classified,
-            lambda: self.lambda,
             send_period: self.send_period(),
         }
+    }
+
+    /// Refreshes λ from the histogram that has just observed `var`. When
+    /// λ's bounds decide `var`'s class, λ is left pending and the class
+    /// returned; otherwise λ is computed now. A degenerate range has no λ
+    /// and keeps the old one, which is never pending: a pending λ needs a
+    /// slot width above 0, and the range only widens.
+    fn refresh_lambda(&mut self, now: SimTime, var: f64) -> Option<Stability> {
+        let (low, high) = self.histogram.threshold_bounds()?;
+        self.lambda_refreshed_at = now;
+        let decided = if var < low {
+            Some(Stability::Stable)
+        } else if var >= high {
+            Some(Stability::Transition)
+        } else {
+            None
+        };
+        self.lambda = if decided.is_some() {
+            Lambda::Pending
+        } else {
+            self.histogram.threshold().into()
+        };
+        decided
     }
 }
 
@@ -276,7 +353,7 @@ impl BtAdaptive {
         use bz_state::Persist;
         self.window.save(w);
         self.histogram.save(w);
-        self.lambda.save(w);
+        self.current_lambda().save(w);
         self.lambda_refreshed_at.save(w);
         self.counters_reset_at.save(w);
         w.put_u32(self.w);
@@ -295,7 +372,7 @@ impl BtAdaptive {
         use bz_state::Persist;
         self.window = Persist::load(r)?;
         self.histogram = Persist::load(r)?;
-        self.lambda = Persist::load(r)?;
+        self.lambda = Option::<f64>::load(r)?.into();
         self.lambda_refreshed_at = Persist::load(r)?;
         self.counters_reset_at = Persist::load(r)?;
         self.w = r.take_u32()?;
@@ -433,7 +510,7 @@ mod tests {
         config.lambda_update_period = SimDuration::from_secs(20);
         let mut s = BtAdaptive::new(config);
         drive(&mut s, 30, |i, _| if i % 7 == 0 { 30.0 } else { 25.0 });
-        let early = s.lambda;
+        let early = s.lambda();
         assert!(early.is_some());
         // Shift the signal regime: much larger excursions dominate the
         // histogram; after the refresh period λ should move.
@@ -448,7 +525,7 @@ mod tests {
                 }
             },
         );
-        assert_ne!(s.lambda, early, "λ should track the new regime");
+        assert_ne!(s.lambda(), early, "λ should track the new regime");
     }
 
     #[test]
@@ -514,7 +591,244 @@ mod tests {
         assert!(s.histogram.observed() <= 1);
         assert_eq!((s.histogram.var_min(), s.histogram.var_max()), range);
         // λ is still in force (kept from before the flush).
-        assert!(s.lambda.is_some());
+        assert!(s.lambda().is_some());
+    }
+
+    /// `on_sample` as it was before λ became lazy: λ is computed at every
+    /// refresh. The reference of the differential test below.
+    struct EagerReference {
+        config: AdaptiveConfig,
+        window: SlidingWindow,
+        histogram: VarianceHistogram,
+        lambda: Option<f64>,
+        lambda_refreshed_at: SimTime,
+        counters_reset_at: SimTime,
+        w: u32,
+        stable_run: u32,
+        next_send: SimTime,
+        transmissions: u64,
+        samples: u64,
+    }
+
+    impl EagerReference {
+        fn new(config: AdaptiveConfig) -> Self {
+            Self {
+                config,
+                window: SlidingWindow::new(config.window_len),
+                histogram: VarianceHistogram::new(HISTOGRAM_SLOTS),
+                lambda: None,
+                lambda_refreshed_at: SimTime::ZERO,
+                counters_reset_at: SimTime::ZERO,
+                w: 1,
+                stable_run: 0,
+                next_send: SimTime::ZERO,
+                transmissions: 0,
+                samples: 0,
+            }
+        }
+
+        fn on_sample(&mut self, now: SimTime, value: f64) -> SampleOutcome {
+            self.samples += 1;
+            self.window.push(value);
+            let variance = if self.window.len() >= 2 {
+                self.window.variance()
+            } else {
+                None
+            };
+            if now.since(self.counters_reset_at) >= self.config.counter_reset_period {
+                self.histogram.reset_counters();
+                self.counters_reset_at = now;
+            }
+            let mut classified = None;
+            if let Some(var) = variance {
+                let range_before = (self.histogram.var_min(), self.histogram.var_max());
+                self.histogram.observe(var);
+                let range_changed =
+                    (self.histogram.var_min(), self.histogram.var_max()) != range_before;
+                let due = now.since(self.lambda_refreshed_at) >= self.config.lambda_update_period;
+                if self.lambda.is_none() || due || range_changed {
+                    if let Some(lambda) = self.histogram.threshold() {
+                        self.lambda = Some(lambda);
+                        self.lambda_refreshed_at = now;
+                    }
+                }
+                if let Some(lambda) = self.lambda {
+                    let state = classify(var, lambda);
+                    classified = Some(state);
+                    match state {
+                        Stability::Transition => {
+                            self.w = 1;
+                            self.stable_run = 0;
+                            self.next_send = now;
+                        }
+                        Stability::Stable => {
+                            self.stable_run += 1;
+                            if self.stable_run >= self.config.stable_runs_to_double
+                                && self.w < MAX_W
+                            {
+                                self.w = (self.w * 2).min(MAX_W);
+                                self.stable_run = 0;
+                            }
+                        }
+                    }
+                }
+            }
+            let transmit = now >= self.next_send;
+            if transmit {
+                self.transmissions += 1;
+                self.next_send = now + self.config.sampling_period * u64::from(self.w);
+            }
+            SampleOutcome {
+                transmit,
+                variance,
+                classified,
+                send_period: self.config.sampling_period * u64::from(self.w),
+            }
+        }
+
+        fn save_state(&self) -> Vec<u8> {
+            use bz_state::Persist;
+            let mut w = bz_state::Writer::new();
+            self.window.save(&mut w);
+            self.histogram.save(&mut w);
+            self.lambda.save(&mut w);
+            self.lambda_refreshed_at.save(&mut w);
+            self.counters_reset_at.save(&mut w);
+            w.put_u32(self.w);
+            w.put_u32(self.stable_run);
+            self.next_send.save(&mut w);
+            w.put_u64(self.transmissions);
+            w.put_u64(self.samples);
+            w.into_bytes()
+        }
+    }
+
+    fn saved(scheduler: &BtAdaptive) -> Vec<u8> {
+        let mut w = bz_state::Writer::new();
+        scheduler.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// A seeded signal of flat stretches, sensor noise, bursts and
+    /// ramps. A non-zero `swing` alternates the sign of that value sample
+    /// by sample and scales the signal to 10⁻¹⁶ of it: over a window of
+    /// two samples, every variance is then about `swing²`, spread by a
+    /// few rounding steps at most, so `var_min + w == var_min` and λ's
+    /// bounds cannot decide.
+    fn seeded_signal(seed: u64, steps: usize, swing: f64) -> Vec<f64> {
+        let mut rng = Rng::seed_from(seed);
+        let mut values = Vec::with_capacity(steps);
+        let mut base = 25.0;
+        while values.len() < steps {
+            let len = 5 + (rng.next_u64() % 300) as usize;
+            let kind = rng.next_u64() % 4;
+            for k in 0..len {
+                let v = match kind {
+                    0 => base,
+                    1 => base + rng.normal(0.0, 0.02),
+                    2 => base + rng.uniform(-4.0, 4.0),
+                    _ => base + 0.1 * k as f64,
+                };
+                if swing == 0.0 {
+                    values.push(v);
+                } else {
+                    let sign = if values.len() % 2 == 0 { 1.0 } else { -1.0 };
+                    values.push(sign * swing + 1e-16 * swing * v);
+                }
+            }
+            if kind == 3 {
+                base += 0.1 * len as f64;
+            }
+            base = base.clamp(-20.0, 60.0);
+        }
+        values.truncate(steps);
+        values
+    }
+
+    #[test]
+    fn lazy_lambda_decides_exactly_as_the_eager_reference() {
+        let paper = AdaptiveConfig::with_sampling(SimDuration::from_secs(2));
+        let short = AdaptiveConfig {
+            lambda_update_period: SimDuration::from_secs(30),
+            counter_reset_period: SimDuration::from_secs(300),
+            ..paper
+        };
+        let pairs = AdaptiveConfig {
+            window_len: 2,
+            ..short
+        };
+        let co2 = AdaptiveConfig::for_type(DataType::Co2);
+        let (mut pending, mut undecided, mut restored) = (0u32, 0u32, 0u32);
+        let cases = [paper, co2, short]
+            .into_iter()
+            .flat_map(|config| [(config, 1, 0.0), (config, 2, 0.0), (config, 3, 0.0)])
+            .chain([(pairs, 4, 0.0), (pairs, 5, 1e10), (pairs, 6, 1e-3)])
+            .chain([(pairs, 7, 3.0), (pairs, 8, 1e150)]);
+        for (config, seed, swing) in cases {
+            let mut lazy = BtAdaptive::new(config);
+            let mut eager = EagerReference::new(config);
+            // Schedulers restored from a save taken while λ was
+            // pending, with the samples they still have to match.
+            let mut followers: Vec<(BtAdaptive, u32)> = Vec::new();
+            for (i, value) in seeded_signal(seed, 3_000, swing).into_iter().enumerate() {
+                let now = SimTime::ZERO + config.sampling_period * i as u64;
+                let range = (lazy.histogram.var_min(), lazy.histogram.var_max());
+                let outcome = lazy.on_sample(now, value);
+                let expected = eager.on_sample(now, value);
+                let at = format!("seed {seed} sample {i}");
+                assert_eq!(outcome.transmit, expected.transmit, "{at}");
+                assert_eq!(
+                    outcome.variance.map(f64::to_bits),
+                    expected.variance.map(f64::to_bits),
+                    "{at}"
+                );
+                assert_eq!(outcome.classified, expected.classified, "{at}");
+                assert_eq!(outcome.send_period, expected.send_period, "{at}");
+                // Read from a clone: reading keeps a pending λ.
+                assert_eq!(
+                    lazy.clone().lambda().map(f64::to_bits),
+                    eager.lambda.map(f64::to_bits),
+                    "{at}"
+                );
+                let bytes = saved(&lazy);
+                assert_eq!(bytes, eager.save_state(), "{at}");
+
+                for (follower, left) in &mut followers {
+                    assert_eq!(follower.on_sample(now, value), outcome, "{at}");
+                    assert_eq!(saved(follower), bytes, "{at}");
+                    *left -= 1;
+                }
+                followers.retain(|(_, left)| *left > 0);
+
+                if lazy.lambda == Lambda::Pending {
+                    pending += 1;
+                    if pending % 50 == 1 {
+                        let mut copy = BtAdaptive::new(config);
+                        copy.load_state(&mut bz_state::Reader::new(&bytes)).unwrap();
+                        followers.push((copy, 200));
+                        restored += 1;
+                    }
+                }
+                // A widened range too narrow for λ's bounds: λ is
+                // computed at once.
+                let (min, max) = (lazy.histogram.var_min(), lazy.histogram.var_max());
+                if (min, max) != range
+                    && matches!(lazy.lambda, Lambda::Known(_))
+                    && lazy
+                        .histogram
+                        .threshold_bounds()
+                        .is_some_and(|(low, _)| low == min)
+                {
+                    undecided += 1;
+                }
+            }
+        }
+        assert!(pending > 500, "{pending} samples left λ pending");
+        assert!(restored > 10, "{restored} pending saves restored");
+        assert!(
+            undecided >= 5,
+            "{undecided} widened ranges too narrow for λ's bounds"
+        );
     }
 
     #[test]

@@ -246,6 +246,26 @@ impl VarianceHistogram {
         Some(self.var_min + best_j as f64 * self.slot_width())
     }
 
+    /// The range `[var_min + w, var_min + (N − 1)·w]` that every λ of
+    /// [`Self::threshold`] lies in, for slot width `w`, without running
+    /// the clustering. `None` exactly when `threshold` is `None`.
+    ///
+    /// λ is `var_min + j·w` for a split `j` in `1..N`, and rounding is
+    /// monotone, so the bounds hold bit for bit: a variance below the
+    /// first classifies stable and one at or above the second classifies
+    /// transition, whatever λ turns out to be.
+    #[must_use]
+    pub(crate) fn threshold_bounds(&self) -> Option<(f64, f64)> {
+        let width = self.slot_width();
+        if width == 0.0 {
+            return None;
+        }
+        Some((
+            self.var_min + width,
+            self.var_min + (self.n_slots - 1) as f64 * width,
+        ))
+    }
+
     /// Zeroes the counters while keeping the learned range — the paper's
     /// periodic cleanup ("each U_i can be reset to be zero to eliminate
     /// approximation errors cumulated in the past week").
@@ -532,6 +552,47 @@ mod tests {
                 h.reset_counters();
                 let direct = reference_threshold(&h);
                 assert_eq!(h.threshold().map(f64::to_bits), direct.map(f64::to_bits));
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_lies_within_its_bounds() {
+        let mut checked = 0u32;
+        for n in [2, 3, 40] {
+            for seed in 0..20u64 {
+                let mut state = seed ^ (n as u64) << 32;
+                let mut h = VarianceHistogram::new(n);
+                // A large base makes `var_min + w` round to `var_min` in
+                // some streams: the bounds then hold with equality.
+                let base = [0.0, 1.0, 1e20][seed as usize % 3];
+                for step in 0..300u32 {
+                    let u = (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+                    let spread = if step % 50 < 5 { 1e3 } else { 1e-2 };
+                    h.observe(base + spread * u);
+                    if splitmix(&mut state).is_multiple_of(100) {
+                        h.reset_counters();
+                    }
+                    let (lambda, bounds) = (h.threshold(), h.threshold_bounds());
+                    assert_eq!(lambda.is_some(), bounds.is_some(), "N={n} seed={seed}");
+                    if let (Some(lambda), Some((low, high))) = (lambda, bounds) {
+                        assert!(
+                            low <= lambda && lambda <= high,
+                            "{low} <= {lambda} <= {high}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 10_000, "{checked} thresholds bounded");
+        for (low, high) in [(0.0, 5e-324), (0.0, f64::MAX), (1e300, f64::MAX)] {
+            let mut h = VarianceHistogram::new(40);
+            h.observe(low);
+            h.observe(high);
+            assert_eq!(h.threshold().is_some(), h.threshold_bounds().is_some());
+            if let (Some(lambda), Some((l, u))) = (h.threshold(), h.threshold_bounds()) {
+                assert!(l <= lambda && lambda <= u);
             }
         }
     }
