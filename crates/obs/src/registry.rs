@@ -106,28 +106,95 @@ const MAX_EVENT_BYTES: usize = 30;
 
 /// Events per entry of the log's block index. Each entry costs 16 bytes,
 /// so the index adds under a tenth of a byte per event, and a tap skips
-/// at most `BLOCK - 1` events to reach its cursor.
+/// at most `BLOCK - 1` events to reach its cursor. A repeat-tagged event
+/// refers only to events of its own block, so every block decodes on
+/// its own.
 const BLOCK: usize = 256;
+
+/// The fourth tag of an event header: the event has the kind, value and
+/// depth of its key's previous event in the same block, and stores only
+/// its key and time delta.
+const REPEAT: u64 = 3;
+
+/// What a repeat-tagged event copies from its key's previous event:
+/// everything but the key and the time.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Payload {
+    kind: Kind,
+    value: u64,
+    depth: u32,
+}
+
+impl Event {
+    fn payload(&self) -> Payload {
+        Payload {
+            kind: self.kind,
+            value: self.value,
+            depth: self.depth,
+        }
+    }
+}
+
+/// Per key id, the payload of the key's last event in the current block:
+/// what a repeat tag refers to. The encoder keeps one, and so does each
+/// decoding pass; both clear it where a block starts.
+#[derive(Debug, Default)]
+struct Repeats(Vec<Option<Payload>>);
+
+impl Repeats {
+    /// An empty table with a slot for every key of `keys`.
+    fn for_keys(keys: &KeyTable) -> Self {
+        Self(vec![None; keys.slots.len()])
+    }
+
+    /// Forgets every payload: a block starts.
+    fn new_block(&mut self) {
+        self.0.fill(None);
+    }
+
+    /// Makes `payload` key `id`'s last, and returns whether it repeats
+    /// the one before it in this block. The table grows to `id` exactly:
+    /// it grows only when a key is first recorded.
+    fn record(&mut self, id: usize, payload: Payload) -> bool {
+        if id >= self.0.len() {
+            self.0.reserve_exact(id + 1 - self.0.len());
+            self.0.resize(id + 1, None);
+        }
+        let last = &mut self.0[id];
+        let repeat = *last == Some(payload);
+        *last = Some(payload);
+        repeat
+    }
+}
 
 /// Writes `event` to the front of `out` in the keyed layout, its time a
 /// delta from `base_t_ms`, and returns its length: the one encoder of the
-/// event coding. A fixed-size slice, not a `Vec`, so no byte pays a
-/// capacity check.
-fn encode_event(out: &mut [u8; MAX_EVENT_BYTES], event: Event, base_t_ms: u64) -> usize {
+/// event coding. A `repeat` event stores only its key, the repeat tag and
+/// its time. A fixed-size slice, not a `Vec`, so no byte pays a capacity
+/// check.
+fn encode_event(
+    out: &mut [u8; MAX_EVENT_BYTES],
+    event: Event,
+    base_t_ms: u64,
+    repeat: bool,
+) -> usize {
     let mut len = 0;
     let mut emit = |byte| {
         out[len] = byte;
         len += 1;
     };
     let delta = event.t_ms.wrapping_sub(base_t_ms) as i64;
-    encode_varint((event.id as u64) << 2 | event.kind as u64, &mut emit);
+    let tag = if repeat { REPEAT } else { event.kind as u64 };
+    encode_varint((event.id as u64) << 2 | tag, &mut emit);
     encode_varint(zigzag(delta), &mut emit);
-    match event.kind {
-        Kind::Counter => encode_varint(event.value, &mut emit),
-        Kind::Gauge => event.value.to_le_bytes().into_iter().for_each(&mut emit),
-        Kind::Span => {
-            encode_varint(event.value, &mut emit);
-            encode_varint(u64::from(event.depth), &mut emit);
+    if !repeat {
+        match event.kind {
+            Kind::Counter => encode_varint(event.value, &mut emit),
+            Kind::Gauge => event.value.to_le_bytes().into_iter().for_each(&mut emit),
+            Kind::Span => {
+                encode_varint(event.value, &mut emit);
+                encode_varint(u64::from(event.depth), &mut emit);
+            }
         }
     }
     len
@@ -154,8 +221,9 @@ enum Layout {
     /// Envelope format 2: every event spells out its key, and integers
     /// are fixed-width. Decode only.
     Legacy,
-    /// Envelope format 3: events name keys by id in the saved key table,
-    /// with zigzag-delta `t_ms` and varint values.
+    /// Envelope formats 3 and 4: events name keys by id in the saved key
+    /// table, with zigzag-delta `t_ms` and varint values. Format 4 adds
+    /// the repeat tag, which format 3 never wrote.
     Keyed,
 }
 
@@ -264,28 +332,51 @@ impl<'a> Decoder<'a> {
         Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
     }
 
-    /// Reads one event, its time a delta from `base_t_ms`. Refuses a kind
-    /// tag past [`Kind::Span`], a key id past the table, and a span depth
-    /// past `u32`. Inlined into each caller for the same reason as
+    /// Reads one event, its time a delta from `base_t_ms` and a repeat
+    /// tag resolved against `repeats`, the block's payloads so far, which
+    /// it updates. Refuses a key id past the table, a repeat of a key
+    /// with no earlier event in the block, and a span depth past `u32`.
+    /// Inlined into each caller for the same reason as
     /// [`Decoder::varint`].
     #[inline(always)]
-    fn event(&mut self, keys: &KeyTable, base_t_ms: u64) -> Result<Event, StateError> {
-        let key_kind = self.varint()?;
-        let kind = Kind::from_tag(key_kind & 3)?;
-        let id = keys.checked_id(key_kind >> 2)?;
+    fn event(
+        &mut self,
+        keys: &KeyTable,
+        base_t_ms: u64,
+        repeats: &mut Repeats,
+    ) -> Result<Event, StateError> {
+        let key_tag = self.varint()?;
+        let id = keys.checked_id(key_tag >> 2)?;
         let t_ms = base_t_ms.wrapping_add(unzigzag(self.varint()?) as u64);
-        let (value, depth) = match kind {
-            Kind::Counter => (self.varint()?, 0),
-            Kind::Gauge => (self.bits()?, 0),
-            Kind::Span => (self.varint()?, span_depth(self.varint()?)?),
+        let last = &mut repeats.0[id];
+        let payload = match key_tag & 3 {
+            REPEAT => last.ok_or_else(|| unfounded_repeat(id))?,
+            tag => {
+                let kind = Kind::from_tag(tag)?;
+                let (value, depth) = match kind {
+                    Kind::Counter => (self.varint()?, 0),
+                    Kind::Gauge => (self.bits()?, 0),
+                    Kind::Span => (self.varint()?, span_depth(self.varint()?)?),
+                };
+                Payload { kind, value, depth }
+            }
         };
+        *last = Some(payload);
         Ok(Event {
-            kind,
+            kind: payload.kind,
             id,
             t_ms,
-            value,
-            depth,
+            value: payload.value,
+            depth: payload.depth,
         })
+    }
+}
+
+#[cold]
+fn unfounded_repeat(id: usize) -> StateError {
+    StateError::Invalid {
+        what: "obs event",
+        reason: format!("a repeat of key {id}, which has no earlier event in its block"),
     }
 }
 
@@ -596,6 +687,9 @@ struct EventLog {
     /// `t_ms` of the last buffered event, the base of the next one's
     /// delta: 0 while the buffer is empty.
     last_t_ms: u64,
+    /// The payloads of the last block's events, which the next event may
+    /// repeat; empty while the buffer is.
+    repeats: Repeats,
     /// Events discarded after [`MAX_EVENTS`] was reached.
     dropped: u64,
     stream: Option<StreamSink>,
@@ -621,7 +715,9 @@ impl EventLog {
                 offset: self.bytes.len(),
                 base_t_ms: self.last_t_ms,
             });
+            self.repeats.new_block();
         }
+        let repeat = self.repeats.record(event.id, event.payload());
         if self.bytes.capacity() - self.bytes.len() < MAX_EVENT_BYTES {
             // Grow by a quarter, not the doubling `Vec` would pick: the
             // log is most of a stepped tenant's heap, so its slack stays
@@ -633,7 +729,7 @@ impl EventLog {
         let tail = (&mut self.bytes[start..])
             .try_into()
             .expect("the tail is MAX_EVENT_BYTES long");
-        let len = encode_event(tail, event, self.last_t_ms);
+        let len = encode_event(tail, event, self.last_t_ms, repeat);
         self.bytes.truncate(start + len);
         self.last_t_ms = event.t_ms;
         self.len += 1;
@@ -647,11 +743,15 @@ impl EventLog {
             decoder: Decoder::new(&[]),
             keys,
             t_ms: 0,
+            index: 0,
+            repeats: Repeats::default(),
         };
         if from < self.len {
             let block = self.blocks[from / BLOCK];
             events.decoder = Decoder::new(&self.bytes[block.offset..]);
             events.t_ms = block.base_t_ms;
+            events.index = from - from % BLOCK;
+            events.repeats = Repeats::for_keys(keys);
             for _ in 0..from % BLOCK {
                 events.next();
             }
@@ -660,18 +760,24 @@ impl EventLog {
     }
 
     /// Reads `len` keyed-layout events: each is validated, and the bytes
-    /// they take are kept as they were read.
+    /// they take are kept as they were read. The payloads the decoding
+    /// leaves for the last block are the encoder's, so the log records on
+    /// as the one that was saved would have.
     fn load_keyed(r: &mut Reader<'_>, keys: &KeyTable, len: usize) -> Result<Self, StateError> {
         take_decoded(r, |events| {
-            let mut log = Self::default();
+            let mut log = Self {
+                repeats: Repeats::for_keys(keys),
+                ..Self::default()
+            };
             for _ in 0..len {
                 if log.len.is_multiple_of(BLOCK) {
                     log.blocks.push(Block {
                         offset: events.pos,
                         base_t_ms: log.last_t_ms,
                     });
+                    log.repeats.new_block();
                 }
-                log.last_t_ms = events.event(keys, log.last_t_ms)?.t_ms;
+                log.last_t_ms = events.event(keys, log.last_t_ms, &mut log.repeats)?.t_ms;
                 log.len += 1;
             }
             log.bytes = events.bytes[..events.pos].to_vec();
@@ -712,6 +818,10 @@ struct Events<'a> {
     keys: &'a KeyTable,
     /// `t_ms` of the event decoded last.
     t_ms: u64,
+    /// Log index of the next event.
+    index: usize,
+    /// The payloads of the current block's events decoded so far.
+    repeats: Repeats,
 }
 
 impl Iterator for Events<'_> {
@@ -721,11 +831,15 @@ impl Iterator for Events<'_> {
         if self.decoder.pos == self.decoder.bytes.len() {
             return None;
         }
+        if self.index.is_multiple_of(BLOCK) {
+            self.repeats.new_block();
+        }
         let event = self
             .decoder
-            .event(self.keys, self.t_ms)
+            .event(self.keys, self.t_ms, &mut self.repeats)
             .expect("the log holds only events it encoded or validated");
         self.t_ms = event.t_ms;
+        self.index += 1;
         Some(event)
     }
 }
@@ -1153,9 +1267,11 @@ impl Registry {
     /// `varint(id << 2 | kind)`, the zigzag varint of its `t_ms` minus the
     /// previous event's (a parent span records after its children, with
     /// an earlier `t_ms`), then a varint counter value, the gauge's 8-byte
-    /// bit pattern, or a varint span `sim_ms` and depth. That is the
-    /// coding the log holds in memory, so its bytes are copied as they
-    /// are.
+    /// bit pattern, or a varint span `sim_ms` and depth. An event whose
+    /// kind, value and depth are those of its key's previous event in the
+    /// same block of 256 events is `varint(id << 2 | 3)` and the
+    /// time delta alone (envelope format 4). That is the coding the log
+    /// holds in memory, so its bytes are copied as they are.
     ///
     /// # Panics
     ///
@@ -1541,15 +1657,11 @@ mod tests {
     fn load_rejects_an_unknown_event_tag() {
         let mut registry = Registry::new();
         registry.gauge_set("g", 1, 2.0);
-        let mut keyed = saved(&registry);
-        // The one event ends just before the one-byte drop count: its key
-        // and kind, its time delta, and the 8-byte value.
-        let tag_at = keyed.len() - 1 - (1 + 1 + 8);
-        assert_eq!(keyed[tag_at], 1, "key 0, kind gauge");
-        keyed[tag_at] = 3;
         // The same registry in the legacy layout: the counter map, the
         // gauge map with its one entry, the histogram and span maps, the
-        // event count, then the event's tag byte.
+        // event count, then the event's tag byte. (The keyed layout has
+        // no unknown tag: its fourth is the repeat, refused below when it
+        // repeats nothing.)
         let mut w = Writer::new();
         w.put_len(0);
         w.put_len(1);
@@ -1571,13 +1683,56 @@ mod tests {
         legacy[legacy_tag_at] = 9;
 
         registry.gauge_set("g", 2, 3.0);
-        for (bytes, tag) in [(keyed, 3), (legacy, 9)] {
-            let err = registry.load_state(&mut Reader::new(&bytes)).unwrap_err();
-            assert!(
-                matches!(err, StateError::BadTag { tag: t, .. } if t == tag),
-                "{err}"
-            );
-            assert_eq!(registry.events_len(), 2, "a failed load changes nothing");
+        let err = registry.load_state(&mut Reader::new(&legacy)).unwrap_err();
+        assert!(matches!(err, StateError::BadTag { tag: 9, .. }), "{err}");
+        assert_eq!(registry.events_len(), 2, "a failed load changes nothing");
+    }
+
+    #[test]
+    fn a_repeat_with_no_earlier_event_of_its_key_in_its_block_is_refused() {
+        // Events of two keys: a counter of key 0 with value 7, and repeats
+        // (tag 3) of key 0 and of key 1, each a key and a time delta.
+        const COUNTER: [u8; 3] = [0, 0, 7];
+        const REPEAT_0: [u8; 2] = [3, 0];
+        const REPEAT_1: [u8; 2] = [1 << 2 | 3, 0];
+        // A gauge saved, then its tag set to the repeat's.
+        let mut registry = Registry::new();
+        registry.gauge_set("g", 1, 2.0);
+        let mut lone = saved(&registry);
+        let tag_at = lone.len() - 1 - (1 + 1 + 8);
+        assert_eq!(lone[tag_at], 1, "key 0, kind gauge");
+        lone[tag_at] = 3;
+        // A block of a counter and 255 repeats of it, then one more event.
+        let block_then = |next: &[u8]| {
+            let mut events = COUNTER.to_vec();
+            events.extend(REPEAT_0.repeat(BLOCK - 1));
+            events.extend_from_slice(next);
+            keyed_section(1, BLOCK as u64 + 1, &events)
+        };
+        let refused = [
+            lone,
+            keyed_section(1, 1, &REPEAT_0),
+            // Key 1 repeats, but only key 0 has an event in the block.
+            keyed_section(2, 2, &[&COUNTER[..], &REPEAT_1].concat()),
+            // The previous event of key 0 is in the block before.
+            block_then(&REPEAT_0),
+        ];
+        for bytes in refused {
+            assert_eq!(load_checked(&bytes), Ok(false));
+            let err = Registry::new()
+                .load_state(&mut Reader::new(&bytes))
+                .unwrap_err();
+            assert!(err.to_string().contains("no earlier event"), "{err}");
+        }
+        let loaded = [
+            keyed_section(1, 2, &[&COUNTER[..], &REPEAT_0].concat()),
+            block_then(&COUNTER),
+        ];
+        for bytes in loaded {
+            assert_eq!(load_checked(&bytes), Ok(true));
+            let mut restored = Registry::new();
+            restored.load_state(&mut Reader::new(&bytes)).unwrap();
+            assert!(events(&restored).iter().all(|event| event.value == 7));
         }
     }
 
@@ -1705,7 +1860,8 @@ mod tests {
     /// Loads `bytes` over a registry that already holds data and checks
     /// the decoder's contract: a failed load leaves the registry as it
     /// was, and a successful one keeps no more event bytes than the
-    /// section holds. Returns whether the load succeeded.
+    /// section holds and no more repeat payloads than it has keys.
+    /// Returns whether the load succeeded.
     fn load_checked(bytes: &[u8]) -> Result<bool, String> {
         let mut registry = Registry::new();
         registry.gauge_set("kept", 5, 1.0);
@@ -1719,6 +1875,11 @@ mod tests {
                         "kept {kept} event bytes for a {}-byte section",
                         bytes.len()
                     ));
+                }
+                let (payloads, keys) =
+                    (registry.log.repeats.0.capacity(), registry.keys.slots.len());
+                if payloads > keys {
+                    return Err(format!("kept {payloads} repeat payloads for {keys} keys"));
                 }
                 Ok(true)
             }
@@ -1807,6 +1968,91 @@ mod tests {
             .write_events_from(5 * BLOCK + 3, &mut expected)
             .unwrap();
         assert_eq!(tap, expected);
+    }
+
+    /// Records event `i` of a mix whose keys repeat in runs: two spans
+    /// that repeat every time, a gauge that repeats in runs of five, a
+    /// gauge that never does, and a counter sample every 50 events whose
+    /// counters change only every other sample.
+    fn record_repeating(registry: &mut Registry, i: u64) {
+        let t_ms = i * 250;
+        match i % 5 {
+            0 => registry.span_complete("thermal.plant.step", t_ms, 1_000, 1, 0),
+            1 => registry.span_complete("core.step_second", t_ms, 1_000, 0, 0),
+            2 => registry.gauge_set("supervisor.safe_mode.panel0", t_ms, (i / 25 % 2) as f64),
+            3 => registry.gauge_set("thermal.chiller.vent_w", t_ms, i as f64 / 3.0),
+            _ => {}
+        }
+        if i % 50 == 49 {
+            registry.counter_add(format!("wsn.node.{}.sent", i / 100 % 3), 1);
+            registry.record_counters(t_ms);
+        }
+    }
+
+    /// Bytes the buffered events would take with no repeat tags.
+    fn untagged_bytes(registry: &Registry) -> usize {
+        let mut base_t_ms = 0;
+        events(registry)
+            .into_iter()
+            .map(|event| {
+                let len = encode_event(&mut [0; MAX_EVENT_BYTES], event, base_t_ms, false);
+                base_t_ms = event.t_ms;
+                len
+            })
+            .sum()
+    }
+
+    #[test]
+    fn repeats_are_tagged_and_tap_pages_from_every_cursor_match_the_export() {
+        let mut registry = Registry::new();
+        let (mut pages, mut cursor, mut i) = (Vec::new(), 0, 0);
+        // Polled after every recording call, across four block starts.
+        while registry.events_len() < 4 * BLOCK + 40 {
+            record_repeating(&mut registry, i);
+            i += 1;
+            cursor = registry.write_events_from(cursor, &mut pages).unwrap();
+        }
+        let len = registry.events_len();
+        assert_eq!(cursor, len);
+        let tagged = registry.log.bytes.len();
+        let untagged = untagged_bytes(&registry);
+        assert!(
+            tagged * 3 < untagged * 2,
+            "{tagged} bytes, {untagged} untagged"
+        );
+        let full = jsonl(&registry);
+        let lines: Vec<&[u8]> = full.split_inclusive(|&b| b == b'\n').collect();
+        assert_eq!(pages, lines[..len].concat());
+        for from in 0..=len + 1 {
+            let mut page = Vec::new();
+            assert_eq!(registry.write_events_from(from, &mut page).unwrap(), len);
+            assert_eq!(page, lines[from.min(len)..len].concat(), "cursor {from}");
+        }
+    }
+
+    #[test]
+    fn a_registry_restored_mid_block_saves_what_the_uninterrupted_one_saves() {
+        let end = 3 * BLOCK as u64 + 17;
+        for cut in [1, 2, 37, 255, 256, 257, 300, 511, 512, 513, 700] {
+            let mut uninterrupted = Registry::new();
+            let mut i = 0;
+            while uninterrupted.events_len() < cut {
+                record_repeating(&mut uninterrupted, i);
+                i += 1;
+            }
+            let mut restored = Registry::new();
+            restored
+                .load_state(&mut Reader::new(&saved(&uninterrupted)))
+                .unwrap();
+            for registry in [&mut uninterrupted, &mut restored] {
+                for i in i..end {
+                    record_repeating(registry, i);
+                }
+                registry.gauge_set("after.restore", end * 250, 1.0);
+            }
+            assert_eq!(saved(&restored), saved(&uninterrupted), "cut at {cut}");
+            assert_eq!(jsonl(&restored), jsonl(&uninterrupted), "cut at {cut}");
+        }
     }
 
     #[test]
@@ -1938,6 +2184,58 @@ mod tests {
             restored.load_state(&mut Reader::new(&bytes)).unwrap();
             proptest::prop_assert_eq!(saved(&restored), bytes);
             proptest::prop_assert_eq!(jsonl(&restored), jsonl(&registry));
+        }
+
+        #[test]
+        fn repeat_runs_save_restore_tap_and_record_on_like_the_original(
+            runs in proptest::collection::vec((0u8..3, 0u64..4, 0u64..3, 1u64..40), 0..40),
+            cut in 0u64..1 << 16,
+            from in 0usize..1 << 16,
+        ) {
+            // Runs of one key's one payload, mostly repeat-tagged, each
+            // followed by an event of another key whose value changes.
+            let events: Vec<(u8, u64, u64)> = runs
+                .iter()
+                .flat_map(|&(op, key, value, len)| {
+                    let run = std::iter::repeat_n((op, key, value), len as usize);
+                    run.chain([(0, key + 4, len)])
+                })
+                .collect();
+            let record = |registry: &mut Registry, from: usize, to: usize| {
+                for (i, &(op, key, value)) in events.iter().enumerate().take(to).skip(from) {
+                    let (name, t_ms) = (format!("k{key}"), i as u64 * 500);
+                    match op {
+                        0 => registry.gauge_set(name, t_ms, value as f64 / 4.0),
+                        1 => registry.span_complete(name, t_ms, value, (value % 2) as u32, 0),
+                        _ => {
+                            registry.counter_add(name, value);
+                            registry.record_counters(t_ms);
+                        }
+                    }
+                }
+            };
+            let mut registry = Registry::new();
+            record(&mut registry, 0, events.len());
+            let bytes = saved(&registry);
+            let mut restored = Registry::new();
+            restored.load_state(&mut Reader::new(&bytes)).unwrap();
+            proptest::prop_assert_eq!(saved(&restored), bytes.clone());
+            proptest::prop_assert_eq!(jsonl(&restored), jsonl(&registry));
+            let from = from % (registry.events_len() + 1);
+            let full = jsonl(&registry);
+            let lines: Vec<&[u8]> = full.split_inclusive(|&b| b == b'\n').collect();
+            let mut page = Vec::new();
+            restored.write_events_from(from, &mut page).unwrap();
+            proptest::prop_assert_eq!(page, lines[from..registry.events_len()].concat());
+            // Saved after `cut` calls, restored, and recorded on.
+            let cut = (cut % (events.len() as u64 + 1)) as usize;
+            let mut early = Registry::new();
+            record(&mut early, 0, cut);
+            let mut resumed = Registry::new();
+            resumed.load_state(&mut Reader::new(&saved(&early))).unwrap();
+            record(&mut resumed, cut, events.len());
+            proptest::prop_assert_eq!(saved(&resumed), bytes);
+            proptest::prop_assert_eq!(jsonl(&resumed), full);
         }
 
         #[test]

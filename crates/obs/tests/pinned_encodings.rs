@@ -10,11 +10,13 @@
 //! reproducing them byte for byte. A restored registry must then
 //! re-export the same bytes and keep recording exactly like the original.
 //!
-//! The checkpoint codec has two pins: [`STATE_CRC`] for the keyed layout
-//! this build writes (envelope format 3), and [`LEGACY_STATE_CRC`] for
-//! the bytes the same sequence saved to in the layout of envelope format
-//! 2. Those bytes are kept in `fixtures/pinned_state_v2.bin` and must
-//! still restore to the pinned exports.
+//! The checkpoint codec has three pins: [`STATE_CRC`] for the keyed
+//! layout this build writes (envelope format 4, with repeat-tagged
+//! events), [`FORMAT_3_STATE_CRC`] for the bytes the same sequence saved
+//! to under envelope format 3, and [`LEGACY_STATE_CRC`] for those of
+//! envelope format 2. The older bytes are kept in
+//! `fixtures/pinned_state_v3.bin` and `fixtures/pinned_state_v2.bin` and
+//! must still restore to the pinned exports.
 
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
@@ -29,13 +31,20 @@ const CSV_CRC: u64 = 0xd5c1_06ac_21a6_e9ac;
 /// CRC-64/XZ of the concatenated incremental-tap pages.
 const TAP_CRC: u64 = 0xa7d3_5931_7bc4_0ea6;
 /// CRC-64/XZ of the `save_state` bytes.
-const STATE_CRC: u64 = 0xa9cd_0cb3_ea9e_71cd;
+const STATE_CRC: u64 = 0xed88_a239_f9f3_26c0;
+/// CRC-64/XZ of the `save_state` bytes as envelope format 3 wrote them,
+/// before the repeat tag (the fixture below).
+const FORMAT_3_STATE_CRC: u64 = 0xa9cd_0cb3_ea9e_71cd;
 /// CRC-64/XZ of the `save_state` bytes as envelope format 2 wrote them,
 /// each event spelling out its key (the fixture below).
 const LEGACY_STATE_CRC: u64 = 0x1816_8646_0966_9a42;
 
 /// The whole sequence's registry, saved in the legacy layout.
 const LEGACY_STATE: &[u8] = include_bytes!("fixtures/pinned_state_v2.bin");
+
+/// The whole sequence's registry, saved in the keyed layout of envelope
+/// format 3.
+const FORMAT_3_STATE: &[u8] = include_bytes!("fixtures/pinned_state_v3.bin");
 
 /// Custom histogram edges (a non-default set that restores as an owned copy).
 const CUSTOM_EDGES: &[f64] = &[-1.0, 0.0, 0.25, 1e9];
@@ -272,4 +281,33 @@ fn legacy_state_restores_to_the_pinned_exports() {
     assert_eq!(jsonl(&restored), jsonl(&original));
     assert_eq!(jsonl(&again), jsonl(&original));
     assert_eq!(csv(&again), csv(&original));
+}
+
+#[test]
+fn format_3_state_restores_to_the_pinned_exports() {
+    assert_eq!(checksum(FORMAT_3_STATE), FORMAT_3_STATE_CRC);
+    let mut restored = Registry::new();
+    let mut reader = bz_state::Reader::new(FORMAT_3_STATE);
+    restored.load_state(&mut reader).unwrap();
+    assert!(reader.is_exhausted());
+    assert_eq!(checksum(&jsonl(&restored)), JSONL_CRC);
+    assert_eq!(checksum(&csv(&restored)), CSV_CRC);
+    let mut pages = Vec::new();
+    restored.write_events_from(0, &mut pages).unwrap();
+    assert_eq!(checksum(&pages), TAP_CRC);
+    // Its events keep their format-3 bytes, so it re-saves unchanged,
+    // and it keeps recording like the registry that never stopped.
+    assert_eq!(state(&restored), FORMAT_3_STATE);
+    let (mut original, _) = record_with_tap();
+    for registry in [&mut original, &mut restored] {
+        record_second_half(registry);
+        registry.gauge_set("after.restore", 200_000, 1.0);
+    }
+    assert_eq!(jsonl(&restored), jsonl(&original));
+    assert_eq!(csv(&restored), csv(&original));
+    let mut again = Registry::new();
+    again
+        .load_state(&mut bz_state::Reader::new(&state(&restored)))
+        .unwrap();
+    assert_eq!(jsonl(&again), jsonl(&original));
 }

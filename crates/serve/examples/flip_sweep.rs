@@ -1,12 +1,15 @@
-//! Restore flip sweep: every single-byte flip of a snapshot's system part
-//! must be refused or step without a panic.
+//! Restore flip sweep: every single-byte flip of a snapshot's system part,
+//! and an f64 NaN written at every offset of it, must be refused or step
+//! without a panic.
 //!
-//! A trial tenant (seed 7) is stepped to minute 5 and snapshotted. Each
-//! byte of the system part of the payload (everything before the
-//! telemetry registry) is XORed with 0x01, 0x80 and 0xFF in turn. Each
-//! copy is restored into a freshly built tenant, which then steps one
-//! minute. The sweep counts refusals, steps and panics, and names the
-//! first panics and the slowest step.
+//! A trial tenant (seed 7) is stepped to minute 5 and snapshotted. In a
+//! first pass each byte of the system part of the payload (everything
+//! before the telemetry registry) is XORed with 0x01, 0x80 and 0xFF in
+//! turn; in a second, the eight bytes from each offset are overwritten
+//! with a NaN, which reaches every `f64` of the state whatever its
+//! alignment. Each copy is restored into a freshly built tenant, which
+//! then steps one minute. Each pass counts refusals, steps and panics,
+//! and names the first panics and the slowest step.
 //!
 //! ```sh
 //! cargo run --release -p bz-serve --example flip_sweep
@@ -28,6 +31,24 @@ pub const TENANT: &str = "{\"name\":\"flip\",\"scenario\":\"trial\",\"seed\":7,\
 
 /// The masks each byte is XORed with.
 pub const MASKS: [u8; 3] = [0x01, 0x80, 0xFF];
+
+/// How a case corrupts the snapshot payload at its offset.
+#[derive(Debug, Clone, Copy)]
+pub enum Change {
+    /// XOR the byte with this mask.
+    Xor(u8),
+    /// Overwrite the eight bytes from the offset with an `f64` NaN.
+    Nan,
+}
+
+impl std::fmt::Display for Change {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Xor(mask) => write!(f, "XOR {mask:#04x}"),
+            Self::Nan => f.write_str("NaN"),
+        }
+    }
+}
 
 /// The longest a restored tenant's one-minute step may take in a
 /// release build.
@@ -79,13 +100,16 @@ pub fn minute_five_snapshot() -> (Checkpoint, usize) {
     (snapshot, system)
 }
 
-/// Restores `snapshot` with byte `offset` of its payload XORed with
-/// `mask` into a fresh tenant, and steps that tenant one minute if the
-/// restore loads.
+/// Restores `snapshot` with its payload at `offset` changed by `change`
+/// into a fresh tenant, and steps that tenant one minute if the restore
+/// loads.
 #[must_use]
-pub fn run_case(snapshot: &Checkpoint, offset: usize, mask: u8) -> Verdict {
+pub fn run_case(snapshot: &Checkpoint, offset: usize, change: Change) -> Verdict {
     let mut flipped = snapshot.clone();
-    flipped.payload[offset] ^= mask;
+    match change {
+        Change::Xor(mask) => flipped.payload[offset] ^= mask,
+        Change::Nan => flipped.payload[offset..offset + 8].copy_from_slice(&f64::NAN.to_le_bytes()),
+    }
     let tenant = build_tenant(TENANT).expect("the sweep's tenant document is valid");
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
         if tenant.restore(&flipped).is_err() {
@@ -101,52 +125,88 @@ pub fn run_case(snapshot: &Checkpoint, offset: usize, mask: u8) -> Verdict {
     })
 }
 
+/// What one pass of the sweep saw.
+#[derive(Default)]
+struct Tally {
+    refused: u64,
+    stepped: u64,
+    panicked: u64,
+    /// Per panic site: the count, and the first case with its message.
+    sites: BTreeMap<String, (u64, usize, String, String)>,
+    /// The slowest step and its case.
+    slowest: (Duration, usize, String),
+}
+
+impl Tally {
+    fn add(&mut self, offset: usize, change: Change, verdict: Verdict) {
+        match verdict {
+            Verdict::Refused => self.refused += 1,
+            Verdict::Stepped(took) => {
+                self.stepped += 1;
+                if took > self.slowest.0 {
+                    self.slowest = (took, offset, change.to_string());
+                }
+            }
+            Verdict::Panicked(at, what) => {
+                self.panicked += 1;
+                let first = (0, offset, change.to_string(), what);
+                self.sites.entry(at).or_insert(first).0 += 1;
+            }
+        }
+    }
+
+    /// Prints the pass and returns whether it passed.
+    fn report(&self, pass: &str, started: Instant) -> bool {
+        println!(
+            "{pass}: {} cases in {:.1} s: {} refused, {} stepped, {} panicked",
+            self.refused + self.stepped + self.panicked,
+            started.elapsed().as_secs_f64(),
+            self.refused,
+            self.stepped,
+            self.panicked,
+        );
+        println!(
+            "  slowest step {:.2} ms (byte {} {}), limit {} ms",
+            self.slowest.0.as_secs_f64() * 1e3,
+            self.slowest.1,
+            self.slowest.2,
+            STEP_LIMIT.as_millis()
+        );
+        for (at, (count, offset, change, what)) in &self.sites {
+            let what: String = what.chars().take(160).collect();
+            println!("  {count} panic(s) at {at}, first byte {offset} {change}: {what}");
+        }
+        self.panicked == 0 && self.slowest.0 <= STEP_LIMIT
+    }
+}
+
 fn main() {
     quiet_panics();
     let (snapshot, system) = minute_five_snapshot();
     println!(
-        "flip sweep: {system} system bytes of a {}-byte payload, masks {MASKS:02x?}",
+        "flip sweep: {system} system bytes of a {}-byte payload, masks {MASKS:02x?}, then NaN",
         snapshot.payload.len()
     );
     let started = Instant::now();
-    let (mut refused, mut stepped, mut panicked) = (0u64, 0u64, 0u64);
-    // Per panic site: the count, and the first case with its message.
-    let mut sites: BTreeMap<String, (u64, usize, u8, String)> = BTreeMap::new();
-    let mut slowest = (Duration::ZERO, 0, 0);
+    let mut flips = Tally::default();
     for offset in 0..system {
         for mask in MASKS {
-            match run_case(&snapshot, offset, mask) {
-                Verdict::Refused => refused += 1,
-                Verdict::Stepped(took) => {
-                    stepped += 1;
-                    if took > slowest.0 {
-                        slowest = (took, offset, mask);
-                    }
-                }
-                Verdict::Panicked(at, what) => {
-                    panicked += 1;
-                    sites.entry(at).or_insert((0, offset, mask, what)).0 += 1;
-                }
-            }
+            let change = Change::Xor(mask);
+            flips.add(offset, change, run_case(&snapshot, offset, change));
         }
     }
-    println!(
-        "{} cases in {:.1} s: {refused} refused, {stepped} stepped, {panicked} panicked",
-        system * MASKS.len(),
-        started.elapsed().as_secs_f64(),
-    );
-    println!(
-        "slowest step {:.2} ms (byte {} XOR {:#04x}), limit {} ms",
-        slowest.0.as_secs_f64() * 1e3,
-        slowest.1,
-        slowest.2,
-        STEP_LIMIT.as_millis()
-    );
-    for (at, (count, offset, mask, what)) in &sites {
-        let what: String = what.chars().take(160).collect();
-        println!("  {count} panic(s) at {at}, first byte {offset} XOR {mask:#04x}: {what}");
+    let flipped = flips.report("byte flips", started);
+    let started = Instant::now();
+    let mut nans = Tally::default();
+    for offset in 0..system - 7 {
+        nans.add(
+            offset,
+            Change::Nan,
+            run_case(&snapshot, offset, Change::Nan),
+        );
     }
-    if panicked > 0 || slowest.0 > STEP_LIMIT {
+    let nan = nans.report("NaN at every offset", started);
+    if !(flipped && nan) {
         std::process::exit(1);
     }
 }

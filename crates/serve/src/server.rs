@@ -643,3 +643,91 @@ fn signal_requested() -> bool {
         false
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::tenants::tenant;
+    use bz_core::checkpoint::RunIdentity;
+    use bz_core::session::Session;
+
+    /// A session whose every step panics, as one restored over state
+    /// out of physical range would.
+    struct PanicsOnStep;
+
+    impl Session for PanicsOnStep {
+        fn now_ms(&self) -> u64 {
+            0
+        }
+
+        fn is_done(&self) -> bool {
+            false
+        }
+
+        fn step_minute(&mut self) {
+            panic!("a step over state out of range");
+        }
+
+        fn save_state(&self, _: &mut bz_state::Writer) {}
+
+        fn load_state(&mut self, _: &mut bz_state::Reader<'_>) -> Result<(), bz_state::StateError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn panicking_requests_get_500_and_the_workers_live_on() {
+        let server = Server::bind(ServeConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            threads: 2,
+            quiet: true,
+            ..ServeConfig::default()
+        })
+        .expect("binding a loopback listener");
+        let id = RunIdentity::new(
+            crate::tenants::CHECKPOINT_KIND,
+            "panics",
+            bz_simcore::NoiseKernel::default(),
+        );
+        let panics = tenant(
+            "panics".to_owned(),
+            "trial",
+            id,
+            30,
+            bz_obs::Handle::isolated(),
+            Box::new(PanicsOnStep),
+        );
+        server.shared.registry.insert(panics).unwrap();
+        let (addr, handle) = (server.local_addr(), server.shutdown_handle());
+        let thread = std::thread::spawn(move || server.run());
+        let connect = || Client::connect(addr).expect("connecting to the test server");
+
+        // This connection holds one worker for the whole test.
+        let mut client = connect();
+        let spec = "{\"name\":\"ok\",\"scenario\":\"trial\",\"seed\":7,\"minutes\":30}";
+        client.post_ok("/tenants", spec).unwrap();
+        client
+            .post_ok("/tenants/ok/step", "{\"minutes\":1}")
+            .unwrap();
+        for _ in 0..3 {
+            let stepped = connect()
+                .request("POST", "/tenants/panics/step", b"{\"minutes\":1}")
+                .expect("a 500, not a dropped connection");
+            assert_eq!(stepped.status, 500, "{}", stepped.text());
+            assert!(stepped.text().contains("a step over state out of range"));
+            assert_eq!(stepped.header("connection"), Some("close"));
+        }
+        assert_eq!(connect().get_ok("/healthz").unwrap().status, 200);
+        let stepped = connect()
+            .post_ok("/tenants/ok/step", "{\"minutes\":1}")
+            .unwrap()
+            .text();
+        assert!(stepped.contains("\"minute\":2"), "{stepped}");
+        handle.request_shutdown();
+        thread
+            .join()
+            .expect("server thread")
+            .expect("clean shutdown");
+    }
+}

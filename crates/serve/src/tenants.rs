@@ -403,7 +403,7 @@ fn is_bundled(root: &Json) -> bool {
     matches!(root.field("bundled"), Some(Json::Bool(true)))
 }
 
-fn tenant(
+pub(crate) fn tenant(
     name: String,
     scenario: &str,
     id: RunIdentity,

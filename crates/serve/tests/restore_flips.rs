@@ -1,7 +1,8 @@
 //! A seeded sample of the restore flip sweep (`examples/flip_sweep.rs`):
-//! single-byte flips of a trial tenant's minute-5 snapshot, each of which
-//! must be refused or step one minute without a panic, within a time
-//! budget. The example runs every byte in a release build.
+//! single-byte flips of a trial tenant's minute-5 snapshot, and f64 NaNs
+//! written over it, each of which must be refused or step one minute
+//! without a panic, within a time budget. The example runs every byte in
+//! a release build.
 
 use std::time::{Duration, Instant};
 
@@ -9,10 +10,18 @@ use std::time::{Duration, Instant};
 #[allow(dead_code)]
 mod flip_sweep;
 
-use flip_sweep::{minute_five_snapshot, quiet_panics, run_case, Verdict, MASKS};
+use flip_sweep::{minute_five_snapshot, quiet_panics, run_case, Change, Verdict, MASKS};
 
-/// Cases in the sample: a few seconds of a debug build.
+/// Byte-flip cases in the sample: a few seconds of a debug build.
 const CASES: usize = 600;
+
+/// NaN cases in the sample, besides the fixed offsets below.
+const NAN_CASES: usize = 150;
+
+/// Offsets a NaN always goes to: the return water of the two radiant
+/// loops, which a restore once took unchecked, so that the next step
+/// panicked.
+const NAN_OFFSETS: [usize; 2] = [489, 529];
 
 /// The longest one case may take in a debug build: restore, then a
 /// one-minute step.
@@ -34,31 +43,39 @@ fn sampled_snapshot_flips_are_refused_or_step() {
     let mut state = 0x000F_11B5;
     let mut failures = Vec::new();
     let (mut refused, mut stepped) = (0, 0);
-    for _ in 0..CASES {
-        let offset = (splitmix(&mut state) % system as u64) as usize;
-        let mask = MASKS[(splitmix(&mut state) % MASKS.len() as u64) as usize];
+    let mut cases: Vec<(usize, Change)> = (0..CASES)
+        .map(|_| {
+            let offset = (splitmix(&mut state) % system as u64) as usize;
+            let mask = MASKS[(splitmix(&mut state) % MASKS.len() as u64) as usize];
+            (offset, Change::Xor(mask))
+        })
+        .collect();
+    cases.extend(NAN_OFFSETS.map(|offset| (offset, Change::Nan)));
+    cases.extend((0..NAN_CASES).map(|_| {
+        let offset = (splitmix(&mut state) % (system as u64 - 7)) as usize;
+        (offset, Change::Nan)
+    }));
+    for (offset, change) in cases {
         let started = Instant::now();
-        let verdict = run_case(&snapshot, offset, mask);
+        let verdict = run_case(&snapshot, offset, change);
         let took = started.elapsed();
         match verdict {
             Verdict::Refused => refused += 1,
             Verdict::Stepped(_) => stepped += 1,
             Verdict::Panicked(at, what) => {
                 let what: String = what.chars().take(160).collect();
-                failures.push(format!(
-                    "byte {offset} ^ {mask:#04x}: panic at {at}: {what}"
-                ));
+                failures.push(format!("byte {offset} {change}: panic at {at}: {what}"));
             }
         }
         if took > CASE_BUDGET {
-            failures.push(format!("byte {offset} ^ {mask:#04x} took {took:?}"));
+            failures.push(format!("byte {offset} {change} took {took:?}"));
         }
     }
     // Back to the default hook, so that a failed assertion prints.
     drop(std::panic::take_hook());
     assert!(
         failures.is_empty(),
-        "{} of {CASES} flips failed ({refused} refused, {stepped} stepped):\n{}",
+        "{} cases failed ({refused} refused, {stepped} stepped):\n{}",
         failures.len(),
         failures.join("\n")
     );

@@ -566,57 +566,36 @@ fn an_over_limit_body_gets_413_before_it_is_read() {
 }
 
 #[test]
-fn panicking_requests_get_500_and_the_workers_live_on() {
-    // A restore can decode and still leave physical state out of range,
-    // so that the next step panics. That used to end a worker for good.
-    let server = start(ServeConfig {
-        threads: 2,
-        ..ServeConfig::default()
-    });
-    let spec = |name: &str| {
-        format!("{{\"name\":\"{name}\",\"scenario\":\"trial\",\"seed\":7,\"minutes\":30}}")
-    };
-    // This connection holds one worker for the whole test.
-    let mut client = server.client();
-    client.post_ok("/tenants", &spec("ok")).unwrap();
-    client
-        .post_ok("/tenants/ok/step", "{\"minutes\":1}")
-        .unwrap();
-    let snapshot = client.get_ok("/tenants/ok/snapshot").unwrap().body;
-    let mut broken = bz_state::Checkpoint::from_wire_bytes(&snapshot).unwrap();
-    // Bytes 489-496 hold the first radiant loop's water state, which a
-    // load does not check: NaN there loads, and the next step panics.
-    broken.payload[489..497].copy_from_slice(&f64::NAN.to_le_bytes());
-    let broken = broken.to_wire_bytes();
-    for i in 0..3 {
-        let name = format!("p{i}");
-        client.post_ok("/tenants", &spec(&name)).unwrap();
-        let restored = client
-            .request("POST", &format!("/tenants/{name}/restore"), &broken)
-            .unwrap();
-        assert_eq!(restored.status, 200, "{}", restored.text());
-        let stepped = server
-            .client()
-            .request("POST", &format!("/tenants/{name}/step"), b"{\"minutes\":1}")
-            .expect("a 500, not a dropped connection");
-        assert_eq!(stepped.status, 500, "{}", stepped.text());
-        assert_eq!(stepped.header("connection"), Some("close"));
-    }
-    assert_eq!(server.client().get_ok("/healthz").unwrap().status, 200);
-    let stepped = server
-        .client()
-        .post_ok("/tenants/ok/step", "{\"minutes\":1}")
-        .unwrap()
-        .text();
-    assert!(stepped.contains("\"minute\":2"), "{stepped}");
-    server.stop();
-}
-
-#[test]
 fn a_format_2_snapshot_restores_and_replays_the_uninterrupted_export() {
     // Downloaded from a format-2 build at minute 1 of this tenant's run.
     let envelope = include_bytes!("fixtures/trial-s7-minute1-v2.bzck");
     assert_eq!(envelope[4..8], 2u32.to_le_bytes());
+    /// CRC-64/XZ of that build's export of the same run, uninterrupted.
+    const UNINTERRUPTED_CRC: u64 = 0xb966_637c_b0ed_b876;
+    let server = start(ServeConfig::default());
+    let mut client = server.client();
+    client
+        .post_ok(
+            "/tenants",
+            "{\"name\":\"legacy\",\"scenario\":\"trial\",\"seed\":7,\"minutes\":3}",
+        )
+        .unwrap();
+    let restored = client
+        .request("POST", "/tenants/legacy/restore", envelope)
+        .unwrap();
+    assert_eq!(restored.status, 200, "{}", restored.text());
+    assert!(restored.text().contains("\"minute\":1"));
+    client.post_ok("/tenants/legacy/advance", "").unwrap();
+    let replayed = client.get_ok("/tenants/legacy/metrics").unwrap().body;
+    server.stop();
+    assert_eq!(bz_state::crc64::checksum(&replayed), UNINTERRUPTED_CRC);
+}
+
+#[test]
+fn a_format_3_snapshot_restores_and_replays_the_uninterrupted_export() {
+    // Downloaded from a format-3 build at minute 1 of this tenant's run.
+    let envelope = include_bytes!("fixtures/trial-s7-minute1-v3.bzck");
+    assert_eq!(envelope[4..8], 3u32.to_le_bytes());
     /// CRC-64/XZ of that build's export of the same run, uninterrupted.
     const UNINTERRUPTED_CRC: u64 = 0xb966_637c_b0ed_b876;
     let server = start(ServeConfig::default());

@@ -41,8 +41,11 @@ pub const MAGIC: [u8; 4] = *b"BZCK";
 /// rejected/skipped instead; 3 — the telemetry registry section names
 /// each event's key by id, with delta-coded times and varints. That
 /// section's first word tells its two layouts apart, so v2 files still
-/// decode.
-pub const FORMAT_VERSION: u32 = 3;
+/// decode; 4 — an event of that section that repeats its key's previous
+/// kind, value and depth within its block of 256 events is stored as its
+/// key, a repeat tag and its time delta. v3 files never hold the tag and
+/// decode as they are.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Oldest envelope format version this build still reads.
 pub const OLDEST_READABLE_VERSION: u32 = 2;
@@ -483,7 +486,7 @@ mod tests {
     #[test]
     fn format_2_envelopes_still_decode_and_format_1_is_refused() {
         let ckpt = sample();
-        for version in [1, OLDEST_READABLE_VERSION] {
+        for version in [1, OLDEST_READABLE_VERSION, 3] {
             let mut bytes = ckpt.encode();
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
             let total = bytes.len();
@@ -492,7 +495,7 @@ mod tests {
             let decoded = Checkpoint::decode(Path::new("x.bzck"), &bytes);
             if version == 1 {
                 let err = decoded.unwrap_err();
-                assert!(err.to_string().contains("reads v2 to v3"), "{err}");
+                assert!(err.to_string().contains("reads v2 to v4"), "{err}");
             } else {
                 assert_eq!(decoded.unwrap(), ckpt);
             }

@@ -969,7 +969,7 @@ impl ThermalPlant {
         self.outdoor = Persist::load(r)?;
         let zones: [Zone; 4] = Persist::load(r)?;
         let panels: [RadiantPanel; 2] = Persist::load(r)?;
-        let loops = Persist::load(r)?;
+        let loops: [LoopState; 2] = Persist::load(r)?;
         let radiant_tank: Tank = Persist::load(r)?;
         let vent_tank: Tank = Persist::load(r)?;
         self.radiant_chiller.load_state(r)?;
@@ -987,16 +987,46 @@ impl ThermalPlant {
             panels[1].surface_temperature(),
             radiant_tank.temperature(),
             vent_tank.temperature(),
+            loops[0].return_temp,
+            loops[0].mixed_temp,
+            loops[1].return_temp,
+            loops[1].mixed_temp,
         ]
         .map(Celsius::get);
         if restored != own || !temps.iter().all(|t| RESTORABLE_AIR_C.contains(t)) {
             return Err(bz_state::StateError::Invalid {
                 what: "ThermalPlant",
                 reason: format!(
-                    "restored parameters {restored:?} are not this plant's, or a panel surface \
-                     or tank of {temps:?} °C lies outside −45 °C to 60 °C"
+                    "restored parameters {restored:?} are not this plant's, or a panel surface, \
+                     tank or loop water of {temps:?} °C lies outside −45 °C to 60 °C"
                 ),
             });
+        }
+        for (i, state) in loops.iter().enumerate() {
+            // The most each pump delivers, as a step computes it, so a
+            // loop's own flows always fit, and its mixed flow, their sum,
+            // fits their sum.
+            let supply = self.supply_pumps[i].flow(Pump::MAX_VOLTAGE);
+            let recycle = self.recycle_pumps[i].flow(Pump::MAX_VOLTAGE);
+            let flows = [
+                state.supply_flow_m3s,
+                state.recycle_flow_m3s,
+                state.mixed_flow_m3s,
+            ];
+            let fits = [supply, recycle, supply + recycle];
+            if !flows
+                .iter()
+                .zip(fits)
+                .all(|(flow, max)| (0.0..=max).contains(flow))
+            {
+                return Err(bz_state::StateError::Invalid {
+                    what: "ThermalPlant",
+                    reason: format!(
+                        "radiant loop {i}'s supply, recycle and mixed flows {flows:?} m³/s \
+                         are not within 0 to {fits:?}, what its pumps deliver"
+                    ),
+                });
+            }
         }
         self.zones = zones;
         self.panels = panels;
@@ -1154,6 +1184,15 @@ mod tests {
     /// restore load, the plant steps 1,800 s with every pump on: the panels
     /// and coils then carry the tank water into the air.
     fn restore_tank(tank: fn(&mut ThermalPlant) -> &mut Tank, celsius: f64) -> Result<(), String> {
+        restore_warmed(|p| {
+            let water = tank(p);
+            *water = Tank::new(water.volume_m3, Celsius::new(celsius));
+        })
+    }
+
+    /// A lab plant warmed 60 s with every pump on and then changed by
+    /// `change`, restored and stepped as [`restore_tank`] describes.
+    fn restore_warmed(change: impl FnOnce(&mut ThermalPlant)) -> Result<(), String> {
         let on = {
             let full = Volts::new(5.0);
             let radiant = RadiantLoopCommand {
@@ -1174,8 +1213,7 @@ mod tests {
         for _ in 0..60 {
             source.step(second(), &on);
         }
-        let water = tank(&mut source);
-        *water = Tank::new(water.volume_m3, Celsius::new(celsius));
+        change(&mut source);
         let mut w = bz_state::Writer::new();
         source.save_state(&mut w);
         let mut restored = lab();
@@ -1203,6 +1241,46 @@ mod tests {
         }
         for (tank, celsius) in [(radiant, 60.0), (vent, -45.0)] {
             assert_eq!(restore_tank(tank, celsius), Ok(()), "{celsius} °C");
+        }
+    }
+
+    #[test]
+    fn restore_refuses_loop_water_that_cannot_step() {
+        // Restored and stepped with the pumps on, so a step mixes the
+        // loop's return water into the panel.
+        let restore_loop = |change: fn(&mut LoopState)| restore_warmed(|p| change(&mut p.loops[1]));
+        let temperatures: [fn(&mut LoopState); 4] = [
+            |l| l.return_temp = Celsius::new(f64::NAN),
+            |l| l.return_temp = Celsius::new(1e300),
+            |l| l.mixed_temp = Celsius::new(-46.0),
+            |l| l.mixed_temp = Celsius::new(f64::NAN),
+        ];
+        for change in temperatures {
+            let err = restore_loop(change).unwrap_err();
+            assert!(err.contains("lies outside −45 °C to 60 °C"), "{err}");
+        }
+        let flows: [fn(&mut LoopState); 5] = [
+            |l| l.mixed_flow_m3s = f64::NAN,
+            |l| l.mixed_flow_m3s = 1e300,
+            |l| l.supply_flow_m3s = -1e-9,
+            |l| l.recycle_flow_m3s = f64::INFINITY,
+            |l| l.recycle_flow_m3s += 1e-6,
+        ];
+        for change in flows {
+            let err = restore_loop(change).unwrap_err();
+            assert!(err.contains("radiant loop 1's"), "{err}");
+        }
+        let kept: [fn(&mut LoopState); 3] = [
+            |_| {},
+            |l| l.return_temp = Celsius::new(60.0),
+            |l| {
+                l.supply_flow_m3s = 0.0;
+                l.recycle_flow_m3s = 0.0;
+                l.mixed_flow_m3s = 0.0;
+            },
+        ];
+        for change in kept {
+            assert_eq!(restore_loop(change), Ok(()));
         }
     }
 

@@ -54,7 +54,10 @@ pub struct VarianceHistogram {
     n_slots: usize,
     var_min: f64,
     var_max: f64,
-    counts: Vec<u64>,
+    /// Saturating: the counters are reset weekly, so they hold at most
+    /// 302,400 samples at a 2 s period, and a `u32` halves the memory of
+    /// the 36 histograms a system keeps.
+    counts: Vec<u32>,
     observed: u64,
 }
 
@@ -145,7 +148,7 @@ impl VarianceHistogram {
             self.rebin(new_min, new_max);
         }
         let slot = self.slot_of(variance);
-        self.counts[slot] += 1;
+        self.counts[slot] = self.counts[slot].saturating_add(1);
     }
 
     /// Re-bins existing counters onto a new range by mapping each old slot
@@ -161,15 +164,17 @@ impl VarianceHistogram {
                 if count > 0 {
                     let center = old_min + (i as f64 + 0.5) * old_width;
                     let slot = self.slot_of(center);
-                    self.counts[slot] += count;
+                    self.counts[slot] = self.counts[slot].saturating_add(count);
                 }
             }
         } else {
             // Degenerate old range: everything sat at old_min.
-            let total: u64 = old_counts.iter().sum();
+            let total = old_counts
+                .iter()
+                .fold(0u32, |sum, &c| sum.saturating_add(c));
             if total > 0 && old_min.is_finite() {
                 let slot = self.slot_of(old_min);
-                self.counts[slot] += total;
+                self.counts[slot] = self.counts[slot].saturating_add(total);
             }
         }
     }
@@ -276,8 +281,8 @@ impl VarianceHistogram {
 
     /// The raw counters (for inspection/tests).
     #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
+    pub fn counts(&self) -> Vec<u64> {
+        self.counts.iter().map(|&count| u64::from(count)).collect()
     }
 }
 
@@ -381,22 +386,40 @@ impl ExactClusterer {
 
 bz_state::persist_unit_enum!(Stability { Stable, Transition });
 impl bz_state::Persist for VarianceHistogram {
+    /// Each counter is saved as a `u64` word, the layout of every
+    /// checkpoint format.
     fn save(&self, w: &mut bz_state::Writer) {
         w.put(&self.n_slots);
         w.put(&self.var_min);
         w.put(&self.var_max);
-        w.put(&self.counts);
+        w.put_len(self.counts.len());
+        for &count in &self.counts {
+            w.put_u64(u64::from(count));
+        }
         w.put(&self.observed);
     }
 
-    /// Refuses a histogram whose counters do not match its slot count:
-    /// the next observation would index past them.
+    /// Refuses a counter above `u32::MAX`, and a histogram whose counters
+    /// do not match its slot count: the next observation would index past
+    /// them.
     fn load(r: &mut bz_state::Reader<'_>) -> Result<Self, bz_state::StateError> {
+        let n_slots = r.take()?;
+        let var_min = r.take()?;
+        let var_max = r.take()?;
+        let counts = Vec::<u64>::load(r)?
+            .into_iter()
+            .map(|count| {
+                u32::try_from(count).map_err(|_| bz_state::StateError::Invalid {
+                    what: "VarianceHistogram",
+                    reason: format!("counter {count} is above u32::MAX"),
+                })
+            })
+            .collect::<Result<_, _>>()?;
         let histogram = Self {
-            n_slots: r.take()?,
-            var_min: r.take()?,
-            var_max: r.take()?,
-            counts: r.take()?,
+            n_slots,
+            var_min,
+            var_max,
+            counts,
             observed: r.take()?,
         };
         if histogram.n_slots < 2 || histogram.counts.len() != histogram.n_slots {
@@ -417,6 +440,37 @@ impl bz_state::Persist for VarianceHistogram {
 mod tests {
     use super::*;
     use bz_state::Persist;
+
+    #[test]
+    fn counters_saturate_save_as_u64_words_and_refuse_one_past_u32() {
+        let mut histogram = VarianceHistogram::new(4);
+        for variance in [0.0, 1.0, 1.0] {
+            histogram.observe(variance);
+        }
+        histogram.counts[0] = u32::MAX;
+        histogram.observe(0.0);
+        assert_eq!(histogram.counts(), [u64::from(u32::MAX), 0, 0, 2]);
+        let mut w = bz_state::Writer::new();
+        histogram.save(&mut w);
+        let mut words = bz_state::Writer::new();
+        words.put(&4usize);
+        words.put(&0.0f64);
+        words.put(&1.0f64);
+        words.put(&histogram.counts());
+        words.put(&4u64);
+        assert_eq!(w.as_bytes(), words.as_bytes());
+        let restored = VarianceHistogram::load(&mut bz_state::Reader::new(w.as_bytes()));
+        assert_eq!(restored, Ok(histogram.clone()));
+        let mut past = w.into_bytes();
+        // The first counter word follows the slot count, the range and
+        // the counter count.
+        past[32..40].copy_from_slice(&(u64::from(u32::MAX) + 1).to_le_bytes());
+        let err = VarianceHistogram::load(&mut bz_state::Reader::new(&past)).unwrap_err();
+        assert!(
+            err.to_string().contains("4294967296 is above u32::MAX"),
+            "{err}"
+        );
+    }
 
     #[test]
     fn restore_rejects_counters_that_do_not_match_the_slots() {
